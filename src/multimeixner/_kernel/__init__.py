@@ -16,9 +16,13 @@ if _requested in ("auto", "", "compiled"):
         from . import _speedups as _impl
 
         BACKEND = "compiled"
-    except ImportError:
+    except ImportError as exc:
         if _requested == "compiled":
-            raise
+            raise ImportError(
+                "MULTIMEIXNER_KERNEL=compiled was requested but the compiled "
+                "kernel _speedups is not built; build it, or set "
+                "MULTIMEIXNER_KERNEL=pure|auto"
+            ) from exc
         _impl = pure
         BACKEND = "pure"
 elif _requested in ("pure", "python"):

@@ -23,10 +23,12 @@ roots and live in float mode only.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Dict, Tuple
 
 from ._kernel import hyp_sum
+from ._kernel.pure import _scaled_list
 from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
 from .lorentz import (
     PseudoRotation,
@@ -348,33 +350,129 @@ def _report(identity, box, mode, max_disc, counter, tol=None) -> EvalReport:
     )
 
 
+def _gf_table(sys: MeixnerSystem, degrees, points) -> Dict[Tuple[int, int, int, int], Fraction]:
+    """Every generating-function value an exact checker reads, built at once.
+
+    Maps (m, n, i, k) to ``monic_eval_gf(sys, m, n, i, k)`` for every
+    (m, n) in ``degrees`` and (i, k) in ``points``.  The factor series are
+    built once per table, at the largest m + n, and shared by all points,
+    so each point costs two series products.  Nothing is stored on ``sys``.
+    """
+    degrees, points = set(degrees), set(points)
+    if not degrees or not points:
+        return {}
+    cutoff = max(m + n for m, n in degrees)
+    lefts = {
+        i: series_geom_pow([sys.u11, sys.u12], i, cutoff) for i in {i for i, _ in points}
+    }
+    rights = {
+        k: series_geom_pow([sys.u21, sys.u22], k, cutoff) for k in {k for _, k in points}
+    }
+    bases = {
+        s: series_geom_pow([1, 1], -(sys.beta + s), cutoff) for s in {i + k for i, k in points}
+    }
+    scales = {
+        (m, n): Fraction(math.factorial(m) * math.factorial(n)) / pochhammer(sys.beta, m + n)
+        for m, n in degrees
+    }
+    zero = Fraction(0)
+    table = {}
+    for i, k in points:
+        coeffs = series_mul(series_mul(bases[i + k], lefts[i]), rights[k]).coeffs
+        for (m, n), scale in scales.items():
+            raw = coeffs.get((m, n))
+            table[(m, n, i, k)] = raw * scale if raw else zero
+    return table
+
+
+def _rectangle(max_a: int, max_b: int):
+    return [(a, b) for a in range(max_a + 1) for b in range(max_b + 1)]
+
+
+# The recurrence and difference checkers read each residual as a linear
+# row: (wx x + wy y) times the value at the scanned index plus fixed
+# coefficients times its neighbours, where (x, y) is the index pair the row
+# does not shift.  Rows and values are cleared to integers over common
+# denominators, so a residual costs integer products only and is rebuilt
+# as one exact rational.
+
+
+def _cleared_table(table) -> Tuple[int, Dict[tuple, int]]:
+    """Common denominator of a value table and the integer numerators over it."""
+    denom, nums = _scaled_list(table.values())
+    return denom, dict(zip(table, nums))
+
+
+def _cleared_row(weights, coeffs):
+    """(denominator, integer weights, integer coefficients) of one row."""
+    denom, nums = _scaled_list([*weights, *coeffs])
+    return denom, nums[: len(weights)], nums[len(weights) :]
+
+
+def _row_residuals(rows, x: int, y: int, values, denom: int) -> Tuple[Fraction, ...]:
+    """Exact residual of each cleared row on values cleared over ``denom``."""
+    return tuple(
+        Fraction(
+            (wx * x + wy * y) * values[0] + sum(map(operator.mul, coeffs, values)),
+            row_denom * denom,
+        )
+        for row_denom, (wx, wy), coeffs in rows
+    )
+
+
+def _three_diagonal(x: int, y: int, total, vectors, last):
+    """Shifts and coefficient lists of a pair of three-diagonal relations.
+
+    At index pair (x, y), relation j reads
+
+      var_j R = (x a1^2 + y a2^2 + total a3^2) R
+                + x a1 a2 (p2/p1) R(x-1, y+1) - x a1 a3 (p3/p1) R(x-1, y)
+                + y a1 a2 (p1/p2) R(x+1, y-1) - y a2 a3 (p3/p2) R(x, y-1)
+                - total (a1 a3 (p1/p3) R(x+1, y) + a2 a3 (p2/p3) R(x, y+1))
+
+    with (a1, a2, a3) = vectors[j] and (p1, p2, p3) = last.  The lists
+    hold the right-hand side moved to the left, one entry per shift.
+    """
+    p1, p2, p3 = last
+    shifts = [(0, 0), (1, 0), (0, 1)]
+    if x > 0:
+        shifts += [(-1, 1), (-1, 0)]
+    if y > 0:
+        shifts += [(1, -1), (0, -1)]
+    rows = []
+    for (a1, a2, a3) in vectors:
+        coeffs = [
+            -(x * a1**2 + y * a2**2 + total * a3**2),
+            total * (a1 * a3 * p1 / p3),
+            total * (a2 * a3 * p2 / p3),
+        ]
+        if x > 0:
+            coeffs += [-x * (a1 * a2 * p2 / p1), x * (a1 * a3 * p3 / p1)]
+        if y > 0:
+            coeffs += [-y * (a1 * a2 * p1 / p2), y * (a2 * a3 * p3 / p2)]
+        rows.append(coeffs)
+    return shifts, rows
+
+
 def check_recurrence(sys: MeixnerSystem, box: LatticeBox) -> EvalReport:
     """Both three-diagonal recurrences in the degrees, exactly."""
     sys.require_mode(ScalarMode.EXACT, "check_recurrence")
-    b = sys.beta
-    l11, l12, l13 = sys.l11, sys.l12, sys.l13
-    l21, l22, l23 = sys.l21, sys.l22, sys.l23
-    l31, l32, l33 = sys.l31, sys.l32, sys.l33
+    matrix_rows = ((sys.l11, sys.l12, sys.l13), (sys.l21, sys.l22, sys.l23))
+    plans = {}
+    for m, n in _rectangle(box.max_m, box.max_n):
+        shifts, rows = _three_diagonal(
+            m, n, m + n + sys.beta, matrix_rows, (sys.l31, sys.l32, sys.l33)
+        )
+        plans[(m, n)] = (
+            [(m + dm, n + dn) for dm, dn in shifts],
+            [_cleared_row(w, c) for w, c in zip(((1, 0), (0, 1)), rows)],
+        )
+    degrees = {dg for degrees, _ in plans.values() for dg in degrees}
+    denom, R = _cleared_table(_gf_table(sys, degrees, _rectangle(box.max_i, box.max_k)))
 
     def residuals(m, n, i, k):
-        R = lambda mm, nn: monic_eval_gf(sys, mm, nn, i, k)
-        here = R(m, n)
-        total = m + n + b
-        out = []
-        for (a1, a2, a3) in ((l11, l12, l13), (l21, l22, l23)):
-            rhs = (m * a1**2 + n * a2**2 + total * a3**2) * here
-            if m > 0:
-                rhs += (a1 * a2 * l32 / l31) * m * R(m - 1, n + 1)
-                rhs -= (a1 * a3 * l33 / l31) * m * R(m - 1, n)
-            if n > 0:
-                rhs += (a1 * a2 * l31 / l32) * n * R(m + 1, n - 1)
-                rhs -= (a2 * a3 * l33 / l32) * n * R(m, n - 1)
-            rhs -= (a1 * a3 * l31 / l33) * total * R(m + 1, n)
-            rhs -= (a2 * a3 * l32 / l33) * total * R(m, n + 1)
-            out.append(rhs)
-        lhs_i = i * here
-        lhs_k = k * here
-        return (lhs_i - out[0], lhs_k - out[1])
+        degrees, rows = plans[(m, n)]
+        return _row_residuals(rows, i, k, [R[(mm, nn, i, k)] for mm, nn in degrees], denom)
 
     return _scan_exact("recurrence", sys, box, residuals)
 
@@ -398,40 +496,38 @@ def check_difference(sys: MeixnerSystem, box: LatticeBox) -> EvalReport:
             "nearest-neighbour difference equation divides by interior entries that are zero"
         )
 
-    def residuals(m, n, i, k):
-        R = lambda ii, kk: monic_eval_gf(sys, m, n, ii, kk)
-        here = R(i, k)
-        total = i + k + b
-        sides = []
-        for (a1, a2, a3) in ((l11, l21, l31), (l12, l22, l32)):
-            rhs = (i * a1**2 + k * a2**2 + total * a3**2) * here
-            if i > 0:
-                rhs += (a1 * a2 * l23 / l13) * i * R(i - 1, k + 1)
-                rhs -= (a1 * a3 * l33 / l13) * i * R(i - 1, k)
-            if k > 0:
-                rhs += (a1 * a2 * l13 / l23) * k * R(i + 1, k - 1)
-                rhs -= (a2 * a3 * l33 / l23) * k * R(i, k - 1)
-            rhs -= (a1 * a3 * l13 / l33) * total * R(i + 1, k)
-            rhs -= (a2 * a3 * l23 / l33) * total * R(i, k + 1)
-            sides.append(rhs)
-        res_m = m * here - sides[0]
-        res_n = n * here - sides[1]
+    # Nearest-neighbour combination: first equation over (l11 l21) minus
+    # second over (l12 l22); the mixed-shift terms cancel.
+    nn_weights = (1 / (l11 * l21), -1 / (l12 * l22))
+    nn_i = l11 / l21 - l12 / l22
+    nn_k = l21 / l11 - l22 / l12
+    nn_total = l31**2 / (l11 * l21) - l32**2 / (l12 * l22)
+    nn_up_i = l13 * l32 / (l22 * l33) - l13 * l31 / (l21 * l33)
+    nn_up_k = l23 * l32 / (l12 * l33) - l23 * l31 / (l11 * l33)
+    nn_down_i = l32 * l33 / (l13 * l22) - l31 * l33 / (l21 * l13)
+    nn_down_k = l32 * l33 / (l12 * l23) - l31 * l33 / (l11 * l23)
 
-        # Nearest-neighbour combination: first equation over (l11 l21)
-        # minus second over (l12 l22); the mixed-shift terms cancel.
-        lhs_nn = (Fraction(m) / (l11 * l21) - Fraction(n) / (l12 * l22)) * here
-        rhs_nn = (
-            i * (l11 / l21 - l12 / l22)
-            + k * (l21 / l11 - l22 / l12)
-            + total * (l31**2 / (l11 * l21) - l32**2 / (l12 * l22))
-        ) * here
+    plans = {}
+    for i, k in _rectangle(box.max_i, box.max_k):
+        total = i + k + b
+        shifts, rows = _three_diagonal(
+            i, k, total, ((l11, l21, l31), (l12, l22, l32)), (l13, l23, l33)
+        )
+        nn = [-(i * nn_i + k * nn_k + total * nn_total), -total * nn_up_i, -total * nn_up_k]
         if i > 0:
-            rhs_nn += i * (l32 * l33 / (l13 * l22) - l31 * l33 / (l21 * l13)) * R(i - 1, k)
-        rhs_nn += total * (l13 * l32 / (l22 * l33) - l13 * l31 / (l21 * l33)) * R(i + 1, k)
+            nn += [0, -i * nn_down_i]
         if k > 0:
-            rhs_nn += k * (l32 * l33 / (l12 * l23) - l31 * l33 / (l11 * l23)) * R(i, k - 1)
-        rhs_nn += total * (l23 * l32 / (l12 * l33) - l23 * l31 / (l11 * l33)) * R(i, k + 1)
-        return (res_m, res_n, lhs_nn - rhs_nn)
+            nn += [0, -k * nn_down_k]
+        plans[(i, k)] = (
+            [(i + di, k + dk) for di, dk in shifts],
+            [_cleared_row(w, c) for w, c in zip(((1, 0), (0, 1), nn_weights), rows + [nn])],
+        )
+    points = {pt for points, _ in plans.values() for pt in points}
+    denom, R = _cleared_table(_gf_table(sys, _rectangle(box.max_m, box.max_n), points))
+
+    def residuals(m, n, i, k):
+        points, rows = plans[(i, k)]
+        return _row_residuals(rows, m, n, [R[(m, n, ii, kk)] for ii, kk in points], denom)
 
     return _scan_exact("difference", sys, box, residuals)
 
@@ -451,19 +547,30 @@ def check_lowering(sys: MeixnerSystem, box: LatticeBox) -> EvalReport:
     b = sys.beta
     if b <= 1:
         raise PreconditionError(f"lowering relations need beta > 1, got {b}")
-    lower = MeixnerSystem(b - 1, sys.lam, ScalarMode.EXACT)
+    degrees = _rectangle(box.max_m, box.max_n)
+    points = _rectangle(box.max_i, box.max_k)
+    R = _gf_table(sys, degrees[:-1], points)  # every degree pair but (max_m, max_n)
+    low = _gf_table(
+        MeixnerSystem(b - 1, sys.lam, ScalarMode.EXACT),
+        degrees,
+        {(i + di, k + dk) for i, k in points for di, dk in ((0, 0), (1, 0), (0, 1))},
+    )
+    # the (b-1) (l3j/l33) l.. l.3 products in front of D_i and D_k
+    f1 = (b - 1) * (sys.l31 / sys.l33)
+    f2 = (b - 1) * (sys.l32 / sys.l33)
+    c1i, c1k = f1 * (sys.l11 * sys.l13), f1 * (sys.l21 * sys.l23)
+    c2i, c2k = f2 * (sys.l12 * sys.l13), f2 * (sys.l22 * sys.l23)
 
     def residuals(m, n, i, k):
-        low = lambda ii, kk: monic_eval_gf(lower, m, n, ii, kk)
-        here = low(i, k)
-        di = low(i + 1, k) - here
-        dk = low(i, k + 1) - here
-        res1 = (
-            m * monic_eval_gf(sys, m - 1, n, i, k) if m > 0 else Fraction(0)
-        ) + (b - 1) * (sys.l31 / sys.l33) * (sys.l11 * sys.l13 * di + sys.l21 * sys.l23 * dk)
-        res2 = (
-            n * monic_eval_gf(sys, m, n - 1, i, k) if n > 0 else Fraction(0)
-        ) + (b - 1) * (sys.l32 / sys.l33) * (sys.l12 * sys.l13 * di + sys.l22 * sys.l23 * dk)
+        here = low[(m, n, i, k)]
+        di = low[(m, n, i + 1, k)] - here
+        dk = low[(m, n, i, k + 1)] - here
+        res1 = c1i * di + c1k * dk
+        if m > 0:
+            res1 += m * R[(m - 1, n, i, k)]
+        res2 = c2i * di + c2k * dk
+        if n > 0:
+            res2 += n * R[(m, n - 1, i, k)]
         return (res1, res2)
 
     return _scan_exact("lowering", sys, box, residuals)
@@ -472,10 +579,14 @@ def check_lowering(sys: MeixnerSystem, box: LatticeBox) -> EvalReport:
 def check_duality(sys: MeixnerSystem, box: LatticeBox) -> EvalReport:
     """Degrees and variables exchange against the inverse-matrix system."""
     sys.require_mode(ScalarMode.EXACT, "check_duality")
-    dual = sys.dual()
+    # sys is read with degrees and points swapped
+    degrees = _rectangle(box.max_m, box.max_n)
+    points = _rectangle(box.max_i, box.max_k)
+    R = _gf_table(sys, points, degrees)
+    dual = _gf_table(sys.dual(), degrees, points)
 
     def residuals(m, n, i, k):
-        return (monic_eval_gf(sys, i, k, m, n) - monic_eval_gf(dual, m, n, i, k),)
+        return (R[(i, k, m, n)] - dual[(m, n, i, k)],)
 
     return _scan_exact("duality", sys, box, residuals)
 

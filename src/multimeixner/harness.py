@@ -74,6 +74,8 @@ def random_matrix(
     seed: int, d: int = 2, num_factors: int = 4, gentle: bool = False
 ) -> PseudoRotation:
     """Deterministic generic product of boosts and rotations."""
+    if num_factors < 1:
+        raise ValueError(f"need at least one factor, got {num_factors}")
     rng = random.Random(seed)
     for _ in range(1000):
         params = [_random_factor(rng, d, gentle) for _ in range(num_factors)]

@@ -20,6 +20,7 @@ from multimeixner.errors import (
     NonGenericMatrix,
     PreconditionError,
 )
+from multimeixner.harness import random_system
 from multimeixner.lorentz import boost, compose
 from multimeixner.reports import LatticeBox
 
@@ -130,6 +131,57 @@ class TestDuality:
             )
             rhs = (-1) ** (i + k) * scale * geom * orthonormal_eval(dual, m, n, i, k)
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+class TestBrokenIdentity:
+    """A system whose generating function no longer matches its matrix.
+
+    Shifting u11 after construction changes every value the generating
+    function gives but none of the matrix entries the residuals use, so
+    each exact checker must see the identities break.  The discrepancies
+    and first counterexamples below are those of the plain per-value
+    checkers (one ``monic_eval_gf`` call per residual term).
+    """
+
+    BOX = LatticeBox(max_i=2, max_k=2, max_m=2, max_n=2)
+
+    @pytest.mark.parametrize(
+        "checker, disc, counter",
+        [
+            (check_recurrence, F(14611289010237, 371772743680), (0, 0, 1, 0, 0)),
+            (check_difference, F(13976902279547, 219703850496), (1, 0, 0, 0, 0)),
+            (check_lowering, F(193224563, 13509184), (1, 1, 1, 0, 1)),
+            (check_duality, F(479512334357, 59089170816), (1, 0, 1, 0, 0)),
+        ],
+    )
+    def test_tampered_system_fails(self, checker, disc, counter):
+        sys2 = random_system(42, 2, 2)
+        sys2.u11 += 1
+        report = checker(sys2, self.BOX)
+        assert not report.passed
+        assert report.max_abs_discrepancy == disc
+        assert report.counterexample == counter
+
+
+class TestGfTable:
+    def test_entries_match_gf_oracle(self):
+        sys2 = random_system(42, 2, F(7, 3))
+        degrees = [(m, n) for m in range(6) for n in range(6 - m)]
+        points = [(i, k) for i in range(4) for k in range(5)]
+        table = bivariate._gf_table(sys2, degrees, points)
+        assert len(table) == 21 * 4 * 5
+        fresh = random_system(42, 2, F(7, 3))
+        for (m, n, i, k), value in table.items():
+            assert value == monic_eval_gf(fresh, m, n, i, k)
+        assert not sys2._gf_cache
+
+    @pytest.mark.parametrize(
+        "checker", [check_recurrence, check_difference, check_lowering, check_duality]
+    )
+    def test_checkers_keep_no_series(self, checker):
+        sys2 = random_system(42, 2, F(7, 3))
+        assert checker(sys2, LatticeBox(2, 2, 2, 2)).passed
+        assert not sys2._gf_cache
 
 
 class TestOrthonormalRecurrence:

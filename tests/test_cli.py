@@ -205,6 +205,14 @@ class TestTable:
         )
         assert code == 0
 
+    def test_zero_factors_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "--box", "1,1,1,1", "--seed", "7", "--factors", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "factor" in err
+
 
 class TestGenMatrix:
     def test_round_trip_through_eval(self, capsys, tmp_path):
@@ -224,3 +232,9 @@ class TestGenMatrix:
         code, out1, _ = run_cli(capsys, "gen-matrix", "--seed", "3")
         code, out2, _ = run_cli(capsys, "gen-matrix", "--seed", "3")
         assert out1 == out2
+
+    def test_zero_factors_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "gen-matrix", "--seed", "7", "--factors", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "factor" in err

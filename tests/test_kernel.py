@@ -64,7 +64,8 @@ def test_backend_reported():
     assert BACKEND in ("compiled", "pure")
 
 
-def test_env_override_selects_pure():
+def _import_kernel_with(backend):
+    """Import the kernel in a child interpreter with MULTIMEIXNER_KERNEL set."""
     import os
     import subprocess
     import sys
@@ -74,17 +75,35 @@ def test_env_override_selects_pure():
     # Inherit the environment and change one key; put the directory that
     # holds the imported package first on PYTHONPATH, so the child imports
     # the same copy under test (a relative ``PYTHONPATH=src`` included).
-    env = dict(os.environ, MULTIMEIXNER_KERNEL="pure")
+    env = dict(os.environ, MULTIMEIXNER_KERNEL=backend)
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(multimeixner.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p
     )
     code = "import multimeixner._kernel as k; print(k.BACKEND)"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=env,
+        timeout=120,
     )
+
+
+def test_env_override_selects_pure():
+    out = _import_kernel_with("pure")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "pure"
+
+
+@pytest.mark.skipif(_speedups is not None, reason="compiled extension is built")
+def test_compiled_request_without_extension_names_the_fix():
+    out = _import_kernel_with("compiled")
+    assert out.returncode != 0
+    last = out.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError:")
+    assert "_speedups is not built" in last
+    assert "MULTIMEIXNER_KERNEL=pure|auto" in last
+    assert "circular import" not in last
+    # the original import failure stays in the chain
+    assert "direct cause" in out.stderr
