@@ -4,9 +4,7 @@ finite hypergeometric quadruple sum.
 Both entry points clear denominators up front (one lcm per input list),
 run the hot loop in plain big-integer arithmetic, and rebuild exact
 rationals once per output value, so the per-term gcd cost of Fraction
-arithmetic never enters the loop.  The compiled twin in ``_speedups.pyx``
-implements the same two functions with identical semantics; exactness
-makes the results bit-identical across backends.
+arithmetic never enters the loop.
 """
 
 from __future__ import annotations

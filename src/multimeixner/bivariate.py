@@ -1,6 +1,5 @@
-"""The two-variable core: weights, amplitudes, four independent
-evaluation routes for the polynomial family of a generic pseudo-rotation,
-and exact checkers for its web of identities.
+"""The d = 2 case: the named system, the routes and closed forms stated
+for two variables, and exact checkers for the family's web of identities.
 
 Route map
 ---------
@@ -13,6 +12,10 @@ Route map
 * ``factorized_eval`` / ``general_sum_eval``
                           closed forms in univariate Meixner/Krawtchouk
                           factors, valid for specific product decompositions
+
+The first two routes, the weight, the interpolated coefficients and the
+orthogonality sum are those of the d-variable core in ``multivariate``,
+called at d = 2.
 
 All identity checkers run on the monic values, which are rational, so an
 identity either holds with discrepancy exactly zero or it is broken.  The
@@ -27,6 +30,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Dict, Tuple
 
+from . import multivariate
 from ._kernel import hyp_sum
 from ._kernel.pure import _scaled_list
 from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
@@ -35,74 +39,51 @@ from .lorentz import (
     compose,
     identity as lorentz_identity,
     inverse_tilde,
-    require_generic,
+)
+from .multivariate import (
+    MeixnerSystemD,
+    _gram_discrepancy,
+    _orthonormal_prefactor_d,
+    monic_eval_gf_d,
+    monic_eval_raising_d,
+    monic_poly_coeffs_d,
+    weight_d,
 )
 from .numerics import (
     ScalarMode,
-    TruncatedSeries,
     as_rational,
-    coefficient,
     pochhammer,
     series_geom_pow,
     series_mul,
-    solve_linear_system,
+    solve_linear_system,  # bound here only for the benchmark tracer
 )
-from .reports import EvalReport, LatticeBox
+from .reports import EvalReport, LatticeBox, scan
 from .univariate import krawtchouk, meixner
 
-SHELL_CAP = 400
 
+class MeixnerSystem(MeixnerSystemD):
+    """The d = 2 system, with the matrix entries, the weight parameters and
+    the u parameters under the names the d = 2 formulas use.
 
-class MeixnerSystem:
-    """A (beta, Lambda) bundle for d = 2 with its derived parameters.
-
-    Immutable after construction; evaluation caches only ever gain entries
-    whose values are exact functions of the inputs, so sharing across
-    threads cannot change any result.
+    The names are plain attributes copied at construction.  The routes
+    read ``lam``, ``c`` and ``u``; the exact checkers below read the names,
+    on every call.
     """
 
     def __init__(self, beta, lam: PseudoRotation, mode=ScalarMode.EXACT):
         if lam.d != 2:
             raise ValueError(f"MeixnerSystem needs a 3x3 matrix, got d={lam.d}")
-        require_generic(lam)
-        beta = as_rational(beta)
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        self.beta = beta
-        self.lam = lam
-        self.mode = ScalarMode(mode)
-
+        super().__init__(beta, lam, mode)
         e = lam.entries
         (self.l11, self.l12, self.l13) = e[0]
         (self.l21, self.l22, self.l23) = e[1]
         (self.l31, self.l32, self.l33) = e[2]
-
-        self.c1 = (self.l13 / self.l33) ** 2
-        self.c2 = (self.l23 / self.l33) ** 2
-        if not (self.c1 > 0 and self.c2 > 0 and self.c1 + self.c2 < 1):
-            raise ValueError("weight parameters escaped (0,1): matrix is not usable")
-        self.u11 = self.l11 * self.l33 / (self.l13 * self.l31)
-        self.u12 = self.l12 * self.l33 / (self.l13 * self.l32)
-        self.u21 = self.l21 * self.l33 / (self.l23 * self.l31)
-        self.u22 = self.l22 * self.l33 / (self.l23 * self.l32)
-
-        self._gf_cache: Dict[Tuple[int, int], TruncatedSeries] = {}
-        self._raising_cache: Dict[Tuple[int, int, int, int, int], Fraction] = {}
-        self._poly_cache: Dict[Tuple[int, int], Dict[Tuple[int, int], Fraction]] = {}
-
-    def with_mode(self, mode) -> "MeixnerSystem":
-        return MeixnerSystem(self.beta, self.lam, mode)
+        (self.c1, self.c2) = self.c
+        ((self.u11, self.u12), (self.u21, self.u22)) = self.u
 
     def dual(self) -> "MeixnerSystem":
         """System of the inverse matrix; the degree/variable exchange partner."""
         return MeixnerSystem(self.beta, inverse_tilde(self.lam), self.mode)
-
-    def require_mode(self, mode: ScalarMode, what: str):
-        if self.mode is not mode:
-            raise ModeError(f"{what} requires {mode.value} mode, system is {self.mode.value}")
-
-    def __repr__(self):
-        return f"MeixnerSystem(beta={self.beta}, mode={self.mode.value}, lam={self.lam})"
 
 
 # ---------------------------------------------------------------------------
@@ -110,32 +91,8 @@ class MeixnerSystem:
 
 
 def weight(sys: MeixnerSystem, i: int, k: int):
-    """Negative trinomial mass at (i, k).
-
-    Exact mode needs an integer beta (otherwise (1 - c1 - c2)**beta is
-    irrational); any positive beta works in float mode.
-    """
-    _check_point(i, k)
-    b = sys.beta
-    base = 1 - sys.c1 - sys.c2
-    if sys.mode is ScalarMode.EXACT:
-        if b.denominator != 1:
-            raise ModeError(
-                f"exact weight needs integer beta, got {b}; use float mode"
-            )
-        return (
-            pochhammer(b, i + k)
-            / (math.factorial(i) * math.factorial(k))
-            * base ** int(b)
-            * sys.c1**i
-            * sys.c2**k
-        )
-    return (
-        float(pochhammer(b, i + k) / (math.factorial(i) * math.factorial(k)))
-        * float(base) ** float(b)
-        * float(sys.c1) ** i
-        * float(sys.c2) ** k
-    )
+    """Negative trinomial mass at (i, k)."""
+    return weight_d(sys, (i, k))
 
 
 def amplitude_sq(sys: MeixnerSystem, i: int, k: int):
@@ -173,73 +130,17 @@ def _check_degrees(m: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# route 1: generating-function oracle
-
-
-def _gf_series(sys: MeixnerSystem, i: int, k: int, cutoff: int) -> TruncatedSeries:
-    cached = sys._gf_cache.get((i, k))
-    if cached is not None and cached.cutoff >= cutoff:
-        return cached
-    base = series_geom_pow([1, 1], -(sys.beta + i + k), cutoff)
-    left = series_geom_pow([sys.u11, sys.u12], i, cutoff)
-    right = series_geom_pow([sys.u21, sys.u22], k, cutoff)
-    product = series_mul(series_mul(base, left), right)
-    sys._gf_cache[(i, k)] = product
-    return product
+# routes 1 and 2 of the core at d = 2
 
 
 def monic_eval_gf(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fraction:
     """Coefficient extraction from the three-factor generating product."""
-    _check_degrees(m, n)
-    _check_point(i, k)
-    series = _gf_series(sys, i, k, m + n)
-    raw = coefficient(series, (m, n)) if m + n <= series.cutoff else Fraction(0)
-    return raw * math.factorial(m) * math.factorial(n) / pochhammer(sys.beta, m + n)
-
-
-# ---------------------------------------------------------------------------
-# route 2: radical-free raising recursion
-#
-# Substituting the monic normalization into the raising relations cancels
-# every square root (the key collapse is b*(b)_{m+n+1} = b^2 (b+1)_{m+n})
-# and leaves, with u-parameters as above,
-#
-#   R[b, m+1, n](i, k) = ( (i+k+b) R[b+1, m, n](i, k)
-#                          - u11 i R[b+1, m, n](i-1, k)
-#                          - u21 k R[b+1, m, n](i, k-1) ) / b
-#
-# and the mirror relation for n+1 with (u12, u22).  Iterating down from
-# R[b+m+n, 0, 0] = 1 gives a pure rational evaluation.
+    return monic_eval_gf_d(sys, (m, n), (i, k))
 
 
 def monic_eval_raising(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fraction:
-    _check_degrees(m, n)
-    _check_point(i, k)
-    return _raising_value(sys, m, n, i, k, 0)
-
-
-def _raising_value(sys: MeixnerSystem, m: int, n: int, i: int, k: int, shift: int) -> Fraction:
-    if m == 0 and n == 0:
-        return Fraction(1)
-    key = (m, n, i, k, shift)
-    cached = sys._raising_cache.get(key)
-    if cached is not None:
-        return cached
-    gamma = sys.beta + shift
-    if m > 0:
-        mm, nn = m - 1, n
-        ui, uk = sys.u11, sys.u21
-    else:
-        mm, nn = m, n - 1
-        ui, uk = sys.u12, sys.u22
-    acc = (i + k + gamma) * _raising_value(sys, mm, nn, i, k, shift + 1)
-    if i > 0:
-        acc -= ui * i * _raising_value(sys, mm, nn, i - 1, k, shift + 1)
-    if k > 0:
-        acc -= uk * k * _raising_value(sys, mm, nn, i, k - 1, shift + 1)
-    value = acc / gamma
-    sys._raising_cache[key] = value
-    return value
+    """The radical-free raising recursion (see ``multivariate``)."""
+    return monic_eval_raising_d(sys, (m, n), (i, k))
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +155,11 @@ def monic_eval_hyp(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fracti
     negi = [pochhammer(-i, t) for t in range(min(i, m + n) + 1)]
     negk = [pochhammer(-k, t) for t in range(min(k, m + n) + 1)]
     invb = [1 / pochhammer(sys.beta, t) for t in range(m + n + 1)]
-    p11 = _powers_over_factorials(1 - sys.u11, min(m, i))
-    p21 = _powers_over_factorials(1 - sys.u21, min(m, k))
-    p12 = _powers_over_factorials(1 - sys.u12, min(n, i))
-    p22 = _powers_over_factorials(1 - sys.u22, min(n, k))
+    (u11, u12), (u21, u22) = sys.u
+    p11 = _powers_over_factorials(1 - u11, min(m, i))
+    p21 = _powers_over_factorials(1 - u21, min(m, k))
+    p12 = _powers_over_factorials(1 - u12, min(n, i))
+    p22 = _powers_over_factorials(1 - u22, min(n, k))
     total = hyp_sum(m, n, i, k, negm, negn, negi, negk, invb, p11, p21, p12, p22)
     return Fraction(total)
 
@@ -274,38 +176,12 @@ def _powers_over_factorials(x: Fraction, top: int):
 
 
 def monic_poly_coeffs(sys: MeixnerSystem, m: int, n: int) -> Dict[Tuple[int, int], Fraction]:
-    """Exact coefficients of the degree-(m+n) polynomial in (i, k).
-
-    Interpolates generating-function values on the triangular principal
-    lattice {(a, b): a + b <= m + n}, which is unisolvent for total-degree
-    interpolation, and solves the system exactly.
-    """
-    key = (m, n)
-    cached = sys._poly_cache.get(key)
-    if cached is not None:
-        return cached
-    deg = m + n
-    nodes = [(a, b) for a in range(deg + 1) for b in range(deg + 1 - a)]
-    monomials = [(p, q) for p in range(deg + 1) for q in range(deg + 1 - p)]
-    rows = [
-        [Fraction(a**p * b**q) for (p, q) in monomials]
-        for (a, b) in nodes
-    ]
-    rhs = [monic_eval_gf(sys, m, n, a, b) for (a, b) in nodes]
-    solution = solve_linear_system(rows, rhs)
-    coeffs = {mono: c for mono, c in zip(monomials, solution) if c}
-    sys._poly_cache[key] = coeffs
-    return coeffs
+    """Exact coefficients of the degree-(m+n) polynomial in (i, k)."""
+    return monic_poly_coeffs_d(sys, (m, n))
 
 
 # ---------------------------------------------------------------------------
 # orthonormal family and representation matrix elements (float only)
-
-
-def _orthonormal_prefactor(sys: MeixnerSystem, m: int, n: int) -> float:
-    scale = pochhammer(sys.beta, m + n) / (math.factorial(m) * math.factorial(n))
-    geom = sys.l31**m * sys.l32**n / sys.l33 ** (m + n)
-    return (-1) ** (m + n) * math.sqrt(float(scale)) * float(geom)
 
 
 def orthonormal_eval(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> float:
@@ -313,7 +189,7 @@ def orthonormal_eval(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> floa
     sys.require_mode(ScalarMode.FLOAT, "orthonormal_eval")
     _check_degrees(m, n)
     _check_point(i, k)
-    return _orthonormal_prefactor(sys, m, n) * float(monic_eval_raising(sys, m, n, i, k))
+    return _orthonormal_prefactor_d(sys, (m, n)) * float(monic_eval_raising(sys, m, n, i, k))
 
 
 def _amplitude_signed_float(beta: Fraction, lam: PseudoRotation, i: int, k: int) -> float:
@@ -592,18 +468,10 @@ def check_duality(sys: MeixnerSystem, box: LatticeBox) -> EvalReport:
 
 
 def _scan_exact(name, sys, box: LatticeBox, residuals: Callable) -> EvalReport:
-    max_disc = Fraction(0)
-    counter = None
-    for m in range(box.max_m + 1):
-        for n in range(box.max_n + 1):
-            for i in range(box.max_i + 1):
-                for k in range(box.max_k + 1):
-                    for idx, res in enumerate(residuals(m, n, i, k)):
-                        disc = abs(res)
-                        if disc > max_disc:
-                            max_disc = disc
-                        if disc != 0 and counter is None:
-                            counter = (m, n, i, k, idx)
+    max_disc, counter = scan(
+        box.cells(),
+        lambda cell: (((*cell, idx), res) for idx, res in enumerate(residuals(*cell))),
+    )
     return _report(name, box, ScalarMode.EXACT, max_disc, counter)
 
 
@@ -612,86 +480,11 @@ def _scan_exact(name, sys, box: LatticeBox, residuals: Callable) -> EvalReport:
 
 
 def check_orthogonality(sys: MeixnerSystem, box: LatticeBox, tol: float) -> EvalReport:
-    """Truncated Gram matrix of the orthonormal family against the identity.
-
-    The summation square grows shell by shell (shell S holds the points
-    with max(i, k) == S) until a full shell contributes less than tol/100
-    to every Gram entry; past SHELL_CAP shells the sum is declared
-    non-convergent.
-    """
-    sys.require_mode(ScalarMode.FLOAT, "check_orthogonality")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    exact_sys = MeixnerSystem(sys.beta, sys.lam, ScalarMode.EXACT)
-    degrees = [(m, n) for m in range(box.max_m + 1) for n in range(box.max_n + 1)]
-    prefs = {(m, n): _orthonormal_prefactor(sys, m, n) for (m, n) in degrees}
-    # flatten to (p, q, prefactor * coeff) triples for the shell loop
-    polys = {
-        dg: [
-            (p, q, prefs[dg] * float(c))
-            for (p, q), c in monic_poly_coeffs(exact_sys, *dg).items()
-        ]
-        for dg in degrees
-    }
-    max_deg = box.max_m + box.max_n
-
-    bf = float(sys.beta)
-    c1 = float(sys.c1)
-    c2 = float(sys.c2)
-    w: Dict[Tuple[int, int], float] = {}
-    gram = {(a, bb): 0.0 for a in degrees for bb in degrees}
-    threshold = tol / 100.0
-
-    shell = 0
-    while True:
-        if shell > SHELL_CAP:
-            raise NonConvergence(
-                f"orthogonality sum did not settle within {SHELL_CAP} shells"
-            )
-        shell_max = 0.0
-        points = [(i, shell) for i in range(shell)] + [(shell, k) for k in range(shell + 1)]
-        for (i, k) in sorted(points):
-            if i == 0 and k == 0:
-                w[(0, 0)] = (1.0 - c1 - c2) ** bf
-            elif i > 0:
-                w[(i, k)] = w[(i - 1, k)] * (bf + i + k - 1) / i * c1
-            else:
-                w[(i, k)] = w[(0, k - 1)] * (bf + k - 1) / k * c2
-            wt = w[(i, k)]
-            fi, fk = float(i), float(k)
-            ipow = [1.0]
-            kpow = [1.0]
-            for _ in range(max_deg):
-                ipow.append(ipow[-1] * fi)
-                kpow.append(kpow[-1] * fk)
-            values = {}
-            for dg in degrees:
-                acc = 0.0
-                for p, q, c in polys[dg]:
-                    acc += c * ipow[p] * kpow[q]
-                values[dg] = acc
-            for a in degrees:
-                va = wt * values[a]
-                for bb in degrees:
-                    contrib = va * values[bb]
-                    gram[(a, bb)] += contrib
-                    mag = abs(contrib)
-                    if mag > shell_max:
-                        shell_max = mag
-        if shell >= 1 and shell_max < threshold:
-            break
-        shell += 1
-
-    max_disc = 0.0
-    counter = None
-    for a in degrees:
-        for bb in degrees:
-            target = 1.0 if a == bb else 0.0
-            disc = abs(gram[(a, bb)] - target)
-            if disc > max_disc:
-                max_disc = disc
-            if disc > tol and counter is None:
-                counter = (*a, *bb)
+    """Truncated Gram matrix of the orthonormal family of degrees up to
+    (max_m, max_n) against the identity (see ``multivariate``)."""
+    degrees = list(box.degree_pairs())
+    max_disc, first = _gram_discrepancy(sys, degrees, tol, "check_orthogonality")
+    counter = None if first is None else (*first[0], *first[1])
     return _report("orthogonality", box, ScalarMode.FLOAT, max_disc, counter, tol)
 
 
@@ -1011,9 +804,9 @@ def check_addition(
     threshold = tol / 100.0
     level = 0
     while True:
-        if level > SHELL_CAP:
+        if level > multivariate.SHELL_CAP:
             raise NonConvergence(
-                f"addition sum did not settle within {SHELL_CAP} diagonal shells"
+                f"addition sum did not settle within {multivariate.SHELL_CAP} diagonal shells"
             )
         contrib = 0.0
         for rho in range(level + 1):

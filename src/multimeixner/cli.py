@@ -290,12 +290,7 @@ def cmd_table(args) -> int:
         "hyp": bivariate.monic_eval_hyp,
     }
     route = routes[args.route]
-    rows = []
-    for m in range(box.max_m + 1):
-        for n in range(box.max_n + 1):
-            for i in range(box.max_i + 1):
-                for k in range(box.max_k + 1):
-                    rows.append((m, n, i, k, rational_str(route(sys2, m, n, i, k))))
+    rows = [(*cell, rational_str(route(sys2, *cell))) for cell in box.cells()]
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)

@@ -7,6 +7,7 @@ generic formula applies to it.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,7 @@ from . import bivariate, multivariate
 from .errors import PreconditionError
 from .lorentz import PseudoRotation, SubgroupParam, is_generic, product_of
 from .numerics import ScalarMode, as_rational
-from .reports import EvalReport, LatticeBox
+from .reports import EvalReport, LatticeBox, scan
 
 CANONICAL_PARAMS = (
     SubgroupParam("rotation", (1, 2), Fraction(1, 2)),
@@ -145,19 +146,13 @@ def suite_routes(config: SuiteConfig) -> List[EvalReport]:
     hypergeometric routes over the box."""
     sys2 = _bivariate_system(config, ScalarMode.EXACT)
     box = config.box or DEFAULT_BOX
-    max_disc = Fraction(0)
-    counter = None
-    for m in range(box.max_m + 1):
-        for n in range(box.max_n + 1):
-            for i in range(box.max_i + 1):
-                for k in range(box.max_k + 1):
-                    ref = bivariate.monic_eval_gf(sys2, m, n, i, k)
-                    for route in (bivariate.monic_eval_raising, bivariate.monic_eval_hyp):
-                        disc = abs(route(sys2, m, n, i, k) - ref)
-                        if disc > max_disc:
-                            max_disc = disc
-                        if disc != 0 and counter is None:
-                            counter = (m, n, i, k, route.__name__)
+
+    def residuals(cell):
+        ref = bivariate.monic_eval_gf(sys2, *cell)
+        for route in (bivariate.monic_eval_raising, bivariate.monic_eval_hyp):
+            yield (*cell, route.__name__), route(sys2, *cell) - ref
+
+    max_disc, counter = scan(box.cells(), residuals)
     return [
         EvalReport(
             identity="route-equivalence",
@@ -214,18 +209,14 @@ def suite_factorization(config: SuiteConfig) -> List[EvalReport]:
     lam = product_of(config.subgroup, 2)
     sys2 = bivariate.MeixnerSystem(config.beta, lam, ScalarMode.EXACT)
     box = config.box or DEFAULT_BOX
-    max_disc = Fraction(0)
-    counter = None
-    for m in range(box.max_m + 1):
-        for n in range(box.max_n + 1):
-            for i in range(box.max_i + 1):
-                for k in range(box.max_k + 1):
-                    lhs = bivariate.factorized_eval(config.beta, xi.value, psi.value, m, n, i, k)
-                    disc = abs(lhs - bivariate.monic_eval_gf(sys2, m, n, i, k))
-                    if disc > max_disc:
-                        max_disc = disc
-                    if disc != 0 and counter is None:
-                        counter = (m, n, i, k)
+    max_disc, counter = scan(
+        box.cells(),
+        lambda cell: [(
+            cell,
+            bivariate.factorized_eval(config.beta, xi.value, psi.value, *cell)
+            - bivariate.monic_eval_gf(sys2, *cell),
+        )],
+    )
     return [
         EvalReport(
             identity="factorization",
@@ -250,20 +241,14 @@ def suite_dompe3(config: SuiteConfig) -> List[EvalReport]:
     lam = product_of(config.subgroup, 2)
     sys2 = bivariate.MeixnerSystem(config.beta, lam, ScalarMode.EXACT)
     box = config.box or LatticeBox(max_i=4, max_k=4, max_m=3, max_n=3)
-    max_disc = Fraction(0)
-    counter = None
-    for m in range(box.max_m + 1):
-        for n in range(box.max_n + 1):
-            for i in range(box.max_i + 1):
-                for k in range(box.max_k + 1):
-                    lhs = bivariate.general_sum_eval(
-                        config.beta, chi.value, psi.value, theta.value, m, n, i, k
-                    )
-                    disc = abs(lhs - bivariate.monic_eval_gf(sys2, m, n, i, k))
-                    if disc > max_disc:
-                        max_disc = disc
-                    if disc != 0 and counter is None:
-                        counter = (m, n, i, k)
+    max_disc, counter = scan(
+        box.cells(),
+        lambda cell: [(
+            cell,
+            bivariate.general_sum_eval(config.beta, chi.value, psi.value, theta.value, *cell)
+            - bivariate.monic_eval_gf(sys2, *cell),
+        )],
+    )
     return [
         EvalReport(
             identity="general-closed-form",
@@ -388,8 +373,6 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
     degree_max = config.degree_max if config.degree_max is not None else 3
     coord_max = config.coord_max if config.coord_max is not None else 3
 
-    max_disc = Fraction(0)
-    counter = None
     degrees = [
         n
         for total in range(degree_max + 1)
@@ -401,16 +384,14 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
         for x in sorted(multivariate._simplex_lattice(coord_max * d, d))
         if max(x) <= coord_max
     ]
-    for n in degrees:
-        for x in points:
-            disc = abs(
-                multivariate.monic_eval_raising_d(sys_exact, n, x)
-                - multivariate.monic_eval_gf_d(sys_exact, n, x)
-            )
-            if disc > max_disc:
-                max_disc = disc
-            if disc != 0 and counter is None:
-                counter = (n, x)
+    max_disc, counter = scan(
+        itertools.product(degrees, points),
+        lambda cell: [(
+            cell,
+            multivariate.monic_eval_raising_d(sys_exact, *cell)
+            - multivariate.monic_eval_gf_d(sys_exact, *cell),
+        )],
+    )
     exact_report = EvalReport(
         identity="multivariate-route-equivalence",
         box={"d": d, "max_total_degree": degree_max, "coord_max": coord_max},

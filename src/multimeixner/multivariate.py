@@ -1,26 +1,38 @@
-"""General-d extension: negative multinomial weight, generating-function
-oracle, the d-direction raising recursion, and truncated orthogonality.
+"""The d-variable core: systems, the negative multinomial weight, the
+generating-function oracle, the raising recursion, interpolated
+coefficients and truncated orthogonality, for any d.
 
-The raising recursion here is the d-variable analog of the bivariate one,
+The bivariate module builds on this core: its ``MeixnerSystem`` is the
+d = 2 case with the matrix entries under their usual names, and it adds the
+routes and identities that are stated for d = 2 only (the hypergeometric
+sum, the closed forms, the recurrence, difference, lowering, duality and
+addition checkers).
+
+The raising recursion is
 
   R[b, n + e_j](x) = ( (|x|+b) R[b+1, n](x)
                        - sum_i u[i][j] x_i R[b+1, n](x - e_i) ) / b,
 
-derived by the same normalization push-through; its wholesale agreement
-with the generating function is the correctness gate.  Recurrence,
-difference, duality, and addition checkers are deliberately bivariate-only.
+derived by pushing the monic normalization through the raising relations
+(every square root cancels, the key collapse being
+b (b)_{|n|+1} = b^2 (b+1)_{|n|}); its wholesale agreement with the
+generating function is the correctness gate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from operator import add, mul
+from typing import Dict, List, Sequence, Tuple
 
+from ._kernel.pure import _scaled_list
 from .errors import ModeError, NonConvergence
 from .lorentz import PseudoRotation, require_generic
 from .numerics import (
     ScalarMode,
+    TruncatedSeries,
     as_rational,
     coefficient,
     pochhammer,
@@ -42,8 +54,24 @@ def _as_multi_index(value: Sequence[int], d: int, what: str) -> MultiIndex:
     return idx
 
 
+def _step_down(idx: MultiIndex, axis: int) -> MultiIndex:
+    """The multi-index with one less along ``axis``."""
+    return idx[:axis] + (idx[axis] - 1,) + idx[axis + 1 :]
+
+
+def _first_axis(idx: MultiIndex) -> int:
+    return next(axis for axis, v in enumerate(idx) if v)
+
+
 class MeixnerSystemD:
-    """A (beta, Lambda) bundle in d variables with derived c and u parameters."""
+    """A (beta, Lambda) bundle in d variables with derived c and u parameters.
+
+    Parameters must not change after the first evaluation: the value
+    caches (``_gf_cache``, ``_raising_cache``, ``_poly_cache``) are never
+    invalidated, so a changed parameter would meet values computed from the
+    old one.  Only the table-built exact checkers of the bivariate module
+    re-read the current attributes on every call.
+    """
 
     def __init__(self, beta, lam: PseudoRotation, mode=ScalarMode.EXACT):
         require_generic(lam)
@@ -65,25 +93,31 @@ class MeixnerSystemD:
             tuple(e[i][j] * corner / (e[i][last] * e[last][j]) for j in range(self.d))
             for i in range(self.d)
         )
+        # u over one common denominator, row by row, for the integer raising fill
+        self._u_denom, self._u_nums = _scaled_list([v for row in self.u for v in row])
 
-        self._gf_cache: Dict[MultiIndex, object] = {}
-        self._raising_cache: Dict[Tuple, Fraction] = {}
+        self._gf_cache: Dict[MultiIndex, TruncatedSeries] = {}
+        self._raising_cache: Dict[Tuple[MultiIndex, MultiIndex, int], int] = {}
         self._poly_cache: Dict[MultiIndex, Dict[MultiIndex, Fraction]] = {}
 
     def with_mode(self, mode) -> "MeixnerSystemD":
-        return MeixnerSystemD(self.beta, self.lam, mode)
+        return type(self)(self.beta, self.lam, mode)
 
     def require_mode(self, mode: ScalarMode, what: str):
         if self.mode is not mode:
             raise ModeError(f"{what} requires {mode.value} mode, system is {self.mode.value}")
 
     def __repr__(self):
-        return f"MeixnerSystemD(d={self.d}, beta={self.beta}, mode={self.mode.value})"
+        return f"{type(self).__name__}(beta={self.beta}, mode={self.mode.value}, lam={self.lam})"
 
 
 def weight_d(sys: MeixnerSystemD, x: Sequence[int]):
-    """Negative multinomial mass at the lattice point x."""
-    x = _as_multi_index(x, sys.d, "x")
+    """Negative multinomial mass at the lattice point x.
+
+    Exact mode needs an integer beta (otherwise (1 - sum c)**beta is
+    irrational); any positive beta works in float mode.
+    """
+    x = _as_multi_index(x, sys.d, "point")
     b = sys.beta
     total = sum(x)
     base = 1 - sum(sys.c)
@@ -101,7 +135,11 @@ def weight_d(sys: MeixnerSystemD, x: Sequence[int]):
     return value
 
 
-def _gf_series_d(sys: MeixnerSystemD, x: MultiIndex, cutoff: int):
+# ---------------------------------------------------------------------------
+# route 1: generating-function oracle
+
+
+def _gf_series(sys: MeixnerSystemD, x: MultiIndex, cutoff: int) -> TruncatedSeries:
     cached = sys._gf_cache.get(x)
     if cached is not None and cached.cutoff >= cutoff:
         return cached
@@ -115,42 +153,74 @@ def _gf_series_d(sys: MeixnerSystemD, x: MultiIndex, cutoff: int):
 
 def monic_eval_gf_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
     """Coefficient extraction from the (d+1)-factor generating product."""
-    n = _as_multi_index(n, sys.d, "n")
-    x = _as_multi_index(x, sys.d, "x")
+    n = _as_multi_index(n, sys.d, "degrees")
+    x = _as_multi_index(x, sys.d, "point")
     total = sum(n)
-    series = _gf_series_d(sys, x, total)
-    raw = coefficient(series, n)
+    raw = coefficient(_gf_series(sys, x, total), n)
     fact = math.prod(math.factorial(v) for v in n)
     return raw * fact / pochhammer(sys.beta, total)
 
 
+# ---------------------------------------------------------------------------
+# route 2: radical-free raising recursion
+
+
 def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
-    n = _as_multi_index(n, sys.d, "n")
-    x = _as_multi_index(x, sys.d, "x")
-    return _raising_value_d(sys, n, x, 0)
+    """The raising recursion, filled level by level up from degree zero.
 
+    Level t of the descent from n has lowered the first nonzero degree t
+    times and reads the base parameter b + t.  Going down, each level keeps
+    the points whose values are not cached yet; going back up, it fills
+    them from the level below, so no call stack grows with the degree.
+    Levels are stored cleared to integers,
 
-def _raising_value_d(sys: MeixnerSystemD, n: MultiIndex, x: MultiIndex, shift: int) -> Fraction:
-    if not any(n):
+      T[t, n](y) = (qD)^|n| (b+t)_|n| R[b+t, n](y),   b = p/q,  u = A/D,
+      T[t, n + e_j](y) = D (q (|y|+t) + p) T[t+1, n](y)
+                         - q sum_i A[i][j] y_i T[t+1, n](y - e_i),
+
+    so a step costs integer products only and the value at n is rebuilt
+    as one rational.
+    """
+    n = _as_multi_index(n, sys.d, "degrees")
+    x = _as_multi_index(x, sys.d, "point")
+    total = sum(n)
+    if not total:
         return Fraction(1)
-    key = (n, x, shift)
-    cached = sys._raising_cache.get(key)
-    if cached is not None:
-        return cached
-    gamma = sys.beta + shift
-    j = next(idx for idx, v in enumerate(n) if v)
-    lower = n[:j] + (n[j] - 1,) + n[j + 1 :]
-    acc = (sum(x) + gamma) * _raising_value_d(sys, lower, x, shift + 1)
-    for i in range(sys.d):
-        if x[i]:
-            shifted = x[:i] + (x[i] - 1,) + x[i + 1 :]
-            acc -= sys.u[i][j] * x[i] * _raising_value_d(sys, lower, shifted, shift + 1)
-    value = acc / gamma
-    sys._raising_cache[key] = value
-    return value
+    d = sys.d
+    cache = sys._raising_cache
+    levels = []
+    degree, shift, points = n, 0, {x}
+    while any(degree):
+        points = {y for y in points if (degree, y, shift) not in cache}
+        if not points:
+            break
+        j = _first_axis(degree)
+        lower = _step_down(degree, j)
+        levels.append((degree, j, lower, shift, points))
+        points = points | {_step_down(y, i) for y in points for i in range(d) if y[i]}
+        degree = lower
+        shift += 1
+
+    p, q = sys.beta.numerator, sys.beta.denominator
+    denom = sys._u_denom
+    below = cache.get  # degree-zero values are 1 at every point and are not stored
+    for degree, j, lower, shift, points in reversed(levels):
+        col = [q * sys._u_nums[i * d + j] for i in range(d)]
+        for y in points:
+            acc = denom * (q * (sum(y) + shift) + p) * below((lower, y, shift + 1), 1)
+            for i in range(d):
+                if y[i]:
+                    acc -= col[i] * y[i] * below((lower, _step_down(y, i), shift + 1), 1)
+            cache[(degree, y, shift)] = acc
+    return Fraction(cache[(n, x, 0)]) / ((q * denom) ** total * pochhammer(sys.beta, total))
+
+
+# ---------------------------------------------------------------------------
+# exact polynomial coefficients (for fast float evaluation on big lattices)
 
 
 def _simplex_lattice(total: int, d: int):
+    """Lattice points of d coordinates with coordinate sum at most ``total``."""
     if d == 1:
         for t in range(total + 1):
             yield (t,)
@@ -161,13 +231,17 @@ def _simplex_lattice(total: int, d: int):
 
 
 def monic_poly_coeffs_d(sys: MeixnerSystemD, n: Sequence[int]) -> Dict[MultiIndex, Fraction]:
-    """Exact monomial coefficients of the degree-|n| polynomial in x."""
-    n = _as_multi_index(n, sys.d, "n")
+    """Exact monomial coefficients of the degree-|n| polynomial in x.
+
+    Interpolates generating-function values on the principal simplex
+    lattice {x : |x| <= |n|}, which is unisolvent for total-degree
+    interpolation, and solves the system exactly.
+    """
+    n = _as_multi_index(n, sys.d, "degrees")
     cached = sys._poly_cache.get(n)
     if cached is not None:
         return cached
-    deg = sum(n)
-    nodes = sorted(_simplex_lattice(deg, sys.d))
+    nodes = sorted(_simplex_lattice(sum(n), sys.d))
     monomials = nodes
     rows = [
         [Fraction(math.prod(a**p for a, p in zip(node, mono))) for mono in monomials]
@@ -178,6 +252,10 @@ def monic_poly_coeffs_d(sys: MeixnerSystemD, n: Sequence[int]) -> Dict[MultiInde
     coeffs = {mono: c for mono, c in zip(monomials, solution) if c}
     sys._poly_cache[n] = coeffs
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# orthonormal family and truncated orthogonality (float only)
 
 
 def _orthonormal_prefactor_d(sys: MeixnerSystemD, n: MultiIndex) -> float:
@@ -192,126 +270,117 @@ def _orthonormal_prefactor_d(sys: MeixnerSystemD, n: MultiIndex) -> float:
     return (-1) ** total * math.sqrt(float(scale)) * float(geom)
 
 
-def check_orthogonality_d(sys: MeixnerSystemD, degree_box: int, tol: float) -> EvalReport:
-    """Gram matrix of the orthonormal family {|n| <= degree_box} against the
-    identity, summed over growing cube surfaces until a full surface
-    contributes less than tol/100."""
-    sys.require_mode(ScalarMode.FLOAT, "check_orthogonality_d")
+def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float, what: str):
+    """Truncated Gram matrix of the orthonormal family over ``degrees``
+    against the identity.
+
+    The sum runs over growing cube surfaces (shell S holds the points with
+    largest coordinate S) until a full shell contributes less than tol/100
+    to every Gram entry; past SHELL_CAP shells it is declared
+    non-convergent.  Every polynomial is bounded on shell S by
+    V(S) = max_n sum |coef| S^|mono|, so a point whose weight times V(S)^2
+    is below tol/100 * 1e-10 cannot move any Gram entry by more than that
+    and is skipped.
+
+    Returns the largest deviation and the first degree pair (upper
+    triangle, in list order) that deviates by more than tol, or None.
+    """
+    sys.require_mode(ScalarMode.FLOAT, what)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if degree_box < 0:
-        raise ValueError("degree_box must be non-negative")
+    d = sys.d
     exact_sys = MeixnerSystemD(sys.beta, sys.lam, ScalarMode.EXACT)
-    degrees = sorted(
-        n
-        for total in range(degree_box + 1)
-        for n in _simplex_lattice(total, sys.d)
-        if sum(n) == total
-    )
-    prefs = {n: _orthonormal_prefactor_d(sys, n) for n in degrees}
-    # flatten each polynomial to (monomial, prefactor * coeff) pairs for the hot loop
-    polys = {
-        n: [
-            (mono, prefs[n] * float(c))
-            for mono, c in monic_poly_coeffs_d(exact_sys, n).items()
-        ]
-        for n in degrees
-    }
+    top = max(map(sum, degrees))
+    # monomials in graded order: those of degree <= t come first, and each
+    # but the first is an earlier one times one variable
+    monos = sorted(_simplex_lattice(top, d), key=lambda mono: (sum(mono), mono))
+    index = {mono: pos for pos, mono in enumerate(monos)}
+    steps = []
+    for mono in monos[1:]:
+        axis = _first_axis(mono)
+        steps.append((index[_step_down(mono, axis)], axis))
+    mono_degrees = [sum(mono) for mono in monos]
+    # each polynomial as prefactor * coefficient over its first monomials
+    rows = []
+    for n in degrees:
+        row = [0.0] * math.comb(sum(n) + d, d)
+        pref = _orthonormal_prefactor_d(sys, n)
+        for mono, c in monic_poly_coeffs_d(exact_sys, n).items():
+            row[index[mono]] = pref * float(c)
+        rows.append(row)
 
     bf = float(sys.beta)
     cf = [float(ci) for ci in sys.c]
-    base = 1.0 - sum(cf)
     w: Dict[MultiIndex, float] = {}
     count = len(degrees)
-    poly_list = [polys[n] for n in degrees]
-    gram = [[0.0] * count for _ in range(count)]
+    pairs = [(a, b) for a in range(count) for b in range(a, count)]
+    gram = [0.0] * len(pairs)
     threshold = tol / 100.0
-    # Points whose weight is this small cannot move any Gram entry or the
-    # shell test at the working tolerance (polynomial growth of the values
-    # is dwarfed by the geometric weight decay).
     negligible = threshold * 1e-10
 
     shell = 0
     while True:
         if shell > SHELL_CAP:
-            raise NonConvergence(
-                f"orthogonality sum did not settle within {SHELL_CAP} shells"
-            )
+            raise NonConvergence(f"orthogonality sum did not settle within {SHELL_CAP} shells")
+        bound = max(sum(abs(c) * shell**t for c, t in zip(row, mono_degrees)) for row in rows)
+        bound_sq = bound * bound
         shell_max = 0.0
-        for x in sorted(_cube_surface(shell, sys.d)):
-            if not any(x):
-                w[x] = base**bf
+        for x in _cube_surface(shell, d):
+            if any(x):
+                i = _first_axis(x)
+                wt = w[_step_down(x, i)] * (bf + sum(x) - 1) / x[i] * cf[i]
             else:
-                i = next(idx for idx, v in enumerate(x) if v)
-                prev = x[:i] + (x[i] - 1,) + x[i + 1 :]
-                w[x] = w[prev] * (bf + sum(x) - 1) / x[i] * cf[i]
-            wt = w[x]
-            if wt < negligible:
+                wt = (1.0 - sum(cf)) ** bf
+            w[x] = wt
+            if wt * bound_sq < negligible:
                 continue
-            pow_table = []
-            for v in x:
-                vf = float(v)
-                col = [1.0]
-                for _ in range(degree_box):
-                    col.append(col[-1] * vf)
-                pow_table.append(col)
-            values = []
-            for terms in poly_list:
-                acc = 0.0
-                for mono, c in terms:
-                    term = c
-                    for axis, p in enumerate(mono):
-                        if p:
-                            term *= pow_table[axis][p]
-                    acc += term
-                values.append(acc)
-            for a in range(count):
-                va = wt * values[a]
-                row = gram[a]
-                for b in range(a, count):
-                    contrib = va * values[b]
-                    row[b] += contrib
-                    mag = abs(contrib)
-                    if mag > shell_max:
-                        shell_max = mag
+            monomial_values = [1.0]
+            for parent, axis in steps:
+                monomial_values.append(monomial_values[parent] * x[axis])
+            values = [sum(map(mul, row, monomial_values)) for row in rows]
+            weighted = [wt * v for v in values]
+            contribs = [wa * vb for a, wa in enumerate(weighted) for vb in values[a:]]
+            gram = list(map(add, gram, contribs))
+            shell_max = max(shell_max, max(map(abs, contribs)))
         if shell >= 1 and shell_max < threshold:
             break
         shell += 1
 
     max_disc = 0.0
-    counter = None
-    for a in range(count):
-        for b in range(a, count):
-            target = 1.0 if a == b else 0.0
-            disc = abs(gram[a][b] - target)
-            if disc > max_disc:
-                max_disc = disc
-            if disc > tol and counter is None:
-                counter = (degrees[a], degrees[b])
+    first = None
+    for (a, b), entry in zip(pairs, gram):
+        disc = abs(entry - (1.0 if a == b else 0.0))
+        if disc > max_disc:
+            max_disc = disc
+        if disc > tol and first is None:
+            first = (degrees[a], degrees[b])
+    return max_disc, first
+
+
+def check_orthogonality_d(sys: MeixnerSystemD, degree_box: int, tol: float) -> EvalReport:
+    """Gram matrix of the orthonormal family {|n| <= degree_box} against the
+    identity, summed over growing cube surfaces until a full surface
+    contributes less than tol/100."""
+    if degree_box < 0:
+        raise ValueError("degree_box must be non-negative")
+    degrees = sorted(_simplex_lattice(degree_box, sys.d))
+    max_disc, first = _gram_discrepancy(sys, degrees, tol, "check_orthogonality_d")
     return EvalReport(
         identity="orthogonality-d",
         box={"d": sys.d, "max_total_degree": degree_box},
         mode=ScalarMode.FLOAT,
         max_abs_discrepancy=max_disc,
-        counterexample=counter,
+        counterexample=first,
         tol=tol,
     )
 
 
 def _cube_surface(shell: int, d: int):
-    """Lattice points of [0, shell]^d with max coordinate exactly shell."""
-    if shell == 0:
-        yield (0,) * d
-        return
-
-    def rec(prefix, saw_max, remaining):
-        if remaining == 0:
-            if saw_max:
-                yield tuple(prefix)
-            return
-        for v in range(shell + 1):
-            prefix.append(v)
-            yield from rec(prefix, saw_max or v == shell, remaining - 1)
-            prefix.pop()
-
-    yield from rec([], False, d)
+    """Lattice points of [0, shell]^d with max coordinate exactly shell, in
+    lexicographic order."""
+    for prefix in itertools.product(range(shell + 1), repeat=d - 1):
+        if shell in prefix:
+            for last in range(shell + 1):
+                yield prefix + (last,)
+        else:
+            yield prefix + (shell,)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Callable, Iterable, Optional, Tuple, Union
 
 from .numerics import ScalarMode, float_str, rational_str
 
@@ -31,6 +32,29 @@ class LatticeBox:
         for i in range(self.max_i + 1):
             for k in range(self.max_k + 1):
                 yield i, k
+
+    def cells(self):
+        """Every (m, n, i, k) of the box in lexicographic lattice order."""
+        return itertools.product(
+            range(self.max_m + 1), range(self.max_n + 1), range(self.max_i + 1), range(self.max_k + 1)
+        )
+
+
+def scan(cells: Iterable, residuals: Callable) -> Tuple[Fraction, Optional[Tuple]]:
+    """Largest exact discrepancy over the cells and the first counterexample.
+
+    ``residuals(cell)`` yields (label, residual) pairs; the counterexample
+    is the label of the first nonzero residual in cell order, or None.
+    """
+    max_disc = Fraction(0)
+    counter = None
+    for cell in cells:
+        for label, res in residuals(cell):
+            if res:
+                max_disc = max(max_disc, abs(res))
+                if counter is None:
+                    counter = label
+    return max_disc, counter
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import multimeixner.bivariate as bivariate
+import multimeixner.multivariate as multivariate
 from multimeixner.bivariate import (
     MeixnerSystem,
     check_difference,
@@ -225,6 +226,14 @@ class TestOrthogonality:
         assert report.passed
         assert float(report.max_abs_discrepancy) < 1e-8
 
+    def test_gram_identity_at_benchmark_box(self, canonical_beta2_float):
+        # the far shells matter here: a skip rule that looks at the weight
+        # alone ends the sum early and misses 1e-8 by four orders
+        box = LatticeBox(max_i=0, max_k=0, max_m=4, max_n=4)
+        report = check_orthogonality(canonical_beta2_float, box, 1e-8)
+        assert report.passed
+        assert float(report.max_abs_discrepancy) < 1e-8
+
     def test_normalization_and_first_offdiagonal(self, canonical_beta2_float):
         box = LatticeBox(max_i=0, max_k=0, max_m=1, max_n=0)
         report = check_orthogonality(canonical_beta2_float, box, 1e-8)
@@ -235,7 +244,7 @@ class TestOrthogonality:
             check_orthogonality(canonical_beta2, SMALL_BOX, 1e-8)
 
     def test_shell_cap_raises(self, canonical_beta2_float, monkeypatch):
-        monkeypatch.setattr(bivariate, "SHELL_CAP", 3)
+        monkeypatch.setattr(multivariate, "SHELL_CAP", 3)
         with pytest.raises(NonConvergence):
             check_orthogonality(
                 canonical_beta2_float, LatticeBox(0, 0, 1, 1), 1e-12

@@ -44,6 +44,15 @@ class TestEval:
         assert len(set(outputs)) == 1
         assert "/" in outputs[0]
 
+    def test_raising_route_has_no_depth_limit(self, capsys):
+        # total degree 1200 descends 1200 levels; the value is the hyp
+        # route's, which takes seconds at this degree
+        code, out, err = run_cli(
+            capsys, "eval", "--route", "raising", "--degrees", "600,600", "--point", "1,1",
+        )
+        assert code == 0, err
+        assert out.strip() == "-231841232/243"
+
     def test_non_generic_matrix_exits_3(self, capsys, tmp_path):
         path = tmp_path / "id.json"
         path.write_text(
