@@ -61,7 +61,11 @@ from .lorentz import (
 )
 from .multivariate import (
     MeixnerSystemD,
+    check_difference_d,
+    check_duality_d,
+    check_lowering_d,
     check_orthogonality_d,
+    check_recurrence_d,
     monic_eval_gf_d,
     monic_eval_raising_d,
     weight_d,

@@ -1,5 +1,5 @@
-"""The d = 2 case: the named system, the routes and closed forms stated
-for two variables, and exact checkers for the family's web of identities.
+"""The d = 2 case: the named system and the routes, closed forms and
+matrix elements stated for two variables.
 
 Route map
 ---------
@@ -13,8 +13,9 @@ Route map
                           closed forms in univariate Meixner/Krawtchouk
                           factors, valid for specific product decompositions
 
-The first two routes, the weight, the interpolated coefficients and the
-orthogonality sum are those of the d-variable core in ``multivariate``,
+The first two routes, the weight, the interpolated coefficients, the
+orthogonality sum and the exact recurrence, difference, lowering and
+duality checkers are those of the d-variable core in ``multivariate``,
 called at d = 2.
 
 All identity checkers run on the monic values, which are rational, so an
@@ -26,24 +27,22 @@ roots and live in float mode only.
 from __future__ import annotations
 
 import math
-import operator
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Dict, Tuple
 
 from . import multivariate
 from ._kernel import hyp_sum
-from ._kernel.pure import _scaled_list
 from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
-from .lorentz import (
-    PseudoRotation,
-    compose,
-    identity as lorentz_identity,
-    inverse_tilde,
-)
+from .lorentz import PseudoRotation, compose, identity as lorentz_identity
 from .multivariate import (
     MeixnerSystemD,
     _gram_discrepancy,
     _orthonormal_prefactor_d,
+    check_difference_d,
+    check_duality_d,
+    check_lowering_d,
+    check_recurrence_d,
     monic_eval_gf_d,
     monic_eval_raising_d,
     monic_poly_coeffs_d,
@@ -53,11 +52,13 @@ from .numerics import (
     ScalarMode,
     as_rational,
     pochhammer,
+    require_tol,
+    # bound here only for the benchmark tracer
     series_geom_pow,
     series_mul,
-    solve_linear_system,  # bound here only for the benchmark tracer
+    solve_linear_system,
 )
-from .reports import EvalReport, LatticeBox, scan
+from .reports import EvalReport, LatticeBox, lattice
 from .univariate import krawtchouk, meixner
 
 
@@ -65,9 +66,8 @@ class MeixnerSystem(MeixnerSystemD):
     """The d = 2 system, with the matrix entries, the weight parameters and
     the u parameters under the names the d = 2 formulas use.
 
-    The names are plain attributes copied at construction.  The routes
-    read ``lam``, ``c`` and ``u``; the exact checkers below read the names,
-    on every call.
+    The names are plain attributes copied at construction; the routes and
+    the checkers read ``lam``, ``c`` and ``u``.
     """
 
     def __init__(self, beta, lam: PseudoRotation, mode=ScalarMode.EXACT):
@@ -80,10 +80,6 @@ class MeixnerSystem(MeixnerSystemD):
         (self.l31, self.l32, self.l33) = e[2]
         (self.c1, self.c2) = self.c
         ((self.u11, self.u12), (self.u21, self.u22)) = self.u
-
-    def dual(self) -> "MeixnerSystem":
-        """System of the inverse matrix; the degree/variable exchange partner."""
-        return MeixnerSystem(self.beta, inverse_tilde(self.lam), self.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +146,14 @@ def monic_eval_raising(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fr
 def monic_eval_hyp(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fraction:
     _check_degrees(m, n)
     _check_point(i, k)
-    negm = [pochhammer(-m, t) for t in range(m + 1)]
-    negn = [pochhammer(-n, t) for t in range(n + 1)]
+    # each list only as long as the sum reads it: negm, negn and invb are
+    # read at mu + nu, rho + sigma and their total, with mu + rho <= i and
+    # nu + sigma <= k, so never past i + k
+    negm = [pochhammer(-m, t) for t in range(min(m, i + k) + 1)]
+    negn = [pochhammer(-n, t) for t in range(min(n, i + k) + 1)]
     negi = [pochhammer(-i, t) for t in range(min(i, m + n) + 1)]
     negk = [pochhammer(-k, t) for t in range(min(k, m + n) + 1)]
-    invb = [1 / pochhammer(sys.beta, t) for t in range(m + n + 1)]
+    invb = [1 / pochhammer(sys.beta, t) for t in range(min(m + n, i + k) + 1)]
     (u11, u12), (u21, u22) = sys.u
     p11 = _powers_over_factorials(1 - u11, min(m, i))
     p21 = _powers_over_factorials(1 - u21, min(m, k))
@@ -215,264 +214,30 @@ def matrix_element(sys: MeixnerSystem, i: int, k: int, m: int, n: int) -> float:
 # exact identity checkers
 
 
-def _report(identity, box, mode, max_disc, counter, tol=None) -> EvalReport:
-    return EvalReport(
-        identity=identity,
-        box=box,
-        mode=mode,
-        max_abs_discrepancy=max_disc,
-        counterexample=counter,
-        tol=tol,
-    )
-
-
-def _gf_table(sys: MeixnerSystem, degrees, points) -> Dict[Tuple[int, int, int, int], Fraction]:
-    """Every generating-function value an exact checker reads, built at once.
-
-    Maps (m, n, i, k) to ``monic_eval_gf(sys, m, n, i, k)`` for every
-    (m, n) in ``degrees`` and (i, k) in ``points``.  The factor series are
-    built once per table, at the largest m + n, and shared by all points,
-    so each point costs two series products.  Nothing is stored on ``sys``.
-    """
-    degrees, points = set(degrees), set(points)
-    if not degrees or not points:
-        return {}
-    cutoff = max(m + n for m, n in degrees)
-    lefts = {
-        i: series_geom_pow([sys.u11, sys.u12], i, cutoff) for i in {i for i, _ in points}
-    }
-    rights = {
-        k: series_geom_pow([sys.u21, sys.u22], k, cutoff) for k in {k for _, k in points}
-    }
-    bases = {
-        s: series_geom_pow([1, 1], -(sys.beta + s), cutoff) for s in {i + k for i, k in points}
-    }
-    scales = {
-        (m, n): Fraction(math.factorial(m) * math.factorial(n)) / pochhammer(sys.beta, m + n)
-        for m, n in degrees
-    }
-    zero = Fraction(0)
-    table = {}
-    for i, k in points:
-        coeffs = series_mul(series_mul(bases[i + k], lefts[i]), rights[k]).coeffs
-        for (m, n), scale in scales.items():
-            raw = coeffs.get((m, n))
-            table[(m, n, i, k)] = raw * scale if raw else zero
-    return table
-
-
-def _rectangle(max_a: int, max_b: int):
-    return [(a, b) for a in range(max_a + 1) for b in range(max_b + 1)]
-
-
-# The recurrence and difference checkers read each residual as a linear
-# row: (wx x + wy y) times the value at the scanned index plus fixed
-# coefficients times its neighbours, where (x, y) is the index pair the row
-# does not shift.  Rows and values are cleared to integers over common
-# denominators, so a residual costs integer products only and is rebuilt
-# as one exact rational.
-
-
-def _cleared_table(table) -> Tuple[int, Dict[tuple, int]]:
-    """Common denominator of a value table and the integer numerators over it."""
-    denom, nums = _scaled_list(table.values())
-    return denom, dict(zip(table, nums))
-
-
-def _cleared_row(weights, coeffs):
-    """(denominator, integer weights, integer coefficients) of one row."""
-    denom, nums = _scaled_list([*weights, *coeffs])
-    return denom, nums[: len(weights)], nums[len(weights) :]
-
-
-def _row_residuals(rows, x: int, y: int, values, denom: int) -> Tuple[Fraction, ...]:
-    """Exact residual of each cleared row on values cleared over ``denom``."""
-    return tuple(
-        Fraction(
-            (wx * x + wy * y) * values[0] + sum(map(operator.mul, coeffs, values)),
-            row_denom * denom,
-        )
-        for row_denom, (wx, wy), coeffs in rows
-    )
-
-
-def _three_diagonal(x: int, y: int, total, vectors, last):
-    """Shifts and coefficient lists of a pair of three-diagonal relations.
-
-    At index pair (x, y), relation j reads
-
-      var_j R = (x a1^2 + y a2^2 + total a3^2) R
-                + x a1 a2 (p2/p1) R(x-1, y+1) - x a1 a3 (p3/p1) R(x-1, y)
-                + y a1 a2 (p1/p2) R(x+1, y-1) - y a2 a3 (p3/p2) R(x, y-1)
-                - total (a1 a3 (p1/p3) R(x+1, y) + a2 a3 (p2/p3) R(x, y+1))
-
-    with (a1, a2, a3) = vectors[j] and (p1, p2, p3) = last.  The lists
-    hold the right-hand side moved to the left, one entry per shift.
-    """
-    p1, p2, p3 = last
-    shifts = [(0, 0), (1, 0), (0, 1)]
-    if x > 0:
-        shifts += [(-1, 1), (-1, 0)]
-    if y > 0:
-        shifts += [(1, -1), (0, -1)]
-    rows = []
-    for (a1, a2, a3) in vectors:
-        coeffs = [
-            -(x * a1**2 + y * a2**2 + total * a3**2),
-            total * (a1 * a3 * p1 / p3),
-            total * (a2 * a3 * p2 / p3),
-        ]
-        if x > 0:
-            coeffs += [-x * (a1 * a2 * p2 / p1), x * (a1 * a3 * p3 / p1)]
-        if y > 0:
-            coeffs += [-y * (a1 * a2 * p1 / p2), y * (a2 * a3 * p3 / p2)]
-        rows.append(coeffs)
-    return shifts, rows
+def _on_box(core_check, sys: MeixnerSystem, box: LatticeBox) -> EvalReport:
+    report = core_check(sys, (box.max_m, box.max_n), (box.max_i, box.max_k))
+    return replace(report, box=box)
 
 
 def check_recurrence(sys: MeixnerSystem, box: LatticeBox) -> EvalReport:
     """Both three-diagonal recurrences in the degrees, exactly."""
-    sys.require_mode(ScalarMode.EXACT, "check_recurrence")
-    matrix_rows = ((sys.l11, sys.l12, sys.l13), (sys.l21, sys.l22, sys.l23))
-    plans = {}
-    for m, n in _rectangle(box.max_m, box.max_n):
-        shifts, rows = _three_diagonal(
-            m, n, m + n + sys.beta, matrix_rows, (sys.l31, sys.l32, sys.l33)
-        )
-        plans[(m, n)] = (
-            [(m + dm, n + dn) for dm, dn in shifts],
-            [_cleared_row(w, c) for w, c in zip(((1, 0), (0, 1)), rows)],
-        )
-    degrees = {dg for degrees, _ in plans.values() for dg in degrees}
-    denom, R = _cleared_table(_gf_table(sys, degrees, _rectangle(box.max_i, box.max_k)))
-
-    def residuals(m, n, i, k):
-        degrees, rows = plans[(m, n)]
-        return _row_residuals(rows, i, k, [R[(mm, nn, i, k)] for mm, nn in degrees], denom)
-
-    return _scan_exact("recurrence", sys, box, residuals)
+    return _on_box(check_recurrence_d, sys, box)
 
 
 def check_difference(sys: MeixnerSystem, box: LatticeBox) -> EvalReport:
     """Both difference equations in the variables plus their nearest-neighbour
-    combination, exactly.
-
-    The combination divides by the four interior entries, so it needs them
-    nonzero; the plain difference equations only need the generic last
-    row/column.
-    """
-    sys.require_mode(ScalarMode.EXACT, "check_difference")
-    b = sys.beta
-    l11, l12, l13 = sys.l11, sys.l12, sys.l13
-    l21, l22, l23 = sys.l21, sys.l22, sys.l23
-    l31, l32, l33 = sys.l31, sys.l32, sys.l33
-    interior_ok = all(x != 0 for x in (l11, l12, l21, l22))
-    if not interior_ok:
-        raise NonGenericMatrix(
-            "nearest-neighbour difference equation divides by interior entries that are zero"
-        )
-
-    # Nearest-neighbour combination: first equation over (l11 l21) minus
-    # second over (l12 l22); the mixed-shift terms cancel.
-    nn_weights = (1 / (l11 * l21), -1 / (l12 * l22))
-    nn_i = l11 / l21 - l12 / l22
-    nn_k = l21 / l11 - l22 / l12
-    nn_total = l31**2 / (l11 * l21) - l32**2 / (l12 * l22)
-    nn_up_i = l13 * l32 / (l22 * l33) - l13 * l31 / (l21 * l33)
-    nn_up_k = l23 * l32 / (l12 * l33) - l23 * l31 / (l11 * l33)
-    nn_down_i = l32 * l33 / (l13 * l22) - l31 * l33 / (l21 * l13)
-    nn_down_k = l32 * l33 / (l12 * l23) - l31 * l33 / (l11 * l23)
-
-    plans = {}
-    for i, k in _rectangle(box.max_i, box.max_k):
-        total = i + k + b
-        shifts, rows = _three_diagonal(
-            i, k, total, ((l11, l21, l31), (l12, l22, l32)), (l13, l23, l33)
-        )
-        nn = [-(i * nn_i + k * nn_k + total * nn_total), -total * nn_up_i, -total * nn_up_k]
-        if i > 0:
-            nn += [0, -i * nn_down_i]
-        if k > 0:
-            nn += [0, -k * nn_down_k]
-        plans[(i, k)] = (
-            [(i + di, k + dk) for di, dk in shifts],
-            [_cleared_row(w, c) for w, c in zip(((1, 0), (0, 1), nn_weights), rows + [nn])],
-        )
-    points = {pt for points, _ in plans.values() for pt in points}
-    denom, R = _cleared_table(_gf_table(sys, _rectangle(box.max_m, box.max_n), points))
-
-    def residuals(m, n, i, k):
-        points, rows = plans[(i, k)]
-        return _row_residuals(rows, m, n, [R[(m, n, ii, kk)] for ii, kk in points], denom)
-
-    return _scan_exact("difference", sys, box, residuals)
+    combination, exactly; the combination needs nonzero interior entries."""
+    return _on_box(check_difference_d, sys, box)
 
 
 def check_lowering(sys: MeixnerSystem, box: LatticeBox) -> EvalReport:
-    """Monic recast of the lowering relations, exactly.
-
-    With D_i f = f(i+1, k) - f(i, k) and D_k likewise, the radical-free
-    forms read
-
-      m R[b, m-1, n] = -(b-1) (l31/l33) (l11 l13 D_i + l21 l23 D_k) R[b-1, m, n]
-      n R[b, m, n-1] = -(b-1) (l32/l33) (l12 l13 D_i + l22 l23 D_k) R[b-1, m, n]
-
-    which degenerate at b = 1, hence the precondition.
-    """
-    sys.require_mode(ScalarMode.EXACT, "check_lowering")
-    b = sys.beta
-    if b <= 1:
-        raise PreconditionError(f"lowering relations need beta > 1, got {b}")
-    degrees = _rectangle(box.max_m, box.max_n)
-    points = _rectangle(box.max_i, box.max_k)
-    R = _gf_table(sys, degrees[:-1], points)  # every degree pair but (max_m, max_n)
-    low = _gf_table(
-        MeixnerSystem(b - 1, sys.lam, ScalarMode.EXACT),
-        degrees,
-        {(i + di, k + dk) for i, k in points for di, dk in ((0, 0), (1, 0), (0, 1))},
-    )
-    # the (b-1) (l3j/l33) l.. l.3 products in front of D_i and D_k
-    f1 = (b - 1) * (sys.l31 / sys.l33)
-    f2 = (b - 1) * (sys.l32 / sys.l33)
-    c1i, c1k = f1 * (sys.l11 * sys.l13), f1 * (sys.l21 * sys.l23)
-    c2i, c2k = f2 * (sys.l12 * sys.l13), f2 * (sys.l22 * sys.l23)
-
-    def residuals(m, n, i, k):
-        here = low[(m, n, i, k)]
-        di = low[(m, n, i + 1, k)] - here
-        dk = low[(m, n, i, k + 1)] - here
-        res1 = c1i * di + c1k * dk
-        if m > 0:
-            res1 += m * R[(m - 1, n, i, k)]
-        res2 = c2i * di + c2k * dk
-        if n > 0:
-            res2 += n * R[(m, n - 1, i, k)]
-        return (res1, res2)
-
-    return _scan_exact("lowering", sys, box, residuals)
+    """Monic recast of the lowering relations, exactly; needs beta > 1."""
+    return _on_box(check_lowering_d, sys, box)
 
 
 def check_duality(sys: MeixnerSystem, box: LatticeBox) -> EvalReport:
     """Degrees and variables exchange against the inverse-matrix system."""
-    sys.require_mode(ScalarMode.EXACT, "check_duality")
-    # sys is read with degrees and points swapped
-    degrees = _rectangle(box.max_m, box.max_n)
-    points = _rectangle(box.max_i, box.max_k)
-    R = _gf_table(sys, points, degrees)
-    dual = _gf_table(sys.dual(), degrees, points)
-
-    def residuals(m, n, i, k):
-        return (R[(i, k, m, n)] - dual[(m, n, i, k)],)
-
-    return _scan_exact("duality", sys, box, residuals)
-
-
-def _scan_exact(name, sys, box: LatticeBox, residuals: Callable) -> EvalReport:
-    max_disc, counter = scan(
-        box.cells(),
-        lambda cell: (((*cell, idx), res) for idx, res in enumerate(residuals(*cell))),
-    )
-    return _report(name, box, ScalarMode.EXACT, max_disc, counter)
+    return _on_box(check_duality_d, sys, box)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +247,10 @@ def _scan_exact(name, sys, box: LatticeBox, residuals: Callable) -> EvalReport:
 def check_orthogonality(sys: MeixnerSystem, box: LatticeBox, tol: float) -> EvalReport:
     """Truncated Gram matrix of the orthonormal family of degrees up to
     (max_m, max_n) against the identity (see ``multivariate``)."""
-    degrees = list(box.degree_pairs())
+    degrees = lattice((box.max_m, box.max_n))
     max_disc, first = _gram_discrepancy(sys, degrees, tol, "check_orthogonality")
     counter = None if first is None else (*first[0], *first[1])
-    return _report("orthogonality", box, ScalarMode.FLOAT, max_disc, counter, tol)
+    return EvalReport("orthogonality", box, ScalarMode.FLOAT, max_disc, counter, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -791,8 +556,7 @@ def check_addition(
 ) -> EvalReport:
     """Group-product decomposition of a matrix element against the
     adaptively truncated bilinear sum over intermediate states."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    require_tol(tol)
     beta = as_rational(beta)
     C = compose(A, B)
     me_a = me_evaluator(beta, A)
@@ -819,4 +583,5 @@ def check_addition(
 
     disc = abs(lhs - total)
     counter = (i, k, m, n) if disc > tol else None
-    return _report("addition", {"i": i, "k": k, "m": m, "n": n}, ScalarMode.FLOAT, disc, counter, tol)
+    box = {"i": i, "k": k, "m": m, "n": n}
+    return EvalReport("addition", box, ScalarMode.FLOAT, disc, counter, tol)

@@ -241,18 +241,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    float_only = args.suite in ("orthogonality", "addition", "subgroup-unitarity")
     mode = args.mode
     if mode is None:
-        mode = "float" if args.suite in (
-            "orthogonality",
-            "addition",
-            "subgroup-unitarity",
-        ) else "exact"
+        mode = "float" if float_only else "exact"
+    elif mode == "exact" and float_only:
+        raise ValueError(f"suite {args.suite} runs in float mode only; drop --mode exact")
     tol = args.tol
     if mode == "float" and tol is None:
-        tol = {"orthogonality": 1e-8, "addition": 1e-8, "subgroup-unitarity": 1e-8}.get(
-            args.suite, 1e-8
-        )
+        tol = 1e-8
     matrix = None
     if args.matrix is not None or (args.seed is not None and args.suite != "addition"):
         matrix = _resolve_matrix(args, args.d if args.suite != "multivariate" else 3)

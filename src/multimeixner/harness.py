@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from . import bivariate, multivariate
 from .errors import PreconditionError
 from .lorentz import PseudoRotation, SubgroupParam, is_generic, product_of
-from .numerics import ScalarMode, as_rational
+from .numerics import ScalarMode, as_rational, require_tol
 from .reports import EvalReport, LatticeBox, scan
 
 CANONICAL_PARAMS = (
@@ -75,6 +75,8 @@ def random_matrix(
     seed: int, d: int = 2, num_factors: int = 4, gentle: bool = False
 ) -> PseudoRotation:
     """Deterministic generic product of boosts and rotations."""
+    if d < 1:
+        raise ValueError(f"--d must be at least 1, got {d}")
     if num_factors < 1:
         raise ValueError(f"need at least one factor, got {num_factors}")
     rng = random.Random(seed)
@@ -164,20 +166,10 @@ def suite_routes(config: SuiteConfig) -> List[EvalReport]:
     ]
 
 
-def suite_recurrence(config: SuiteConfig) -> List[EvalReport]:
-    return [bivariate.check_recurrence(_bivariate_system(config, ScalarMode.EXACT), config.box or DEFAULT_BOX)]
-
-
-def suite_difference(config: SuiteConfig) -> List[EvalReport]:
-    return [bivariate.check_difference(_bivariate_system(config, ScalarMode.EXACT), config.box or DEFAULT_BOX)]
-
-
-def suite_lowering(config: SuiteConfig) -> List[EvalReport]:
-    return [bivariate.check_lowering(_bivariate_system(config, ScalarMode.EXACT), config.box or DEFAULT_BOX)]
-
-
-def suite_duality(config: SuiteConfig) -> List[EvalReport]:
-    return [bivariate.check_duality(_bivariate_system(config, ScalarMode.EXACT), config.box or DEFAULT_BOX)]
+def suite_identity(config: SuiteConfig) -> List[EvalReport]:
+    """The exact checker the suite names: recurrence, difference, lowering or duality."""
+    check = getattr(bivariate, f"check_{config.suite}")
+    return [check(_bivariate_system(config, ScalarMode.EXACT), config.box or DEFAULT_BOX)]
 
 
 def suite_orthogonality(config: SuiteConfig) -> List[EvalReport]:
@@ -275,6 +267,8 @@ def addition_tuples(seed: int, count: int = 10):
 
 
 def suite_addition(config: SuiteConfig) -> List[EvalReport]:
+    if config.tuples < 1:
+        raise ValueError(f"--tuples must be at least 1, got {config.tuples}")
     tol = config.tol if config.tol is not None else 1e-8
     seed = config.seed if config.seed is not None else 2024
     max_disc = 0.0
@@ -300,6 +294,7 @@ def suite_addition(config: SuiteConfig) -> List[EvalReport]:
 
 def hyperbolic_column_norm(beta, t, m: int, n: int, first_axis: bool, tol: float) -> float:
     """Adaptively truncated column norm of a one-parameter boost element."""
+    require_tol(tol)
     fn = bivariate.hyperbolic_me_xi if first_axis else bivariate.hyperbolic_me_psi
     total = 0.0
     below = 0
@@ -407,10 +402,10 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
 
 SUITES = {
     "orthogonality": suite_orthogonality,
-    "recurrence": suite_recurrence,
-    "difference": suite_difference,
-    "lowering": suite_lowering,
-    "duality": suite_duality,
+    "recurrence": suite_identity,
+    "difference": suite_identity,
+    "lowering": suite_identity,
+    "duality": suite_identity,
     "routes": suite_routes,
     "factorization": suite_factorization,
     "dompe3": suite_dompe3,

@@ -1,12 +1,13 @@
 """The d-variable core: systems, the negative multinomial weight, the
 generating-function oracle, the raising recursion, interpolated
-coefficients and truncated orthogonality, for any d.
+coefficients, truncated orthogonality and the exact recurrence,
+difference, lowering and duality checkers, for any d.
 
 The bivariate module builds on this core: its ``MeixnerSystem`` is the
-d = 2 case with the matrix entries under their usual names, and it adds the
-routes and identities that are stated for d = 2 only (the hypergeometric
-sum, the closed forms, the recurrence, difference, lowering, duality and
-addition checkers).
+d = 2 case with the matrix entries under their usual names, its checkers
+call the ones here on a ``LatticeBox``, and it adds what is stated for
+d = 2 only (the hypergeometric sum, the closed forms, the subgroup matrix
+elements and the addition formula).
 
 The raising recursion is
 
@@ -24,23 +25,24 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Dict, List, Sequence, Tuple
 
 from ._kernel.pure import _scaled_list
-from .errors import ModeError, NonConvergence
-from .lorentz import PseudoRotation, require_generic
+from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
+from .lorentz import PseudoRotation, inverse_tilde, require_generic
 from .numerics import (
     ScalarMode,
     TruncatedSeries,
     as_rational,
     coefficient,
     pochhammer,
+    require_tol,
     series_geom_pow,
     series_mul,
     solve_linear_system,
 )
-from .reports import EvalReport
+from .reports import EvalReport, lattice, scan
 
 SHELL_CAP = 400
 
@@ -63,14 +65,19 @@ def _first_axis(idx: MultiIndex) -> int:
     return next(axis for axis, v in enumerate(idx) if v)
 
 
+def _units(d: int) -> List[MultiIndex]:
+    """The unit multi-indices e_0, ..., e_{d-1}."""
+    return [tuple(int(axis == i) for axis in range(d)) for i in range(d)]
+
+
 class MeixnerSystemD:
     """A (beta, Lambda) bundle in d variables with derived c and u parameters.
 
     Parameters must not change after the first evaluation: the value
     caches (``_gf_cache``, ``_raising_cache``, ``_poly_cache``) are never
     invalidated, so a changed parameter would meet values computed from the
-    old one.  Only the table-built exact checkers of the bivariate module
-    re-read the current attributes on every call.
+    old one.  Only the table-built exact checkers below re-read the
+    current ``u`` and ``lam`` on every call.
     """
 
     def __init__(self, beta, lam: PseudoRotation, mode=ScalarMode.EXACT):
@@ -102,6 +109,10 @@ class MeixnerSystemD:
 
     def with_mode(self, mode) -> "MeixnerSystemD":
         return type(self)(self.beta, self.lam, mode)
+
+    def dual(self) -> "MeixnerSystemD":
+        """System of the inverse matrix; the degree/variable exchange partner."""
+        return type(self)(self.beta, inverse_tilde(self.lam), self.mode)
 
     def require_mode(self, mode: ScalarMode, what: str):
         if self.mode is not mode:
@@ -139,16 +150,51 @@ def weight_d(sys: MeixnerSystemD, x: Sequence[int]):
 # route 1: generating-function oracle
 
 
+def _gf_product(sys: MeixnerSystemD, x: MultiIndex, cutoff: int, memo: dict) -> TruncatedSeries:
+    """(1 - sum_j z_j)^-(b + |x|) prod_i (1 - sum_j u[i][j] z_j)^x_i to total
+    degree ``cutoff``, its factor series shared through ``memo`` (one memo
+    per cutoff)."""
+
+    def factor(key, form, exponent):
+        series = memo.get(key)
+        if series is None:
+            series = memo[key] = series_geom_pow(form, exponent, cutoff)
+        return series
+
+    total = sum(x)
+    product = factor(("base", total), [1] * sys.d, -(sys.beta + total))
+    for i, xi in enumerate(x):
+        if xi:
+            product = series_mul(product, factor((i, xi), sys.u[i], xi))
+    return product
+
+
 def _gf_series(sys: MeixnerSystemD, x: MultiIndex, cutoff: int) -> TruncatedSeries:
     cached = sys._gf_cache.get(x)
-    if cached is not None and cached.cutoff >= cutoff:
-        return cached
-    product = series_geom_pow([1] * sys.d, -(sys.beta + sum(x)), cutoff)
-    for i in range(sys.d):
-        if x[i]:
-            product = series_mul(product, series_geom_pow(sys.u[i], x[i], cutoff))
-    sys._gf_cache[x] = product
-    return product
+    if cached is None or cached.cutoff < cutoff:
+        cached = sys._gf_cache[x] = _gf_product(sys, x, cutoff, {})
+    return cached
+
+
+def _gf_table(sys: MeixnerSystemD, degrees, points) -> Dict[MultiIndex, Fraction]:
+    """Maps n + x to ``monic_eval_gf_d(sys, n, x)`` for every n in ``degrees``
+    and x in ``points``, with the factor series built once, at the largest
+    |n|, for all points.  Nothing is stored on ``sys``."""
+    degrees, points = set(degrees), set(points)
+    if not degrees or not points:
+        return {}
+    cutoff = max(map(sum, degrees))
+    beta = sys.beta
+    scales = {n: math.prod(map(math.factorial, n)) / pochhammer(beta, sum(n)) for n in degrees}
+    memo: dict = {}
+    zero = Fraction(0)
+    table = {}
+    for x in points:
+        coeffs = _gf_product(sys, x, cutoff, memo).coeffs
+        for n, scale in scales.items():
+            raw = coeffs.get(n)
+            table[n + x] = raw * scale if raw else zero
+    return table
 
 
 def monic_eval_gf_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
@@ -255,6 +301,187 @@ def monic_poly_coeffs_d(sys: MeixnerSystemD, n: Sequence[int]) -> Dict[MultiInde
 
 
 # ---------------------------------------------------------------------------
+# exact identity checkers: each reads one generating-function table per
+# system it needs and scans the degrees n <= max_n and points x <= max_x
+
+
+def _three_diagonal(n: MultiIndex, total, vectors, last):
+    """Shifts of n and coefficient rows of the three-diagonal relations.
+
+    Relation j, with a = vectors[j] and p = last (d + 1 entries each, the
+    last at index d), reads
+
+      y_j R = (sum_i n_i a_i^2 + total a_d^2) R
+              - total sum_i a_i a_d (p_i/p_d) R(n + e_i)
+              + sum_i sum_{l != i} n_i a_i a_l (p_l/p_i) R(n - e_i + e_l)
+              - sum_i n_i a_i a_d (p_d/p_i) R(n - e_i),
+
+    where y is the index the relation does not shift.  A row holds the
+    right-hand side moved to the left, one entry per shift.
+    """
+    d = len(n)
+    units = _units(d)
+    shifts = [(0,) * d, *units]
+    for i in range(d):
+        if n[i]:
+            shifts += [tuple(map(sub, units[l], units[i])) for l in range(d) if l != i]
+            shifts.append(tuple(-v for v in units[i]))
+    p, p_d = last[:d], last[d]
+    rows = []
+    for a in vectors:
+        a_d = a[d]
+        row = [-(sum(n_i * a_i**2 for n_i, a_i in zip(n, a)) + total * a_d**2)]
+        row += [total * (a[i] * a_d * p[i] / p_d) for i in range(d)]
+        for i in range(d):
+            if n[i]:
+                row += [-n[i] * (a[i] * a[l] * p[l] / p[i]) for l in range(d) if l != i]
+                row.append(n[i] * (a[i] * a_d * p_d / p[i]))
+        rows.append(row)
+    return shifts, rows
+
+
+def _three_diagonal_residuals(sys: MeixnerSystemD, max_n, max_x, transposed: bool):
+    """Residuals (n, x) -> one per relation: the recurrences in the degrees
+    (rows of the matrix, total = |n| + b) or, ``transposed``, the
+    difference equations in the variables (columns, total = |x| + b).
+
+    Rows and values are cleared to integers over common denominators (the
+    weight 1 of y_j becomes the row's denominator q), so a residual costs
+    integer products only and is rebuilt as one rational.
+    """
+    d = sys.d
+    e = sys.lam.entries
+    if transposed:
+        e = list(zip(*e))
+        shifted_top, fixed = max_x, lattice(max_n)
+    else:
+        shifted_top, fixed = max_n, lattice(max_x)
+    plans = {}
+    for s in lattice(shifted_top):
+        shifts, rows = _three_diagonal(s, sum(s) + sys.beta, e[:d], e[d])
+        plans[s] = ([tuple(map(add, s, t)) for t in shifts], [_scaled_list(row) for row in rows])
+    reached = {t for targets, _ in plans.values() for t in targets}
+    table = _gf_table(sys, fixed, reached) if transposed else _gf_table(sys, reached, fixed)
+    denom, cleared = _scaled_list(table.values())
+    # keyed by the shifted index, then the fixed one
+    R = {(key[d:] + key[:d] if transposed else key): v for key, v in zip(table, cleared)}
+
+    def residuals(n, x):
+        s, y = (x, n) if transposed else (n, x)
+        targets, rows = plans[s]
+        values = [R[t + y] for t in targets]
+        return [
+            Fraction(q * y[j] * values[0] + sum(map(mul, nums, values)), q * denom)
+            for j, (q, nums) in enumerate(rows)
+        ]
+
+    return residuals
+
+
+def _checked_box(sys: MeixnerSystemD, what: str, max_n, max_x):
+    sys.require_mode(ScalarMode.EXACT, what)
+    return _as_multi_index(max_n, sys.d, "max degrees"), _as_multi_index(max_x, sys.d, "max point")
+
+
+def _scan_identity(name: str, max_n, max_x, residuals) -> EvalReport:
+    """Report over the box; the counterexample is the label (*n, *x, j) of
+    the first nonzero residual, j the relation."""
+    d = len(max_n)
+    max_disc, counter = scan(
+        lattice((*max_n, *max_x)),
+        lambda cell: (((*cell, j), res) for j, res in enumerate(residuals(cell[:d], cell[d:]))),
+    )
+    box = {"d": d, "max_degrees": list(max_n), "max_point": list(max_x)}
+    return EvalReport(name, box, ScalarMode.EXACT, max_disc, counter)
+
+
+def check_recurrence_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -> EvalReport:
+    """The d three-diagonal recurrences in the degrees, exactly: relation j
+    multiplies by x_j and reads row j of the matrix, with p its last row."""
+    max_n, max_x = _checked_box(sys, "check_recurrence_d", max_n, max_x)
+    residuals = _three_diagonal_residuals(sys, max_n, max_x, transposed=False)
+    return _scan_identity("recurrence", max_n, max_x, residuals)
+
+
+def check_difference_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -> EvalReport:
+    """The d difference equations in the variables, exactly: relation j
+    multiplies by n_j and reads column j of the matrix, with p its last
+    column.
+
+    At d = 2 the two equations over L[0][0] L[1][0] and L[0][1] L[1][1]
+    combine into a nearest-neighbour one in which the mixed shifts cancel.
+    It is checked as a third residual and needs those entries nonzero.
+    """
+    max_n, max_x = _checked_box(sys, "check_difference_d", max_n, max_x)
+    residuals = _three_diagonal_residuals(sys, max_n, max_x, transposed=True)
+    if sys.d == 2:
+        e = sys.lam.entries
+        w0, w1 = e[0][0] * e[1][0], e[0][1] * e[1][1]
+        if not (w0 and w1):
+            raise NonGenericMatrix(
+                "nearest-neighbour difference equation divides by interior entries that are zero"
+            )
+        pair = residuals
+
+        def residuals(n, x):
+            res = pair(n, x)
+            return (*res, res[0] / w0 - res[1] / w1)
+
+    return _scan_identity("difference", max_n, max_x, residuals)
+
+
+def check_lowering_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -> EvalReport:
+    """Monic recast of the lowering relations, exactly.  With
+    D_i f(x) = f(x + e_i) - f(x), relation j reads
+
+      n_j R[b, n - e_j](x) = -(b-1) (L[d][j]/L[d][d])
+                             sum_i L[i][j] L[i][d] D_i R[b-1, n](x),
+
+    which degenerates at b = 1, hence the precondition.
+    """
+    max_n, max_x = _checked_box(sys, "check_lowering_d", max_n, max_x)
+    b = sys.beta
+    if b <= 1:
+        raise PreconditionError(f"lowering relations need beta > 1, got {b}")
+    d = sys.d
+    e = sys.lam.entries
+    units = _units(d)
+    degrees, points = lattice(max_n), lattice(max_x)
+    R = _gf_table(sys, degrees[:-1], points)  # every degree but max_n
+    low = _gf_table(
+        MeixnerSystemD(b - 1, sys.lam, ScalarMode.EXACT),
+        degrees,
+        {tuple(map(add, x, t)) for x in points for t in [(0,) * d, *units]},
+    )
+    # the (b-1) (L[d][j]/L[d][d]) L[i][j] L[i][d] products in front of D_i
+    coeffs = [
+        [(b - 1) * (e[d][j] / e[d][d]) * (e[i][j] * e[i][d]) for i in range(d)]
+        for j in range(d)
+    ]
+
+    def residuals(n, x):
+        here = low[n + x]
+        diffs = [low[n + tuple(map(add, x, t))] - here for t in units]
+        out = [sum(map(mul, row, diffs)) for row in coeffs]
+        for j in range(d):
+            if n[j]:
+                out[j] += n[j] * R[_step_down(n, j) + x]
+        return out
+
+    return _scan_identity("lowering", max_n, max_x, residuals)
+
+
+def check_duality_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -> EvalReport:
+    """Degrees and variables exchange against the inverse-matrix system:
+    R_n(x; L) = R_x(n; L~^-1)."""
+    max_n, max_x = _checked_box(sys, "check_duality_d", max_n, max_x)
+    degrees, points = lattice(max_n), lattice(max_x)
+    R = _gf_table(sys, points, degrees)  # sys is read with degrees and points swapped
+    dual = _gf_table(sys.dual(), degrees, points)
+    return _scan_identity("duality", max_n, max_x, lambda n, x: (R[x + n] - dual[n + x],))
+
+
+# ---------------------------------------------------------------------------
 # orthonormal family and truncated orthogonality (float only)
 
 
@@ -286,8 +513,7 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
     triangle, in list order) that deviates by more than tol, or None.
     """
     sys.require_mode(ScalarMode.FLOAT, what)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    require_tol(tol)
     d = sys.d
     exact_sys = MeixnerSystemD(sys.beta, sys.lam, ScalarMode.EXACT)
     top = max(map(sum, degrees))

@@ -42,6 +42,12 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def require_tol(tol: float):
+    """Reject a float-mode tolerance that is not positive and finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def rational_str(value: Fraction) -> str:
     """Canonical serialization: "p/q", or "p" alone for integers."""
     return str(value)
@@ -52,7 +58,8 @@ def float_str(value: float) -> str:
     return format(value, ".17g")
 
 
-@lru_cache(maxsize=None)
+# bounded: keys pile up across systems, and an entry grows with n
+@lru_cache(maxsize=1024)
 def pochhammer(x, n: int):
     """Rising factorial x (x+1) ... (x+n-1); empty product 1 for n = 0.
 

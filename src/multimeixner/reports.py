@@ -23,21 +23,14 @@ class LatticeBox:
         if min(self.max_i, self.max_k, self.max_m, self.max_n) < 0:
             raise ValueError("box bounds must be non-negative")
 
-    def degree_pairs(self):
-        for m in range(self.max_m + 1):
-            for n in range(self.max_n + 1):
-                yield m, n
-
-    def variable_pairs(self):
-        for i in range(self.max_i + 1):
-            for k in range(self.max_k + 1):
-                yield i, k
-
     def cells(self):
         """Every (m, n, i, k) of the box in lexicographic lattice order."""
-        return itertools.product(
-            range(self.max_m + 1), range(self.max_n + 1), range(self.max_i + 1), range(self.max_k + 1)
-        )
+        return lattice((self.max_m, self.max_n, self.max_i, self.max_k))
+
+
+def lattice(top) -> list:
+    """Multi-indices with 0 <= idx <= top, in lexicographic order."""
+    return list(itertools.product(*(range(t + 1) for t in top)))
 
 
 def scan(cells: Iterable, residuals: Callable) -> Tuple[Fraction, Optional[Tuple]]:

@@ -137,11 +137,11 @@ class TestDuality:
 class TestBrokenIdentity:
     """A system whose generating function no longer matches its matrix.
 
-    Shifting u11 after construction changes every value the generating
-    function gives but none of the matrix entries the residuals use, so
-    each exact checker must see the identities break.  The discrepancies
-    and first counterexamples below are those of the plain per-value
-    checkers (one ``monic_eval_gf`` call per residual term).
+    Shifting u11 (``u[0][0]``) after construction changes every value the
+    generating function gives but none of the matrix entries the residuals
+    use, so each exact checker must see the identities break.  The
+    discrepancies and first counterexamples below are those of the plain
+    per-value checkers (one ``monic_eval_gf`` call per residual term).
     """
 
     BOX = LatticeBox(max_i=2, max_k=2, max_m=2, max_n=2)
@@ -157,7 +157,8 @@ class TestBrokenIdentity:
     )
     def test_tampered_system_fails(self, checker, disc, counter):
         sys2 = random_system(42, 2, 2)
-        sys2.u11 += 1
+        (u11, u12), row2 = sys2.u
+        sys2.u = ((u11 + 1, u12), row2)
         report = checker(sys2, self.BOX)
         assert not report.passed
         assert report.max_abs_discrepancy == disc
@@ -169,7 +170,7 @@ class TestGfTable:
         sys2 = random_system(42, 2, F(7, 3))
         degrees = [(m, n) for m in range(6) for n in range(6 - m)]
         points = [(i, k) for i in range(4) for k in range(5)]
-        table = bivariate._gf_table(sys2, degrees, points)
+        table = multivariate._gf_table(sys2, degrees, points)
         assert len(table) == 21 * 4 * 5
         fresh = random_system(42, 2, F(7, 3))
         for (m, n, i, k), value in table.items():

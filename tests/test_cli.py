@@ -165,6 +165,40 @@ class TestVerify:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "suite, extra",
+        [
+            ("orthogonality", ["--box", "1,1,0,0"]),
+            ("addition", ["--tuples", "1"]),
+            ("subgroup-unitarity", []),
+        ],
+    )
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, suite, extra, tol):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--tol", tol, *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "tol" in err
+
+    @pytest.mark.parametrize("tuples", ["0", "-3"])
+    def test_addition_without_tuples_exits_2(self, capsys, tuples):
+        code, out, err = run_cli(capsys, "verify", "--suite", "addition", "--tuples", tuples)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--tuples" in err
+
+    def test_multivariate_names_bad_dimension(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--suite", "multivariate", "--d", "0")
+        assert code == 2
+        assert err.startswith("error:") and "--d" in err
+
+    @pytest.mark.parametrize("suite", ["orthogonality", "addition", "subgroup-unitarity"])
+    def test_exact_mode_on_float_suite_exits_2(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--mode", "exact")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "float" in err
+
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])

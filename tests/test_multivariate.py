@@ -8,7 +8,11 @@ from multimeixner.harness import random_matrix
 from multimeixner.lorentz import boost, identity
 from multimeixner.multivariate import (
     MeixnerSystemD,
+    check_difference_d,
+    check_duality_d,
+    check_lowering_d,
     check_orthogonality_d,
+    check_recurrence_d,
     monic_eval_gf_d,
     monic_eval_raising_d,
     weight_d,
@@ -167,3 +171,27 @@ class TestOrthogonality:
     def test_requires_float_mode(self, system_d3):
         with pytest.raises(ModeError):
             check_orthogonality_d(system_d3, 1, 1e-8)
+
+
+IDENTITY_CHECKERS = [check_recurrence_d, check_difference_d, check_lowering_d, check_duality_d]
+
+
+class TestIdentityCheckers:
+    @pytest.mark.parametrize("seed, beta", [(7, 2), (31, F(7, 3))])
+    def test_exact_zero_d3(self, seed, beta):
+        sys3 = MeixnerSystemD(beta, random_matrix(seed, 3))
+        for checker in IDENTITY_CHECKERS:
+            report = checker(sys3, (2, 2, 1), (1, 2, 2))
+            assert report.max_abs_discrepancy == 0
+            assert report.passed
+
+    def test_tampered_system_fails_d3(self):
+        # shifting u[0][0] changes the generating function but no matrix entry
+        sys3 = MeixnerSystemD(2, random_matrix(7, 3))
+        (u00, *row0), *rows = sys3.u
+        sys3.u = ((u00 + 1, *row0), *rows)
+        for checker in IDENTITY_CHECKERS:
+            report = checker(sys3, (1, 1, 1), (1, 1, 1))
+            assert report.max_abs_discrepancy != 0
+            assert not report.passed
+            assert len(report.counterexample) == 7
