@@ -4,7 +4,8 @@ matrix elements stated for two variables.
 Route map
 ---------
 * ``monic_eval_gf``       expansion of the three-factor generating product
-                          (the independent oracle, built on TruncatedSeries)
+                          (the independent oracle, read from the core's
+                          graded coefficient store)
 * ``monic_eval_raising``  the radical-free degree recursion obtained by
                           pushing the monic normalization through the
                           raising relations; descends in the base parameter
@@ -53,7 +54,7 @@ from .numerics import (
     as_rational,
     pochhammer,
     require_tol,
-    # bound here only for the benchmark tracer
+    # unused here: the benchmark tracer binds these three on this module
     series_geom_pow,
     series_mul,
     solve_linear_system,

@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one polynomial value")
-    p_eval.add_argument("--d", type=int, default=2)
+    p_eval.add_argument("--d", type=int, help="number of variables (default: the arity of --degrees)")
     p_eval.add_argument("--beta", type=_fraction, default=Fraction(2))
     p_eval.add_argument(
         "--route",
@@ -192,6 +192,11 @@ def _eval_bivariate(args, lam):
 
 
 def cmd_eval(args) -> int:
+    d = len(args.degrees)
+    if d != len(args.point):
+        raise MatrixValidationError("--degrees and --point must have the same arity")
+    if args.d is not None and args.d != d:
+        raise MatrixValidationError(f"--d {args.d} disagrees with the {d} values of --degrees")
     if args.route == "tratnik":
         if args.subgroup is None:
             raise PreconditionError("route tratnik needs --subgroup 'boost:2,3:T boost:1,3:T'")
@@ -215,11 +220,6 @@ def cmd_eval(args) -> int:
         print(rational_str(value))
         return EXIT_PASS
 
-    d = args.d
-    if len(args.degrees) != len(args.point):
-        raise MatrixValidationError("--degrees and --point must have the same arity")
-    if len(args.degrees) != d:
-        d = len(args.degrees)
     lam = _resolve_matrix(args, d)
     if d == 2:
         print(_eval_bivariate(args, lam))
@@ -240,19 +240,30 @@ def cmd_eval(args) -> int:
     return EXIT_PASS
 
 
+FLOAT_ONLY_SUITES = ("orthogonality", "addition", "subgroup-unitarity")
+EXACT_ONLY_SUITES = (
+    "recurrence", "difference", "lowering", "duality", "routes", "factorization", "dompe3",
+)
+
+
 def cmd_verify(args) -> int:
-    float_only = args.suite in ("orthogonality", "addition", "subgroup-unitarity")
+    float_only = args.suite in FLOAT_ONLY_SUITES
     mode = args.mode
     if mode is None:
         mode = "float" if float_only else "exact"
     elif mode == "exact" and float_only:
         raise ValueError(f"suite {args.suite} runs in float mode only; drop --mode exact")
+    elif mode == "float" and args.suite in EXACT_ONLY_SUITES:
+        raise ValueError(f"suite {args.suite} runs in exact mode only; drop --mode float")
     tol = args.tol
     if mode == "float" and tol is None:
         tol = 1e-8
     matrix = None
-    if args.matrix is not None or (args.seed is not None and args.suite != "addition"):
-        matrix = _resolve_matrix(args, args.d if args.suite != "multivariate" else 3)
+    # addition and multivariate draw their own matrices from --seed
+    if args.matrix is not None or (
+        args.seed is not None and args.suite not in ("addition", "multivariate")
+    ):
+        matrix = _resolve_matrix(args, args.d)
     config = harness.SuiteConfig(
         suite=args.suite,
         d=args.d,

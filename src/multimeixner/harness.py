@@ -360,10 +360,18 @@ def suite_subgroup_unitarity(config: SuiteConfig) -> List[EvalReport]:
 
 
 def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
-    """Exact route agreement plus float orthogonality in d variables."""
-    d = config.d if config.d != 2 else 3
-    seed = config.seed if config.seed is not None else 31
-    lam = random_matrix(seed, d, max(config.factors, 5))
+    """Exact route agreement plus float orthogonality in d variables, on
+    ``config.matrix`` when given, else on a seeded d = 3 (or ``config.d``)
+    matrix."""
+    if config.matrix is not None:
+        lam = config.matrix
+        d = lam.d
+        if config.d not in (2, d):
+            raise ValueError(f"--d {config.d} disagrees with the d = {d} matrix")
+    else:
+        d = config.d if config.d != 2 else 3
+        seed = config.seed if config.seed is not None else 31
+        lam = random_matrix(seed, d, max(config.factors, 5))
     sys_exact = multivariate.MeixnerSystemD(config.beta, lam, ScalarMode.EXACT)
     degree_max = config.degree_max if config.degree_max is not None else 3
     coord_max = config.coord_max if config.coord_max is not None else 3

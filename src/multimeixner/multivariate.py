@@ -3,6 +3,11 @@ generating-function oracle, the raising recursion, interpolated
 coefficients, truncated orthogonality and the exact recurrence,
 difference, lowering and duality checkers, for any d.
 
+The generating-function oracle reads one graded store of the product's
+coefficients (``_GfStore``), filled point by point from neighbouring
+points, since G_{x+e_i} and G_x differ by one factor, in plain integers.
+A system keeps its own store; each exact checker fills a fresh one.
+
 The bivariate module builds on this core: its ``MeixnerSystem`` is the
 d = 2 case with the matrix entries under their usual names, its checkers
 call the ones here on a ``LatticeBox``, and it adds what is stated for
@@ -25,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul, sub
 from typing import Dict, List, Sequence, Tuple
 
@@ -33,11 +39,11 @@ from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionErr
 from .lorentz import PseudoRotation, inverse_tilde, require_generic
 from .numerics import (
     ScalarMode,
-    TruncatedSeries,
+    _exponents_of_degree,
     as_rational,
-    coefficient,
     pochhammer,
     require_tol,
+    # series_geom_pow and series_mul are unused here: the benchmark tracer binds them
     series_geom_pow,
     series_mul,
     solve_linear_system,
@@ -73,11 +79,12 @@ def _units(d: int) -> List[MultiIndex]:
 class MeixnerSystemD:
     """A (beta, Lambda) bundle in d variables with derived c and u parameters.
 
-    Parameters must not change after the first evaluation: the value
-    caches (``_gf_cache``, ``_raising_cache``, ``_poly_cache``) are never
-    invalidated, so a changed parameter would meet values computed from the
-    old one.  Only the table-built exact checkers below re-read the
-    current ``u`` and ``lam`` on every call.
+    Parameters must not change after construction: the value caches
+    (``_gf_cache``, the generating-function store, ``_raising_cache`` and
+    ``_poly_cache``) hold the u of construction cleared to integers and
+    are never invalidated, so a changed parameter would meet values
+    computed from the old one.  Only the table-built exact checkers below
+    re-read the current ``u`` and ``lam`` on every call.
     """
 
     def __init__(self, beta, lam: PseudoRotation, mode=ScalarMode.EXACT):
@@ -103,7 +110,7 @@ class MeixnerSystemD:
         # u over one common denominator, row by row, for the integer raising fill
         self._u_denom, self._u_nums = _scaled_list([v for row in self.u for v in row])
 
-        self._gf_cache: Dict[MultiIndex, TruncatedSeries] = {}
+        self._gf_cache = _GfStore(self.d, beta, self.u)
         self._raising_cache: Dict[Tuple[MultiIndex, MultiIndex, int], int] = {}
         self._poly_cache: Dict[MultiIndex, Dict[MultiIndex, Fraction]] = {}
 
@@ -150,61 +157,134 @@ def weight_d(sys: MeixnerSystemD, x: Sequence[int]):
 # route 1: generating-function oracle
 
 
-def _gf_product(sys: MeixnerSystemD, x: MultiIndex, cutoff: int, memo: dict) -> TruncatedSeries:
-    """(1 - sum_j z_j)^-(b + |x|) prod_i (1 - sum_j u[i][j] z_j)^x_i to total
-    degree ``cutoff``, its factor series shared through ``memo`` (one memo
-    per cutoff)."""
-
-    def factor(key, form, exponent):
-        series = memo.get(key)
-        if series is None:
-            series = memo[key] = series_geom_pow(form, exponent, cutoff)
-        return series
-
-    total = sum(x)
-    product = factor(("base", total), [1] * sys.d, -(sys.beta + total))
-    for i, xi in enumerate(x):
-        if xi:
-            product = series_mul(product, factor((i, xi), sys.u[i], xi))
-    return product
+@lru_cache(maxsize=256)
+def _graded_layer(d: int, t: int):
+    """The multi-indices n of degree t in d variables, their positions, for
+    each n the pairs (j, position of n - e_j in layer t - 1), and t!/n!."""
+    monos = list(_exponents_of_degree(t, d))
+    index = {n: pos for pos, n in enumerate(monos)}
+    below = {n: pos for pos, n in enumerate(_exponents_of_degree(t - 1, d))} if t else {}
+    parents = [[(j, below[_step_down(n, j)]) for j in range(d) if n[j]] for n in monos]
+    top = math.factorial(t)
+    multinomials = [top // math.prod(map(math.factorial, n)) for n in monos]
+    return index, parents, multinomials
 
 
-def _gf_series(sys: MeixnerSystemD, x: MultiIndex, cutoff: int) -> TruncatedSeries:
-    cached = sys._gf_cache.get(x)
-    if cached is None or cached.cutoff < cutoff:
-        cached = sys._gf_cache[x] = _gf_product(sys, x, cutoff, {})
-    return cached
+class _Layers(list):
+    """One point's cleared coefficients; layer t holds those of |n| = t in
+    ``_graded_layer`` order."""
+
+    @property
+    def cutoff(self) -> int:
+        return len(self) - 1
+
+
+class _GfStore(dict):
+    """Cleared generating-function coefficients, point -> ``_Layers``.
+
+    With b = p/q and u = A/D over one common denominator, point x keeps
+
+      G^_x[n] = q^|n| |n|! D^|x| [z^n] G_x(z),
+      G_x(z) = (1 - sum_j z_j)^-(b + |x|) prod_i (1 - sum_j u[i][j] z_j)^x_i,
+
+    for every |n| up to its cutoff.  Neighbouring points differ by one
+    factor, G_{y+e_i} (1 - sum_j z_j) = G_y (1 - sum_j u[i][j] z_j), which
+    in cleared coefficients reads (t = |n|, j over the n_j > 0)
+
+      G^_0[n] = prod_{s<t} (p + s q) t!/n!,
+      G^_{y+e_i}[n] = D G^_y[n]
+                      + q t sum_j (G^_{y+e_i}[n - e_j] - A[i][j] G^_y[n - e_j]).
+
+    A point is filled from its parent x - e_(first nonzero axis), parent
+    first and layer by layer, in integer products only.  A store only
+    grows: a point asked for at a larger degree gains the missing layers.
+    """
+
+    def __init__(self, d: int, beta: Fraction, u):
+        super().__init__()
+        self.d = d
+        self.p, self.q = beta.numerator, beta.denominator
+        self.denom, nums = _scaled_list([v for row in u for v in row])
+        self.rows = [nums[i * d : (i + 1) * d] for i in range(d)]
+        self._rising = [1]  # prod_{s<t} (p + s q), by t
+
+    def layers(self, x: MultiIndex, top: int) -> _Layers:
+        """The layers of x up to degree ``top``, walking its chain down to
+        the first point that has them."""
+        chain = []
+        y = x
+        while True:
+            entry = self.get(y)
+            if entry is not None and entry.cutoff >= top:
+                break
+            chain.append(y)
+            if not any(y):
+                break
+            y = _step_down(y, _first_axis(y))
+        d, q, denom = self.d, self.q, self.denom
+        for y in reversed(chain):
+            entry = self.setdefault(y, _Layers())
+            if not any(y):
+                for t in range(len(entry), top + 1):
+                    entry.append([self.rising(t) * m for m in _graded_layer(d, t)[2]])
+                continue
+            i = _first_axis(y)
+            parent = self[_step_down(y, i)]
+            for t in range(len(entry), top + 1):
+                if not t:
+                    entry.append([denom * parent[0][0]])
+                    continue
+                own, old, a = entry[t - 1], parent[t - 1], self.rows[i]
+                qt = q * t
+                entry.append([
+                    denom * g + qt * sum(own[pos] - a[j] * old[pos] for j, pos in par)
+                    for g, par in zip(parent[t], _graded_layer(d, t)[1])
+                ])
+        return self[x]
+
+    def rising(self, t: int) -> int:
+        """prod_{s<t} (p + s q) = q^t (b)_t."""
+        rising = self._rising
+        while len(rising) <= t:
+            rising.append(rising[-1] * (self.p + (len(rising) - 1) * self.q))
+        return rising[t]
+
+    def position(self, n: MultiIndex):
+        """Layer and place of n, and the scale |n|!/n! prod_{s<|n|} (p + s q):
+        G^_x[n] over the scale and D^|x| is the monic value R_n(x)."""
+        t = sum(n)
+        index, _, multinomials = _graded_layer(self.d, t)
+        pos = index[n]
+        return t, pos, multinomials[pos] * self.rising(t)
 
 
 def _gf_table(sys: MeixnerSystemD, degrees, points) -> Dict[MultiIndex, Fraction]:
     """Maps n + x to ``monic_eval_gf_d(sys, n, x)`` for every n in ``degrees``
-    and x in ``points``, with the factor series built once, at the largest
-    |n|, for all points.  Nothing is stored on ``sys``."""
+    and x in ``points``, from one fresh store cleared from the current
+    ``sys.u`` and filled to the largest |n|.  Nothing is stored on ``sys``."""
     degrees, points = set(degrees), set(points)
     if not degrees or not points:
         return {}
-    cutoff = max(map(sum, degrees))
-    beta = sys.beta
-    scales = {n: math.prod(map(math.factorial, n)) / pochhammer(beta, sum(n)) for n in degrees}
-    memo: dict = {}
-    zero = Fraction(0)
+    store = _GfStore(sys.d, sys.beta, sys.u)
+    top = max(map(sum, degrees))
+    spots = [(n, *store.position(n)) for n in degrees]
     table = {}
     for x in points:
-        coeffs = _gf_product(sys, x, cutoff, memo).coeffs
-        for n, scale in scales.items():
-            raw = coeffs.get(n)
-            table[n + x] = raw * scale if raw else zero
+        layers = store.layers(x, top)
+        power = store.denom ** sum(x)
+        for n, t, pos, scale in spots:
+            table[n + x] = Fraction(layers[t][pos], scale * power)
     return table
 
 
 def monic_eval_gf_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
-    """Coefficient extraction from the (d+1)-factor generating product."""
+    """Coefficient extraction from the (d+1)-factor generating product,
+    read from the system's store."""
     n = _as_multi_index(n, sys.d, "degrees")
     x = _as_multi_index(x, sys.d, "point")
-    total = sum(n)
-    raw = coefficient(_gf_series(sys, x, total), n)
-    fact = math.prod(math.factorial(v) for v in n)
-    return raw * fact / pochhammer(sys.beta, total)
+    store = sys._gf_cache
+    t, pos, scale = store.position(n)
+    return Fraction(store.layers(x, t)[t][pos], scale * store.denom ** sum(x))
 
 
 # ---------------------------------------------------------------------------

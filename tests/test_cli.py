@@ -114,6 +114,15 @@ class TestEval:
         assert code == 0
         assert abs(float(out)) <= 1.0
 
+    def test_d_must_agree_with_the_arity(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--d", "3", "--degrees", "1,1", "--point", "1,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--d" in err
+        code, out, _ = run_cli(capsys, "eval", "--d", "2", "--degrees", "1,1", "--point", "1,1")
+        assert code == 0
+        assert out.strip() == "11683/17496"
+
     def test_d3_eval(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--d", "3", "--seed", "31", "--route", "raising",
@@ -198,6 +207,43 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "float" in err
+
+    @pytest.mark.parametrize(
+        "suite",
+        ["recurrence", "difference", "lowering", "duality", "routes", "factorization", "dompe3"],
+    )
+    def test_float_mode_on_exact_suite_exits_2(self, capsys, suite):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--mode", "float", "--box", "1,1,1,1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "exact" in err
+
+    def test_multivariate_runs_on_the_given_matrix(self, capsys, tmp_path):
+        # the suite's own default matrix is seed 31 with 5 factors
+        runs = {}
+        for seed in (31, 5):
+            path = tmp_path / f"m{seed}.json"
+            path.write_text(matrix_to_json(random_matrix(seed, 3, 5)))
+            runs[seed] = run_cli(
+                capsys, "verify", "--suite", "multivariate", "--degree-max", "0",
+                "--coord-max", "1", "--matrix", str(path),
+            )
+        default = run_cli(capsys, "verify", "--suite", "multivariate", "--degree-max", "0",
+                          "--coord-max", "1")
+        seeded = run_cli(capsys, "verify", "--suite", "multivariate", "--degree-max", "0",
+                         "--coord-max", "1", "--seed", "31")
+        assert default[0] == 0
+        assert runs[31] == default == seeded
+        assert runs[5][0] == 0
+        assert runs[5][1] != default[1]
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "multivariate", "--d", "4",
+            "--matrix", str(tmp_path / "m31.json"),
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "--d" in err
 
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,14 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 
+from multimeixner import harness
 from multimeixner.bivariate import MeixnerSystem, monic_eval_gf, weight
+from multimeixner.cli import main
 from multimeixner.errors import ModeError, NonGenericMatrix
-from multimeixner.harness import random_matrix
+from multimeixner.harness import random_matrix, random_system
 from multimeixner.lorentz import boost, identity
 from multimeixner.multivariate import (
     MeixnerSystemD,
@@ -17,7 +21,8 @@ from multimeixner.multivariate import (
     monic_eval_raising_d,
     weight_d,
 )
-from multimeixner.numerics import ScalarMode
+from multimeixner.numerics import ScalarMode, pochhammer, series_geom_pow, series_mul
+from multimeixner.reports import LatticeBox
 from multimeixner.univariate import meixner
 
 D3_SEED = 7
@@ -195,3 +200,73 @@ class TestIdentityCheckers:
             assert report.max_abs_discrepancy != 0
             assert not report.passed
             assert len(report.counterexample) == 7
+
+
+def _expansion_values(system, points, cutoff):
+    """Monic values (n, x) -> R_n(x) from the product of truncated series,
+    (1 - sum z)^-(b + |x|) prod_i (1 - sum_j u[i][j] z_j)^x_i."""
+    d, beta = system.d, system.beta
+    degrees = [n for n in itertools.product(range(cutoff + 1), repeat=d) if sum(n) <= cutoff]
+    values = {}
+    for x in points:
+        product = series_geom_pow([1] * d, -(beta + sum(x)), cutoff)
+        for row, xi in zip(system.u, x):
+            product = series_mul(product, series_geom_pow(row, xi, cutoff))
+        for n in degrees:
+            scale = math.prod(map(math.factorial, n)) / pochhammer(beta, sum(n))
+            values[n, x] = product.coeffs.get(n, 0) * scale
+    return values
+
+
+class TestGfStore:
+    @pytest.mark.parametrize(
+        "seed, d, beta, factors, points, cutoff",
+        [
+            (42, 2, F(7, 3), 4, [(0, 0), (3, 0), (1, 4), (2, 2)], 5),
+            (D3_SEED, 3, 2, 5, [(0, 0, 0), (2, 1, 0), (0, 1, 2)], 3),
+        ],
+        ids=["d2", "d3"],
+    )
+    def test_values_match_series_expansion(self, seed, d, beta, factors, points, cutoff):
+        system = random_system(seed, d, beta, factors)
+        for (n, x), value in _expansion_values(system, points, cutoff).items():
+            assert monic_eval_gf_d(system, n, x) == value
+
+    def test_degree_extension_matches_fresh_store(self):
+        grown, fresh = random_system(42, 2, F(7, 3)), random_system(42, 2, F(7, 3))
+        points = [(i, k) for i in range(4) for k in range(3)]
+        low = [monic_eval_gf_d(grown, (1, 0), x) for x in points]
+        assert all(grown._gf_cache[x].cutoff == 1 for x in points)
+        for n in ((1, 0), (2, 1), (4, 2), (0, 6)):
+            for x in points:
+                assert monic_eval_gf_d(grown, n, x) == monic_eval_gf_d(fresh, n, x)
+        assert all(grown._gf_cache[x].cutoff == 6 for x in points)
+        assert low == [monic_eval_gf_d(fresh, (1, 0), x) for x in points]
+
+    def test_point_extension_matches_fresh_store(self):
+        grown = MeixnerSystemD(2, random_matrix(D3_SEED, 3, 5))
+        far, near = (4, 3, 2), (1, 0, 2)
+        first = monic_eval_gf_d(grown, (1, 1, 0), far)
+        assert far in grown._gf_cache and near not in grown._gf_cache
+        for n in ((1, 1, 0), (0, 2, 1)):
+            fresh = MeixnerSystemD(2, random_matrix(D3_SEED, 3, 5))
+            assert monic_eval_gf_d(grown, n, near) == monic_eval_gf_d(fresh, n, near)
+        assert first == monic_eval_gf_d(fresh, (1, 1, 0), far)
+
+    @pytest.mark.parametrize("box", ["0,0,0,0", "0,0,2,3", "1,0,0,0", "0,1,1,0"])
+    @pytest.mark.parametrize("suite", ["recurrence", "difference", "lowering", "duality"])
+    def test_identity_suites_on_thin_boxes(self, suite, box):
+        m, n, i, k = map(int, box.split(","))
+        config = harness.SuiteConfig(suite, box=LatticeBox(max_i=i, max_k=k, max_m=m, max_n=n))
+        (report,) = harness.run_suite(config)
+        assert report.passed
+        assert report.max_abs_discrepancy == 0
+
+    def test_far_point_has_no_depth_limit(self, capsys):
+        # the store walks an |x| = 1100 step chain down to the origin
+        values = []
+        for route in ("gf", "raising"):
+            code = main(["eval", "--route", route, "--degrees", "2,1", "--point", "600,500"])
+            assert code == 0
+            values.append(capsys.readouterr().out.strip())
+        assert values == ["-36424665866879/236196"] * 2
