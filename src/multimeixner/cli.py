@@ -21,12 +21,7 @@ from .errors import (
     NonConvergence,
     PreconditionError,
 )
-from .lorentz import (
-    SubgroupParam,
-    matrix_from_json,
-    matrix_to_json_obj,
-    product_of,
-)
+from .lorentz import SubgroupParam, matrix_from_json, matrix_to_json_obj
 from .numerics import ScalarMode, float_str, rational_str
 from .reports import LatticeBox
 
@@ -85,20 +80,17 @@ def _add_matrix_source(parser: argparse.ArgumentParser):
     )
 
 
-def _resolve_matrix(args, d: int):
-    sources = [args.matrix is not None, args.seed is not None, args.subgroup is not None]
-    if sum(sources) > 1:
-        raise MatrixValidationError("give at most one of --matrix, --seed, --subgroup")
-    if args.matrix is not None:
-        with open(args.matrix, "r", encoding="utf-8") as handle:
-            return matrix_from_json(handle.read())
-    if args.subgroup is not None:
-        return product_of(args.subgroup, d)
-    if args.seed is not None:
-        return harness.random_matrix(args.seed, d, args.factors)
-    if d == 2:
-        return harness.canonical_lambda()
-    return harness.random_matrix(0, d, max(args.factors, 5))
+def _read_matrix(path):
+    if path is None:
+        return None
+    with open(path, "r", encoding="utf-8") as handle:
+        return matrix_from_json(handle.read())
+
+
+def _matrix(args, d: int):
+    return harness.resolve_matrix(
+        d, _read_matrix(args.matrix), args.seed, args.subgroup, args.factors
+    )
 
 
 def _box_from_arg(values):
@@ -139,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", choices=sorted(harness.SUITES), required=True)
-    p_verify.add_argument("--d", type=int, default=2)
+    p_verify.add_argument("--d", type=int, help="number of variables (default: the suite's)")
     p_verify.add_argument("--beta", type=_fraction, default=Fraction(2))
     p_verify.add_argument("--box", type=_int_list, metavar="m,n,i,k")
     p_verify.add_argument("--mode", choices=["exact", "float"])
@@ -171,24 +163,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _route(name: str):
+    """The bivariate evaluation route raising, gf or hyp."""
+    return getattr(bivariate, f"monic_eval_{name}")
+
+
 def _eval_bivariate(args, lam):
     m, n = args.degrees
     i, k = args.point
-    routes = {
-        "raising": bivariate.monic_eval_raising,
-        "gf": bivariate.monic_eval_gf,
-        "hyp": bivariate.monic_eval_hyp,
-    }
     if args.mode == "exact" and args.value == "monic":
         sys2 = bivariate.MeixnerSystem(args.beta, lam, ScalarMode.EXACT)
-        return rational_str(routes[args.route](sys2, m, n, i, k))
+        return rational_str(_route(args.route)(sys2, m, n, i, k))
     sys2 = bivariate.MeixnerSystem(args.beta, lam, ScalarMode.FLOAT)
     if args.value == "matrix-element":
         return float_str(bivariate.matrix_element(sys2, i, k, m, n))
     if args.value == "orthonormal":
         return float_str(bivariate.orthonormal_eval(sys2, m, n, i, k))
     exact = bivariate.MeixnerSystem(args.beta, lam, ScalarMode.EXACT)
-    return float_str(float(routes[args.route](exact, m, n, i, k)))
+    return float_str(float(_route(args.route)(exact, m, n, i, k)))
 
 
 def cmd_eval(args) -> int:
@@ -197,42 +189,22 @@ def cmd_eval(args) -> int:
         raise MatrixValidationError("--degrees and --point must have the same arity")
     if args.d is not None and args.d != d:
         raise MatrixValidationError(f"--d {args.d} disagrees with the {d} values of --degrees")
-    if args.route == "tratnik":
-        if args.subgroup is None:
-            raise PreconditionError("route tratnik needs --subgroup 'boost:2,3:T boost:1,3:T'")
-        if [(p.kind, p.plane) for p in args.subgroup] != [("boost", (2, 3)), ("boost", (1, 3))]:
-            raise PreconditionError("route tratnik needs factors boost:2,3:T boost:1,3:T")
-        psi, xi = args.subgroup
-        m, n = args.degrees
-        i, k = args.point
-        value = bivariate.factorized_eval(args.beta, xi.value, psi.value, m, n, i, k)
-        print(rational_str(value))
-        return EXIT_PASS
-    if args.route == "dompe3":
-        if args.subgroup is None or [p.kind for p in args.subgroup] != ["rotation", "boost", "rotation"]:
-            raise PreconditionError("route dompe3 needs --subgroup 'rotation:.. boost:2,3:.. rotation:..'")
-        chi, psi, theta = args.subgroup
-        m, n = args.degrees
-        i, k = args.point
-        value = bivariate.general_sum_eval(
-            args.beta, chi.value, psi.value, theta.value, m, n, i, k
-        )
-        print(rational_str(value))
+    if args.route in ("tratnik", "dompe3"):
+        harness.check_sources(f"route {args.route}", ("subgroup",), args.matrix, args.seed)
+        if d != 2:
+            raise ValueError(f"route {args.route} runs at d = 2 only; --degrees has {d} values")
+        form = harness.closed_form(args.route, args.beta, args.subgroup)
+        print(rational_str(form(*args.degrees, *args.point)))
         return EXIT_PASS
 
-    lam = _resolve_matrix(args, d)
+    lam = _matrix(args, d)
     if d == 2:
         print(_eval_bivariate(args, lam))
         return EXIT_PASS
     if args.route == "hyp" or args.value != "monic":
         raise PreconditionError("d != 2 supports routes raising|gf and monic values only")
     sysd = multivariate.MeixnerSystemD(args.beta, lam, ScalarMode.EXACT)
-    route = (
-        multivariate.monic_eval_raising_d
-        if args.route == "raising"
-        else multivariate.monic_eval_gf_d
-    )
-    value = route(sysd, args.degrees, args.point)
+    value = getattr(multivariate, f"monic_eval_{args.route}_d")(sysd, args.degrees, args.point)
     if args.mode == "float":
         print(float_str(float(value)))
     else:
@@ -240,41 +212,18 @@ def cmd_eval(args) -> int:
     return EXIT_PASS
 
 
-FLOAT_ONLY_SUITES = ("orthogonality", "addition", "subgroup-unitarity")
-EXACT_ONLY_SUITES = (
-    "recurrence", "difference", "lowering", "duality", "routes", "factorization", "dompe3",
-)
-
-
 def cmd_verify(args) -> int:
-    float_only = args.suite in FLOAT_ONLY_SUITES
-    mode = args.mode
-    if mode is None:
-        mode = "float" if float_only else "exact"
-    elif mode == "exact" and float_only:
-        raise ValueError(f"suite {args.suite} runs in float mode only; drop --mode exact")
-    elif mode == "float" and args.suite in EXACT_ONLY_SUITES:
-        raise ValueError(f"suite {args.suite} runs in exact mode only; drop --mode float")
-    tol = args.tol
-    if mode == "float" and tol is None:
-        tol = 1e-8
-    matrix = None
-    # addition and multivariate draw their own matrices from --seed
-    if args.matrix is not None or (
-        args.seed is not None and args.suite not in ("addition", "multivariate")
-    ):
-        matrix = _resolve_matrix(args, args.d)
     config = harness.SuiteConfig(
         suite=args.suite,
         d=args.d,
         beta=args.beta,
-        matrix=matrix,
+        matrix=_read_matrix(args.matrix),
         subgroup=args.subgroup,
         seed=args.seed,
         factors=args.factors,
         box=_box_from_arg(args.box),
-        mode=ScalarMode(mode),
-        tol=tol,
+        mode=args.mode,
+        tol=args.tol,
         degree_max=args.degree_max,
         coord_max=args.coord_max,
         tuples=args.tuples,
@@ -289,15 +238,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.d != 2:
+        raise ValueError(f"table runs at d = 2 only, not --d {args.d}")
     box = _box_from_arg(args.box)
-    lam = _resolve_matrix(args, 2)
-    sys2 = bivariate.MeixnerSystem(args.beta, lam, ScalarMode.EXACT)
-    routes = {
-        "raising": bivariate.monic_eval_raising,
-        "gf": bivariate.monic_eval_gf,
-        "hyp": bivariate.monic_eval_hyp,
-    }
-    route = routes[args.route]
+    sys2 = bivariate.MeixnerSystem(args.beta, _matrix(args, 2), ScalarMode.EXACT)
+    route = _route(args.route)
     rows = [(*cell, rational_str(route(sys2, *cell))) for cell in box.cells()]
     if args.format == "csv":
         buffer = io.StringIO()

@@ -2,19 +2,22 @@
 
 The canonical parameter matrix is the dense rotation-boost-rotation
 product with parameters (1/2, 2, 2/3); every entry is nonzero, so every
-generic formula applies to it.
+generic formula applies to it.  ``SUITES`` is the one record of what each
+suite runs, in which mode and on which inputs; ``resolve_matrix`` is the
+one rule that turns --matrix, --seed or --subgroup into a matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import bivariate, multivariate
-from .errors import PreconditionError
+from .errors import MatrixValidationError, PreconditionError
 from .lorentz import PseudoRotation, SubgroupParam, is_generic, product_of
 from .numerics import ScalarMode, as_rational, require_tol
 from .reports import EvalReport, LatticeBox, scan
@@ -85,7 +88,9 @@ def random_matrix(
         lam = product_of(params, d)
         if _dense_enough(lam, d):
             return lam
-    raise RuntimeError(f"no generic product found for seed {seed}")  # pragma: no cover
+    raise ValueError(
+        f"no generic product of {num_factors} factors found for seed {seed}; raise --factors"
+    )
 
 
 def random_system(seed: int, d: int = 2, beta=2, num_factors: int = 4, mode=ScalarMode.EXACT):
@@ -97,22 +102,99 @@ def random_system(seed: int, d: int = 2, beta=2, num_factors: int = 4, mode=Scal
 
 
 # ---------------------------------------------------------------------------
+# matrix sources and closed forms
+
+
+MATRIX_SOURCES = ("matrix", "seed", "subgroup")
+
+
+def resolve_matrix(
+    d: int,
+    matrix: Optional[PseudoRotation] = None,
+    seed: Optional[int] = None,
+    subgroup: Optional[Sequence[SubgroupParam]] = None,
+    factors: int = 4,
+    default_seed: Optional[int] = None,
+) -> PseudoRotation:
+    """The d-variable matrix named by at most one of --matrix, --seed and
+    --subgroup.
+
+    With none of them it is the canonical matrix when d = 2 and no
+    ``default_seed`` is given, else the product of at least 5 factors
+    drawn from ``default_seed`` (0 when not given).
+    """
+    if sum(source is not None for source in (matrix, seed, subgroup)) > 1:
+        raise MatrixValidationError("give at most one of --matrix, --seed, --subgroup")
+    if matrix is not None:
+        if matrix.d != d:
+            raise MatrixValidationError(f"--matrix has d = {matrix.d}, but the run is at --d {d}")
+        return matrix
+    if subgroup is not None:
+        return product_of(subgroup, d)
+    if seed is not None:
+        return random_matrix(seed, d, factors)
+    if default_seed is None and d == 2:
+        return canonical_lambda()
+    return random_matrix(default_seed or 0, d, max(factors, 5))
+
+
+def check_sources(who: str, reads: Sequence[str], matrix=None, seed=None, subgroup=None):
+    """Reject a matrix source that ``who`` does not read."""
+    for flag, value in zip(MATRIX_SOURCES, (matrix, seed, subgroup)):
+        if value is not None and flag not in reads:
+            raise ValueError(f"{who} does not read --{flag}")
+
+
+# factor patterns of the closed forms: (kind, plane), with plane None where
+# any plane is allowed
+TRATNIK_PATTERN = (("boost", (2, 3)), ("boost", (1, 3)))
+DOMPE3_PATTERN = (("rotation", None), ("boost", (2, 3)), ("rotation", None))
+
+
+def _expect_pattern(route: str, params, pattern) -> List[SubgroupParam]:
+    shape = [(p.kind, p.plane if plane else None) for p, (_, plane) in zip(params or (), pattern)]
+    if params is None or len(params) != len(pattern) or shape != list(pattern):
+        spec = " ".join(
+            f"{kind}:{'%d,%d' % plane if plane else 'i,j'}:value" for kind, plane in pattern
+        )
+        raise PreconditionError(f"the {route} closed form needs --subgroup '{spec}'")
+    return list(params)
+
+
+def closed_form(route: str, beta, subgroup) -> Callable[..., Fraction]:
+    """The closed form ``route`` for these factors as a function of
+    (m, n, i, k): "tratnik", the product form of boost(2,3) boost(1,3), or
+    "dompe3", the single sum of rotation boost(2,3) rotation."""
+    if route == "tratnik":
+        psi, xi = _expect_pattern(route, subgroup, TRATNIK_PATTERN)
+        return functools.partial(bivariate.factorized_eval, beta, xi.value, psi.value)
+    chi, psi, theta = _expect_pattern(route, subgroup, DOMPE3_PATTERN)
+    return functools.partial(
+        bivariate.general_sum_eval, beta, chi.value, psi.value, theta.value
+    )
+
+
+# ---------------------------------------------------------------------------
 # suite configuration and runners
 
 
 @dataclass
 class SuiteConfig:
-    """Everything a named suite needs; the CLI builds one from flags."""
+    """Everything a named suite reads; the CLI builds one from flags.
+
+    ``d`` and ``mode`` left as None take the suite's own; ``run_suite``
+    rejects what the suite's entry in ``SUITES`` does not allow.
+    """
 
     suite: str
-    d: int = 2
+    d: Optional[int] = None
     beta: Fraction = Fraction(2)
     matrix: Optional[PseudoRotation] = None
     subgroup: Optional[List[SubgroupParam]] = None
     seed: Optional[int] = None
     factors: int = 4
     box: Optional[LatticeBox] = None
-    mode: ScalarMode = ScalarMode.EXACT
+    mode: Optional[ScalarMode] = None
     tol: Optional[float] = None
     degree_max: Optional[int] = None
     coord_max: Optional[int] = None
@@ -120,27 +202,36 @@ class SuiteConfig:
 
     def __post_init__(self):
         self.beta = as_rational(self.beta)
-        self.mode = ScalarMode(self.mode)
-        if self.mode is ScalarMode.FLOAT and self.tol is None:
-            raise PreconditionError("float mode requires --tol")
+        if self.mode is not None:
+            self.mode = ScalarMode(self.mode)
 
 
 DEFAULT_BOX = LatticeBox(max_i=5, max_k=5, max_m=4, max_n=4)
 
 
-def _resolve_lambda(config: SuiteConfig) -> PseudoRotation:
-    if config.matrix is not None:
-        return config.matrix
-    if config.subgroup:
-        return product_of(config.subgroup, config.d)
-    seed = config.seed if config.seed is not None else 0
-    if config.seed is None and config.d == 2:
-        return canonical_lambda()
-    return random_matrix(seed, config.d, config.factors)
-
-
 def _bivariate_system(config: SuiteConfig, mode: ScalarMode) -> bivariate.MeixnerSystem:
-    return bivariate.MeixnerSystem(config.beta, _resolve_lambda(config), mode)
+    lam = resolve_matrix(2, config.matrix, config.seed, config.subgroup, config.factors)
+    return bivariate.MeixnerSystem(config.beta, lam, mode)
+
+
+def _oracle_report(identity: str, box, cells, oracle, candidates) -> EvalReport:
+    """Exact report on ``route(*cell) - oracle(*cell)`` over the cells for
+    each (name, route) candidate; a counterexample is the cell, followed by
+    the route's name when it has one."""
+
+    def residuals(cell):
+        ref = oracle(*cell)
+        for name, route in candidates:
+            yield (cell if name is None else (*cell, name)), route(*cell) - ref
+
+    max_disc, counter = scan(cells, residuals)
+    return EvalReport(
+        identity=identity,
+        box=box,
+        mode=ScalarMode.EXACT,
+        max_abs_discrepancy=max_disc,
+        counterexample=counter,
+    )
 
 
 def suite_routes(config: SuiteConfig) -> List[EvalReport]:
@@ -148,22 +239,12 @@ def suite_routes(config: SuiteConfig) -> List[EvalReport]:
     hypergeometric routes over the box."""
     sys2 = _bivariate_system(config, ScalarMode.EXACT)
     box = config.box or DEFAULT_BOX
-
-    def residuals(cell):
-        ref = bivariate.monic_eval_gf(sys2, *cell)
-        for route in (bivariate.monic_eval_raising, bivariate.monic_eval_hyp):
-            yield (*cell, route.__name__), route(sys2, *cell) - ref
-
-    max_disc, counter = scan(box.cells(), residuals)
-    return [
-        EvalReport(
-            identity="route-equivalence",
-            box=box,
-            mode=ScalarMode.EXACT,
-            max_abs_discrepancy=max_disc,
-            counterexample=counter,
-        )
+    candidates = [
+        (route.__name__, functools.partial(route, sys2))
+        for route in (bivariate.monic_eval_raising, bivariate.monic_eval_hyp)
     ]
+    oracle = functools.partial(bivariate.monic_eval_gf, sys2)
+    return [_oracle_report("route-equivalence", box, box.cells(), oracle, candidates)]
 
 
 def suite_identity(config: SuiteConfig) -> List[EvalReport]:
@@ -179,77 +260,30 @@ def suite_orthogonality(config: SuiteConfig) -> List[EvalReport]:
     return [bivariate.check_orthogonality(sysf, box, tol)]
 
 
-def _expect_pattern(config: SuiteConfig, kinds: Sequence[str], what: str) -> List[SubgroupParam]:
-    params = config.subgroup
-    if params is None:
-        raise PreconditionError(f"suite {config.suite} needs --subgroup with factors {what}")
-    if tuple(p.kind for p in params) != tuple(kinds):
-        raise PreconditionError(f"suite {config.suite} needs factors {what}")
-    return list(params)
+FACTORIZATION_PARAMS = (
+    SubgroupParam("boost", (2, 3), Fraction(2)),
+    SubgroupParam("boost", (1, 3), Fraction(3)),
+)
+# suite: (closed form, default factors, report identity, default box)
+CLOSED_FORM_SUITES = {
+    "factorization": ("tratnik", FACTORIZATION_PARAMS, "factorization", DEFAULT_BOX),
+    "dompe3": ("dompe3", CANONICAL_PARAMS, "general-closed-form", LatticeBox(4, 4, 3, 3)),
+}
 
 
-def suite_factorization(config: SuiteConfig) -> List[EvalReport]:
-    """Closed product form against the oracle for a boost(2,3) boost(1,3) matrix."""
-    if config.subgroup is None:
-        config.subgroup = [
-            SubgroupParam("boost", (2, 3), Fraction(2)),
-            SubgroupParam("boost", (1, 3), Fraction(3)),
-        ]
-    psi, xi = _expect_pattern(config, ("boost", "boost"), "boost:2,3:T boost:1,3:T")
-    if psi.plane != (2, 3) or xi.plane != (1, 3):
-        raise PreconditionError("factorization expects planes (2,3) then (1,3)")
-    lam = product_of(config.subgroup, 2)
-    sys2 = bivariate.MeixnerSystem(config.beta, lam, ScalarMode.EXACT)
-    box = config.box or DEFAULT_BOX
-    max_disc, counter = scan(
-        box.cells(),
-        lambda cell: [(
-            cell,
-            bivariate.factorized_eval(config.beta, xi.value, psi.value, *cell)
-            - bivariate.monic_eval_gf(sys2, *cell),
-        )],
+def suite_closed_form(config: SuiteConfig) -> List[EvalReport]:
+    """The suite's closed form against the generating-function oracle, on
+    the --subgroup factors or else on the suite's default factors."""
+    route, params, identity, box = CLOSED_FORM_SUITES[config.suite]
+    if config.subgroup is not None:
+        params = config.subgroup
+    form = closed_form(route, config.beta, params)
+    lam = resolve_matrix(2, subgroup=params)
+    oracle = functools.partial(
+        bivariate.monic_eval_gf, bivariate.MeixnerSystem(config.beta, lam, ScalarMode.EXACT)
     )
-    return [
-        EvalReport(
-            identity="factorization",
-            box=box,
-            mode=ScalarMode.EXACT,
-            max_abs_discrepancy=max_disc,
-            counterexample=counter,
-        )
-    ]
-
-
-def suite_dompe3(config: SuiteConfig) -> List[EvalReport]:
-    """General single-sum closed form against the oracle for a
-    rotation boost(2,3) rotation matrix."""
-    if config.subgroup is None:
-        config.subgroup = list(CANONICAL_PARAMS)
-    chi, psi, theta = _expect_pattern(
-        config, ("rotation", "boost", "rotation"), "rotation boost:2,3 rotation"
-    )
-    if psi.plane != (2, 3):
-        raise PreconditionError("the middle boost must act in the (2,3) plane")
-    lam = product_of(config.subgroup, 2)
-    sys2 = bivariate.MeixnerSystem(config.beta, lam, ScalarMode.EXACT)
-    box = config.box or LatticeBox(max_i=4, max_k=4, max_m=3, max_n=3)
-    max_disc, counter = scan(
-        box.cells(),
-        lambda cell: [(
-            cell,
-            bivariate.general_sum_eval(config.beta, chi.value, psi.value, theta.value, *cell)
-            - bivariate.monic_eval_gf(sys2, *cell),
-        )],
-    )
-    return [
-        EvalReport(
-            identity="general-closed-form",
-            box=box,
-            mode=ScalarMode.EXACT,
-            max_abs_discrepancy=max_disc,
-            counterexample=counter,
-        )
-    ]
+    box = config.box or box
+    return [_oracle_report(identity, box, box.cells(), oracle, [(None, form)])]
 
 
 def addition_tuples(seed: int, count: int = 10):
@@ -360,18 +394,18 @@ def suite_subgroup_unitarity(config: SuiteConfig) -> List[EvalReport]:
 
 
 def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
-    """Exact route agreement plus float orthogonality in d variables, on
-    ``config.matrix`` when given, else on a seeded d = 3 (or ``config.d``)
-    matrix."""
-    if config.matrix is not None:
-        lam = config.matrix
-        d = lam.d
-        if config.d not in (2, d):
-            raise ValueError(f"--d {config.d} disagrees with the d = {d} matrix")
+    """Exact route agreement plus float orthogonality in d variables.
+
+    d is --d, else the d of --matrix, else 3; the default matrix is seed 31,
+    and --seed draws as many factors as the default, at least 5.
+    """
+    if config.d is not None:
+        d = config.d
     else:
-        d = config.d if config.d != 2 else 3
-        seed = config.seed if config.seed is not None else 31
-        lam = random_matrix(seed, d, max(config.factors, 5))
+        d = config.matrix.d if config.matrix is not None else 3
+    lam = resolve_matrix(
+        d, config.matrix, config.seed, config.subgroup, max(config.factors, 5), default_seed=31
+    )
     sys_exact = multivariate.MeixnerSystemD(config.beta, lam, ScalarMode.EXACT)
     degree_max = config.degree_max if config.degree_max is not None else 3
     coord_max = config.coord_max if config.coord_max is not None else 3
@@ -387,20 +421,12 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
         for x in sorted(multivariate._simplex_lattice(coord_max * d, d))
         if max(x) <= coord_max
     ]
-    max_disc, counter = scan(
+    exact_report = _oracle_report(
+        "multivariate-route-equivalence",
+        {"d": d, "max_total_degree": degree_max, "coord_max": coord_max},
         itertools.product(degrees, points),
-        lambda cell: [(
-            cell,
-            multivariate.monic_eval_raising_d(sys_exact, *cell)
-            - multivariate.monic_eval_gf_d(sys_exact, *cell),
-        )],
-    )
-    exact_report = EvalReport(
-        identity="multivariate-route-equivalence",
-        box={"d": d, "max_total_degree": degree_max, "coord_max": coord_max},
-        mode=ScalarMode.EXACT,
-        max_abs_discrepancy=max_disc,
-        counterexample=counter,
+        functools.partial(multivariate.monic_eval_gf_d, sys_exact),
+        [(None, functools.partial(multivariate.monic_eval_raising_d, sys_exact))],
     )
     tol = config.tol if config.tol is not None else 1e-7
     sys_float = multivariate.MeixnerSystemD(config.beta, lam, ScalarMode.FLOAT)
@@ -408,26 +434,47 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
     return [exact_report, float_report]
 
 
+@dataclass(frozen=True)
+class Suite:
+    """A suite's contract: its runner, the mode of its reports (None: exact
+    and float both), the matrix sources it reads, and the one d it runs at
+    (None: any d >= 1)."""
+
+    runner: Callable[[SuiteConfig], List[EvalReport]]
+    mode: Optional[ScalarMode]
+    sources: Tuple[str, ...]
+    d: Optional[int] = 2
+
+
 SUITES = {
-    "orthogonality": suite_orthogonality,
-    "recurrence": suite_identity,
-    "difference": suite_identity,
-    "lowering": suite_identity,
-    "duality": suite_identity,
-    "routes": suite_routes,
-    "factorization": suite_factorization,
-    "dompe3": suite_dompe3,
-    "addition": suite_addition,
-    "subgroup-unitarity": suite_subgroup_unitarity,
-    "multivariate": suite_multivariate,
+    "orthogonality": Suite(suite_orthogonality, ScalarMode.FLOAT, MATRIX_SOURCES),
+    "recurrence": Suite(suite_identity, ScalarMode.EXACT, MATRIX_SOURCES),
+    "difference": Suite(suite_identity, ScalarMode.EXACT, MATRIX_SOURCES),
+    "lowering": Suite(suite_identity, ScalarMode.EXACT, MATRIX_SOURCES),
+    "duality": Suite(suite_identity, ScalarMode.EXACT, MATRIX_SOURCES),
+    "routes": Suite(suite_routes, ScalarMode.EXACT, MATRIX_SOURCES),
+    "factorization": Suite(suite_closed_form, ScalarMode.EXACT, ("subgroup",)),
+    "dompe3": Suite(suite_closed_form, ScalarMode.EXACT, ("subgroup",)),
+    "addition": Suite(suite_addition, ScalarMode.FLOAT, ("seed",)),
+    "subgroup-unitarity": Suite(suite_subgroup_unitarity, ScalarMode.FLOAT, ()),
+    "multivariate": Suite(suite_multivariate, None, MATRIX_SOURCES, d=None),
 }
 
 
 def run_suite(config: SuiteConfig) -> List[EvalReport]:
+    """Run the named suite once the config keeps the suite's contract."""
     try:
-        runner = SUITES[config.suite]
+        suite = SUITES[config.suite]
     except KeyError:
         raise ValueError(
             f"unknown suite {config.suite!r}; choose from {sorted(SUITES)}"
         ) from None
-    return runner(config)
+    who = f"suite {config.suite}"
+    if config.mode is not None and suite.mode not in (None, config.mode):
+        raise ValueError(
+            f"{who} runs in {suite.mode.value} mode only; drop --mode {config.mode.value}"
+        )
+    check_sources(who, suite.sources, config.matrix, config.seed, config.subgroup)
+    if config.d is not None and (config.d < 1 or suite.d not in (None, config.d)):
+        raise ValueError(f"{who} cannot run at --d {config.d}")
+    return suite.runner(config)

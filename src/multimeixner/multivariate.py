@@ -630,7 +630,7 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
             raise NonConvergence(f"orthogonality sum did not settle within {SHELL_CAP} shells")
         bound = max(sum(abs(c) * shell**t for c, t in zip(row, mono_degrees)) for row in rows)
         bound_sq = bound * bound
-        shell_max = 0.0
+        start = gram  # gram is rebound below, never changed in place
         for x in _cube_surface(shell, d):
             if any(x):
                 i = _first_axis(x)
@@ -647,8 +647,7 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
             weighted = [wt * v for v in values]
             contribs = [wa * vb for a, wa in enumerate(weighted) for vb in values[a:]]
             gram = list(map(add, gram, contribs))
-            shell_max = max(shell_max, max(map(abs, contribs)))
-        if shell >= 1 and shell_max < threshold:
+        if shell >= 1 and max(abs(new - old) for new, old in zip(gram, start)) < threshold:
             break
         shell += 1
 

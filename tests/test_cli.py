@@ -1,13 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from multimeixner.cli import main
+from multimeixner.cli import _parse_subgroup, main
 from multimeixner.harness import random_matrix
-from multimeixner.lorentz import matrix_to_json
+from multimeixner.lorentz import matrix_to_json, product_of
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +138,46 @@ class TestEval:
         assert code == 0
         assert out == out2
 
+    def test_closed_form_checks_the_boost_plane(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--route", "dompe3", "--degrees", "2,1", "--point", "1,2",
+            "--subgroup", "rotation:1,2:1/2 boost:1,3:2 rotation:1,2:2/3",
+        )
+        assert code == 3
+        assert out == "" and err.startswith("error:") and "boost:2,3" in err
+
+    @pytest.mark.parametrize("route, spec", [
+        ("tratnik", "boost:2,3:2 boost:1,3:3"),
+        ("dompe3", "rotation:1,2:1/2 boost:2,3:2 rotation:1,2:2/3"),
+    ])
+    def test_closed_form_reads_only_subgroup(self, capsys, matrix_file, route, spec):
+        for source in (["--seed", "5"], ["--matrix", matrix_file]):
+            code, out, err = run_cli(
+                capsys, "eval", "--route", route, "--subgroup", spec,
+                "--degrees", "2,1", "--point", "1,2", *source,
+            )
+            assert code == 2
+            assert out == "" and err.startswith("error:") and source[0] in err
+
+
+# the matrix sources each suite reads; giving it any other is an input error
+SUITE_SOURCES = {
+    "orthogonality": {"--matrix", "--seed", "--subgroup"},
+    "recurrence": {"--matrix", "--seed", "--subgroup"},
+    "difference": {"--matrix", "--seed", "--subgroup"},
+    "lowering": {"--matrix", "--seed", "--subgroup"},
+    "duality": {"--matrix", "--seed", "--subgroup"},
+    "routes": {"--matrix", "--seed", "--subgroup"},
+    "factorization": {"--subgroup"},
+    "dompe3": {"--subgroup"},
+    "addition": {"--seed"},
+    "subgroup-unitarity": set(),
+    "multivariate": {"--matrix", "--seed", "--subgroup"},
+}
+SOURCE_VALUES = {"--seed": "5", "--subgroup": "boost:2,3:2 boost:1,3:3"}
+# a 4x4 product whose weight tail is short, so its Gram sum settles fast
+SUBGROUP_D3 = "boost:3,4:3/2 rotation:1,2:1/2 boost:1,4:4/3 rotation:2,3:1/3"
+
 
 class TestVerify:
     def test_recurrence_passes(self, capsys, matrix_file):
@@ -245,6 +287,51 @@ class TestVerify:
         assert code == 2
         assert out == "" and err.startswith("error:") and "--d" in err
 
+    @pytest.mark.parametrize("suite, source", [
+        (suite, source)
+        for suite, reads in SUITE_SOURCES.items()
+        for source in ("--matrix", "--seed", "--subgroup")
+        if source not in reads
+    ])
+    def test_unread_matrix_source_exits_2(self, capsys, matrix_file, suite, source):
+        value = matrix_file if source == "--matrix" else SOURCE_VALUES[source]
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, source, value)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and source in err
+
+    @pytest.mark.parametrize("suite", sorted(set(SUITE_SOURCES) - {"multivariate"}))
+    def test_d_other_than_2_exits_2(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--d", "3")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "--d" in err
+
+    def test_multivariate_runs_on_the_given_subgroup(self, capsys, tmp_path):
+        small = ["--degree-max", "0", "--coord-max", "1"]
+        path = tmp_path / "product.json"
+        path.write_text(matrix_to_json(product_of(_parse_subgroup(SUBGROUP_D3), 3)))
+        by_subgroup = run_cli(capsys, "verify", "--suite", "multivariate", *small,
+                              "--subgroup", SUBGROUP_D3)
+        by_matrix = run_cli(capsys, "verify", "--suite", "multivariate", *small,
+                            "--matrix", str(path))
+        default = run_cli(capsys, "verify", "--suite", "multivariate", *small)
+        assert by_subgroup[0] == 0
+        assert by_subgroup == by_matrix
+        assert by_subgroup[1] != default[1]
+        code, out, err = run_cli(capsys, "verify", "--suite", "multivariate", *small,
+                                 "--subgroup", SUBGROUP_D3, "--seed", "5")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "at most one" in err
+
+    def test_multivariate_keeps_d_and_tolerance(self, capsys):
+        small = ["--degree-max", "1", "--coord-max", "1", "--format", "json"]
+        code, out, err = run_cli(capsys, "verify", "--suite", "multivariate", "--d", "2", *small)
+        assert code == 0, err
+        assert [report["box"]["d"] for report in json.loads(out)] == [2, 2]
+        code, out, err = run_cli(capsys, "verify", "--suite", "multivariate", "--mode", "float",
+                                 "--degree-max", "0", "--coord-max", "0")
+        assert code == 0, err
+        assert out.splitlines()[1].endswith("tol=9.9999999999999995e-08")
+
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
@@ -302,6 +389,20 @@ class TestTable:
         assert out == ""
         assert err.startswith("error:") and "factor" in err
 
+    def test_too_few_factors_for_a_generic_product_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "--box", "1,1,1,1", "--seed", "3", "--factors", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--factors" in err
+
+
+    def test_d_other_than_2_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--box", "1,1,1,1", "--d", "3")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "--d" in err
+
 
 class TestGenMatrix:
     def test_round_trip_through_eval(self, capsys, tmp_path):
@@ -327,3 +428,114 @@ class TestGenMatrix:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "factor" in err
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract as a property: exit code 0-3 or a parser exit 2, an
+# error line with 2 and 3, and no exit 0 for an input the verb or suite
+# does not read
+
+SUITE_RUN_SIZE = {
+    "multivariate": ["--degree-max", "0", "--coord-max", "1"],
+    "addition": ["--tuples", "1"],
+}
+NUMBERS = ["2", "7/3", "1/2", "0", "-1", "nan", "inf", "3/0", "x"]
+TOLS = ["1e-8", "0", "-1e-8", "nan", "inf", "x"]
+BOXES = ["0,0,0,0", "1,0,0,1", "1,1,1,1", "1,1", "-1,0,0,0", "a,b,c,d"]
+SUBGROUPS = [
+    "boost:2,3:2 boost:1,3:3",
+    "rotation:1,2:1/2 boost:2,3:2 rotation:1,2:2/3",
+    SUBGROUP_D3,
+    "boost:2,3",
+    "spin:1,2:1",
+    "rotation:1:1/2",
+    "boost:2,3:-1",
+    ";",
+]
+DIMENSIONS = ["-1", "0", "1", "2", "3"]
+
+
+@pytest.fixture(scope="module")
+def matrix_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("matrices")
+    files = {"missing": str(root / "missing.json")}
+    for name, text in {
+        "d2": matrix_to_json(random_matrix(7, 2, 4)),
+        "d3": matrix_to_json(random_matrix(5, 3, 5)),
+        "corrupt": '{"d": 2, "entries": [["1", "0", "0"], ["0", "1", "1"], ["0", "0", "1"]]}',
+        "garbled": "{not json",
+    }.items():
+        (root / f"{name}.json").write_text(text)
+        files[name] = str(root / f"{name}.json")
+    return files
+
+
+def _optional(data, flag, values):
+    value = data.draw(st.none() | st.sampled_from(values))
+    return [] if value is None else [flag, value]
+
+
+def _draw_argv(data, matrix_files):
+    """An argument vector and what its verb or suite reads of it: the
+    matrix sources, and whether the --d given (if any) is one it runs at."""
+    verb = data.draw(st.sampled_from(["eval", "verify", "table", "gen-matrix"]))
+    argv = [verb]
+    given = set()
+    for flag, values in (
+        ("--matrix", sorted(matrix_files.values())),
+        ("--seed", ["5", "31", "-1"]),
+        ("--subgroup", SUBGROUPS),
+    ):
+        value = data.draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+            given.add(flag)
+    argv += _optional(data, "--factors", ["-1", "0", "4"])
+    d_args = _optional(data, "--d", DIMENSIONS)
+    d = int(d_args[1]) if d_args else None
+    argv += d_args
+    if verb == "gen-matrix":
+        return argv, {"--seed"}, d is None or d >= 1
+    argv += _optional(data, "--beta", NUMBERS)
+    if verb == "eval":
+        arity = data.draw(st.integers(1, 3))
+        cells = st.lists(st.integers(-1, 3), min_size=arity, max_size=arity)
+        route = data.draw(st.sampled_from(["raising", "gf", "hyp", "tratnik", "dompe3"]))
+        argv += ["--route", route]
+        argv += ["--degrees", ",".join(map(str, data.draw(cells)))]
+        argv += ["--point", ",".join(map(str, data.draw(cells)))]
+        argv += _optional(data, "--mode", ["exact", "float"])
+        argv += _optional(data, "--value", ["monic", "orthonormal", "matrix-element"])
+        closed = route in ("tratnik", "dompe3")
+        reads = {"--subgroup"} if closed else {"--matrix", "--seed", "--subgroup"}
+        return argv, reads, d is None or d == arity
+    argv += ["--box", data.draw(st.sampled_from(BOXES))]
+    if verb == "table":
+        argv += _optional(data, "--route", ["raising", "gf", "hyp"])
+        return argv, {"--matrix", "--seed", "--subgroup"}, d in (None, 2)
+    suite = data.draw(st.sampled_from(sorted(SUITE_SOURCES)))
+    argv += ["--suite", suite, *SUITE_RUN_SIZE.get(suite, [])]
+    argv += _optional(data, "--mode", ["exact", "float"])
+    argv += _optional(data, "--tol", TOLS)
+    argv += _optional(data, "--format", ["text", "json"])
+    d_ok = d is None or (d >= 1 if suite == "multivariate" else d == 2)
+    return argv, SUITE_SOURCES[suite], d_ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_contract(matrix_files, data):
+    argv, reads, d_ok = _draw_argv(data, matrix_files)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert "error:" in err.getvalue()
+    if code == 0:
+        assert set(argv) & {"--matrix", "--seed", "--subgroup"} <= reads
+        assert d_ok
