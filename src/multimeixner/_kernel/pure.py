@@ -1,10 +1,12 @@
 """Pure-Python kernel: the inner loops behind series products and the
 finite hypergeometric quadruple sum.
 
-Both entry points clear denominators up front (one lcm per input list),
-run the hot loop in plain big-integer arithmetic, and rebuild exact
-rationals once per output value, so the per-term gcd cost of Fraction
-arithmetic never enters the loop.
+Both loops run in plain big-integer arithmetic, so the per-term gcd cost
+of Fraction arithmetic never enters them.  The series product clears
+its inputs' denominators up front (one lcm per input map) and rebuilds
+one rational per output coefficient.  The hypergeometric sum takes rows
+its caller has already cleared to integers and returns the integer
+total; the caller divides by the product of the row denominators.
 """
 
 from __future__ import annotations
@@ -63,39 +65,32 @@ def mul_trunc(a, b, cutoff):
 
 def hyp_sum(m, n, i, k, negm, negn, negi, negk, invbeta, p11, p21, p12, p22):
     """Accumulate the four-index terminating sum used by the closed-form
-    polynomial route.
+    polynomial route, in integers.
 
     ``negm[t]`` holds the rising factorial of -m at length t (similarly for
     n, i, k), ``invbeta[t]`` the reciprocal rising factorial of the base
-    parameter, and ``pXY[e]`` the e-th power of (1 - uXY) divided by e!.
-    Loop bounds come from the vanishing of the rising factorials, so the
-    sum is exact and finite.
+    parameter, and ``pXY[e]`` the e-th power of (1 - uXY) divided by e!,
+    each of the last five as integer numerators over one denominator per
+    row.  The return value is the sum over the product of those five
+    denominators.  Loop bounds come from the vanishing of the rising
+    factorials, so the sum is exact and finite.
     """
-    dm, jm = _scaled_list(negm)
-    dn, jn = _scaled_list(negn)
-    di, ji = _scaled_list(negi)
-    dk, jk = _scaled_list(negk)
-    db, jb = _scaled_list(invbeta)
-    d11, j11 = _scaled_list(p11)
-    d21, j21 = _scaled_list(p21)
-    d12, j12 = _scaled_list(p12)
-    d22, j22 = _scaled_list(p22)
     total = 0
     for mu in range(min(m, i) + 1):
         for rho in range(min(n, i - mu) + 1):
-            outer = ji[mu + rho] * j11[mu] * j12[rho]
+            outer = negi[mu + rho] * p11[mu] * p12[rho]
             if not outer:
                 continue
             for nu in range(min(m - mu, k) + 1):
-                a = outer * jm[mu + nu] * j21[nu]
+                a = outer * negm[mu + nu] * p21[nu]
                 if not a:
                     continue
                 for sigma in range(min(n - rho, k - nu) + 1):
                     total += (
                         a
-                        * jn[rho + sigma]
-                        * jk[nu + sigma]
-                        * jb[mu + nu + rho + sigma]
-                        * j22[sigma]
+                        * negn[rho + sigma]
+                        * negk[nu + sigma]
+                        * invbeta[mu + nu + rho + sigma]
+                        * p22[sigma]
                     )
-    return Fraction(total, dm * dn * di * dk * db * d11 * d21 * d12 * d22)
+    return total

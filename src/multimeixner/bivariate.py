@@ -30,10 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import multivariate
 from ._kernel import hyp_sum
+from ._kernel.pure import _scaled_list
 from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
 from .lorentz import PseudoRotation, compose, identity as lorentz_identity
 from .multivariate import (
@@ -68,7 +69,9 @@ class MeixnerSystem(MeixnerSystemD):
     the u parameters under the names the d = 2 formulas use.
 
     The names are plain attributes copied at construction; the routes and
-    the checkers read ``lam``, ``c`` and ``u``.
+    the checkers read ``lam``, ``c`` and ``u``.  ``_hyp_cache`` maps
+    (row, length) to a row of the hypergeometric sum cleared to integers,
+    built on first use and, like the core's caches, never invalidated.
     """
 
     def __init__(self, beta, lam: PseudoRotation, mode=ScalarMode.EXACT):
@@ -81,6 +84,7 @@ class MeixnerSystem(MeixnerSystemD):
         (self.l31, self.l32, self.l33) = e[2]
         (self.c1, self.c2) = self.c
         ((self.u11, self.u12), (self.u21, self.u22)) = self.u
+        self._hyp_cache: Dict[Tuple[object, int], Tuple[int, List[int]]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -147,28 +151,52 @@ def monic_eval_raising(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fr
 def monic_eval_hyp(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fraction:
     _check_degrees(m, n)
     _check_point(i, k)
-    # each list only as long as the sum reads it: negm, negn and invb are
+    # each row only as long as the sum reads it: negm, negn and invb are
     # read at mu + nu, rho + sigma and their total, with mu + rho <= i and
     # nu + sigma <= k, so never past i + k
-    negm = [pochhammer(-m, t) for t in range(min(m, i + k) + 1)]
-    negn = [pochhammer(-n, t) for t in range(min(n, i + k) + 1)]
-    negi = [pochhammer(-i, t) for t in range(min(i, m + n) + 1)]
-    negk = [pochhammer(-k, t) for t in range(min(k, m + n) + 1)]
-    invb = [1 / pochhammer(sys.beta, t) for t in range(min(m + n, i + k) + 1)]
-    (u11, u12), (u21, u22) = sys.u
-    p11 = _powers_over_factorials(1 - u11, min(m, i))
-    p21 = _powers_over_factorials(1 - u21, min(m, k))
-    p12 = _powers_over_factorials(1 - u12, min(n, i))
-    p22 = _powers_over_factorials(1 - u22, min(n, k))
+    negm = _rising_of_negative(m, min(m, i + k))
+    negn = _rising_of_negative(n, min(n, i + k))
+    negi = _rising_of_negative(i, min(i, m + n))
+    negk = _rising_of_negative(k, min(k, m + n))
+    db, invb = _hyp_row(sys, "invbeta", min(m + n, i + k))
+    d11, p11 = _hyp_row(sys, (0, 0), min(m, i))
+    d21, p21 = _hyp_row(sys, (1, 0), min(m, k))
+    d12, p12 = _hyp_row(sys, (0, 1), min(n, i))
+    d22, p22 = _hyp_row(sys, (1, 1), min(n, k))
     total = hyp_sum(m, n, i, k, negm, negn, negi, negk, invb, p11, p21, p12, p22)
-    return Fraction(total)
+    return Fraction(total, db * d11 * d21 * d12 * d22)
 
 
-def _powers_over_factorials(x: Fraction, top: int):
-    out = [Fraction(1)]
-    for e in range(1, top + 1):
-        out.append(out[-1] * x / e)
+def _rising_of_negative(a: int, top: int):
+    """(-a)_t for t = 0..top, as integers."""
+    out = [1]
+    for s in range(top):
+        out.append(out[-1] * (s - a))
     return out
+
+
+def _hyp_row(sys: MeixnerSystem, row, length: int):
+    """The system's row ``row`` of the hypergeometric sum up to ``length``,
+    as (denominator, integer numerators), cleared on first use.
+
+    ``"invbeta"`` is 1/(b)_t = q^t / prod_{s<t} (p + s q) for b = p/q; a
+    pair (a, c) is (1 - u[a][c])^e / e!.  Both are read from the integer
+    parameters the system's store was cleared from at construction.
+    """
+    key = (row, length)
+    cached = sys._hyp_cache.get(key)
+    if cached is None:
+        store = sys._gf_cache
+        if row == "invbeta":
+            values = [Fraction(store.q**t, store.rising(t)) for t in range(length + 1)]
+        else:
+            a, c = row
+            base = Fraction(store.denom - store.rows[a][c], store.denom)
+            values = [Fraction(1)]
+            for e in range(1, length + 1):
+                values.append(values[-1] * base / e)
+        cached = sys._hyp_cache[key] = _scaled_list(values)
+    return cached
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,10 @@ def random_matrix(
     """Deterministic generic product of boosts and rotations."""
     if d < 1:
         raise ValueError(f"--d must be at least 1, got {d}")
-    if num_factors < 1:
-        raise ValueError(f"need at least one factor, got {num_factors}")
+    # every factor mixes two of the d + 1 axes, and a last row and column
+    # with no zero entry needs the factor planes to connect all of them
+    if num_factors < d:
+        raise ValueError(f"--factors must be at least d = {d}, got {num_factors}")
     rng = random.Random(seed)
     for _ in range(1000):
         params = [_random_factor(rng, d, gentle) for _ in range(num_factors)]
@@ -399,6 +401,13 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
     d is --d, else the d of --matrix, else 3; the default matrix is seed 31,
     and --seed draws as many factors as the default, at least 5.
     """
+    degree_max = config.degree_max if config.degree_max is not None else 3
+    coord_max = config.coord_max if config.coord_max is not None else 3
+    # a negative bound leaves no degree or no point to compare
+    if degree_max < 0:
+        raise ValueError(f"--degree-max must be non-negative, got {degree_max}")
+    if coord_max < 0:
+        raise ValueError(f"--coord-max must be non-negative, got {coord_max}")
     if config.d is not None:
         d = config.d
     else:
@@ -407,8 +416,6 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
         d, config.matrix, config.seed, config.subgroup, max(config.factors, 5), default_seed=31
     )
     sys_exact = multivariate.MeixnerSystemD(config.beta, lam, ScalarMode.EXACT)
-    degree_max = config.degree_max if config.degree_max is not None else 3
-    coord_max = config.coord_max if config.coord_max is not None else 3
 
     degrees = [
         n

@@ -80,8 +80,9 @@ class MeixnerSystemD:
     """A (beta, Lambda) bundle in d variables with derived c and u parameters.
 
     Parameters must not change after construction: the value caches
-    (``_gf_cache``, the generating-function store, ``_raising_cache`` and
-    ``_poly_cache``) hold the u of construction cleared to integers and
+    (``_gf_cache``, the generating-function store, ``_raising_cache``,
+    ``_poly_cache`` and, at d = 2, the hypergeometric rows in
+    ``_hyp_cache``) hold the u of construction cleared to integers and
     are never invalidated, so a changed parameter would meet values
     computed from the old one.  Only the table-built exact checkers below
     re-read the current ``u`` and ``lam`` on every call.
@@ -107,9 +108,6 @@ class MeixnerSystemD:
             tuple(e[i][j] * corner / (e[i][last] * e[last][j]) for j in range(self.d))
             for i in range(self.d)
         )
-        # u over one common denominator, row by row, for the integer raising fill
-        self._u_denom, self._u_nums = _scaled_list([v for row in self.u for v in row])
-
         self._gf_cache = _GfStore(self.d, beta, self.u)
         self._raising_cache: Dict[Tuple[MultiIndex, MultiIndex, int], int] = {}
         self._poly_cache: Dict[MultiIndex, Dict[MultiIndex, Fraction]] = {}
@@ -305,7 +303,9 @@ def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]
                          - q sum_i A[i][j] y_i T[t+1, n](y - e_i),
 
     so a step costs integer products only and the value at n is rebuilt
-    as one rational.
+    as one rational, T[0, n](x) / (D^|n| prod_{s<|n|} (p + s q)).  The
+    cleared u and the integer rising products are those of the system's
+    generating-function store.
     """
     n = _as_multi_index(n, sys.d, "degrees")
     x = _as_multi_index(x, sys.d, "point")
@@ -327,18 +327,19 @@ def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]
         degree = lower
         shift += 1
 
-    p, q = sys.beta.numerator, sys.beta.denominator
-    denom = sys._u_denom
+    store = sys._gf_cache  # its u cleared to integers and its rising table
+    p, q, denom = store.p, store.q, store.denom
     below = cache.get  # degree-zero values are 1 at every point and are not stored
     for degree, j, lower, shift, points in reversed(levels):
-        col = [q * sys._u_nums[i * d + j] for i in range(d)]
+        col = [q * store.rows[i][j] for i in range(d)]
         for y in points:
             acc = denom * (q * (sum(y) + shift) + p) * below((lower, y, shift + 1), 1)
             for i in range(d):
                 if y[i]:
                     acc -= col[i] * y[i] * below((lower, _step_down(y, i), shift + 1), 1)
             cache[(degree, y, shift)] = acc
-    return Fraction(cache[(n, x, 0)]) / ((q * denom) ** total * pochhammer(sys.beta, total))
+    # (qD)^|n| (b)_|n| = D^|n| prod_{s<|n|} (p + s q)
+    return Fraction(cache[(n, x, 0)], denom**total * store.rising(total))
 
 
 # ---------------------------------------------------------------------------

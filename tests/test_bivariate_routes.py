@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
 
+from multimeixner._kernel.pure import hyp_sum
 from multimeixner.bivariate import (
     MeixnerSystem,
     amplitude_sq,
@@ -14,6 +16,7 @@ from multimeixner.bivariate import (
     weight,
 )
 from multimeixner.errors import ModeError, NonGenericMatrix
+from multimeixner.harness import random_matrix
 from multimeixner.lorentz import boost, compose, identity
 from multimeixner.numerics import ScalarMode, pochhammer, solve_linear_system
 
@@ -102,6 +105,81 @@ class TestRouteEquivalence:
 
             for probe in ((deg + 1, 0), (deg, deg), (0, deg + 2), (3, 4)):
                 assert interp(*probe) == monic_eval_gf(sys2, m, n, *probe)
+
+
+class TestHypRows:
+    """The hypergeometric route reads each system's rows, cleared to
+    integers once per (row, length)."""
+
+    SMALL = [(m, n, i, k) for m in range(3) for n in range(3 - m) for i in range(3) for k in range(3)]
+    LARGE = [(m, n, i, k) for m, n in ((4, 2), (1, 5), (3, 3)) for i, k in ((5, 6), (7, 2), (2, 7))]
+
+    @pytest.mark.parametrize("beta", [F(1), F(2), F(7, 3)])
+    def test_fill_order_does_not_matter(self, beta):
+        lam = random_matrix(42, 2, 4)
+        oracle = MeixnerSystem(beta, lam)
+        small_first, large_first = MeixnerSystem(beta, lam), MeixnerSystem(beta, lam)
+        for sys2, cells in ((small_first, self.SMALL + self.LARGE),
+                            (large_first, self.LARGE + self.SMALL)):
+            for cell in cells:
+                assert monic_eval_hyp(sys2, *cell) == monic_eval_gf(oracle, *cell)
+            lengths = {length for row, length in sys2._hyp_cache if row == (0, 0)}
+            assert len(lengths) > 1  # rows of several lengths side by side
+        assert small_first._hyp_cache.keys() == large_first._hyp_cache.keys()
+
+    def test_rows_belong_to_one_system(self, canonical_matrix):
+        first, second = MeixnerSystem(2, canonical_matrix), MeixnerSystem(2, canonical_matrix)
+        assert not first._hyp_cache and not second._hyp_cache
+        monic_eval_hyp(first, 2, 1, 3, 2)
+        assert first._hyp_cache and not second._hyp_cache
+        monic_eval_hyp(second, 2, 1, 3, 2)
+        assert first._hyp_cache.keys() == second._hyp_cache.keys()
+        for key, (denom, nums) in first._hyp_cache.items():
+            assert second._hyp_cache[key][1] is not nums
+
+    def test_kernel_on_cleared_rows_matches_fraction_sum(self):
+        m, n, i, k = 2, 3, 3, 2
+        beta = F(7, 3)
+        x11, x21, x12, x22 = F(1, 2), F(-2, 3), F(3, 5), F(5, 7)  # the 1 - u bases
+
+        def power(x, e):
+            return x**e / math.factorial(e)
+
+        def rising_neg(a, top):
+            return [int(pochhammer(-a, t)) for t in range(top + 1)]
+
+        def cleared(values):
+            # one common (not the least) denominator per row
+            denom = math.prod(v.denominator for v in values)
+            return denom, [int(v * denom) for v in values]
+
+        def cleared_powers(x, top):
+            return cleared([power(x, e) for e in range(top + 1)])
+
+        db, invb = cleared([1 / pochhammer(beta, t) for t in range(min(m + n, i + k) + 1)])
+        d11, p11 = cleared_powers(x11, min(m, i))
+        d21, p21 = cleared_powers(x21, min(m, k))
+        d12, p12 = cleared_powers(x12, min(n, i))
+        d22, p22 = cleared_powers(x22, min(n, k))
+        total = hyp_sum(
+            m, n, i, k,
+            rising_neg(m, min(m, i + k)), rising_neg(n, min(n, i + k)),
+            rising_neg(i, min(i, m + n)), rising_neg(k, min(k, m + n)),
+            invb, p11, p21, p12, p22,
+        )
+        assert isinstance(total, int)
+
+        brute = F(0)
+        top = max(m, n, i, k)
+        for mu, nu, rho, sigma in itertools.product(range(top + 1), repeat=4):
+            brute += (
+                pochhammer(-m, mu + nu) * pochhammer(-n, rho + sigma)
+                * pochhammer(-i, mu + rho) * pochhammer(-k, nu + sigma)
+                / pochhammer(beta, mu + nu + rho + sigma)
+                * power(x11, mu) * power(x21, nu) * power(x12, rho) * power(x22, sigma)
+            )
+        assert brute != 0
+        assert F(total, db * d11 * d21 * d12 * d22) == brute
 
 
 class TestWeight:

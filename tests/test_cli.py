@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -238,6 +239,17 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and "--tuples" in err
 
+    @pytest.mark.parametrize(
+        "bounds, flag",
+        [(["--coord-max", "-1", "--degree-max", "0"], "--coord-max"),
+         (["--degree-max", "-1", "--coord-max", "1"], "--degree-max")],
+    )
+    def test_multivariate_without_degrees_or_points_exits_2(self, capsys, bounds, flag):
+        code, out, err = run_cli(capsys, "verify", "--suite", "multivariate", *bounds)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+
     def test_multivariate_names_bad_dimension(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "multivariate", "--d", "0")
         assert code == 2
@@ -428,6 +440,16 @@ class TestGenMatrix:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "factor" in err
+
+    def test_fewer_factors_than_d_exits_2_before_drawing(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gen-matrix", "--seed", "3", "--d", "8")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--factors" in err and "8" in err
+        code, out, _ = run_cli(capsys, "gen-matrix", "--seed", "3", "--d", "4", "--factors", "4")
+        assert code == 0 and json.loads(out)["d"] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from multimeixner.multivariate import (
     weight_d,
 )
 from multimeixner.numerics import ScalarMode, pochhammer, series_geom_pow, series_mul
-from multimeixner.reports import LatticeBox
+from multimeixner.reports import LatticeBox, lattice
 from multimeixner.univariate import meixner
 
 D3_SEED = 7
@@ -135,6 +135,20 @@ class TestRaisingRoute:
             for x in ((1, 1, 1), (2, 0, 3)):
                 assert monic_eval_raising_d(sysd, n, x) == monic_eval_gf_d(sysd, n, x)
 
+    @pytest.mark.parametrize("d, factors", [(2, 4), (3, 5)])
+    def test_one_normalisation_reads_the_store_rising_table(self, d, factors):
+        # beta = 7/3 puts q = 3 into the rising products the store and the
+        # raising route share
+        sysd = MeixnerSystemD(F(7, 3), random_matrix(13, d, factors))
+        fresh = MeixnerSystemD(F(7, 3), random_matrix(13, d, factors))
+        degrees = [n for n in sorted(lattice((3,) * d)) if sum(n) <= 4]
+        points = [x for x in sorted(lattice((2,) * d)) if sum(x) <= 3]
+        for n in degrees:
+            for x in points:
+                assert monic_eval_raising_d(sysd, n, x) == monic_eval_gf_d(fresh, n, x)
+        store = sysd._gf_cache
+        assert len(store._rising) == 5 and not store  # filled by the raising route alone
+
     def test_d1_reduces_to_univariate_meixner(self):
         lam = boost((1, 2), 3, 1)
         sysd = MeixnerSystemD(2, lam)
@@ -170,7 +184,7 @@ class TestOrthogonality:
 
     def test_matches_bivariate_checker(self):
         from multimeixner.bivariate import check_orthogonality
-        from multimeixner.reports import LatticeBox
+        from multimeixner.reports import LatticeBox, lattice
 
         lam = random_matrix(23, 2, 4)
         rep_d = check_orthogonality_d(MeixnerSystemD(2, lam, ScalarMode.FLOAT), 1, 1e-8)
