@@ -33,8 +33,6 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from . import multivariate
-from ._kernel import hyp_sum
-from ._kernel.pure import _scaled_list
 from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
 from .lorentz import PseudoRotation, compose, identity as lorentz_identity
 from .multivariate import (
@@ -52,6 +50,7 @@ from .multivariate import (
 )
 from .numerics import (
     ScalarMode,
+    _scaled_list,
     as_rational,
     pochhammer,
     require_tol,
@@ -65,25 +64,17 @@ from .univariate import krawtchouk, meixner
 
 
 class MeixnerSystem(MeixnerSystemD):
-    """The d = 2 system, with the matrix entries, the weight parameters and
-    the u parameters under the names the d = 2 formulas use.
+    """The d = 2 system.
 
-    The names are plain attributes copied at construction; the routes and
-    the checkers read ``lam``, ``c`` and ``u``.  ``_hyp_cache`` maps
-    (row, length) to a row of the hypergeometric sum cleared to integers,
-    built on first use and, like the core's caches, never invalidated.
+    ``_hyp_cache`` maps (row, length) to a row of the hypergeometric sum
+    cleared to integers, built on first use and, like the core's caches,
+    never invalidated.
     """
 
     def __init__(self, beta, lam: PseudoRotation, mode=ScalarMode.EXACT):
         if lam.d != 2:
             raise ValueError(f"MeixnerSystem needs a 3x3 matrix, got d={lam.d}")
         super().__init__(beta, lam, mode)
-        e = lam.entries
-        (self.l11, self.l12, self.l13) = e[0]
-        (self.l21, self.l22, self.l23) = e[1]
-        (self.l31, self.l32, self.l33) = e[2]
-        (self.c1, self.c2) = self.c
-        ((self.u11, self.u12), (self.u21, self.u22)) = self.u
         self._hyp_cache: Dict[Tuple[object, int], Tuple[int, List[int]]] = {}
 
 
@@ -100,6 +91,7 @@ def amplitude_sq(sys: MeixnerSystem, i: int, k: int):
     """Squared amplitude; coincides with weight() by the metric row relations."""
     _check_point(i, k)
     b = sys.beta
+    e = sys.lam.entries
     if sys.mode is ScalarMode.EXACT:
         if b.denominator != 1:
             raise ModeError(
@@ -108,15 +100,15 @@ def amplitude_sq(sys: MeixnerSystem, i: int, k: int):
         return (
             pochhammer(b, i + k)
             / (math.factorial(i) * math.factorial(k))
-            * sys.l33 ** (-2 * int(b) - 2 * i - 2 * k)
-            * sys.l13 ** (2 * i)
-            * sys.l23 ** (2 * k)
+            * e[2][2] ** (-2 * int(b) - 2 * i - 2 * k)
+            * e[0][2] ** (2 * i)
+            * e[1][2] ** (2 * k)
         )
     return (
         float(pochhammer(b, i + k) / (math.factorial(i) * math.factorial(k)))
-        * float(sys.l33) ** (-2 * float(b) - 2 * i - 2 * k)
-        * float(sys.l13) ** (2 * i)
-        * float(sys.l23) ** (2 * k)
+        * float(e[2][2]) ** (-2 * float(b) - 2 * i - 2 * k)
+        * float(e[0][2]) ** (2 * i)
+        * float(e[1][2]) ** (2 * k)
     )
 
 
@@ -165,6 +157,38 @@ def monic_eval_hyp(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fracti
     d22, p22 = _hyp_row(sys, (1, 1), min(n, k))
     total = hyp_sum(m, n, i, k, negm, negn, negi, negk, invb, p11, p21, p12, p22)
     return Fraction(total, db * d11 * d21 * d12 * d22)
+
+
+def hyp_sum(m, n, i, k, negm, negn, negi, negk, invbeta, p11, p21, p12, p22):
+    """Accumulate the four-index terminating sum, in integers.
+
+    ``negm[t]`` holds the rising factorial of -m at length t (similarly for
+    n, i, k), ``invbeta[t]`` the reciprocal rising factorial of the base
+    parameter, and ``pXY[e]`` the e-th power of (1 - uXY) divided by e!,
+    each of the last five as integer numerators over one denominator per
+    row.  The return value is the sum over the product of those five
+    denominators.  Loop bounds come from the vanishing of the rising
+    factorials, so the sum is exact and finite.
+    """
+    total = 0
+    for mu in range(min(m, i) + 1):
+        for rho in range(min(n, i - mu) + 1):
+            outer = negi[mu + rho] * p11[mu] * p12[rho]
+            if not outer:
+                continue
+            for nu in range(min(m - mu, k) + 1):
+                a = outer * negm[mu + nu] * p21[nu]
+                if not a:
+                    continue
+                for sigma in range(min(n - rho, k - nu) + 1):
+                    total += (
+                        a
+                        * negn[rho + sigma]
+                        * negk[nu + sigma]
+                        * invbeta[mu + nu + rho + sigma]
+                        * p22[sigma]
+                    )
+    return total
 
 
 def _rising_of_negative(a: int, top: int):

@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float)
     p_verify.add_argument("--degree-max", type=int, dest="degree_max")
     p_verify.add_argument("--coord-max", type=int, dest="coord_max")
-    p_verify.add_argument("--tuples", type=int, default=10)
+    p_verify.add_argument("--tuples", type=int, help="addition samples (default 10)")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     _add_matrix_source(p_verify)
     p_verify.set_defaults(func=cmd_verify)
@@ -190,7 +190,15 @@ def cmd_eval(args) -> int:
     if args.d is not None and args.d != d:
         raise MatrixValidationError(f"--d {args.d} disagrees with the {d} values of --degrees")
     if args.route in ("tratnik", "dompe3"):
-        harness.check_sources(f"route {args.route}", ("subgroup",), args.matrix, args.seed)
+        # the closed forms give exact monic values only
+        harness.check_reads(
+            f"route {args.route}",
+            ("subgroup",),
+            matrix=args.matrix,
+            seed=args.seed,
+            mode=None if args.mode == "exact" else args.mode,
+            value=None if args.value == "monic" else args.value,
+        )
         if d != 2:
             raise ValueError(f"route {args.route} runs at d = 2 only; --degrees has {d} values")
         form = harness.closed_form(args.route, args.beta, args.subgroup)

@@ -20,7 +20,7 @@ from . import bivariate, multivariate
 from .errors import MatrixValidationError, PreconditionError
 from .lorentz import PseudoRotation, SubgroupParam, is_generic, product_of
 from .numerics import ScalarMode, as_rational, require_tol
-from .reports import EvalReport, LatticeBox, scan
+from .reports import EvalReport, LatticeBox, lattice, scan
 
 CANONICAL_PARAMS = (
     SubgroupParam("rotation", (1, 2), Fraction(1, 2)),
@@ -74,19 +74,40 @@ def _dense_enough(lam: PseudoRotation, d: int) -> bool:
     return is_generic(lam)
 
 
+def _joins_all_axes(params: Sequence[SubgroupParam], d: int) -> bool:
+    """Whether the factor planes connect all d + 1 axes.
+
+    Each factor mixes only the two axes of its plane, so a product whose
+    planes leave an axis apart from the last one is block diagonal and
+    keeps a zero in its last row and column.
+    """
+    root = list(range(d + 2))  # union-find over the axes 1..d+1
+
+    def find(axis):
+        while root[axis] != axis:
+            axis = root[axis]
+        return axis
+
+    for param in params:
+        i, j = param.plane
+        root[find(i)] = find(j)
+    return len({find(axis) for axis in range(1, d + 2)}) == 1
+
+
 def random_matrix(
     seed: int, d: int = 2, num_factors: int = 4, gentle: bool = False
 ) -> PseudoRotation:
     """Deterministic generic product of boosts and rotations."""
     if d < 1:
         raise ValueError(f"--d must be at least 1, got {d}")
-    # every factor mixes two of the d + 1 axes, and a last row and column
-    # with no zero entry needs the factor planes to connect all of them
+    # a tree joining the d + 1 axes has d edges, one per factor plane
     if num_factors < d:
         raise ValueError(f"--factors must be at least d = {d}, got {num_factors}")
     rng = random.Random(seed)
     for _ in range(1000):
         params = [_random_factor(rng, d, gentle) for _ in range(num_factors)]
+        if not _joins_all_axes(params, d):
+            continue  # not generic; skipping it saves the product
         lam = product_of(params, d)
         if _dense_enough(lam, d):
             return lam
@@ -122,8 +143,8 @@ def resolve_matrix(
     --subgroup.
 
     With none of them it is the canonical matrix when d = 2 and no
-    ``default_seed`` is given, else the product of at least 5 factors
-    drawn from ``default_seed`` (0 when not given).
+    ``default_seed`` is given, else the product of at least 5 and at
+    least d factors drawn from ``default_seed`` (0 when not given).
     """
     if sum(source is not None for source in (matrix, seed, subgroup)) > 1:
         raise MatrixValidationError("give at most one of --matrix, --seed, --subgroup")
@@ -137,14 +158,15 @@ def resolve_matrix(
         return random_matrix(seed, d, factors)
     if default_seed is None and d == 2:
         return canonical_lambda()
-    return random_matrix(default_seed or 0, d, max(factors, 5))
+    return random_matrix(default_seed or 0, d, max(factors, 5, d))
 
 
-def check_sources(who: str, reads: Sequence[str], matrix=None, seed=None, subgroup=None):
-    """Reject a matrix source that ``who`` does not read."""
-    for flag, value in zip(MATRIX_SOURCES, (matrix, seed, subgroup)):
-        if value is not None and flag not in reads:
-            raise ValueError(f"{who} does not read --{flag}")
+def check_reads(who: str, reads: Sequence[str], **given):
+    """Reject a flag given to ``who`` (a keyword whose value is not None)
+    that it does not read."""
+    for name, value in given.items():
+        if value is not None and name not in reads:
+            raise ValueError(f"{who} does not read --{name.replace('_', '-')}")
 
 
 # factor patterns of the closed forms: (kind, plane), with plane None where
@@ -200,7 +222,7 @@ class SuiteConfig:
     tol: Optional[float] = None
     degree_max: Optional[int] = None
     coord_max: Optional[int] = None
-    tuples: int = 10
+    tuples: Optional[int] = None
 
     def __post_init__(self):
         self.beta = as_rational(self.beta)
@@ -303,13 +325,14 @@ def addition_tuples(seed: int, count: int = 10):
 
 
 def suite_addition(config: SuiteConfig) -> List[EvalReport]:
-    if config.tuples < 1:
-        raise ValueError(f"--tuples must be at least 1, got {config.tuples}")
+    tuples = config.tuples if config.tuples is not None else 10
+    if tuples < 1:
+        raise ValueError(f"--tuples must be at least 1, got {tuples}")
     tol = config.tol if config.tol is not None else 1e-8
     seed = config.seed if config.seed is not None else 2024
     max_disc = 0.0
     counter = None
-    for idx, (A, B, i, k, m, n) in enumerate(addition_tuples(seed, config.tuples)):
+    for idx, (A, B, i, k, m, n) in enumerate(addition_tuples(seed, tuples)):
         rep = bivariate.check_addition(A, B, config.beta, i, k, m, n, tol)
         disc = float(rep.max_abs_discrepancy)
         if disc > max_disc:
@@ -319,7 +342,7 @@ def suite_addition(config: SuiteConfig) -> List[EvalReport]:
     return [
         EvalReport(
             identity="addition",
-            box={"tuples": config.tuples, "seed": seed},
+            box={"tuples": tuples, "seed": seed},
             mode=ScalarMode.FLOAT,
             max_abs_discrepancy=max_disc,
             counterexample=counter,
@@ -399,7 +422,8 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
     """Exact route agreement plus float orthogonality in d variables.
 
     d is --d, else the d of --matrix, else 3; the default matrix is seed 31,
-    and --seed draws as many factors as the default, at least 5.
+    and --seed draws as many factors as the default, at least 5 and at
+    least d.
     """
     degree_max = config.degree_max if config.degree_max is not None else 3
     coord_max = config.coord_max if config.coord_max is not None else 3
@@ -413,21 +437,12 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
     else:
         d = config.matrix.d if config.matrix is not None else 3
     lam = resolve_matrix(
-        d, config.matrix, config.seed, config.subgroup, max(config.factors, 5), default_seed=31
+        d, config.matrix, config.seed, config.subgroup, max(config.factors, 5, d), default_seed=31
     )
     sys_exact = multivariate.MeixnerSystemD(config.beta, lam, ScalarMode.EXACT)
 
-    degrees = [
-        n
-        for total in range(degree_max + 1)
-        for n in sorted(multivariate._simplex_lattice(degree_max, d))
-        if sum(n) == total
-    ]
-    points = [
-        x
-        for x in sorted(multivariate._simplex_lattice(coord_max * d, d))
-        if max(x) <= coord_max
-    ]
+    degrees = list(multivariate._simplex_lattice(degree_max, d))
+    points = lattice((coord_max,) * d)
     exact_report = _oracle_report(
         "multivariate-route-equivalence",
         {"d": d, "max_total_degree": degree_max, "coord_max": coord_max},
@@ -444,27 +459,32 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
 @dataclass(frozen=True)
 class Suite:
     """A suite's contract: its runner, the mode of its reports (None: exact
-    and float both), the matrix sources it reads, and the one d it runs at
-    (None: any d >= 1)."""
+    and float both), the ``SuiteConfig`` flags it reads of ``FLAGS``, and
+    the one d it runs at (None: any d >= 1)."""
 
     runner: Callable[[SuiteConfig], List[EvalReport]]
     mode: Optional[ScalarMode]
-    sources: Tuple[str, ...]
+    reads: Tuple[str, ...]
     d: Optional[int] = 2
 
 
+# the flags a run may leave unset; a suite must read every one it is given
+FLAGS = (*MATRIX_SOURCES, "box", "tol", "tuples", "degree_max", "coord_max")
+MATRIX_AND_BOX = (*MATRIX_SOURCES, "box")
 SUITES = {
-    "orthogonality": Suite(suite_orthogonality, ScalarMode.FLOAT, MATRIX_SOURCES),
-    "recurrence": Suite(suite_identity, ScalarMode.EXACT, MATRIX_SOURCES),
-    "difference": Suite(suite_identity, ScalarMode.EXACT, MATRIX_SOURCES),
-    "lowering": Suite(suite_identity, ScalarMode.EXACT, MATRIX_SOURCES),
-    "duality": Suite(suite_identity, ScalarMode.EXACT, MATRIX_SOURCES),
-    "routes": Suite(suite_routes, ScalarMode.EXACT, MATRIX_SOURCES),
-    "factorization": Suite(suite_closed_form, ScalarMode.EXACT, ("subgroup",)),
-    "dompe3": Suite(suite_closed_form, ScalarMode.EXACT, ("subgroup",)),
-    "addition": Suite(suite_addition, ScalarMode.FLOAT, ("seed",)),
-    "subgroup-unitarity": Suite(suite_subgroup_unitarity, ScalarMode.FLOAT, ()),
-    "multivariate": Suite(suite_multivariate, None, MATRIX_SOURCES, d=None),
+    "orthogonality": Suite(suite_orthogonality, ScalarMode.FLOAT, (*MATRIX_AND_BOX, "tol")),
+    "recurrence": Suite(suite_identity, ScalarMode.EXACT, MATRIX_AND_BOX),
+    "difference": Suite(suite_identity, ScalarMode.EXACT, MATRIX_AND_BOX),
+    "lowering": Suite(suite_identity, ScalarMode.EXACT, MATRIX_AND_BOX),
+    "duality": Suite(suite_identity, ScalarMode.EXACT, MATRIX_AND_BOX),
+    "routes": Suite(suite_routes, ScalarMode.EXACT, MATRIX_AND_BOX),
+    "factorization": Suite(suite_closed_form, ScalarMode.EXACT, ("subgroup", "box")),
+    "dompe3": Suite(suite_closed_form, ScalarMode.EXACT, ("subgroup", "box")),
+    "addition": Suite(suite_addition, ScalarMode.FLOAT, ("seed", "tol", "tuples")),
+    "subgroup-unitarity": Suite(suite_subgroup_unitarity, ScalarMode.FLOAT, ("tol",)),
+    "multivariate": Suite(
+        suite_multivariate, None, (*MATRIX_SOURCES, "tol", "degree_max", "coord_max"), d=None
+    ),
 }
 
 
@@ -481,7 +501,7 @@ def run_suite(config: SuiteConfig) -> List[EvalReport]:
         raise ValueError(
             f"{who} runs in {suite.mode.value} mode only; drop --mode {config.mode.value}"
         )
-    check_sources(who, suite.sources, config.matrix, config.seed, config.subgroup)
+    check_reads(who, suite.reads, **{name: getattr(config, name) for name in FLAGS})
     if config.d is not None and (config.d < 1 or suite.d not in (None, config.d)):
         raise ValueError(f"{who} cannot run at --d {config.d}")
     return suite.runner(config)

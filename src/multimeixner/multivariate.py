@@ -9,10 +9,9 @@ points, since G_{x+e_i} and G_x differ by one factor, in plain integers.
 A system keeps its own store; each exact checker fills a fresh one.
 
 The bivariate module builds on this core: its ``MeixnerSystem`` is the
-d = 2 case with the matrix entries under their usual names, its checkers
-call the ones here on a ``LatticeBox``, and it adds what is stated for
-d = 2 only (the hypergeometric sum, the closed forms, the subgroup matrix
-elements and the addition formula).
+d = 2 case, its checkers call the ones here on a ``LatticeBox``, and it
+adds what is stated for d = 2 only (the hypergeometric sum, the closed
+forms, the subgroup matrix elements and the addition formula).
 
 The raising recursion is
 
@@ -34,12 +33,12 @@ from functools import lru_cache
 from operator import add, mul, sub
 from typing import Dict, List, Sequence, Tuple
 
-from ._kernel.pure import _scaled_list
 from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
 from .lorentz import PseudoRotation, inverse_tilde, require_generic
 from .numerics import (
     ScalarMode,
     _exponents_of_degree,
+    _scaled_list,
     as_rational,
     pochhammer,
     require_tol,
@@ -347,14 +346,10 @@ def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]
 
 
 def _simplex_lattice(total: int, d: int):
-    """Lattice points of d coordinates with coordinate sum at most ``total``."""
-    if d == 1:
-        for t in range(total + 1):
-            yield (t,)
-        return
-    for first in range(total + 1):
-        for rest in _simplex_lattice(total - first, d - 1):
-            yield (first,) + rest
+    """Lattice points of d coordinates with coordinate sum at most ``total``,
+    in graded order: by coordinate sum, lexicographic within each sum."""
+    for t in range(total + 1):
+        yield from _exponents_of_degree(t, d)
 
 
 def monic_poly_coeffs_d(sys: MeixnerSystemD, n: Sequence[int]) -> Dict[MultiIndex, Fraction]:
@@ -600,7 +595,7 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
     top = max(map(sum, degrees))
     # monomials in graded order: those of degree <= t come first, and each
     # but the first is an earlier one times one variable
-    monos = sorted(_simplex_lattice(top, d), key=lambda mono: (sum(mono), mono))
+    monos = list(_simplex_lattice(top, d))
     index = {mono: pos for pos, mono in enumerate(monos)}
     steps = []
     for mono in monos[1:]:

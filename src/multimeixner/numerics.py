@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from ._kernel import mul_trunc
-
 Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
@@ -136,6 +134,51 @@ class TruncatedSeries:
         if len(terms) > 6:
             shown += ", ..."
         return f"TruncatedSeries(g={self.num_vars}, D={self.cutoff}, {{{shown}}})"
+
+
+def _scaled_list(values):
+    """Common denominator of the rationals and their integer numerators over it."""
+    denom = 1
+    for v in values:
+        denom = math.lcm(denom, v.denominator)
+    return denom, [v.numerator * (denom // v.denominator) for v in values]
+
+
+def _scaled_items(coeffs):
+    """Common denominator and integer-scaled (degree, exponents, value) rows."""
+    denom, nums = _scaled_list(coeffs.values())
+    return denom, sorted(zip(map(sum, coeffs), coeffs, nums))
+
+
+def mul_trunc(a, b, cutoff):
+    """Multiply two sparse coefficient maps, discarding total degree > cutoff.
+
+    Keys are exponent tuples, values exact rationals.  The product runs in
+    big integers: each input's denominators are cleared up front (one lcm
+    per map) and one rational is rebuilt per output coefficient.  Entries
+    that cancel to zero are dropped so the representation stays canonical.
+    """
+    if not a or not b:
+        return {}
+    da, a_items = _scaled_items(a)
+    db, b_items = _scaled_items(b)
+    scale = da * db
+    raw = {}
+    for deg_a, ea, ia in a_items:
+        budget = cutoff - deg_a
+        if budget < 0:
+            break
+        for deg_b, eb, ib in b_items:
+            if deg_b > budget:
+                break
+            key = tuple(x + y for x, y in zip(ea, eb))
+            acc = raw.get(key)
+            raw[key] = ia * ib if acc is None else acc + ia * ib
+    out = {}
+    for key, value in raw.items():
+        if value:
+            out[key] = Fraction(value, scale)
+    return out
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

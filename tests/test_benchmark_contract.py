@@ -1,15 +1,19 @@
 """The benchmark under ``perfbench/`` drives the library through fixed
 names; these tests keep that contract from breaking unnoticed.
 
-The tracer must find every binding it wraps and put each one back, and
-one pass of every workload at the smoke sizes must pass op by op with the
-tracer's wrappers in place.
+The tracer must find every binding it wraps and put each one back, the
+other library names the benchmark reads must resolve, and one pass of
+every workload at the smoke sizes must pass op by op with the tracer's
+wrappers in place.
 """
 
 import importlib.util
 import os
 
 import pytest
+
+import multimeixner
+from multimeixner import bivariate, harness, multivariate, numerics
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -48,6 +52,18 @@ def test_tracer_installs_and_restores_every_binding(tracer):
         tr.uninstall()
     after = _bindings(tracer)
     assert all(after[key] is fn for key, fn in before.items())
+
+
+def test_names_read_outside_the_bindings():
+    assert multimeixner.KERNEL_BACKEND == "pure"
+    assert list(multivariate._simplex_lattice(1, 3)) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    info = numerics.pochhammer.cache_info()
+    assert min(info.hits, info.misses, info.currsize) >= 0
+    numerics.pochhammer.cache_clear()
+    sys2 = harness.canonical_system()
+    assert sys2._gf_cache.get((1, 2)) is None
+    bivariate.monic_eval_gf(sys2, 2, 1, 1, 2)
+    assert sys2._gf_cache.get((1, 2)).cutoff == 3
 
 
 def test_smoke_pass_of_every_workload(tracer, workloads):

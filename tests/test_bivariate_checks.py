@@ -49,10 +49,10 @@ class TestRecurrence:
         # generic checker must still report exact zero there
         lam = compose(boost((2, 3), 2, 2), boost((1, 3), 3, 2))
         sys2 = MeixnerSystem(2, lam)
-        assert sys2.u11 == F(25, 16)
-        assert sys2.u12 == 0
-        assert sys2.u21 == 1
-        assert sys2.u22 == F(25, 9)
+        assert sys2.u[0][0] == F(25, 16)
+        assert sys2.u[0][1] == 0
+        assert sys2.u[1][0] == 1
+        assert sys2.u[1][1] == F(25, 9)
         assert check_recurrence(sys2, SMALL_BOX).passed
 
 
@@ -111,6 +111,7 @@ class TestDuality:
         # the orthonormal families of a matrix and its inverse agree up to
         # an explicit signed square-root prefactor
         s = canonical_beta2_float
+        L = s.lam.entry
         dual = s.dual()
         beta = s.beta
         for (i, k, m, n) in ((1, 0, 0, 0), (1, 1, 2, 0), (2, 1, 1, 2), (0, 2, 3, 1)):
@@ -125,10 +126,10 @@ class TestDuality:
                 )
             )
             geom = float(
-                s.l33 ** (m + n)
-                * s.l31**i
-                * s.l32**k
-                / (s.l33 ** (i + k) * s.l13**m * s.l23**n)
+                L(3, 3) ** (m + n)
+                * L(3, 1)**i
+                * L(3, 2)**k
+                / (L(3, 3) ** (i + k) * L(1, 3)**m * L(2, 3)**n)
             )
             rhs = (-1) ** (i + k) * scale * geom * orthonormal_eval(dual, m, n, i, k)
             assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -192,10 +193,7 @@ class TestOrthonormalRecurrence:
         # they are checked in float only
         s = canonical_beta2_float
         beta = float(s.beta)
-        rows = (
-            (float(s.l11), float(s.l12), float(s.l13)),
-            (float(s.l21), float(s.l22), float(s.l23)),
-        )
+        rows = tuple(tuple(float(s.lam.entry(r, c)) for c in (1, 2, 3)) for r in (1, 2))
         M = lambda m, n, i, k: orthonormal_eval(s, m, n, i, k) if m >= 0 and n >= 0 else 0.0
         for m in range(3):
             for n in range(3):

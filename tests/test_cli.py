@@ -26,6 +26,13 @@ def matrix_file(tmp_path):
     return str(path)
 
 
+# each closed-form route with the factors it reads
+CLOSED_FORMS = [
+    ("tratnik", "boost:2,3:2 boost:1,3:3"),
+    ("dompe3", "rotation:1,2:1/2 boost:2,3:2 rotation:1,2:2/3"),
+]
+
+
 class TestEval:
     def test_degree_zero_prints_one(self, capsys, matrix_file):
         code, out, _ = run_cli(
@@ -147,10 +154,7 @@ class TestEval:
         assert code == 3
         assert out == "" and err.startswith("error:") and "boost:2,3" in err
 
-    @pytest.mark.parametrize("route, spec", [
-        ("tratnik", "boost:2,3:2 boost:1,3:3"),
-        ("dompe3", "rotation:1,2:1/2 boost:2,3:2 rotation:1,2:2/3"),
-    ])
+    @pytest.mark.parametrize("route, spec", CLOSED_FORMS)
     def test_closed_form_reads_only_subgroup(self, capsys, matrix_file, route, spec):
         for source in (["--seed", "5"], ["--matrix", matrix_file]):
             code, out, err = run_cli(
@@ -159,6 +163,18 @@ class TestEval:
             )
             assert code == 2
             assert out == "" and err.startswith("error:") and source[0] in err
+
+    @pytest.mark.parametrize("route, spec", CLOSED_FORMS)
+    @pytest.mark.parametrize("flag, value", [
+        ("--mode", "float"), ("--value", "orthonormal"), ("--value", "matrix-element"),
+    ])
+    def test_closed_form_gives_exact_monic_values_only(self, capsys, route, spec, flag, value):
+        code, out, err = run_cli(
+            capsys, "eval", "--route", route, "--subgroup", spec,
+            "--degrees", "2,1", "--point", "1,2", flag, value,
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:") and flag in err
 
 
 # the matrix sources each suite reads; giving it any other is an input error
@@ -176,6 +192,23 @@ SUITE_SOURCES = {
     "multivariate": {"--matrix", "--seed", "--subgroup"},
 }
 SOURCE_VALUES = {"--seed": "5", "--subgroup": "boost:2,3:2 boost:1,3:3"}
+# the other flags each suite reads; likewise
+SUITE_FLAGS = {
+    "orthogonality": {"--box", "--tol"},
+    "recurrence": {"--box"},
+    "difference": {"--box"},
+    "lowering": {"--box"},
+    "duality": {"--box"},
+    "routes": {"--box"},
+    "factorization": {"--box"},
+    "dompe3": {"--box"},
+    "addition": {"--tol", "--tuples"},
+    "subgroup-unitarity": {"--tol"},
+    "multivariate": {"--tol", "--degree-max", "--coord-max"},
+}
+FLAG_VALUES = {
+    "--box": "1,1,1,1", "--tol": "1e-8", "--tuples": "1", "--degree-max": "1", "--coord-max": "1",
+}
 # a 4x4 product whose weight tail is short, so its Gram sum settles fast
 SUBGROUP_D3 = "boost:3,4:3/2 rotation:1,2:1/2 boost:1,4:4/3 rotation:2,3:1/3"
 
@@ -310,6 +343,29 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--suite", suite, source, value)
         assert code == 2
         assert out == "" and err.startswith("error:") and source in err
+
+    @pytest.mark.parametrize("suite, flag", [
+        (suite, flag)
+        for suite, reads in SUITE_FLAGS.items()
+        for flag in FLAG_VALUES
+        if flag not in reads
+    ])
+    def test_unread_flag_exits_2(self, capsys, suite, flag):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, FLAG_VALUES[flag])
+        assert code == 2
+        assert out == "" and err.startswith("error:") and flag in err
+
+    def test_default_matrix_names_no_factor_count_it_was_not_given(self, capsys):
+        # at d = 8 the default matrix draws 8 factors, not 5, and seeds 31
+        # (multivariate) and 0 (eval) find no generic product of them
+        for argv in (
+            ["verify", "--suite", "multivariate", "--d", "8"],
+            ["eval", "--degrees", "1,0,0,0,0,0,0,0", "--point", "0,0,0,0,0,0,0,1"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == "" and err.startswith("error:") and "--factors" in err
+            assert "got 5" not in err
 
     @pytest.mark.parametrize("suite", sorted(set(SUITE_SOURCES) - {"multivariate"}))
     def test_d_other_than_2_exits_2(self, capsys, suite):
@@ -451,6 +507,21 @@ class TestGenMatrix:
         code, out, _ = run_cli(capsys, "gen-matrix", "--seed", "3", "--d", "4", "--factors", "4")
         assert code == 0 and json.loads(out)["d"] == 4
 
+    def test_planes_that_leave_an_axis_apart_fail_fast(self, capsys):
+        # 8 planes seldom join all 9 axes; such draws are skipped unmultiplied
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gen-matrix", "--seed", "3", "--d", "8", "--factors", "8")
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "--factors" in err
+        code, out, _ = run_cli(capsys, "gen-matrix", "--seed", "7")
+        assert code == 0
+        assert json.loads(out)["entries"] == [
+            ["1011/845", "-548/845", "-12/13"],
+            ["9428/4225", "4071/4225", "-144/65"],
+            ["-756/325", "-192/325", "13/5"],
+        ]
+
 
 # ---------------------------------------------------------------------------
 # the CLI contract as a property: exit code 0-3 or a parser exit 2, an
@@ -499,7 +570,8 @@ def _optional(data, flag, values):
 
 def _draw_argv(data, matrix_files):
     """An argument vector and what its verb or suite reads of it: the
-    matrix sources, and whether the --d given (if any) is one it runs at."""
+    matrix sources and other flags, and whether the --d given (if any) is
+    one it runs at."""
     verb = data.draw(st.sampled_from(["eval", "verify", "table", "gen-matrix"]))
     argv = [verb]
     given = set()
@@ -531,17 +603,18 @@ def _draw_argv(data, matrix_files):
         closed = route in ("tratnik", "dompe3")
         reads = {"--subgroup"} if closed else {"--matrix", "--seed", "--subgroup"}
         return argv, reads, d is None or d == arity
-    argv += ["--box", data.draw(st.sampled_from(BOXES))]
     if verb == "table":
+        argv += ["--box", data.draw(st.sampled_from(BOXES))]
         argv += _optional(data, "--route", ["raising", "gf", "hyp"])
-        return argv, {"--matrix", "--seed", "--subgroup"}, d in (None, 2)
+        return argv, {"--matrix", "--seed", "--subgroup", "--box"}, d in (None, 2)
     suite = data.draw(st.sampled_from(sorted(SUITE_SOURCES)))
     argv += ["--suite", suite, *SUITE_RUN_SIZE.get(suite, [])]
+    argv += _optional(data, "--box", BOXES)
     argv += _optional(data, "--mode", ["exact", "float"])
     argv += _optional(data, "--tol", TOLS)
     argv += _optional(data, "--format", ["text", "json"])
     d_ok = d is None or (d >= 1 if suite == "multivariate" else d == 2)
-    return argv, SUITE_SOURCES[suite], d_ok
+    return argv, SUITE_SOURCES[suite] | SUITE_FLAGS[suite], d_ok
 
 
 @settings(max_examples=100, deadline=None)
@@ -559,5 +632,5 @@ def test_cli_contract(matrix_files, data):
     if code in (2, 3):
         assert "error:" in err.getvalue()
     if code == 0:
-        assert set(argv) & {"--matrix", "--seed", "--subgroup"} <= reads
+        assert set(argv) & {"--matrix", "--seed", "--subgroup", *FLAG_VALUES} <= reads
         assert d_ok

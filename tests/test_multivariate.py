@@ -12,6 +12,7 @@ from multimeixner.harness import random_matrix, random_system
 from multimeixner.lorentz import boost, identity
 from multimeixner.multivariate import (
     MeixnerSystemD,
+    _simplex_lattice,
     check_difference_d,
     check_duality_d,
     check_lowering_d,
@@ -162,6 +163,24 @@ class TestRaisingRoute:
             monic_eval_raising_d(system_d3, (1, 0), (0, 0, 0))
         with pytest.raises(ValueError):
             monic_eval_raising_d(system_d3, (1, 0, 0), (0, -1, 0))
+
+
+def _first_coordinate_simplex(total, d):
+    """The simplex lattice by first coordinate, then the rest recursively."""
+    if d == 1:
+        return [(t,) for t in range(total + 1)]
+    return [
+        (first,) + rest
+        for first in range(total + 1)
+        for rest in _first_coordinate_simplex(total - first, d - 1)
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_simplex_lattice_is_graded(d):
+    for total in range(5):
+        graded = sorted(_first_coordinate_simplex(total, d), key=lambda mono: (sum(mono), mono))
+        assert list(_simplex_lattice(total, d)) == graded
 
 
 class TestOrthogonality:
