@@ -71,7 +71,9 @@ def _parse_subgroup(text: str):
 def _add_matrix_source(parser: argparse.ArgumentParser):
     parser.add_argument("--matrix", metavar="FILE", help="matrix JSON file")
     parser.add_argument("--seed", type=int, help="seeded random generic product")
-    parser.add_argument("--factors", type=int, default=4, help="factors for --seed products")
+    parser.add_argument(
+        "--factors", type=int, help="factors of a --seed or default product (default 4)"
+    )
     parser.add_argument(
         "--subgroup",
         type=_parse_subgroup,
@@ -196,6 +198,7 @@ def cmd_eval(args) -> int:
             ("subgroup",),
             matrix=args.matrix,
             seed=args.seed,
+            factors=args.factors,
             mode=None if args.mode == "exact" else args.mode,
             value=None if args.value == "monic" else args.value,
         )

@@ -94,8 +94,12 @@ def _joins_all_axes(params: Sequence[SubgroupParam], d: int) -> bool:
     return len({find(axis) for axis in range(1, d + 2)}) == 1
 
 
+# factors of a --seed product when --factors is not given
+DEFAULT_FACTORS = 4
+
+
 def random_matrix(
-    seed: int, d: int = 2, num_factors: int = 4, gentle: bool = False
+    seed: int, d: int = 2, num_factors: int = DEFAULT_FACTORS, gentle: bool = False
 ) -> PseudoRotation:
     """Deterministic generic product of boosts and rotations."""
     if d < 1:
@@ -116,7 +120,9 @@ def random_matrix(
     )
 
 
-def random_system(seed: int, d: int = 2, beta=2, num_factors: int = 4, mode=ScalarMode.EXACT):
+def random_system(
+    seed: int, d: int = 2, beta=2, num_factors: int = DEFAULT_FACTORS, mode=ScalarMode.EXACT
+):
     """Seeded random system; same seed always yields the same matrix."""
     lam = random_matrix(seed, d, num_factors)
     if d == 2:
@@ -136,7 +142,7 @@ def resolve_matrix(
     matrix: Optional[PseudoRotation] = None,
     seed: Optional[int] = None,
     subgroup: Optional[Sequence[SubgroupParam]] = None,
-    factors: int = 4,
+    factors: Optional[int] = None,
     default_seed: Optional[int] = None,
 ) -> PseudoRotation:
     """The d-variable matrix named by at most one of --matrix, --seed and
@@ -144,20 +150,27 @@ def resolve_matrix(
 
     With none of them it is the canonical matrix when d = 2 and no
     ``default_seed`` is given, else the product of at least 5 and at
-    least d factors drawn from ``default_seed`` (0 when not given).
+    least d factors drawn from ``default_seed`` (0 when not given).  Only a
+    drawn matrix reads ``factors`` (--factors, ``DEFAULT_FACTORS`` when not
+    given); any other rejects it.
     """
     if sum(source is not None for source in (matrix, seed, subgroup)) > 1:
         raise MatrixValidationError("give at most one of --matrix, --seed, --subgroup")
     if matrix is not None:
         if matrix.d != d:
             raise MatrixValidationError(f"--matrix has d = {matrix.d}, but the run is at --d {d}")
+        check_reads("a matrix given by --matrix", (), factors=factors)
         return matrix
     if subgroup is not None:
+        check_reads("a matrix given by --subgroup", (), factors=factors)
         return product_of(subgroup, d)
+    if seed is None and default_seed is None and d == 2:
+        check_reads("the canonical matrix", (), factors=factors)
+        return canonical_lambda()
+    if factors is None:
+        factors = DEFAULT_FACTORS
     if seed is not None:
         return random_matrix(seed, d, factors)
-    if default_seed is None and d == 2:
-        return canonical_lambda()
     return random_matrix(default_seed or 0, d, max(factors, 5, d))
 
 
@@ -216,7 +229,7 @@ class SuiteConfig:
     matrix: Optional[PseudoRotation] = None
     subgroup: Optional[List[SubgroupParam]] = None
     seed: Optional[int] = None
-    factors: int = 4
+    factors: Optional[int] = None
     box: Optional[LatticeBox] = None
     mode: Optional[ScalarMode] = None
     tol: Optional[float] = None
@@ -436,9 +449,10 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
         d = config.d
     else:
         d = config.matrix.d if config.matrix is not None else 3
-    lam = resolve_matrix(
-        d, config.matrix, config.seed, config.subgroup, max(config.factors, 5, d), default_seed=31
-    )
+    factors = config.factors
+    if config.seed is not None:
+        factors = max(DEFAULT_FACTORS if factors is None else factors, 5, d)
+    lam = resolve_matrix(d, config.matrix, config.seed, config.subgroup, factors, default_seed=31)
     sys_exact = multivariate.MeixnerSystemD(config.beta, lam, ScalarMode.EXACT)
 
     degrees = list(multivariate._simplex_lattice(degree_max, d))
@@ -469,8 +483,11 @@ class Suite:
 
 
 # the flags a run may leave unset; a suite must read every one it is given
-FLAGS = (*MATRIX_SOURCES, "box", "tol", "tuples", "degree_max", "coord_max")
-MATRIX_AND_BOX = (*MATRIX_SOURCES, "box")
+FLAGS = (*MATRIX_SOURCES, "factors", "box", "tol", "tuples", "degree_max", "coord_max")
+# a suite that resolves its matrix from these also reads --factors, which
+# ``resolve_matrix`` accepts only for a drawn matrix
+MATRIX_FLAGS = (*MATRIX_SOURCES, "factors")
+MATRIX_AND_BOX = (*MATRIX_FLAGS, "box")
 SUITES = {
     "orthogonality": Suite(suite_orthogonality, ScalarMode.FLOAT, (*MATRIX_AND_BOX, "tol")),
     "recurrence": Suite(suite_identity, ScalarMode.EXACT, MATRIX_AND_BOX),
@@ -483,7 +500,7 @@ SUITES = {
     "addition": Suite(suite_addition, ScalarMode.FLOAT, ("seed", "tol", "tuples")),
     "subgroup-unitarity": Suite(suite_subgroup_unitarity, ScalarMode.FLOAT, ("tol",)),
     "multivariate": Suite(
-        suite_multivariate, None, (*MATRIX_SOURCES, "tol", "degree_max", "coord_max"), d=None
+        suite_multivariate, None, (*MATRIX_FLAGS, "tol", "degree_max", "coord_max"), d=None
     ),
 }
 

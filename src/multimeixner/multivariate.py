@@ -50,6 +50,10 @@ from .numerics import (
 from .reports import EvalReport, lattice, scan
 
 SHELL_CAP = 400
+# the float Gram loop scans the cube [0, S]^d shell by shell; past this many
+# points it is declared non-convergent (at d = 3 the default multivariate
+# suite settles at shell 77, 78^3 = 474,552 points)
+POINT_BUDGET = 10**6
 
 MultiIndex = Tuple[int, ...]
 
@@ -255,23 +259,24 @@ class _GfStore(dict):
         return t, pos, multinomials[pos] * self.rising(t)
 
 
-def _gf_table(sys: MeixnerSystemD, degrees, points) -> Dict[MultiIndex, Fraction]:
-    """Maps n + x to ``monic_eval_gf_d(sys, n, x)`` for every n in ``degrees``
-    and x in ``points``, from one fresh store cleared from the current
-    ``sys.u`` and filled to the largest |n|.  Nothing is stored on ``sys``."""
+def _gf_ints(sys: MeixnerSystemD, degrees, points):
+    """The integers G[n + x] of one fresh store, cleared from the current
+    ``sys.u`` and filled to the largest |n| of ``degrees`` at every x of
+    ``points``, with the store's denominator D and the scales
+    {n: scale_n} of ``_GfStore.position``: the monic value
+    ``monic_eval_gf_d(sys, n, x)`` is G[n + x] / (scale_n D^|x|).  Nothing
+    is stored on ``sys``."""
     degrees, points = set(degrees), set(points)
-    if not degrees or not points:
-        return {}
     store = _GfStore(sys.d, sys.beta, sys.u)
-    top = max(map(sum, degrees))
     spots = [(n, *store.position(n)) for n in degrees]
     table = {}
-    for x in points:
-        layers = store.layers(x, top)
-        power = store.denom ** sum(x)
-        for n, t, pos, scale in spots:
-            table[n + x] = Fraction(layers[t][pos], scale * power)
-    return table
+    if spots and points:
+        top = max(t for _, t, _, _ in spots)
+        for x in points:
+            layers = store.layers(x, top)
+            for n, t, pos, _ in spots:
+                table[n + x] = layers[t][pos]
+    return store.denom, table, {n: scale for n, _, _, scale in spots}
 
 
 def monic_eval_gf_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
@@ -381,39 +386,61 @@ def monic_poly_coeffs_d(sys: MeixnerSystemD, n: Sequence[int]) -> Dict[MultiInde
 # system it needs and scans the degrees n <= max_n and points x <= max_x
 
 
-def _three_diagonal(n: MultiIndex, total, vectors, last):
-    """Shifts of n and coefficient rows of the three-diagonal relations.
+def _three_diagonal(vectors, last, beta):
+    """The three-diagonal relations as a function of the shifted index:
+    s -> (shifts of s, one (weight, row) per relation), all in integers.
 
     Relation j, with a = vectors[j] and p = last (d + 1 entries each, the
     last at index d), reads
 
-      y_j R = (sum_i n_i a_i^2 + total a_d^2) R
-              - total sum_i a_i a_d (p_i/p_d) R(n + e_i)
-              + sum_i sum_{l != i} n_i a_i a_l (p_l/p_i) R(n - e_i + e_l)
-              - sum_i n_i a_i a_d (p_d/p_i) R(n - e_i),
+      y_j R = (sum_i s_i a_i^2 + T a_d^2) R
+              - T sum_i a_i a_d (p_i/p_d) R(s + e_i)
+              + sum_i sum_{l != i} s_i a_i a_l (p_l/p_i) R(s - e_i + e_l)
+              - sum_i s_i a_i a_d (p_d/p_i) R(s - e_i),
 
-    where y is the index the relation does not shift.  A row holds the
-    right-hand side moved to the left, one entry per shift.
+    with T = |s| + b, where y is the index the relation does not shift.
+    The products of a and p are cleared once per relation over one
+    denominator C; with b = p/q a row holds the right-hand side moved to
+    the left times q C, one entry per shift, and the weight q C of y_j.
     """
-    d = len(n)
+    d = len(last) - 1
     units = _units(d)
-    shifts = [(0,) * d, *units]
-    for i in range(d):
-        if n[i]:
-            shifts += [tuple(map(sub, units[l], units[i])) for l in range(d) if l != i]
-            shifts.append(tuple(-v for v in units[i]))
     p, p_d = last[:d], last[d]
-    rows = []
+    bp, bq = beta.numerator, beta.denominator
+    relations = []
     for a in vectors:
         a_d = a[d]
-        row = [-(sum(n_i * a_i**2 for n_i, a_i in zip(n, a)) + total * a_d**2)]
-        row += [total * (a[i] * a_d * p[i] / p_d) for i in range(d)]
+        squares = [a_i**2 for a_i in a]
+        up = [a[i] * a_d * p[i] / p_d for i in range(d)]
+        side = [[a[i] * a[l] * p[l] / p[i] for l in range(d)] for i in range(d)]
+        down = [a[i] * a_d * p_d / p[i] for i in range(d)]
+        den = math.lcm(*(v.denominator for v in (*squares, *up, *down, *itertools.chain(*side))))
+
+        def clear(values):
+            return [v.numerator * (den // v.denominator) for v in values]
+
+        relations.append((bq * den, clear(squares), clear(up), list(map(clear, side)), clear(down)))
+
+    def rows_at(s: MultiIndex):
+        shifts = [(0,) * d, *units]
         for i in range(d):
-            if n[i]:
-                row += [-n[i] * (a[i] * a[l] * p[l] / p[i]) for l in range(d) if l != i]
-                row.append(n[i] * (a[i] * a_d * p_d / p[i]))
-        rows.append(row)
-    return shifts, rows
+            if s[i]:
+                shifts += [tuple(map(sub, units[l], units[i])) for l in range(d) if l != i]
+                shifts.append(tuple(-v for v in units[i]))
+        qt = sum(s) * bq + bp  # q T
+        rows = []
+        for weight, squares, up, side, down in relations:
+            row = [-(bq * sum(map(mul, s, squares)) + qt * squares[d])]
+            row += [qt * v for v in up]
+            for i in range(d):
+                if s[i]:
+                    qs = bq * s[i]
+                    row += [-qs * side[i][l] for l in range(d) if l != i]
+                    row.append(qs * down[i])
+            rows.append((weight, row))
+        return shifts, rows
+
+    return rows_at
 
 
 def _three_diagonal_residuals(sys: MeixnerSystemD, max_n, max_x, transposed: bool):
@@ -421,9 +448,14 @@ def _three_diagonal_residuals(sys: MeixnerSystemD, max_n, max_x, transposed: boo
     (rows of the matrix, total = |n| + b) or, ``transposed``, the
     difference equations in the variables (columns, total = |x| + b).
 
-    Rows and values are cleared to integers over common denominators (the
-    weight 1 of y_j becomes the row's denominator q), so a residual costs
-    integer products only and is rebuilt as one rational.
+    Everything stays in integers.  ``_three_diagonal`` gives each row with
+    the weight w of y_j, and the scales of the values G / (scale_n D^|x|)
+    it reads are folded into the row once per shifted index s: a
+    recurrence row multiplies target t by L / scale_t, L the lcm over its
+    targets, and a difference row multiplies target t by D^(|s|+1-|t|), the
+    targets lying within |s| +- 1.  A residual is then one integer dot
+    product over w L D^|x| or w scale_n D^(|x|+1), made a rational only
+    when it is nonzero.
     """
     d = sys.d
     e = sys.lam.entries
@@ -432,24 +464,44 @@ def _three_diagonal_residuals(sys: MeixnerSystemD, max_n, max_x, transposed: boo
         shifted_top, fixed = max_x, lattice(max_n)
     else:
         shifted_top, fixed = max_n, lattice(max_x)
+    rows_at = _three_diagonal(e[:d], e[d], sys.beta)
     plans = {}
     for s in lattice(shifted_top):
-        shifts, rows = _three_diagonal(s, sum(s) + sys.beta, e[:d], e[d])
-        plans[s] = ([tuple(map(add, s, t)) for t in shifts], [_scaled_list(row) for row in rows])
+        shifts, rows = rows_at(s)
+        plans[s] = [tuple(map(add, s, t)) for t in shifts], rows
     reached = {t for targets, _ in plans.values() for t in targets}
-    table = _gf_table(sys, fixed, reached) if transposed else _gf_table(sys, reached, fixed)
-    denom, cleared = _scaled_list(table.values())
-    # keyed by the shifted index, then the fixed one
-    R = {(key[d:] + key[:d] if transposed else key): v for key, v in zip(table, cleared)}
+    if transposed:
+        D, G, fixed_scale = _gf_ints(sys, fixed, reached)
+        G = {key[d:] + key[:d]: v for key, v in G.items()}  # shifted index first
+
+        def fold(s, targets):
+            top = sum(s) + 1
+            return [D ** (top - sum(t)) for t in targets], D**top
+
+    else:
+        D, G, scales = _gf_ints(sys, reached, fixed)
+        fixed_scale = {x: D ** sum(x) for x in fixed}
+
+        def fold(s, targets):
+            common = math.lcm(*(scales[t] for t in targets))
+            return [common // scales[t] for t in targets], common
+
+    for s, (targets, rows) in plans.items():
+        factors, common = fold(s, targets)
+        plans[s] = targets, [
+            (w * factors[0], list(map(mul, row, factors)), w * common) for w, row in rows
+        ]
 
     def residuals(n, x):
         s, y = (x, n) if transposed else (n, x)
         targets, rows = plans[s]
-        values = [R[t + y] for t in targets]
-        return [
-            Fraction(q * y[j] * values[0] + sum(map(mul, nums, values)), q * denom)
-            for j, (q, nums) in enumerate(rows)
-        ]
+        values = [G[t + y] for t in targets]
+        scale = fixed_scale[y]
+        out = []
+        for j, (lead, nums, den) in enumerate(rows):
+            num = lead * y[j] * values[0] + sum(map(mul, nums, values))
+            out.append(Fraction(num, den * scale) if num else 0)
+        return out
 
     return residuals
 
@@ -501,7 +553,7 @@ def check_difference_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex
 
         def residuals(n, x):
             res = pair(n, x)
-            return (*res, res[0] / w0 - res[1] / w1)
+            return (*res, res[0] / w0 - res[1] / w1 if any(res) else 0)
 
     return _scan_identity("difference", max_n, max_x, residuals)
 
@@ -513,7 +565,10 @@ def check_lowering_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) 
       n_j R[b, n - e_j](x) = -(b-1) (L[d][j]/L[d][d])
                              sum_i L[i][j] L[i][d] D_i R[b-1, n](x),
 
-    which degenerates at b = 1, hence the precondition.
+    which degenerates at b = 1, hence the precondition.  In integers the
+    differences D_i R[b-1, n](x) share the scale lscale_n lD^(|x|+1) of the
+    b - 1 store, the products in front of them one cleared denominator, and
+    the n_j R[b, n - e_j] term is cross-multiplied in.
     """
     max_n, max_x = _checked_box(sys, "check_lowering_d", max_n, max_x)
     b = sys.beta
@@ -523,25 +578,33 @@ def check_lowering_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) 
     e = sys.lam.entries
     units = _units(d)
     degrees, points = lattice(max_n), lattice(max_x)
-    R = _gf_table(sys, degrees[:-1], points)  # every degree but max_n
-    low = _gf_table(
+    denom, R, scales = _gf_ints(sys, degrees[:-1], points)  # every degree but max_n
+    low_denom, low, low_scales = _gf_ints(
         MeixnerSystemD(b - 1, sys.lam, ScalarMode.EXACT),
         degrees,
         {tuple(map(add, x, t)) for x in points for t in [(0,) * d, *units]},
     )
     # the (b-1) (L[d][j]/L[d][d]) L[i][j] L[i][d] products in front of D_i
-    coeffs = [
-        [(b - 1) * (e[d][j] / e[d][d]) * (e[i][j] * e[i][d]) for i in range(d)]
-        for j in range(d)
-    ]
+    cden, cnums = _scaled_list(
+        [(b - 1) * (e[d][j] / e[d][d]) * (e[i][j] * e[i][d]) for j in range(d) for i in range(d)]
+    )
+    coeffs = [cnums[j * d : (j + 1) * d] for j in range(d)]
+    power = {x: denom ** sum(x) for x in points}
+    low_power = {x: low_denom ** (sum(x) + 1) for x in points}
 
     def residuals(n, x):
-        here = low[n + x]
+        here = low_denom * low[n + x]
         diffs = [low[n + tuple(map(add, x, t))] - here for t in units]
-        out = [sum(map(mul, row, diffs)) for row in coeffs]
-        for j in range(d):
+        low_den = cden * low_scales[n] * low_power[x]
+        out = []
+        for j, row in enumerate(coeffs):
+            num, den = sum(map(mul, row, diffs)), low_den
             if n[j]:
-                out[j] += n[j] * R[_step_down(n, j) + x]
+                m = _step_down(n, j)
+                den_m = scales[m] * power[x]
+                num = num * den_m + n[j] * R[m + x] * low_den
+                den *= den_m
+            out.append(Fraction(num, den) if num else 0)
         return out
 
     return _scan_identity("lowering", max_n, max_x, residuals)
@@ -549,12 +612,19 @@ def check_lowering_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) 
 
 def check_duality_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -> EvalReport:
     """Degrees and variables exchange against the inverse-matrix system:
-    R_n(x; L) = R_x(n; L~^-1)."""
+    R_n(x; L) = R_x(n; L~^-1).  The two stores have their own D, so each
+    side is cross-multiplied by the other's scale."""
     max_n, max_x = _checked_box(sys, "check_duality_d", max_n, max_x)
     degrees, points = lattice(max_n), lattice(max_x)
-    R = _gf_table(sys, points, degrees)  # sys is read with degrees and points swapped
-    dual = _gf_table(sys.dual(), degrees, points)
-    return _scan_identity("duality", max_n, max_x, lambda n, x: (R[x + n] - dual[n + x],))
+    denom, R, scales = _gf_ints(sys, points, degrees)  # sys is read with degrees and points swapped
+    dual_denom, dual, dual_scales = _gf_ints(sys.dual(), degrees, points)
+
+    def residuals(n, x):
+        here, there = scales[x] * denom ** sum(n), dual_scales[n] * dual_denom ** sum(x)
+        num = R[x + n] * there - dual[n + x] * here
+        return (Fraction(num, here * there) if num else 0,)
+
+    return _scan_identity("duality", max_n, max_x, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +649,9 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
 
     The sum runs over growing cube surfaces (shell S holds the points with
     largest coordinate S) until a full shell contributes less than tol/100
-    to every Gram entry; past SHELL_CAP shells it is declared
-    non-convergent.  Every polynomial is bounded on shell S by
+    to every Gram entry; past SHELL_CAP shells, or where the cube [0, S]^d
+    of the next shell S would hold more than POINT_BUDGET points, it is
+    declared non-convergent.  Every polynomial is bounded on shell S by
     V(S) = max_n sum |coef| S^|mono|, so a point whose weight times V(S)^2
     is below tol/100 * 1e-10 cannot move any Gram entry by more than that
     and is skipped.
@@ -613,6 +684,8 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
 
     bf = float(sys.beta)
     cf = [float(ci) for ci in sys.c]
+    # weights of this shell (w) and the one below: a point's weight reads
+    # its parent x - e_(first nonzero axis), which lies in one of the two
     w: Dict[MultiIndex, float] = {}
     count = len(degrees)
     pairs = [(a, b) for a in range(count) for b in range(a, count)]
@@ -624,13 +697,23 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
     while True:
         if shell > SHELL_CAP:
             raise NonConvergence(f"orthogonality sum did not settle within {SHELL_CAP} shells")
+        if (shell + 1) ** d > POINT_BUDGET:
+            raise NonConvergence(
+                f"orthogonality sum did not settle within {POINT_BUDGET} lattice points"
+                f" ({shell} shells at d = {d})"
+            )
+        below, w = w, {}
         bound = max(sum(abs(c) * shell**t for c, t in zip(row, mono_degrees)) for row in rows)
         bound_sq = bound * bound
         start = gram  # gram is rebound below, never changed in place
         for x in _cube_surface(shell, d):
             if any(x):
                 i = _first_axis(x)
-                wt = w[_step_down(x, i)] * (bf + sum(x) - 1) / x[i] * cf[i]
+                parent = _step_down(x, i)
+                prior = w.get(parent)
+                if prior is None:
+                    prior = below[parent]
+                wt = prior * (bf + sum(x) - 1) / x[i] * cf[i]
             else:
                 wt = (1.0 - sum(cf)) ** bf
             w[x] = wt

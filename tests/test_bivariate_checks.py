@@ -168,14 +168,19 @@ class TestBrokenIdentity:
 
 class TestGfTable:
     def test_entries_match_gf_oracle(self):
+        # the checkers read the store's integers G with their structural
+        # denominators: the monic value is G / (scale_n D^|x|)
         sys2 = random_system(42, 2, F(7, 3))
         degrees = [(m, n) for m in range(6) for n in range(6 - m)]
         points = [(i, k) for i in range(4) for k in range(5)]
-        table = multivariate._gf_table(sys2, degrees, points)
+        denom, table, scales = multivariate._gf_ints(sys2, degrees, points)
         assert len(table) == 21 * 4 * 5
+        assert set(scales) == set(degrees)
         fresh = random_system(42, 2, F(7, 3))
         for (m, n, i, k), value in table.items():
-            assert value == monic_eval_gf(fresh, m, n, i, k)
+            assert isinstance(value, int)
+            monic = F(value, scales[m, n] * denom ** (i + k))
+            assert monic == monic_eval_gf(fresh, m, n, i, k)
         assert not sys2._gf_cache
 
     @pytest.mark.parametrize(

@@ -146,6 +146,19 @@ class TestEval:
         assert code == 0
         assert out == out2
 
+    def test_factors_without_a_draw_exits_2(self, capsys, matrix_file):
+        # the canonical matrix and a --matrix file draw nothing to count
+        for source in ([], ["--matrix", matrix_file]):
+            code, out, err = run_cli(
+                capsys, "eval", "--factors", "9", "--degrees", "1,1", "--point", "1,1", *source
+            )
+            assert code == 2
+            assert out == "" and err.startswith("error:") and "--factors" in err
+        code, out, err = run_cli(
+            capsys, "eval", "--factors", "9", "--seed", "5", "--degrees", "1,1", "--point", "1,1"
+        )
+        assert code == 0, err
+
     def test_closed_form_checks_the_boost_plane(self, capsys):
         code, out, err = run_cli(
             capsys, "eval", "--route", "dompe3", "--degrees", "2,1", "--point", "1,2",
@@ -400,6 +413,30 @@ class TestVerify:
         assert code == 0, err
         assert out.splitlines()[1].endswith("tol=9.9999999999999995e-08")
 
+    def test_factors_without_a_draw_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "recurrence", "--factors", "9", "--box", "1,1,1,1"
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "--factors" in err
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "recurrence", "--factors", "9", "--seed", "5",
+            "--box", "1,1,1,1",
+        )
+        assert code == 0, err
+
+    def test_multivariate_gram_loop_at_d4_exits_3(self, capsys):
+        # the float Gram sum does not settle within the point budget at d = 4
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "multivariate", "--degree-max", "1",
+            "--coord-max", "1", "--seed", "9", "--d", "4",
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
@@ -465,6 +502,10 @@ class TestTable:
         assert out == ""
         assert err.startswith("error:") and "--factors" in err
 
+    def test_factors_without_a_seed_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--box", "1,1,1,1", "--factors", "9")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "--factors" in err
 
     def test_d_other_than_2_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "table", "--box", "1,1,1,1", "--d", "3")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from multimeixner import harness
 from multimeixner.bivariate import MeixnerSystem, monic_eval_gf, weight
 from multimeixner.cli import main
-from multimeixner.errors import ModeError, NonGenericMatrix
+from multimeixner.errors import ModeError, NonConvergence, NonGenericMatrix
 from multimeixner.harness import random_matrix, random_system
 from multimeixner.lorentz import boost, identity
 from multimeixner.multivariate import (
@@ -218,6 +219,15 @@ class TestOrthogonality:
         with pytest.raises(ModeError):
             check_orthogonality_d(system_d3, 1, 1e-8)
 
+    def test_point_budget_ends_the_d4_sum(self):
+        # the weight tail at d = 4 is too long for the point budget: the
+        # loop stops with NonConvergence instead of running on
+        sysf = MeixnerSystemD(2, random_matrix(9, 4, 5), ScalarMode.FLOAT)
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence, match="lattice points"):
+            check_orthogonality_d(sysf, 1, 1e-7)
+        assert time.perf_counter() - start < 10
+
 
 IDENTITY_CHECKERS = [check_recurrence_d, check_difference_d, check_lowering_d, check_duality_d]
 
@@ -241,6 +251,30 @@ class TestIdentityCheckers:
             assert report.max_abs_discrepancy != 0
             assert not report.passed
             assert len(report.counterexample) == 7
+
+
+class TestBrokenIdentityD3:
+    """The d = 3 analogue of the bivariate ``TestBrokenIdentity``: shifting
+    ``u[0][0]`` after construction breaks every identity, and the exact
+    discrepancies and first counterexamples are pinned."""
+
+    @pytest.mark.parametrize(
+        "checker, disc, counter",
+        [
+            (check_recurrence_d, F(277578125, 87526656), (0, 0, 0, 1, 0, 0, 0)),
+            (check_difference_d, F(2050375, 1002186), (1, 0, 0, 0, 0, 0, 0)),
+            (check_lowering_d, F(3320, 1407), (1, 0, 1, 1, 0, 0, 2)),
+            (check_duality_d, F(3320, 1407), (1, 0, 0, 1, 0, 0, 0)),
+        ],
+    )
+    def test_tampered_system_fails(self, checker, disc, counter):
+        sys3 = random_system(7, 3, 3)
+        (u00, *row0), *rows = sys3.u
+        sys3.u = ((u00 + 1, *row0), *rows)
+        report = checker(sys3, (1, 1, 1), (1, 1, 1))
+        assert not report.passed
+        assert report.max_abs_discrepancy == disc
+        assert report.counterexample == counter
 
 
 def _expansion_values(system, points, cutoff):
