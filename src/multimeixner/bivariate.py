@@ -37,6 +37,7 @@ from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionErr
 from .lorentz import PseudoRotation, compose, identity as lorentz_identity
 from .multivariate import (
     MeixnerSystemD,
+    _LogMass,
     _gram_discrepancy,
     _orthonormal_prefactor_d,
     check_difference_d,
@@ -91,24 +92,17 @@ def amplitude_sq(sys: MeixnerSystem, i: int, k: int):
     """Squared amplitude; coincides with weight() by the metric row relations."""
     _check_point(i, k)
     b = sys.beta
+    if sys.mode is ScalarMode.FLOAT:
+        return _LogMass(b, sys.lam).root((i, k)) ** 2
+    if b.denominator != 1:
+        raise ModeError(f"exact amplitude needs integer beta, got {b}; use float mode")
     e = sys.lam.entries
-    if sys.mode is ScalarMode.EXACT:
-        if b.denominator != 1:
-            raise ModeError(
-                f"exact amplitude needs integer beta, got {b}; use float mode"
-            )
-        return (
-            pochhammer(b, i + k)
-            / (math.factorial(i) * math.factorial(k))
-            * e[2][2] ** (-2 * int(b) - 2 * i - 2 * k)
-            * e[0][2] ** (2 * i)
-            * e[1][2] ** (2 * k)
-        )
     return (
-        float(pochhammer(b, i + k) / (math.factorial(i) * math.factorial(k)))
-        * float(e[2][2]) ** (-2 * float(b) - 2 * i - 2 * k)
-        * float(e[0][2]) ** (2 * i)
-        * float(e[1][2]) ** (2 * k)
+        pochhammer(b, i + k)
+        / (math.factorial(i) * math.factorial(k))
+        * e[2][2] ** (-2 * int(b) - 2 * i - 2 * k)
+        * e[0][2] ** (2 * i)
+        * e[1][2] ** (2 * k)
     )
 
 
@@ -244,23 +238,11 @@ def orthonormal_eval(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> floa
     return _orthonormal_prefactor_d(sys, (m, n)) * float(monic_eval_raising(sys, m, n, i, k))
 
 
-def _amplitude_signed_float(beta: Fraction, lam: PseudoRotation, i: int, k: int) -> float:
-    e = lam.entries
-    scale = pochhammer(beta, i + k) / (math.factorial(i) * math.factorial(k))
-    return (
-        math.sqrt(float(scale))
-        * float(e[2][2]) ** (-float(beta) - i - k)
-        * float(e[0][2]) ** i
-        * float(e[1][2]) ** k
-    )
-
-
 def matrix_element(sys: MeixnerSystem, i: int, k: int, m: int, n: int) -> float:
     """Representation matrix element: signed amplitude times orthonormal value."""
     sys.require_mode(ScalarMode.FLOAT, "matrix_element")
-    return _amplitude_signed_float(sys.beta, sys.lam, i, k) * orthonormal_eval(
-        sys, m, n, i, k
-    )
+    amplitude = _LogMass(sys.beta, sys.lam).root((i, k))
+    return amplitude * orthonormal_eval(sys, m, n, i, k)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +460,7 @@ class _FloatMeTable:
         self.beta = float(beta)
         self.r1 = (float(e[0][0] / e[0][2]), float(e[1][0] / e[1][2]), float(e[2][0] / e[2][2]))
         self.r2 = (float(e[0][1] / e[0][2]), float(e[1][1] / e[1][2]), float(e[2][1] / e[2][2]))
-        self._beta_exact = beta
-        self._lam = lam
+        self._mass = _LogMass(beta, lam)
         self._m: Dict[Tuple[int, int, int, int, int], float] = {}
         self._w: Dict[Tuple[int, int], float] = {}
 
@@ -489,8 +470,7 @@ class _FloatMeTable:
     def _weight_amp(self, i: int, k: int) -> float:
         cached = self._w.get((i, k))
         if cached is None:
-            cached = _amplitude_signed_float(self._beta_exact, self._lam, i, k)
-            self._w[(i, k)] = cached
+            cached = self._w[(i, k)] = self._mass.root((i, k))
         return cached
 
     def _m_value(self, m, n, i, k, s) -> float:

@@ -121,7 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--degrees", type=_int_list, required=True, metavar="m,n")
     p_eval.add_argument("--point", type=_int_list, required=True, metavar="i,k")
-    p_eval.add_argument("--mode", choices=["exact", "float"], default="exact")
+    p_eval.add_argument(
+        "--mode",
+        choices=["exact", "float"],
+        help="default: exact for monic values, float for the other value kinds",
+    )
     p_eval.add_argument(
         "--value",
         choices=["monic", "orthonormal", "matrix-element"],
@@ -173,7 +177,7 @@ def _route(name: str):
 def _eval_bivariate(args, lam):
     m, n = args.degrees
     i, k = args.point
-    if args.mode == "exact" and args.value == "monic":
+    if args.value == "monic" and args.mode != "float":
         sys2 = bivariate.MeixnerSystem(args.beta, lam, ScalarMode.EXACT)
         return rational_str(_route(args.route)(sys2, m, n, i, k))
     sys2 = bivariate.MeixnerSystem(args.beta, lam, ScalarMode.FLOAT)
@@ -191,6 +195,8 @@ def cmd_eval(args) -> int:
         raise MatrixValidationError("--degrees and --point must have the same arity")
     if args.d is not None and args.d != d:
         raise MatrixValidationError(f"--d {args.d} disagrees with the {d} values of --degrees")
+    if args.mode == "exact" and args.value != "monic":
+        raise ValueError(f"--mode exact gives monic values only, not --value {args.value}")
     if args.route in ("tratnik", "dompe3"):
         # the closed forms give exact monic values only
         harness.check_reads(

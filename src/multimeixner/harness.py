@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import bivariate, multivariate
-from .errors import MatrixValidationError, PreconditionError
+from .errors import MatrixValidationError, NonConvergence, PreconditionError
 from .lorentz import PseudoRotation, SubgroupParam, is_generic, product_of
 from .numerics import ScalarMode, as_rational, require_tol
 from .reports import EvalReport, LatticeBox, lattice, scan
@@ -368,10 +368,10 @@ def hyperbolic_column_norm(beta, t, m: int, n: int, first_axis: bool, tol: float
     """Adaptively truncated column norm of a one-parameter boost element."""
     require_tol(tol)
     fn = bivariate.hyperbolic_me_xi if first_axis else bivariate.hyperbolic_me_psi
+    cap = multivariate.SHELL_CAP
     total = 0.0
     below = 0
-    var = 0
-    while var <= 10000:
+    for var in range(cap + 1):
         if first_axis:
             term = fn(beta, t, var, n, m, n) ** 2
         else:
@@ -380,8 +380,7 @@ def hyperbolic_column_norm(beta, t, m: int, n: int, first_axis: bool, tol: float
         below = below + 1 if term < tol / 100.0 else 0
         if below >= 3 and var > m + n:
             return total
-        var += 1
-    raise PreconditionError("hyperbolic column norm did not converge")  # pragma: no cover
+    raise NonConvergence(f"hyperbolic column norm did not settle within {cap} terms")
 
 
 def elliptic_block_deviation(beta, s, level: int) -> float:

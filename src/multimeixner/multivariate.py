@@ -30,7 +30,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, getitem, mul, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
@@ -130,27 +130,55 @@ class MeixnerSystemD:
         return f"{type(self).__name__}(beta={self.beta}, mode={self.mode.value}, lam={self.lam})"
 
 
+class _LogMass:
+    """The float mass log((b)_t / x! prod_i r_i^(2 x_i)), t = |x|, as
+    ``head(t) + sum_i axis(i, x_i)`` from ``math.lgamma``, for the ratios
+    r_i = L[i][d]/L[d][d] of the last column or, ``row``, L[d][i]/L[d][d]
+    of the last row, all nonzero.  The column mass also carries the
+    normalisation (1 - sum_i r_i^2)^b = L[d][d]^(-2b) in its head, so its
+    exponential is the negative multinomial weight.  In log space nothing
+    overflows: far out the exponential underflows to 0.0.
+    """
+
+    def __init__(self, beta, lam: PseudoRotation, row: bool = False):
+        e, d = lam.entries, lam.d
+        ratios = [(e[d][i] if row else e[i][d]) / e[d][d] for i in range(d)]
+        self.b = float(beta)
+        self.offset = -math.lgamma(self.b) - (0.0 if row else 2.0 * self.b * math.log(e[d][d]))
+        self.logs = [2.0 * math.log(abs(r)) for r in ratios]
+        self.negative = [r < 0 for r in ratios]
+
+    def head(self, t: int) -> float:
+        return math.lgamma(self.b + t) + self.offset
+
+    def axis(self, i: int, v: int) -> float:
+        return v * self.logs[i] - math.lgamma(v + 1)
+
+    def __call__(self, x: MultiIndex) -> float:
+        return self.head(sum(x)) + sum(self.axis(i, v) for i, v in enumerate(x))
+
+    def root(self, x: MultiIndex) -> float:
+        """The signed square root prod_i sgn(r_i)^x_i exp(mass / 2)."""
+        odd = sum(v for v, neg in zip(x, self.negative) if neg) % 2
+        return (-1.0 if odd else 1.0) * math.exp(0.5 * self(x))
+
+
 def weight_d(sys: MeixnerSystemD, x: Sequence[int]):
     """Negative multinomial mass at the lattice point x.
 
     Exact mode needs an integer beta (otherwise (1 - sum c)**beta is
-    irrational); any positive beta works in float mode.
+    irrational); any positive beta works in float mode, where the mass is
+    the exponential of ``_LogMass`` and far points underflow to 0.0.
     """
     x = _as_multi_index(x, sys.d, "point")
     b = sys.beta
-    total = sum(x)
-    base = 1 - sum(sys.c)
-    fact = math.prod(math.factorial(v) for v in x)
-    if sys.mode is ScalarMode.EXACT:
-        if b.denominator != 1:
-            raise ModeError(f"exact weight needs integer beta, got {b}; use float mode")
-        value = pochhammer(b, total) / fact * base ** int(b)
-        for ci, xi in zip(sys.c, x):
-            value *= ci**xi
-        return value
-    value = float(pochhammer(b, total) / fact) * float(base) ** float(b)
+    if sys.mode is ScalarMode.FLOAT:
+        return math.exp(_LogMass(b, sys.lam)(x))
+    if b.denominator != 1:
+        raise ModeError(f"exact weight needs integer beta, got {b}; use float mode")
+    value = pochhammer(b, sum(x)) / math.prod(map(math.factorial, x)) * (1 - sum(sys.c)) ** int(b)
     for ci, xi in zip(sys.c, x):
-        value *= float(ci) ** xi
+        value *= ci**xi
     return value
 
 
@@ -632,15 +660,8 @@ def check_duality_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -
 
 
 def _orthonormal_prefactor_d(sys: MeixnerSystemD, n: MultiIndex) -> float:
-    total = sum(n)
-    fact = math.prod(math.factorial(v) for v in n)
-    scale = pochhammer(sys.beta, total) / fact
-    last = sys.d
-    geom = Fraction(1)
-    for i in range(sys.d):
-        geom *= sys.lam.entries[last][i] ** n[i]
-    geom /= sys.lam.entries[last][last] ** total
-    return (-1) ** total * math.sqrt(float(scale)) * float(geom)
+    """(-1)^|n| sqrt((b)_|n| / n!) prod_i (L[d][i]/L[d][d])^n_i."""
+    return (-1) ** sum(n) * _LogMass(sys.beta, sys.lam, row=True).root(n)
 
 
 def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float, what: str):
@@ -654,7 +675,10 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
     declared non-convergent.  Every polynomial is bounded on shell S by
     V(S) = max_n sum |coef| S^|mono|, so a point whose weight times V(S)^2
     is below tol/100 * 1e-10 cannot move any Gram entry by more than that
-    and is skipped.
+    and is skipped.  A point's weight is exp(heads[|x|] + sum_i
+    axes[i][x_i]), read from the ``_LogMass`` tables of heads up to d S and
+    axes up to S, which grow with the shell; no weight is kept per point.
+    The polynomial coefficients are those of ``sys`` itself.
 
     Returns the largest deviation and the first degree pair (upper
     triangle, in list order) that deviates by more than tol, or None.
@@ -662,7 +686,6 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
     sys.require_mode(ScalarMode.FLOAT, what)
     require_tol(tol)
     d = sys.d
-    exact_sys = MeixnerSystemD(sys.beta, sys.lam, ScalarMode.EXACT)
     top = max(map(sum, degrees))
     # monomials in graded order: those of degree <= t come first, and each
     # but the first is an earlier one times one variable
@@ -678,15 +701,13 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
     for n in degrees:
         row = [0.0] * math.comb(sum(n) + d, d)
         pref = _orthonormal_prefactor_d(sys, n)
-        for mono, c in monic_poly_coeffs_d(exact_sys, n).items():
+        for mono, c in monic_poly_coeffs_d(sys, n).items():
             row[index[mono]] = pref * float(c)
         rows.append(row)
 
-    bf = float(sys.beta)
-    cf = [float(ci) for ci in sys.c]
-    # weights of this shell (w) and the one below: a point's weight reads
-    # its parent x - e_(first nonzero axis), which lies in one of the two
-    w: Dict[MultiIndex, float] = {}
+    mass = _LogMass(sys.beta, sys.lam)
+    heads: List[float] = []
+    axes: List[List[float]] = [[] for _ in range(d)]
     count = len(degrees)
     pairs = [(a, b) for a in range(count) for b in range(a, count)]
     gram = [0.0] * len(pairs)
@@ -702,21 +723,14 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
                 f"orthogonality sum did not settle within {POINT_BUDGET} lattice points"
                 f" ({shell} shells at d = {d})"
             )
-        below, w = w, {}
+        heads += [mass.head(t) for t in range(len(heads), d * shell + 1)]
+        for i, table in enumerate(axes):
+            table.append(mass.axis(i, shell))
         bound = max(sum(abs(c) * shell**t for c, t in zip(row, mono_degrees)) for row in rows)
         bound_sq = bound * bound
         start = gram  # gram is rebound below, never changed in place
         for x in _cube_surface(shell, d):
-            if any(x):
-                i = _first_axis(x)
-                parent = _step_down(x, i)
-                prior = w.get(parent)
-                if prior is None:
-                    prior = below[parent]
-                wt = prior * (bf + sum(x) - 1) / x[i] * cf[i]
-            else:
-                wt = (1.0 - sum(cf)) ** bf
-            w[x] = wt
+            wt = math.exp(heads[sum(x)] + sum(map(getitem, axes, x)))
             if wt * bound_sq < negligible:
                 continue
             monomial_values = [1.0]

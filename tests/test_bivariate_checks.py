@@ -23,6 +23,7 @@ from multimeixner.errors import (
 )
 from multimeixner.harness import random_system
 from multimeixner.lorentz import boost, compose
+from multimeixner.numerics import ScalarMode
 from multimeixner.reports import LatticeBox
 
 SMALL_BOX = LatticeBox(max_i=4, max_k=4, max_m=3, max_n=3)
@@ -242,6 +243,13 @@ class TestOrthogonality:
         box = LatticeBox(max_i=0, max_k=0, max_m=1, max_n=0)
         report = check_orthogonality(canonical_beta2_float, box, 1e-8)
         assert report.passed
+
+    def test_reads_the_coefficients_of_the_float_system(self, canonical_matrix):
+        # no exact twin: the interpolated coefficients land in the float
+        # system's own cache
+        sysf = MeixnerSystem(2, canonical_matrix, ScalarMode.FLOAT)
+        check_orthogonality(sysf, LatticeBox(0, 0, 1, 1), 1e-8)
+        assert set(sysf._poly_cache) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_requires_float_mode(self, canonical_beta2):
         with pytest.raises(ModeError):

@@ -18,6 +18,7 @@ from multimeixner.bivariate import (
 from multimeixner.errors import ModeError, NonGenericMatrix
 from multimeixner.harness import random_matrix
 from multimeixner.lorentz import boost, compose, identity
+from multimeixner.multivariate import _orthonormal_prefactor_d
 from multimeixner.numerics import ScalarMode, pochhammer, solve_linear_system
 
 ROUTES = (monic_eval_raising, monic_eval_gf, monic_eval_hyp)
@@ -202,6 +203,15 @@ class TestWeight:
         total = sum(weight(s, i, k) for i in range(61) for k in range(61 - i))
         assert abs(total - 1.0) < 1e-10
 
+    def test_float_matches_exact_at_a_moderate_point(self, canonical_beta2, canonical_beta2_float):
+        assert weight(canonical_beta2_float, 40, 30) == pytest.approx(
+            float(weight(canonical_beta2, 40, 30)), rel=1e-12
+        )
+
+    def test_float_far_point_underflows(self, canonical_beta2_float):
+        # the mass is about 1e-553, below the smallest float
+        assert weight(canonical_beta2_float, 600, 600) == 0.0
+
     def test_negative_point_rejected(self, canonical_beta2):
         with pytest.raises(ValueError):
             weight(canonical_beta2, -1, 0)
@@ -224,6 +234,20 @@ class TestAmplitude:
         assert got == pytest.approx(float(s.lam.entry(3, 3)) ** -2.0, abs=1e-15)
         assert got > 0
 
+    def test_float_matches_exact_at_a_moderate_point(self, canonical_beta2, canonical_beta2_float):
+        exact = amplitude_sq(canonical_beta2, 40, 30)
+        assert amplitude_sq(canonical_beta2_float, 40, 30) == pytest.approx(float(exact), rel=1e-12)
+        # at degree zero the matrix element is the signed amplitude
+        e = canonical_beta2.lam.entries
+        sign = (-1) ** ((e[0][2] < 0) * 40 + (e[1][2] < 0) * 30)
+        assert matrix_element(canonical_beta2_float, 40, 30, 0, 0) == pytest.approx(
+            sign * math.sqrt(float(exact)), rel=1e-12
+        )
+
+    def test_float_far_point_has_no_overflow(self, canonical_beta2_float):
+        assert amplitude_sq(canonical_beta2_float, 600, 600) == 0.0
+        assert 0 < abs(matrix_element(canonical_beta2_float, 600, 600, 0, 0)) < 1e-250
+
 
 class TestOrthonormalAndMatrixElements:
     def test_degree_zero_is_one(self, canonical_beta2_float):
@@ -241,6 +265,17 @@ class TestOrthonormalAndMatrixElements:
             orthonormal_eval(canonical_beta2, 0, 0, 0, 0)
         with pytest.raises(ModeError):
             matrix_element(canonical_beta2, 0, 0, 0, 0)
+
+    def test_prefactor_matches_exact_square(self, canonical_beta2_float):
+        # (-1)^|n| sqrt((b)_|n| / n!) prod_i (L[2][i]/L[2][2])^n_i at n = (12, 9)
+        s = canonical_beta2_float
+        e = s.lam.entries
+        r0, r1 = e[2][0] / e[2][2], e[2][1] / e[2][2]
+        square = pochhammer(s.beta, 21) / (math.factorial(12) * math.factorial(9)) * r0**24 * r1**18
+        sign = (-1) ** (21 + (r0 < 0) * 12 + (r1 < 0) * 9)
+        assert _orthonormal_prefactor_d(s, (12, 9)) == pytest.approx(
+            sign * math.sqrt(float(square)), rel=1e-12
+        )
 
     def test_matrix_element_base_point(self, canonical_beta2_float):
         s = canonical_beta2_float

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import time
 from fractions import Fraction as F
 
@@ -123,6 +124,32 @@ class TestEval:
         )
         assert code == 0
         assert abs(float(out)) <= 1.0
+
+    @pytest.mark.parametrize("value", ["orthonormal", "matrix-element"])
+    def test_exact_mode_gives_no_float_value_kind(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "eval", "--mode", "exact", "--value", value,
+            "--degrees", "1,1", "--point", "1,1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--mode" in err
+        code, out, _ = run_cli(
+            capsys, "eval", "--value", value, "--degrees", "1,1", "--point", "1,1"
+        )
+        assert code == 0
+        assert "/" not in out and float(out) != 0.0
+
+    @pytest.mark.parametrize("value, degrees, point", [
+        ("orthonormal", "600,600", "0,0"), ("matrix-element", "0,0", "600,600"),
+    ])
+    def test_float_values_at_far_points_are_finite(self, capsys, value, degrees, point):
+        code, out, err = run_cli(
+            capsys, "eval", "--mode", "float", "--value", value,
+            "--degrees", degrees, "--point", point,
+        )
+        assert code == 0, err
+        assert math.isfinite(float(out))
 
     def test_d_must_agree_with_the_arity(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--d", "3", "--degrees", "1,1", "--point", "1,1")
@@ -300,6 +327,17 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suite", "multivariate", "--d", "0")
         assert code == 2
         assert err.startswith("error:") and "--d" in err
+
+    def test_column_norm_below_the_float_floor_exits_3(self, capsys):
+        # tol/100 is 0.0 here, so no term is ever small enough
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "subgroup-unitarity", "--tol", "5e-324"
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "did not settle" in err
 
     @pytest.mark.parametrize("suite", ["orthogonality", "addition", "subgroup-unitarity"])
     def test_exact_mode_on_float_suite_exits_2(self, capsys, suite):

@@ -87,6 +87,12 @@ class TestWeight:
             assert partial > previous
             previous = partial
 
+    def test_float_matches_exact_at_a_moderate_point(self, system_d3, system_d3_float):
+        x = (20, 15, 10)
+        assert weight_d(system_d3_float, x) == pytest.approx(
+            float(weight_d(system_d3, x)), rel=1e-12
+        )
+
     def test_exact_needs_integer_beta(self):
         sysd = MeixnerSystemD(F(5, 2), random_matrix(D3_SEED, 3, 5))
         with pytest.raises(ModeError):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import multimeixner.multivariate as multivariate
 from multimeixner.bivariate import (
     MeixnerSystem,
     check_addition,
@@ -14,7 +15,7 @@ from multimeixner.bivariate import (
     monic_eval_gf,
     monic_eval_raising,
 )
-from multimeixner.errors import NonGenericMatrix, PreconditionError
+from multimeixner.errors import NonConvergence, NonGenericMatrix, PreconditionError
 from multimeixner.harness import (
     addition_tuples,
     elliptic_block_deviation,
@@ -49,6 +50,11 @@ class TestHyperbolicElements:
         m, n = degrees
         norm = hyperbolic_column_norm(2, F(2), m, n, first_axis, 1e-8)
         assert norm == pytest.approx(1.0, abs=1e-8)
+
+    def test_column_norm_stops_at_the_shell_cap(self, monkeypatch):
+        monkeypatch.setattr(multivariate, "SHELL_CAP", 5)
+        with pytest.raises(NonConvergence):
+            hyperbolic_column_norm(2, F(2), 1, 0, True, 1e-8)
 
     def test_trivial_parameter_rejected(self):
         with pytest.raises(PreconditionError):
