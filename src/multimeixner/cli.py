@@ -174,19 +174,20 @@ def _route(name: str):
     return getattr(bivariate, f"monic_eval_{name}")
 
 
+def _monic_str(value: Fraction, mode) -> str:
+    return float_str(float(value)) if mode == "float" else rational_str(value)
+
+
 def _eval_bivariate(args, lam):
     m, n = args.degrees
     i, k = args.point
-    if args.value == "monic" and args.mode != "float":
+    if args.value == "monic":
         sys2 = bivariate.MeixnerSystem(args.beta, lam, ScalarMode.EXACT)
-        return rational_str(_route(args.route)(sys2, m, n, i, k))
+        return _monic_str(_route(args.route)(sys2, m, n, i, k), args.mode)
     sys2 = bivariate.MeixnerSystem(args.beta, lam, ScalarMode.FLOAT)
     if args.value == "matrix-element":
         return float_str(bivariate.matrix_element(sys2, i, k, m, n))
-    if args.value == "orthonormal":
-        return float_str(bivariate.orthonormal_eval(sys2, m, n, i, k))
-    exact = bivariate.MeixnerSystem(args.beta, lam, ScalarMode.EXACT)
-    return float_str(float(_route(args.route)(exact, m, n, i, k)))
+    return float_str(bivariate.orthonormal_eval(sys2, m, n, i, k))
 
 
 def cmd_eval(args) -> int:
@@ -222,10 +223,7 @@ def cmd_eval(args) -> int:
         raise PreconditionError("d != 2 supports routes raising|gf and monic values only")
     sysd = multivariate.MeixnerSystemD(args.beta, lam, ScalarMode.EXACT)
     value = getattr(multivariate, f"monic_eval_{args.route}_d")(sysd, args.degrees, args.point)
-    if args.mode == "float":
-        print(float_str(float(value)))
-    else:
-        print(rational_str(value))
+    print(_monic_str(value, args.mode))
     return EXIT_PASS
 
 

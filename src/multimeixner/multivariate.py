@@ -70,6 +70,12 @@ def _step_down(idx: MultiIndex, axis: int) -> MultiIndex:
     return idx[:axis] + (idx[axis] - 1,) + idx[axis + 1 :]
 
 
+@lru_cache(maxsize=4096)
+def _neighbours_below(idx: MultiIndex):
+    """(i, idx_i, idx - e_i) for every axis i with idx_i > 0."""
+    return tuple((i, v, _step_down(idx, i)) for i, v in enumerate(idx) if v)
+
+
 def _first_axis(idx: MultiIndex) -> int:
     return next(axis for axis, v in enumerate(idx) if v)
 
@@ -157,10 +163,13 @@ class _LogMass:
     def __call__(self, x: MultiIndex) -> float:
         return self.head(sum(x)) + sum(self.axis(i, v) for i, v in enumerate(x))
 
+    def sign(self, x: MultiIndex) -> int:
+        """prod_i sgn(r_i)^x_i."""
+        return -1 if sum(v for v, neg in zip(x, self.negative) if neg) % 2 else 1
+
     def root(self, x: MultiIndex) -> float:
-        """The signed square root prod_i sgn(r_i)^x_i exp(mass / 2)."""
-        odd = sum(v for v, neg in zip(x, self.negative) if neg) % 2
-        return (-1.0 if odd else 1.0) * math.exp(0.5 * self(x))
+        """The signed square root sign(x) exp(mass / 2)."""
+        return self.sign(x) * math.exp(0.5 * self(x))
 
 
 def weight_d(sys: MeixnerSystemD, x: Sequence[int]):
@@ -321,14 +330,32 @@ def monic_eval_gf_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> 
 # route 2: radical-free raising recursion
 
 
-def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
-    """The raising recursion, filled level by level up from degree zero.
+def _raising_levels(cache, n: MultiIndex, x: MultiIndex):
+    """The raising recursion's descent from degree n at the point x, as
+    levels (degree, j, lower, shift, points) from the top down: level
+    ``shift`` steps ``degree`` down its first nonzero axis j to ``lower``
+    and reads the base parameter b + shift.  A level keeps the points whose
+    values, keyed (degree, y, shift) in ``cache``, are missing, and the
+    next adds their neighbours y - e_i.  Filled bottom up, the levels keep
+    the call stack flat at any degree."""
+    levels = []
+    degree, shift, points = n, 0, {x}
+    for j in range(len(n)):
+        while degree[j]:
+            points = {y for y in points if (degree, y, shift) not in cache}
+            if not points:
+                return levels
+            lower = _step_down(degree, j)
+            levels.append((degree, j, lower, shift, points))
+            points = points | {z for y in points for _, _, z in _neighbours_below(y)}
+            degree, shift = lower, shift + 1
+    return levels
 
-    Level t of the descent from n has lowered the first nonzero degree t
-    times and reads the base parameter b + t.  Going down, each level keeps
-    the points whose values are not cached yet; going back up, it fills
-    them from the level below, so no call stack grows with the degree.
-    Levels are stored cleared to integers,
+
+def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
+    """The raising recursion, filled level by level up from degree zero
+    over the descent of ``_raising_levels``.  Levels are stored cleared to
+    integers,
 
       T[t, n](y) = (qD)^|n| (b+t)_|n| R[b+t, n](y),   b = p/q,  u = A/D,
       T[t, n + e_j](y) = D (q (|y|+t) + p) T[t+1, n](y)
@@ -346,29 +373,15 @@ def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]
         return Fraction(1)
     d = sys.d
     cache = sys._raising_cache
-    levels = []
-    degree, shift, points = n, 0, {x}
-    while any(degree):
-        points = {y for y in points if (degree, y, shift) not in cache}
-        if not points:
-            break
-        j = _first_axis(degree)
-        lower = _step_down(degree, j)
-        levels.append((degree, j, lower, shift, points))
-        points = points | {_step_down(y, i) for y in points for i in range(d) if y[i]}
-        degree = lower
-        shift += 1
-
     store = sys._gf_cache  # its u cleared to integers and its rising table
     p, q, denom = store.p, store.q, store.denom
     below = cache.get  # degree-zero values are 1 at every point and are not stored
-    for degree, j, lower, shift, points in reversed(levels):
+    for degree, j, lower, shift, points in reversed(_raising_levels(cache, n, x)):
         col = [q * store.rows[i][j] for i in range(d)]
         for y in points:
             acc = denom * (q * (sum(y) + shift) + p) * below((lower, y, shift + 1), 1)
-            for i in range(d):
-                if y[i]:
-                    acc -= col[i] * y[i] * below((lower, _step_down(y, i), shift + 1), 1)
+            for i, v, z in _neighbours_below(y):
+                acc -= col[i] * v * below((lower, z, shift + 1), 1)
             cache[(degree, y, shift)] = acc
     # (qD)^|n| (b)_|n| = D^|n| prod_{s<|n|} (p + s q)
     return Fraction(cache[(n, x, 0)], denom**total * store.rising(total))

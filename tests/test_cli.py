@@ -142,6 +142,8 @@ class TestEval:
 
     @pytest.mark.parametrize("value, degrees, point", [
         ("orthonormal", "600,600", "0,0"), ("matrix-element", "0,0", "600,600"),
+        # the monic value passes 1e308; the matrix element is about 1e-971
+        ("matrix-element", "200,0", "0,3000"),
     ])
     def test_float_values_at_far_points_are_finite(self, capsys, value, degrees, point):
         code, out, err = run_cli(
@@ -150,6 +152,16 @@ class TestEval:
         )
         assert code == 0, err
         assert math.isfinite(float(out))
+
+    def test_orthonormal_value_past_the_float_range_exits_3(self, capsys):
+        # the value is about 10^358.8
+        code, out, err = run_cli(
+            capsys, "eval", "--mode", "float", "--value", "orthonormal",
+            "--degrees", "200,0", "--point", "0,3000",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_d_must_agree_with_the_arity(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--d", "3", "--degrees", "1,1", "--point", "1,1")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -18,8 +19,10 @@ from multimeixner.bivariate import (
 from multimeixner.errors import NonConvergence, NonGenericMatrix, PreconditionError
 from multimeixner.harness import (
     addition_tuples,
+    canonical_lambda,
     elliptic_block_deviation,
     hyperbolic_column_norm,
+    random_matrix,
 )
 from multimeixner.lorentz import boost, compose, rotation
 from multimeixner.univariate import meixner
@@ -202,6 +205,24 @@ class TestEvaluatorDispatch:
             assert ev(i, k, m, n) == pytest.approx(
                 matrix_element(sys2, i, k, m, n), rel=1e-10, abs=1e-12
             )
+        # the recursion's float error grows with the degree; on the level
+        # blocks i + k = m + n <= 10 it stays below 1e-9
+        for lam in (canonical_lambda(), random_matrix(42, 2, 4)):
+            ev = me_evaluator(2, lam)
+            sys2 = MeixnerSystem(2, lam, "float")
+            for level in range(11):
+                for i in range(level + 1):
+                    for m in range(level + 1):
+                        point = (i, level - i, m, level - m)
+                        assert ev(*point) == pytest.approx(
+                            matrix_element(sys2, *point), rel=1e-9
+                        )
+
+    def test_generic_recursion_reaches_deep_degrees(self):
+        # the levels are filled bottom up, so no call stack grows with the degree
+        ev = me_evaluator(2, canonical_lambda())
+        assert math.isfinite(ev(0, 0, 1500, 0))
+        assert math.isfinite(ev(2, 1, 400, 0))
 
     def test_pure_boost_uses_closed_form(self):
         lam = boost((1, 3), 2, 2)
