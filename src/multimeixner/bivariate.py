@@ -14,7 +14,7 @@ Route map
                           closed forms in univariate Meixner/Krawtchouk
                           factors, valid for specific product decompositions
 
-The first two routes, the weight, the interpolated coefficients, the
+The first two routes, the weight, the polynomial coefficients, the
 orthogonality sum and the exact recurrence, difference, lowering and
 duality checkers are those of the d-variable core in ``multivariate``,
 called at d = 2.
@@ -55,6 +55,7 @@ from .numerics import (
     ScalarMode,
     _scaled_list,
     as_rational,
+    log_abs,
     pochhammer,
     require_tol,
     # unused here: the benchmark tracer binds these three on this module
@@ -253,21 +254,18 @@ def matrix_element(sys: MeixnerSystem, i: int, k: int, m: int, n: int) -> float:
 def _scaled_orthonormal(sys: MeixnerSystem, n, x, sign: int, log_scale: float, what: str) -> float:
     """sign exp(log_scale) times the orthonormal value at degrees n, point x.
 
-    The logarithms of the monic value (its numerator over its denominator
-    as mantissa 2^shift, so neither integer passes through a float), half
-    the row mass of the prefactor and ``log_scale`` are summed, the signs
-    kept apart, so only the result can leave the float range: far below it
-    reads 0.0, above it raises ``PreconditionError``.
+    The logarithms of the monic value (``log_abs``, so neither integer
+    passes through a float), half the row mass of the prefactor and
+    ``log_scale`` are summed, the signs kept apart, so only the result can
+    leave the float range: far below it reads 0.0, above it raises
+    ``PreconditionError``.
     """
     value = monic_eval_raising(sys, *n, *x)
     if not value:
         return 0.0
     row = _LogMass(sys.beta, sys.lam, row=True)
     sign *= (-1) ** sum(n) * row.sign(n) * (1 if value > 0 else -1)
-    num, den = abs(value.numerator), value.denominator
-    shift = num.bit_length() - den.bit_length()
-    mantissa = num / (den << shift) if shift >= 0 else (num << -shift) / den
-    log = math.log(mantissa) + shift * math.log(2) + 0.5 * row(n) + log_scale
+    log = log_abs(value) + 0.5 * row(n) + log_scale
     try:
         return sign * math.exp(log)
     except OverflowError:

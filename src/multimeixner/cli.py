@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from .errors import (
     PreconditionError,
 )
 from .lorentz import SubgroupParam, matrix_from_json, matrix_to_json_obj
-from .numerics import ScalarMode, float_str, rational_str
+from .numerics import ScalarMode, float_str, log_abs, rational_str
 from .reports import LatticeBox
 
 EXIT_PASS = 0
@@ -175,7 +176,14 @@ def _route(name: str):
 
 
 def _monic_str(value: Fraction, mode) -> str:
-    return float_str(float(value)) if mode == "float" else rational_str(value)
+    if mode != "float":
+        return rational_str(value)
+    try:
+        return float_str(float(value))
+    except OverflowError:
+        raise PreconditionError(
+            f"the monic value is about 10^{log_abs(value) / math.log(10):.1f}, past the float range"
+        ) from None
 
 
 def _eval_bivariate(args, lam):

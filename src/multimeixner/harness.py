@@ -20,7 +20,7 @@ from . import bivariate, multivariate
 from .errors import MatrixValidationError, NonConvergence, PreconditionError
 from .lorentz import PseudoRotation, SubgroupParam, is_generic, product_of
 from .numerics import ScalarMode, as_rational, require_tol
-from .reports import EvalReport, LatticeBox, lattice, scan
+from .reports import EvalReport, LatticeBox, exact_report, lattice
 
 CANONICAL_PARAMS = (
     SubgroupParam("rotation", (1, 2), Fraction(1, 2)),
@@ -261,14 +261,7 @@ def _oracle_report(identity: str, box, cells, oracle, candidates) -> EvalReport:
         for name, route in candidates:
             yield (cell if name is None else (*cell, name)), route(*cell) - ref
 
-    max_disc, counter = scan(cells, residuals)
-    return EvalReport(
-        identity=identity,
-        box=box,
-        mode=ScalarMode.EXACT,
-        max_abs_discrepancy=max_disc,
-        counterexample=counter,
-    )
+    return exact_report(identity, box, cells, residuals)
 
 
 def suite_routes(config: SuiteConfig) -> List[EvalReport]:

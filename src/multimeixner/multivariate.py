@@ -1,5 +1,5 @@
 """The d-variable core: systems, the negative multinomial weight, the
-generating-function oracle, the raising recursion, interpolated
+generating-function oracle, the raising recursion, polynomial
 coefficients, truncated orthogonality and the exact recurrence,
 difference, lowering and duality checkers, for any d.
 
@@ -7,6 +7,9 @@ The generating-function oracle reads one graded store of the product's
 coefficients (``_GfStore``), filled point by point from neighbouring
 points, since G_{x+e_i} and G_x differ by one factor, in plain integers.
 A system keeps its own store; each exact checker fills a fresh one.
+``_gf_values`` reads a store as one table of integers over one
+denominator; the checkers' residuals and the coefficients, taken from
+the table's forward differences, are built on it.
 
 The bivariate module builds on this core: its ``MeixnerSystem`` is the
 d = 2 case, its checkers call the ones here on a ``LatticeBox``, and it
@@ -42,12 +45,13 @@ from .numerics import (
     as_rational,
     pochhammer,
     require_tol,
-    # series_geom_pow and series_mul are unused here: the benchmark tracer binds them
+    # series_geom_pow, series_mul and solve_linear_system are unused here:
+    # the benchmark tracer binds them
     series_geom_pow,
     series_mul,
     solve_linear_system,
 )
-from .reports import EvalReport, lattice, scan
+from .reports import EvalReport, exact_report, lattice
 
 SHELL_CAP = 400
 # the float Gram loop scans the cube [0, S]^d shell by shell; past this many
@@ -296,24 +300,29 @@ class _GfStore(dict):
         return t, pos, multinomials[pos] * self.rising(t)
 
 
-def _gf_ints(sys: MeixnerSystemD, degrees, points):
-    """The integers G[n + x] of one fresh store, cleared from the current
-    ``sys.u`` and filled to the largest |n| of ``degrees`` at every x of
-    ``points``, with the store's denominator D and the scales
-    {n: scale_n} of ``_GfStore.position``: the monic value
-    ``monic_eval_gf_d(sys, n, x)`` is G[n + x] / (scale_n D^|x|).  Nothing
-    is stored on ``sys``."""
+def _store_of(sys: MeixnerSystemD) -> _GfStore:
+    """A fresh store cleared from the current ``sys.u``, kept off ``sys``."""
+    return _GfStore(sys.d, sys.beta, sys.u)
+
+
+def _gf_values(store: _GfStore, degrees, points):
+    """The monic values R_n(x) of ``store`` for n in ``degrees`` and x in
+    ``points`` over one denominator, as (den, {n + x: V}) with
+    R_n(x) = V / den in integers.  With D the store's denominator, L the
+    lcm of the scales of ``_GfStore.position`` and X the largest |x|,
+    den = L D^X, so V = G^_x[n] (L / scale_n) D^(X - |x|)."""
     degrees, points = set(degrees), set(points)
-    store = _GfStore(sys.d, sys.beta, sys.u)
     spots = [(n, *store.position(n)) for n in degrees]
+    common = math.lcm(*(scale for *_, scale in spots))
+    top_x = max(map(sum, points), default=0)
+    top = max((t for _, t, _, _ in spots), default=0)
+    lifts = [(n, t, pos, common // scale) for n, t, pos, scale in spots]
     table = {}
-    if spots and points:
-        top = max(t for _, t, _, _ in spots)
-        for x in points:
-            layers = store.layers(x, top)
-            for n, t, pos, _ in spots:
-                table[n + x] = layers[t][pos]
-    return store.denom, table, {n: scale for n, _, _, scale in spots}
+    for x in points:
+        layers, power = store.layers(x, top), store.denom ** (top_x - sum(x))
+        for n, t, pos, lift in lifts:
+            table[n + x] = layers[t][pos] * (lift * power)
+    return common * store.denom**top_x, table
 
 
 def monic_eval_gf_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
@@ -398,26 +407,48 @@ def _simplex_lattice(total: int, d: int):
         yield from _exponents_of_degree(t, d)
 
 
+def _line_maps(top: int):
+    """Two integer matrices on the values f(0), ..., f(top) of a line (a
+    shorter line reads their leading block): forward differences,
+    Delta^k f(0) = sum_j (-1)^(k-j) C(k, j) f(j), and binomial to monomial
+    coefficients times top!, entry (m, k) being (top!/k!) s(k, m), s the
+    signed Stirling numbers of the first kind."""
+    falling = [[1]]  # the coefficients of y (y-1) ... (y-k+1), by power
+    for k in range(top):
+        falling.append([a - k * b for a, b in zip([0, *falling[-1]], [*falling[-1], 0])])
+    span = range(top + 1)
+    differences = [[(-1) ** (k + j) * math.comb(k, j) for j in span] for k in span]
+    scale = [math.factorial(top) // math.factorial(k) for k in span]
+    monomials = [[scale[k] * falling[k][m] if m <= k else 0 for k in span] for m in span]
+    return differences, monomials
+
+
 def monic_poly_coeffs_d(sys: MeixnerSystemD, n: Sequence[int]) -> Dict[MultiIndex, Fraction]:
     """Exact monomial coefficients of the degree-|n| polynomial in x.
 
-    Interpolates generating-function values on the principal simplex
-    lattice {x : |x| <= |n|}, which is unisolvent for total-degree
-    interpolation, and solves the system exactly.
+    The forward differences Delta^k R_n(0) of one ``_gf_values`` table of
+    the system's store over the simplex {x : |x| <= |n|} are the
+    coefficients in the basis prod_i C(x_i, k_i); ``_line_maps`` takes
+    them and turns them into monomial coefficients line by line, in
+    integers over den (|n|!)^d.  All differences come first: a line of the
+    simplex omits entries that are zero only once all are taken.
     """
     n = _as_multi_index(n, sys.d, "degrees")
     cached = sys._poly_cache.get(n)
     if cached is not None:
         return cached
-    nodes = sorted(_simplex_lattice(sum(n), sys.d))
-    monomials = nodes
-    rows = [
-        [Fraction(math.prod(a**p for a, p in zip(node, mono))) for mono in monomials]
-        for node in nodes
-    ]
-    rhs = [monic_eval_gf_d(sys, n, node) for node in nodes]
-    solution = solve_linear_system(rows, rhs)
-    coeffs = {mono: c for mono, c in zip(monomials, solution) if c}
+    d, top = sys.d, sum(n)
+    nodes = sorted(_simplex_lattice(top, d))
+    den, values = _gf_values(sys._gf_cache, [n], nodes)
+    table = {x: values[n + x] for x in nodes}
+    for matrix in _line_maps(top):
+        for axis in range(d):
+            for base in (x for x in nodes if not x[axis]):
+                line = [base[:axis] + (j,) + base[axis + 1 :] for j in range(top - sum(base) + 1)]
+                old = [table[x] for x in line]
+                table.update((x, sum(map(mul, row, old))) for x, row in zip(line, matrix))
+    scale = den * math.factorial(top) ** d
+    coeffs = {x: Fraction(table[x], scale) for x in nodes if table[x]}
     sys._poly_cache[n] = coeffs
     return coeffs
 
@@ -429,7 +460,8 @@ def monic_poly_coeffs_d(sys: MeixnerSystemD, n: Sequence[int]) -> Dict[MultiInde
 
 def _three_diagonal(vectors, last, beta):
     """The three-diagonal relations as a function of the shifted index:
-    s -> (shifts of s, one (weight, row) per relation), all in integers.
+    s -> (the indices s + shift it reads, one (weight, row) per relation),
+    all in integers.
 
     Relation j, with a = vectors[j] and p = last (d + 1 entries each, the
     last at index d), reads
@@ -479,7 +511,7 @@ def _three_diagonal(vectors, last, beta):
                     row += [-qs * side[i][l] for l in range(d) if l != i]
                     row.append(qs * down[i])
             rows.append((weight, row))
-        return shifts, rows
+        return [tuple(map(add, s, t)) for t in shifts], rows
 
     return rows_at
 
@@ -490,13 +522,9 @@ def _three_diagonal_residuals(sys: MeixnerSystemD, max_n, max_x, transposed: boo
     difference equations in the variables (columns, total = |x| + b).
 
     Everything stays in integers.  ``_three_diagonal`` gives each row with
-    the weight w of y_j, and the scales of the values G / (scale_n D^|x|)
-    it reads are folded into the row once per shifted index s: a
-    recurrence row multiplies target t by L / scale_t, L the lcm over its
-    targets, and a difference row multiplies target t by D^(|s|+1-|t|), the
-    targets lying within |s| +- 1.  A residual is then one integer dot
-    product over w L D^|x| or w scale_n D^(|x|+1), made a rational only
-    when it is nonzero.
+    the weight w of y_j, and the values it reads share the one denominator
+    den of their ``_gf_values`` table, so a residual is one integer dot
+    product over w den, made a rational only when it is nonzero.
     """
     d = sys.d
     e = sys.lam.entries
@@ -506,42 +534,22 @@ def _three_diagonal_residuals(sys: MeixnerSystemD, max_n, max_x, transposed: boo
     else:
         shifted_top, fixed = max_n, lattice(max_x)
     rows_at = _three_diagonal(e[:d], e[d], sys.beta)
-    plans = {}
-    for s in lattice(shifted_top):
-        shifts, rows = rows_at(s)
-        plans[s] = [tuple(map(add, s, t)) for t in shifts], rows
+    plans = {s: rows_at(s) for s in lattice(shifted_top)}
     reached = {t for targets, _ in plans.values() for t in targets}
     if transposed:
-        D, G, fixed_scale = _gf_ints(sys, fixed, reached)
-        G = {key[d:] + key[:d]: v for key, v in G.items()}  # shifted index first
-
-        def fold(s, targets):
-            top = sum(s) + 1
-            return [D ** (top - sum(t)) for t in targets], D**top
-
+        den, V = _gf_values(_store_of(sys), fixed, reached)
+        V = {key[d:] + key[:d]: v for key, v in V.items()}  # shifted index first
     else:
-        D, G, scales = _gf_ints(sys, reached, fixed)
-        fixed_scale = {x: D ** sum(x) for x in fixed}
-
-        def fold(s, targets):
-            common = math.lcm(*(scales[t] for t in targets))
-            return [common // scales[t] for t in targets], common
-
-    for s, (targets, rows) in plans.items():
-        factors, common = fold(s, targets)
-        plans[s] = targets, [
-            (w * factors[0], list(map(mul, row, factors)), w * common) for w, row in rows
-        ]
+        den, V = _gf_values(_store_of(sys), reached, fixed)
 
     def residuals(n, x):
         s, y = (x, n) if transposed else (n, x)
         targets, rows = plans[s]
-        values = [G[t + y] for t in targets]
-        scale = fixed_scale[y]
+        values = [V[t + y] for t in targets]
         out = []
-        for j, (lead, nums, den) in enumerate(rows):
-            num = lead * y[j] * values[0] + sum(map(mul, nums, values))
-            out.append(Fraction(num, den * scale) if num else 0)
+        for j, (w, row) in enumerate(rows):
+            num = w * y[j] * values[0] + sum(map(mul, row, values))
+            out.append(Fraction(num, w * den) if num else 0)
         return out
 
     return residuals
@@ -556,12 +564,12 @@ def _scan_identity(name: str, max_n, max_x, residuals) -> EvalReport:
     """Report over the box; the counterexample is the label (*n, *x, j) of
     the first nonzero residual, j the relation."""
     d = len(max_n)
-    max_disc, counter = scan(
-        lattice((*max_n, *max_x)),
-        lambda cell: (((*cell, j), res) for j, res in enumerate(residuals(cell[:d], cell[d:]))),
-    )
     box = {"d": d, "max_degrees": list(max_n), "max_point": list(max_x)}
-    return EvalReport(name, box, ScalarMode.EXACT, max_disc, counter)
+
+    def labelled(cell):
+        return (((*cell, j), res) for j, res in enumerate(residuals(cell[:d], cell[d:])))
+
+    return exact_report(name, box, lattice((*max_n, *max_x)), labelled)
 
 
 def check_recurrence_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -> EvalReport:
@@ -607,9 +615,8 @@ def check_lowering_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) 
                              sum_i L[i][j] L[i][d] D_i R[b-1, n](x),
 
     which degenerates at b = 1, hence the precondition.  In integers the
-    differences D_i R[b-1, n](x) share the scale lscale_n lD^(|x|+1) of the
-    b - 1 store, the products in front of them one cleared denominator, and
-    the n_j R[b, n - e_j] term is cross-multiplied in.
+    b and b - 1 tables have one denominator each, and the products in
+    front of D_i one cleared denominator.
     """
     max_n, max_x = _checked_box(sys, "check_lowering_d", max_n, max_x)
     b = sys.beta
@@ -619,33 +626,25 @@ def check_lowering_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) 
     e = sys.lam.entries
     units = _units(d)
     degrees, points = lattice(max_n), lattice(max_x)
-    denom, R, scales = _gf_ints(sys, degrees[:-1], points)  # every degree but max_n
-    low_denom, low, low_scales = _gf_ints(
-        MeixnerSystemD(b - 1, sys.lam, ScalarMode.EXACT),
-        degrees,
-        {tuple(map(add, x, t)) for x in points for t in [(0,) * d, *units]},
-    )
+    near = {tuple(map(add, x, t)) for x in points for t in [(0,) * d, *units]}
+    den, R = _gf_values(_store_of(sys), degrees[:-1], points)  # every degree but max_n
+    low_den, low = _gf_values(_store_of(MeixnerSystemD(b - 1, sys.lam)), degrees, near)
     # the (b-1) (L[d][j]/L[d][d]) L[i][j] L[i][d] products in front of D_i
     cden, cnums = _scaled_list(
         [(b - 1) * (e[d][j] / e[d][d]) * (e[i][j] * e[i][d]) for j in range(d) for i in range(d)]
     )
     coeffs = [cnums[j * d : (j + 1) * d] for j in range(d)]
-    power = {x: denom ** sum(x) for x in points}
-    low_power = {x: low_denom ** (sum(x) + 1) for x in points}
+    front = cden * low_den  # the denominator of the sum over D_i
 
     def residuals(n, x):
-        here = low_denom * low[n + x]
+        here = low[n + x]
         diffs = [low[n + tuple(map(add, x, t))] - here for t in units]
-        low_den = cden * low_scales[n] * low_power[x]
         out = []
         for j, row in enumerate(coeffs):
-            num, den = sum(map(mul, row, diffs)), low_den
+            num = sum(map(mul, row, diffs)) * den
             if n[j]:
-                m = _step_down(n, j)
-                den_m = scales[m] * power[x]
-                num = num * den_m + n[j] * R[m + x] * low_den
-                den *= den_m
-            out.append(Fraction(num, den) if num else 0)
+                num += n[j] * R[_step_down(n, j) + x] * front
+            out.append(Fraction(num, front * den) if num else 0)
         return out
 
     return _scan_identity("lowering", max_n, max_x, residuals)
@@ -653,17 +652,16 @@ def check_lowering_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) 
 
 def check_duality_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -> EvalReport:
     """Degrees and variables exchange against the inverse-matrix system:
-    R_n(x; L) = R_x(n; L~^-1).  The two stores have their own D, so each
-    side is cross-multiplied by the other's scale."""
+    R_n(x; L) = R_x(n; L~^-1).  Each table has its one denominator, so a
+    residual is R dual_den - dual den over den dual_den."""
     max_n, max_x = _checked_box(sys, "check_duality_d", max_n, max_x)
     degrees, points = lattice(max_n), lattice(max_x)
-    denom, R, scales = _gf_ints(sys, points, degrees)  # sys is read with degrees and points swapped
-    dual_denom, dual, dual_scales = _gf_ints(sys.dual(), degrees, points)
+    den, R = _gf_values(_store_of(sys), points, degrees)  # sys is read with degrees and points swapped
+    dual_den, dual = _gf_values(_store_of(sys.dual()), degrees, points)
 
     def residuals(n, x):
-        here, there = scales[x] * denom ** sum(n), dual_scales[n] * dual_denom ** sum(x)
-        num = R[x + n] * there - dual[n + x] * here
-        return (Fraction(num, here * there) if num else 0,)
+        num = R[x + n] * dual_den - dual[n + x] * den
+        return (Fraction(num, den * dual_den) if num else 0,)
 
     return _scan_identity("duality", max_n, max_x, residuals)
 

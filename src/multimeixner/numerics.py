@@ -3,9 +3,9 @@ power series.
 
 Scalars are plain ``fractions.Fraction`` values: canonical lowest terms,
 positive denominator, and a ``str()`` form that is exactly the "p/q"
-serialization used in all file formats.  The truncated series here is the
-independent expansion oracle against which the recursive polynomial
-routes are cross-checked, so it deliberately knows nothing about them.
+serialization used in all file formats.  The truncated series and the
+linear solve have no library caller: the tests check the routes against
+them as independent oracles, and the benchmark tracer binds them.
 """
 
 from __future__ import annotations
@@ -54,6 +54,15 @@ def rational_str(value: Fraction) -> str:
 def float_str(value: float) -> str:
     """Round-trippable float rendering (17 significant digits)."""
     return format(value, ".17g")
+
+
+def log_abs(value: Fraction) -> float:
+    """log |value| of a nonzero rational, its numerator over its denominator
+    read as mantissa 2^shift, so neither integer passes through a float."""
+    num, den = abs(value.numerator), value.denominator
+    shift = num.bit_length() - den.bit_length()
+    mantissa = num / (den << shift) if shift >= 0 else (num << -shift) / den
+    return math.log(mantissa) + shift * math.log(2)
 
 
 # bounded: keys pile up across systems, and an entry grows with n
@@ -238,11 +247,9 @@ def series_geom_pow(
 
 
 def solve_linear_system(rows, rhs):
-    """Solve a square exact-rational linear system by Gaussian elimination.
-
-    Used for the total-degree interpolation that turns oracle values into
-    explicit polynomial coefficients; raises on a singular matrix.
-    """
+    """Solve a square exact-rational linear system by Gaussian elimination;
+    raises on a singular matrix.  No library code calls it: it is kept as
+    the tests' coefficient oracle and as a benchmark tracer binding."""
     size = len(rows)
     work = [[as_rational(x) for x in row] + [as_rational(b)] for row, b in zip(rows, rhs)]
     if any(len(row) != size + 1 for row in work):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Tuple, Union
 
@@ -33,23 +33,6 @@ def lattice(top) -> list:
     return list(itertools.product(*(range(t + 1) for t in top)))
 
 
-def scan(cells: Iterable, residuals: Callable) -> Tuple[Fraction, Optional[Tuple]]:
-    """Largest exact discrepancy over the cells and the first counterexample.
-
-    ``residuals(cell)`` yields (label, residual) pairs; the counterexample
-    is the label of the first nonzero residual in cell order, or None.
-    """
-    max_disc = Fraction(0)
-    counter = None
-    for cell in cells:
-        for label, res in residuals(cell):
-            if res:
-                max_disc = max(max_disc, abs(res))
-                if counter is None:
-                    counter = label
-    return max_disc, counter
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Outcome of one identity-verification run.
@@ -74,43 +57,50 @@ class EvalReport:
         return float(self.max_abs_discrepancy) <= self.tol
 
     def _box_obj(self):
-        if isinstance(self.box, LatticeBox):
-            return {
-                "max_i": self.box.max_i,
-                "max_k": self.box.max_k,
-                "max_m": self.box.max_m,
-                "max_n": self.box.max_n,
-            }
-        return self.box
+        return asdict(self.box) if isinstance(self.box, LatticeBox) else self.box
+
+    def _disc_str(self) -> str:
+        disc = self.max_abs_discrepancy
+        return rational_str(disc) if isinstance(disc, Fraction) else float_str(float(disc))
 
     def to_json_obj(self) -> dict:
-        if isinstance(self.max_abs_discrepancy, Fraction):
-            disc = rational_str(self.max_abs_discrepancy)
-        else:
-            disc = float_str(float(self.max_abs_discrepancy))
         return {
             "suite": self.identity,
             "box": self._box_obj(),
             "mode": self.mode.value,
-            "max_discrepancy": disc,
+            "max_discrepancy": self._disc_str(),
             "counterexample": list(self.counterexample) if self.counterexample else None,
             "pass": self.passed,
         }
 
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        if isinstance(self.max_abs_discrepancy, Fraction):
-            disc = rational_str(self.max_abs_discrepancy)
-        else:
-            disc = float_str(float(self.max_abs_discrepancy))
         parts = [
             f"{status} {self.identity}",
             f"mode={self.mode.value}",
             f"box={self._box_obj()}",
-            f"max_discrepancy={disc}",
+            f"max_discrepancy={self._disc_str()}",
         ]
         if self.tol is not None:
             parts.append(f"tol={float_str(self.tol)}")
         if self.counterexample is not None:
             parts.append(f"counterexample={self.counterexample}")
         return "  ".join(parts)
+
+
+def exact_report(identity: str, box, cells: Iterable, residuals: Callable) -> EvalReport:
+    """Exact report over the cells: the largest discrepancy and the first
+    counterexample.
+
+    ``residuals(cell)`` yields (label, residual) pairs; the counterexample
+    is the label of the first nonzero residual in cell order, or None.
+    """
+    max_disc = Fraction(0)
+    counter = None
+    for cell in cells:
+        for label, res in residuals(cell):
+            if res:
+                max_disc = max(max_disc, abs(res))
+                if counter is None:
+                    counter = label
+    return EvalReport(identity, box, ScalarMode.EXACT, max_disc, counter)

@@ -82,3 +82,9 @@ def test_smoke_pass_of_every_workload(tracer, workloads):
         tr.uninstall()
     assert failed == []
     assert tr.calls[tr.names.index("harness.run_suite")] > 0
+    # no library route needs the series product or the linear solve
+    unused = [
+        "numerics.solve_linear_system", "numerics.series_geom_pow",
+        "numerics.series_mul", "kernel.mul_trunc",
+    ]
+    assert [tr.calls[tr.names.index(name)] for name in unused] == [0, 0, 0, 0]

@@ -169,19 +169,18 @@ class TestBrokenIdentity:
 
 class TestGfTable:
     def test_entries_match_gf_oracle(self):
-        # the checkers read the store's integers G with their structural
-        # denominators: the monic value is G / (scale_n D^|x|)
+        # the checkers read integers V over one denominator per table: the
+        # monic value is V / den
         sys2 = random_system(42, 2, F(7, 3))
         degrees = [(m, n) for m in range(6) for n in range(6 - m)]
         points = [(i, k) for i in range(4) for k in range(5)]
-        denom, table, scales = multivariate._gf_ints(sys2, degrees, points)
+        den, table = multivariate._gf_values(multivariate._store_of(sys2), degrees, points)
         assert len(table) == 21 * 4 * 5
-        assert set(scales) == set(degrees)
+        assert isinstance(den, int)
         fresh = random_system(42, 2, F(7, 3))
         for (m, n, i, k), value in table.items():
             assert isinstance(value, int)
-            monic = F(value, scales[m, n] * denom ** (i + k))
-            assert monic == monic_eval_gf(fresh, m, n, i, k)
+            assert F(value, den) == monic_eval_gf(fresh, m, n, i, k)
         assert not sys2._gf_cache
 
     @pytest.mark.parametrize(

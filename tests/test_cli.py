@@ -163,6 +163,19 @@ class TestEval:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("degrees, point, magnitude", [
+        ("200,0", "0,3000", "10^408.9"), ("200,0,0", "0,0,3000", "10^696.2"),
+    ])
+    def test_monic_float_past_the_float_range_exits_3(self, capsys, degrees, point, magnitude):
+        code, out, err = run_cli(
+            capsys, "eval", "--mode", "float", "--route", "raising",
+            "--degrees", degrees, "--point", point,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert magnitude in err
+
     def test_d_must_agree_with_the_arity(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--d", "3", "--degrees", "1,1", "--point", "1,1")
         assert code == 2

@@ -21,9 +21,16 @@ from multimeixner.multivariate import (
     check_recurrence_d,
     monic_eval_gf_d,
     monic_eval_raising_d,
+    monic_poly_coeffs_d,
     weight_d,
 )
-from multimeixner.numerics import ScalarMode, pochhammer, series_geom_pow, series_mul
+from multimeixner.numerics import (
+    ScalarMode,
+    pochhammer,
+    series_geom_pow,
+    series_mul,
+    solve_linear_system,
+)
 from multimeixner.reports import LatticeBox, lattice
 from multimeixner.univariate import meixner
 
@@ -188,6 +195,27 @@ def test_simplex_lattice_is_graded(d):
     for total in range(5):
         graded = sorted(_first_coordinate_simplex(total, d), key=lambda mono: (sum(mono), mono))
         assert list(_simplex_lattice(total, d)) == graded
+
+
+class TestPolyCoeffs:
+    """The forward-difference coefficients against a Vandermonde solve on
+    the simplex and against the generating function off it."""
+
+    @pytest.mark.parametrize("beta", [2, F(7, 3)], ids=["2", "7/3"])
+    @pytest.mark.parametrize("d, top", [(1, 6), (2, 6), (3, 3)])
+    def test_coefficients_match_vandermonde_solve(self, d, top, beta):
+        system = random_system(D3_SEED, d, beta, max(d, 4))
+        nodes = sorted(_simplex_lattice(top, d))
+        far = [tuple(top + 1 + 2 * i + j for i in range(d)) for j in range(3)]
+        for n in nodes:
+            coeffs = monic_poly_coeffs_d(system, n)
+            monos = sorted(_simplex_lattice(sum(n), d))
+            rows = [[math.prod(map(pow, x, mono)) for mono in monos] for x in monos]
+            solution = solve_linear_system(rows, [monic_eval_gf_d(system, n, x) for x in monos])
+            assert list(coeffs.items()) == [(mono, c) for mono, c in zip(monos, solution) if c]
+            for x in far:
+                value = sum(c * math.prod(map(pow, x, mono)) for mono, c in coeffs.items())
+                assert value == monic_eval_gf_d(system, n, x)
 
 
 class TestOrthogonality:
