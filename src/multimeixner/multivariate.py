@@ -56,8 +56,12 @@ from .reports import EvalReport, exact_report, lattice
 SHELL_CAP = 400
 # the float Gram loop scans the cube [0, S]^d shell by shell; past this many
 # points it is declared non-convergent (at d = 3 the default multivariate
-# suite settles at shell 77, 78^3 = 474,552 points)
+# suite settles at shell 77, 78^3 = 474,552 points).  A generating-function
+# fill of more coefficients than this is refused too.
 POINT_BUDGET = 10**6
+# the Gram loop adds its kept points' products to the Gram entries in
+# blocks of this many points, which bounds the memory of a shell's batch
+GRAM_BLOCK = 64
 
 MultiIndex = Tuple[int, ...]
 
@@ -240,6 +244,8 @@ class _GfStore(dict):
     A point is filled from its parent x - e_(first nonzero axis), parent
     first and layer by layer, in integer products only.  A store only
     grows: a point asked for at a larger degree gains the missing layers.
+    A fill of more than POINT_BUDGET coefficients (chain points times the
+    C(top + d, d) coefficients of degree up to top) is refused.
     """
 
     def __init__(self, d: int, beta: Fraction, u):
@@ -264,6 +270,12 @@ class _GfStore(dict):
                 break
             y = _step_down(y, _first_axis(y))
         d, q, denom = self.d, self.q, self.denom
+        if chain and (cells := len(chain) * math.comb(top + d, d)) > POINT_BUDGET:
+            raise PreconditionError(
+                f"the generating-function route would fill {cells}"
+                f" coefficients ({len(chain)} points up to degree {top}), more than"
+                f" {POINT_BUDGET}; use --route raising"
+            )
         for y in reversed(chain):
             entry = self.setdefault(y, _Layers())
             if not any(y):
@@ -691,6 +703,15 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
     axes up to S, which grow with the shell; no weight is kept per point.
     The polynomial coefficients are those of ``sys`` itself.
 
+    A shell is walked as lines: each prefix of the first d - 1 coordinates
+    sums its axes once, and the last coordinate runs over [0, S] where the
+    prefix touches S, else over S alone.  The kept points' values are
+    added to the Gram entries in blocks of GRAM_BLOCK points, one C-level
+    ``sum`` per entry and block.  Up to CPython 3.11 ``sum`` adds floats
+    left to right, so every entry is the point-by-point sum bit for bit;
+    from 3.12 ``sum`` compensates its float additions, so an entry may
+    differ from that sum in its last bits.
+
     Returns the largest deviation and the first degree pair (upper
     triangle, in list order) that deviates by more than tol, or None.
     """
@@ -740,17 +761,27 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
         bound = max(sum(abs(c) * shell**t for c, t in zip(row, mono_degrees)) for row in rows)
         bound_sq = bound * bound
         start = gram  # gram is rebound below, never changed in place
-        for x in _cube_surface(shell, d):
-            wt = math.exp(heads[sum(x)] + sum(map(getitem, axes, x)))
-            if wt * bound_sq < negligible:
-                continue
-            monomial_values = [1.0]
-            for parent, axis in steps:
-                monomial_values.append(monomial_values[parent] * x[axis])
-            values = [sum(map(mul, row, monomial_values)) for row in rows]
-            weighted = [wt * v for v in values]
-            contribs = [wa * vb for a, wa in enumerate(weighted) for vb in values[a:]]
-            gram = list(map(add, gram, contribs))
+        kept: List[List[float]] = []  # values of the block's kept points
+        kept_weighted: List[List[float]] = []
+        for prefix in itertools.product(range(shell + 1), repeat=d - 1):
+            partial = sum(map(getitem, axes, prefix))
+            base = sum(prefix)
+            for last in range(shell + 1) if shell in prefix else (shell,):
+                wt = math.exp(heads[base + last] + (partial + axes[-1][last]))
+                if wt * bound_sq < negligible:
+                    continue
+                x = prefix + (last,)
+                monomial_values = [1.0]
+                for parent, axis in steps:
+                    monomial_values.append(monomial_values[parent] * x[axis])
+                values = [sum(map(mul, row, monomial_values)) for row in rows]
+                kept.append(values)
+                kept_weighted.append([wt * v for v in values])
+                if len(kept) == GRAM_BLOCK:
+                    gram = _gram_add(gram, pairs, kept, kept_weighted)
+                    kept, kept_weighted = [], []
+        if kept:
+            gram = _gram_add(gram, pairs, kept, kept_weighted)
         if shell >= 1 and max(abs(new - old) for new, old in zip(gram, start)) < threshold:
             break
         shell += 1
@@ -764,6 +795,13 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
         if disc > tol and first is None:
             first = (degrees[a], degrees[b])
     return max_disc, first
+
+
+def _gram_add(gram: List[float], pairs, kept, kept_weighted) -> List[float]:
+    """gram[a, b] + sum_p kept_weighted[p][a] kept[p][b] for every pair,
+    each entry's products added left to right in point order."""
+    cols, wcols = list(zip(*kept)), list(zip(*kept_weighted))
+    return [sum(map(mul, wcols[a], cols[b]), g) for (a, b), g in zip(pairs, gram)]
 
 
 def check_orthogonality_d(sys: MeixnerSystemD, degree_box: int, tol: float) -> EvalReport:
@@ -782,14 +820,3 @@ def check_orthogonality_d(sys: MeixnerSystemD, degree_box: int, tol: float) -> E
         counterexample=first,
         tol=tol,
     )
-
-
-def _cube_surface(shell: int, d: int):
-    """Lattice points of [0, shell]^d with max coordinate exactly shell, in
-    lexicographic order."""
-    for prefix in itertools.product(range(shell + 1), repeat=d - 1):
-        if shell in prefix:
-            for last in range(shell + 1):
-                yield prefix + (last,)
-        else:
-            yield prefix + (shell,)

@@ -176,6 +176,20 @@ class TestEval:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert magnitude in err
 
+    def test_far_gf_fill_is_refused_within_seconds(self, capsys):
+        # about 6e7 coefficient cells: the store refuses the fill up front
+        # and names the route that answers such a point
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "eval", "--mode", "float", "--route", "gf",
+            "--degrees", "200,0", "--point", "0,3000",
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "--route raising" in err
+
     def test_d_must_agree_with_the_arity(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--d", "3", "--degrees", "1,1", "--point", "1,1")
         assert code == 2

@@ -1,12 +1,13 @@
 import itertools
 import math
+import sys
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from multimeixner import harness
-from multimeixner.bivariate import MeixnerSystem, monic_eval_gf, weight
+from multimeixner import harness, multivariate
+from multimeixner.bivariate import MeixnerSystem, check_orthogonality, monic_eval_gf, weight
 from multimeixner.cli import main
 from multimeixner.errors import ModeError, NonConvergence, NonGenericMatrix
 from multimeixner.harness import random_matrix, random_system
@@ -261,6 +262,111 @@ class TestOrthogonality:
         with pytest.raises(NonConvergence, match="lattice points"):
             check_orthogonality_d(sysf, 1, 1e-7)
         assert time.perf_counter() - start < 10
+
+
+# Up to CPython 3.11 ``sum`` adds floats left to right, so the blocked Gram
+# update repeats the point-by-point additions bit for bit.  From 3.12 it
+# compensates them; the Gram entries are O(1) sums of at most about 5e4
+# products, so the two orders may then differ by a few ulps times that
+# count, far below this bound fixed in advance.
+GRAM_SUM_TOL = 0.0 if sys.version_info < (3, 12) else 1e-12
+
+
+def _cube_surface(shell, d):
+    """Lattice points of [0, shell]^d with max coordinate exactly shell, in
+    lexicographic order."""
+    for prefix in itertools.product(range(shell + 1), repeat=d - 1):
+        if shell in prefix:
+            for last in range(shell + 1):
+                yield prefix + (last,)
+        else:
+            yield prefix + (shell,)
+
+
+def _reference_gram_discrepancy(sys_, degrees, tol):
+    """The Gram sum added point by point over each cube shell in
+    lexicographic order, with the skip rule and stopping rule of
+    ``multivariate._gram_discrepancy``."""
+    d = sys_.d
+    top = max(map(sum, degrees))
+    monos = list(_simplex_lattice(top, d))
+    index = {mono: pos for pos, mono in enumerate(monos)}
+    steps = []
+    for mono in monos[1:]:
+        axis = next(i for i, v in enumerate(mono) if v)
+        below = mono[:axis] + (mono[axis] - 1,) + mono[axis + 1 :]
+        steps.append((index[below], axis))
+    mono_degrees = [sum(mono) for mono in monos]
+    rows = []
+    for n in degrees:
+        row = [0.0] * math.comb(sum(n) + d, d)
+        pref = multivariate._orthonormal_prefactor_d(sys_, n)
+        for mono, c in monic_poly_coeffs_d(sys_, n).items():
+            row[index[mono]] = pref * float(c)
+        rows.append(row)
+    mass = multivariate._LogMass(sys_.beta, sys_.lam)
+    heads, axes = [], [[] for _ in range(d)]
+    pairs = [(a, b) for a in range(len(degrees)) for b in range(a, len(degrees))]
+    gram = [0.0] * len(pairs)
+    threshold = tol / 100.0
+    negligible = threshold * 1e-10
+    shell = 0
+    while True:
+        assert shell <= multivariate.SHELL_CAP and (shell + 1) ** d <= multivariate.POINT_BUDGET
+        heads += [mass.head(t) for t in range(len(heads), d * shell + 1)]
+        for i, table in enumerate(axes):
+            table.append(mass.axis(i, shell))
+        bound = max(sum(abs(c) * shell**t for c, t in zip(row, mono_degrees)) for row in rows)
+        bound_sq = bound * bound
+        start = gram
+        for x in _cube_surface(shell, d):
+            wt = math.exp(heads[sum(x)] + sum(table[v] for table, v in zip(axes, x)))
+            if wt * bound_sq < negligible:
+                continue
+            monomial_values = [1.0]
+            for parent, axis in steps:
+                monomial_values.append(monomial_values[parent] * x[axis])
+            values = [sum(r * m for r, m in zip(row, monomial_values)) for row in rows]
+            weighted = [wt * v for v in values]
+            contribs = [wa * vb for a, wa in enumerate(weighted) for vb in values[a:]]
+            gram = [g + c for g, c in zip(gram, contribs)]
+        if shell >= 1 and max(abs(new - old) for new, old in zip(gram, start)) < threshold:
+            break
+        shell += 1
+    max_disc, first = 0.0, None
+    for (a, b), entry in zip(pairs, gram):
+        disc = abs(entry - (1.0 if a == b else 0.0))
+        max_disc = max(max_disc, disc)
+        if disc > tol and first is None:
+            first = (degrees[a], degrees[b])
+    return max_disc, first
+
+
+class TestGramSum:
+    @pytest.mark.parametrize("beta, lam, degrees, tol", [
+        # d = 1: the shell walk has an empty prefix
+        (2, random_matrix(5, 1, 3), [(n,) for n in range(4)], 1e-8),
+        (2, harness.canonical_lambda(), lattice((2, 2)), 1e-8),
+        (F(7, 3), random_matrix(7, 3, 5), sorted(_simplex_lattice(2, 3)), 1e-7),
+    ], ids=["d1", "d2-canonical", "d3-seed7"])
+    def test_matches_the_point_by_point_sum(self, beta, lam, degrees, tol):
+        sysf = MeixnerSystemD(beta, lam, ScalarMode.FLOAT)
+        max_disc, first = multivariate._gram_discrepancy(sysf, degrees, tol, "test")
+        ref_disc, ref_first = _reference_gram_discrepancy(sysf, degrees, tol)
+        assert first == ref_first
+        assert max_disc == pytest.approx(ref_disc, rel=0, abs=GRAM_SUM_TOL)
+
+    def test_tampered_coefficient_fails_the_report(self):
+        # the constant term of R_(1,0) moved by 1/100: the family is no
+        # longer orthogonal to degree zero
+        sysf = MeixnerSystem(2, harness.canonical_lambda(), ScalarMode.FLOAT)
+        monic_poly_coeffs_d(sysf, (1, 0))[(0, 0)] += F(1, 100)
+        report = check_orthogonality(sysf, LatticeBox(0, 0, 1, 1), 1e-8)
+        assert not report.passed
+        assert report.counterexample == (0, 0, 1, 0)
+        assert report.max_abs_discrepancy == pytest.approx(
+            0.007832567422381188, rel=0, abs=GRAM_SUM_TOL
+        )
 
 
 IDENTITY_CHECKERS = [check_recurrence_d, check_difference_d, check_lowering_d, check_duality_d]
