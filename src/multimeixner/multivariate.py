@@ -6,10 +6,10 @@ difference, lowering and duality checkers, for any d.
 The generating-function oracle reads one graded store of the product's
 coefficients (``_GfStore``), filled point by point from neighbouring
 points, since G_{x+e_i} and G_x differ by one factor, in plain integers.
-A system keeps its own store; each exact checker fills a fresh one.
-``_gf_values`` reads a store as one table of integers over one
-denominator; the checkers' residuals and the coefficients, taken from
-the table's forward differences, are built on it.
+A system keeps its own store; each exact checker fills a fresh one capped
+at the degrees it reads.  ``_gf_values`` reads a store as one integer
+table over one denominator: the checkers' residual columns and the
+coefficients (from its forward differences) are built on it.
 
 The bivariate module builds on this core: its ``MeixnerSystem`` is the
 d = 2 case, its checkers call the ones here on a ``LatticeBox``, and it
@@ -33,7 +33,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, getitem, mul, sub
+from operator import add, getitem, le, mul, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
@@ -41,6 +41,7 @@ from .lorentz import PseudoRotation, inverse_tilde, require_generic
 from .numerics import (
     ScalarMode,
     _exponents_of_degree,
+    _int_column,
     _scaled_list,
     as_rational,
     pochhammer,
@@ -51,7 +52,7 @@ from .numerics import (
     series_mul,
     solve_linear_system,
 )
-from .reports import EvalReport, exact_report, lattice
+from .reports import EvalReport, column_report, lattice
 
 SHELL_CAP = 400
 # the float Gram loop scans the cube [0, S]^d shell by shell; past this many
@@ -204,16 +205,34 @@ def weight_d(sys: MeixnerSystemD, x: Sequence[int]):
 
 
 @lru_cache(maxsize=256)
-def _graded_layer(d: int, t: int):
-    """The multi-indices n of degree t in d variables, their positions, for
-    each n the pairs (j, position of n - e_j in layer t - 1), and t!/n!."""
-    monos = list(_exponents_of_degree(t, d))
+def _graded_layer(d: int, t: int, cap: MultiIndex):
+    """The multi-indices n <= cap of degree t in d variables, their
+    positions, for each n the pairs (j, position of n - e_j in layer t - 1
+    under the cap), and t!/n!.  ``_GradedLayers`` cuts the cap to
+    min(cap_i, t), so every cap of t or more shares the uncapped layer."""
+    monos, lower = (
+        [n for n in _exponents_of_degree(s, d) if all(map(le, n, cap))] for s in (t, t - 1)
+    )
     index = {n: pos for pos, n in enumerate(monos)}
-    below = {n: pos for pos, n in enumerate(_exponents_of_degree(t - 1, d))} if t else {}
+    below = {n: pos for pos, n in enumerate(lower)} if t else {}
     parents = [[(j, below[_step_down(n, j)]) for j in range(d) if n[j]] for n in monos]
     top = math.factorial(t)
     multinomials = [top // math.prod(map(math.factorial, n)) for n in monos]
     return index, parents, multinomials
+
+
+class _GradedLayers(dict):
+    """A store's ``_graded_layer`` entries by degree t, each under its cap
+    (t on every axis if there is none) cut to min(cap_i, t)."""
+
+    def __init__(self, d: int, cap):
+        super().__init__()
+        self.d, self.cap = d, cap
+
+    def __missing__(self, t: int):
+        cap = tuple(min(c, t) for c in self.cap or (t,) * self.d)
+        entry = self[t] = _graded_layer(self.d, t, cap)
+        return entry
 
 
 class _Layers(list):
@@ -233,28 +252,31 @@ class _GfStore(dict):
       G^_x[n] = q^|n| |n|! D^|x| [z^n] G_x(z),
       G_x(z) = (1 - sum_j z_j)^-(b + |x|) prod_i (1 - sum_j u[i][j] z_j)^x_i,
 
-    for every |n| up to its cutoff.  Neighbouring points differ by one
-    factor, G_{y+e_i} (1 - sum_j z_j) = G_y (1 - sum_j u[i][j] z_j), which
-    in cleared coefficients reads (t = |n|, j over the n_j > 0)
+    for every |n| up to its cutoff (and n <= ``cap``, if given).  Neighbouring
+    points differ by one factor, G_{y+e_i} (1 - sum_j z_j) =
+    G_y (1 - sum_j u[i][j] z_j), which in cleared coefficients reads
+    (t = |n|, j over the n_j > 0)
 
       G^_0[n] = prod_{s<t} (p + s q) t!/n!,
       G^_{y+e_i}[n] = D G^_y[n]
                       + q t sum_j (G^_{y+e_i}[n - e_j] - A[i][j] G^_y[n - e_j]).
 
     A point is filled from its parent x - e_(first nonzero axis), parent
-    first and layer by layer, in integer products only.  A store only
-    grows: a point asked for at a larger degree gains the missing layers.
-    A fill of more than POINT_BUDGET coefficients (chain points times the
-    C(top + d, d) coefficients of degree up to top) is refused.
+    first and layer by layer, in integer products only; n - e_j stays
+    under the cap.  A store only grows: a point asked for at a larger
+    degree gains the missing layers.  A fill of more than POINT_BUDGET
+    coefficients (chain points times the coefficients of degree up to top
+    under the cap) is refused.
     """
 
-    def __init__(self, d: int, beta: Fraction, u):
+    def __init__(self, d: int, beta: Fraction, u, cap=None):
         super().__init__()
-        self.d = d
+        self.d, self.cap = d, cap
         self.p, self.q = beta.numerator, beta.denominator
         self.denom, nums = _scaled_list([v for row in u for v in row])
         self.rows = [nums[i * d : (i + 1) * d] for i in range(d)]
         self._rising = [1]  # prod_{s<t} (p + s q), by t
+        self.graded = _GradedLayers(d, cap)
 
     def layers(self, x: MultiIndex, top: int) -> _Layers:
         """The layers of x up to degree ``top``, walking its chain down to
@@ -270,17 +292,20 @@ class _GfStore(dict):
                 break
             y = _step_down(y, _first_axis(y))
         d, q, denom = self.d, self.q, self.denom
-        if chain and (cells := len(chain) * math.comb(top + d, d)) > POINT_BUDGET:
-            raise PreconditionError(
-                f"the generating-function route would fill {cells}"
-                f" coefficients ({len(chain)} points up to degree {top}), more than"
-                f" {POINT_BUDGET}; use --route raising"
-            )
+        # a point keeps at most C(top + d, d) coefficients, so the cap's own
+        # count is needed only past the budget
+        if chain and len(chain) * math.comb(top + d, d) > POINT_BUDGET:
+            if (cells := len(chain) * self.cells(top)) > POINT_BUDGET:
+                raise PreconditionError(
+                    f"the generating-function route would fill {cells}"
+                    f" coefficients ({len(chain)} points up to degree {top}), more than"
+                    f" {POINT_BUDGET}; use --route raising"
+                )
         for y in reversed(chain):
             entry = self.setdefault(y, _Layers())
             if not any(y):
                 for t in range(len(entry), top + 1):
-                    entry.append([self.rising(t) * m for m in _graded_layer(d, t)[2]])
+                    entry.append([self.rising(t) * m for m in self.graded[t][2]])
                 continue
             i = _first_axis(y)
             parent = self[_step_down(y, i)]
@@ -292,9 +317,15 @@ class _GfStore(dict):
                 qt = q * t
                 entry.append([
                     denom * g + qt * sum(own[pos] - a[j] * old[pos] for j, pos in par)
-                    for g, par in zip(parent[t], _graded_layer(d, t)[1])
+                    for g, par in zip(parent[t], self.graded[t][1])
                 ])
         return self[x]
+
+    def cells(self, top: int) -> int:
+        """The coefficients of degree up to ``top`` that a point keeps."""
+        if self.cap is None:
+            return math.comb(top + self.d, self.d)
+        return sum(len(self.graded[t][2]) for t in range(top + 1))
 
     def rising(self, t: int) -> int:
         """prod_{s<t} (p + s q) = q^t (b)_t."""
@@ -307,14 +338,15 @@ class _GfStore(dict):
         """Layer and place of n, and the scale |n|!/n! prod_{s<|n|} (p + s q):
         G^_x[n] over the scale and D^|x| is the monic value R_n(x)."""
         t = sum(n)
-        index, _, multinomials = _graded_layer(self.d, t)
+        index, _, multinomials = self.graded[t]
         pos = index[n]
         return t, pos, multinomials[pos] * self.rising(t)
 
 
-def _store_of(sys: MeixnerSystemD) -> _GfStore:
-    """A fresh store cleared from the current ``sys.u``, kept off ``sys``."""
-    return _GfStore(sys.d, sys.beta, sys.u)
+def _store_of(sys: MeixnerSystemD, degrees) -> _GfStore:
+    """A fresh store cleared from the current ``sys.u``, kept off ``sys`` and
+    capped at the largest of ``degrees`` on each axis (0 if there are none)."""
+    return _GfStore(sys.d, sys.beta, sys.u, tuple(map(max, zip((0,) * sys.d, *degrees))))
 
 
 def _gf_values(store: _GfStore, degrees, points):
@@ -528,43 +560,33 @@ def _three_diagonal(vectors, last, beta):
     return rows_at
 
 
-def _three_diagonal_residuals(sys: MeixnerSystemD, max_n, max_x, transposed: bool):
-    """Residuals (n, x) -> one per relation: the recurrences in the degrees
+def _three_diagonal_columns(sys: MeixnerSystemD, max_n, max_x, transposed: bool):
+    """The ``column_report`` columns of the recurrences in the degrees
     (rows of the matrix, total = |n| + b) or, ``transposed``, the
     difference equations in the variables (columns, total = |x| + b).
-
-    Everything stays in integers.  ``_three_diagonal`` gives each row with
-    the weight w of y_j, and the values it reads share the one denominator
-    den of their ``_gf_values`` table, so a residual is one integer dot
-    product over w den, made a rational only when it is nonzero.
-    """
+    ``_three_diagonal`` gives each row with the weight w of y_j, and the
+    values it reads share the one denominator den of their ``_gf_values``
+    table, so a residual is one integer dot product over w den."""
     d = sys.d
-    e = sys.lam.entries
-    if transposed:
-        e = list(zip(*e))
-        shifted_top, fixed = max_x, lattice(max_n)
-    else:
-        shifted_top, fixed = max_n, lattice(max_x)
+    e = list(zip(*sys.lam.entries)) if transposed else sys.lam.entries
+    shifted_top, fixed = (max_x, lattice(max_n)) if transposed else (max_n, lattice(max_x))
     rows_at = _three_diagonal(e[:d], e[d], sys.beta)
     plans = {s: rows_at(s) for s in lattice(shifted_top)}
     reached = {t for targets, _ in plans.values() for t in targets}
-    if transposed:
-        den, V = _gf_values(_store_of(sys), fixed, reached)
-        V = {key[d:] + key[:d]: v for key, v in V.items()}  # shifted index first
-    else:
-        den, V = _gf_values(_store_of(sys), reached, fixed)
+    degrees, points = (fixed, reached) if transposed else (reached, fixed)
+    den, V = _gf_values(_store_of(sys, degrees), degrees, points)
+    cols = {t: [V[y + t] if transposed else V[t + y] for y in fixed] for t in reached}
+    axes = list(zip(*fixed))  # y_j over the fixed indices
 
-    def residuals(n, x):
-        s, y = (x, n) if transposed else (n, x)
+    def columns(s):
         targets, rows = plans[s]
-        values = [V[t + y] for t in targets]
-        out = []
-        for j, (w, row) in enumerate(rows):
-            num = w * y[j] * values[0] + sum(map(mul, row, values))
-            out.append(Fraction(num, w * den) if num else 0)
-        return out
+        values = [cols[t] for t in targets]
+        return [
+            (_int_column([(w, list(map(mul, axes[j], values[0]))), *zip(row, values)]), w * den)
+            for j, (w, row) in enumerate(rows)
+        ]
 
-    return residuals
+    return columns
 
 
 def _checked_box(sys: MeixnerSystemD, what: str, max_n, max_x):
@@ -572,24 +594,12 @@ def _checked_box(sys: MeixnerSystemD, what: str, max_n, max_x):
     return _as_multi_index(max_n, sys.d, "max degrees"), _as_multi_index(max_x, sys.d, "max point")
 
 
-def _scan_identity(name: str, max_n, max_x, residuals) -> EvalReport:
-    """Report over the box; the counterexample is the label (*n, *x, j) of
-    the first nonzero residual, j the relation."""
-    d = len(max_n)
-    box = {"d": d, "max_degrees": list(max_n), "max_point": list(max_x)}
-
-    def labelled(cell):
-        return (((*cell, j), res) for j, res in enumerate(residuals(cell[:d], cell[d:])))
-
-    return exact_report(name, box, lattice((*max_n, *max_x)), labelled)
-
-
 def check_recurrence_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -> EvalReport:
     """The d three-diagonal recurrences in the degrees, exactly: relation j
     multiplies by x_j and reads row j of the matrix, with p its last row."""
     max_n, max_x = _checked_box(sys, "check_recurrence_d", max_n, max_x)
-    residuals = _three_diagonal_residuals(sys, max_n, max_x, transposed=False)
-    return _scan_identity("recurrence", max_n, max_x, residuals)
+    columns = _three_diagonal_columns(sys, max_n, max_x, transposed=False)
+    return column_report("recurrence", max_n, max_x, columns)
 
 
 def check_difference_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -> EvalReport:
@@ -602,7 +612,7 @@ def check_difference_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex
     It is checked as a third residual and needs those entries nonzero.
     """
     max_n, max_x = _checked_box(sys, "check_difference_d", max_n, max_x)
-    residuals = _three_diagonal_residuals(sys, max_n, max_x, transposed=True)
+    columns = _three_diagonal_columns(sys, max_n, max_x, transposed=True)
     if sys.d == 2:
         e = sys.lam.entries
         w0, w1 = e[0][0] * e[1][0], e[0][1] * e[1][1]
@@ -610,13 +620,19 @@ def check_difference_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex
             raise NonGenericMatrix(
                 "nearest-neighbour difference equation divides by interior entries that are zero"
             )
-        pair = residuals
+        pair = columns
 
-        def residuals(n, x):
-            res = pair(n, x)
-            return (*res, res[0] / w0 - res[1] / w1 if any(res) else 0)
+        @lru_cache(maxsize=1)  # den0 and den1 are the same at every x
+        def scales(den0, den1):
+            # num0 / (den0 w0) - num1 / (den1 w1) = (k0 num0 - k1 num1) / common
+            return _scaled_list([1 / (den0 * w0), 1 / (den1 * w1)])
 
-    return _scan_identity("difference", max_n, max_x, residuals)
+        def columns(x):
+            (num0, den0), (num1, den1) = both = pair(x)
+            common, (k0, k1) = scales(den0, den1)
+            return [*both, (_int_column([(k0, num0), (-k1, num1)]), common)]
+
+    return column_report("difference", max_n, max_x, columns, transposed=True)
 
 
 def check_lowering_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -> EvalReport:
@@ -636,30 +652,31 @@ def check_lowering_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) 
         raise PreconditionError(f"lowering relations need beta > 1, got {b}")
     d = sys.d
     e = sys.lam.entries
-    units = _units(d)
     degrees, points = lattice(max_n), lattice(max_x)
-    near = {tuple(map(add, x, t)) for x in points for t in [(0,) * d, *units]}
-    den, R = _gf_values(_store_of(sys), degrees[:-1], points)  # every degree but max_n
-    low_den, low = _gf_values(_store_of(MeixnerSystemD(b - 1, sys.lam)), degrees, near)
+    shifted = [[tuple(map(add, x, t)) for x in points] for t in _units(d)]
+    near = {z for line in shifted for z in line}.union(points)
+    den, R = _gf_values(_store_of(sys, degrees[:-1]), degrees[:-1], points)  # all but max_n
+    low_den, low = _gf_values(_store_of(MeixnerSystemD(b - 1, sys.lam), degrees), degrees, near)
     # the (b-1) (L[d][j]/L[d][d]) L[i][j] L[i][d] products in front of D_i
     cden, cnums = _scaled_list(
         [(b - 1) * (e[d][j] / e[d][d]) * (e[i][j] * e[i][d]) for j in range(d) for i in range(d)]
     )
-    coeffs = [cnums[j * d : (j + 1) * d] for j in range(d)]
+    coeffs = [[den * c for c in cnums[j * d : (j + 1) * d]] for j in range(d)]
     front = cden * low_den  # the denominator of the sum over D_i
 
-    def residuals(n, x):
-        here = low[n + x]
-        diffs = [low[n + tuple(map(add, x, t))] - here for t in units]
+    def columns(n):
+        here = [low[n + x] for x in points]
+        diffs = [list(map(sub, [low[n + z] for z in line], here)) for line in shifted]
         out = []
         for j, row in enumerate(coeffs):
-            num = sum(map(mul, row, diffs)) * den
+            terms = list(zip(row, diffs))
             if n[j]:
-                num += n[j] * R[_step_down(n, j) + x] * front
-            out.append(Fraction(num, front * den) if num else 0)
+                lower = _step_down(n, j)
+                terms.append((n[j] * front, [R[lower + x] for x in points]))
+            out.append((_int_column(terms), front * den))
         return out
 
-    return _scan_identity("lowering", max_n, max_x, residuals)
+    return column_report("lowering", max_n, max_x, columns)
 
 
 def check_duality_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -> EvalReport:
@@ -668,14 +685,14 @@ def check_duality_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -
     residual is R dual_den - dual den over den dual_den."""
     max_n, max_x = _checked_box(sys, "check_duality_d", max_n, max_x)
     degrees, points = lattice(max_n), lattice(max_x)
-    den, R = _gf_values(_store_of(sys), points, degrees)  # sys is read with degrees and points swapped
-    dual_den, dual = _gf_values(_store_of(sys.dual()), degrees, points)
+    den, R = _gf_values(_store_of(sys, points), points, degrees)  # degrees and points swapped
+    dual_den, dual = _gf_values(_store_of(sys.dual(), degrees), degrees, points)
 
-    def residuals(n, x):
-        num = R[x + n] * dual_den - dual[n + x] * den
-        return (Fraction(num, den * dual_den) if num else 0,)
+    def columns(n):
+        pair = [(dual_den, [R[x + n] for x in points]), (-den, [dual[n + x] for x in points])]
+        return [(_int_column(pair), den * dual_den)]
 
-    return _scan_identity("duality", max_n, max_x, residuals)
+    return column_report("duality", max_n, max_x, columns)
 
 
 # ---------------------------------------------------------------------------

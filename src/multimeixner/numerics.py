@@ -153,6 +153,12 @@ def _scaled_list(values):
     return denom, [v.numerator * (denom // v.denominator) for v in values]
 
 
+def _int_column(terms) -> list:
+    """The integer column sum_k c_k col_k of the (c_k, col_k) terms, each
+    col_k a list of integers, element by element in C-level maps."""
+    return list(map(sum, zip(*(map(c.__mul__, col) for c, col in terms))))
+
+
 def _scaled_items(coeffs):
     """Common denominator and integer-scaled (degree, exponents, value) rows."""
     denom, nums = _scaled_list(coeffs.values())

@@ -104,3 +104,29 @@ def exact_report(identity: str, box, cells: Iterable, residuals: Callable) -> Ev
                 if counter is None:
                     counter = label
     return EvalReport(identity, box, ScalarMode.EXACT, max_disc, counter)
+
+
+def column_report(identity: str, max_n, max_x, columns, transposed=False) -> EvalReport:
+    """Exact report over the degrees n <= max_n and points x <= max_x from
+    residual columns: ``columns(s)`` gives, for each degree s (each point
+    ``transposed``) in lattice order, one (integer numerators, positive
+    denominator) column per relation j over the points y (the degrees) in
+    lattice order.
+
+    The counterexample is the least label (*n, *x, j) of a nonzero
+    residual, which is the first in lattice order.
+    """
+    box = {"d": len(max_n), "max_degrees": list(max_n), "max_point": list(max_x)}
+    shifted, fixed = lattice(max_n), lattice(max_x)
+    if transposed:
+        shifted, fixed = fixed, shifted
+    found = []  # (least label, largest |residual|) of each nonzero column
+    for s in shifted:
+        for j, (column, den) in enumerate(columns(s)):
+            if any(column):
+                y = fixed[next(itertools.compress(itertools.count(), column))]
+                label = (*y, *s, j) if transposed else (*s, *y, j)
+                found.append((label, Fraction(max(map(abs, column)), den)))
+    max_disc = max((res for _, res in found), default=Fraction(0))
+    counter = min((label for label, _ in found), default=None)
+    return EvalReport(identity, box, ScalarMode.EXACT, max_disc, counter)

@@ -174,7 +174,7 @@ class TestGfTable:
         sys2 = random_system(42, 2, F(7, 3))
         degrees = [(m, n) for m in range(6) for n in range(6 - m)]
         points = [(i, k) for i in range(4) for k in range(5)]
-        den, table = multivariate._gf_values(multivariate._store_of(sys2), degrees, points)
+        den, table = multivariate._gf_values(multivariate._store_of(sys2, degrees), degrees, points)
         assert len(table) == 21 * 4 * 5
         assert isinstance(den, int)
         fresh = random_system(42, 2, F(7, 3))

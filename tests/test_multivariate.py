@@ -417,6 +417,100 @@ class TestBrokenIdentityD3:
         assert report.counterexample == counter
 
 
+class TestBrokenIdentityScanOrder:
+    """Boxes in which many cells fail: ``u[i][j]`` shifted by 1/3 after
+    construction at several (i, j), or left alone.  The exact discrepancy
+    and the first counterexample in lattice order are pinned for every
+    checker, so a slip in the scan order or in a denominator shows."""
+
+    CASES = {
+        "d2": (42, 2, F(7, 3), (4, 4), (5, 5)),
+        "d3": (D3_SEED, 3, F(5, 2), (2, 2, 1), (2, 1, 2)),
+    }
+
+    @pytest.mark.parametrize(
+        "case, spot, checker, disc, counter",
+        [
+            ("d2", None, check_recurrence_d, F(0), None),
+            ("d2", None, check_difference_d, F(0), None),
+            ("d2", None, check_lowering_d, F(0), None),
+            ("d2", None, check_duality_d, F(0), None),
+            (
+                "d2", (0, 0), check_recurrence_d,
+                F(23314012532082664710453099, 25593877257243349483520), (0, 0, 1, 0, 0),
+            ),
+            (
+                "d2", (0, 0), check_difference_d,
+                F(3041192590667606287709, 2739101218934685696), (1, 0, 0, 0, 0),
+            ),
+            (
+                "d2", (0, 0), check_lowering_d,
+                F(15058585716565914553571, 53551498488158601216), (1, 1, 1, 0, 1),
+            ),
+            (
+                "d2", (0, 0), check_duality_d,
+                F(2527620396950078485621, 25082167026079088640), (1, 0, 1, 0, 0),
+            ),
+            (
+                "d2", (1, 0), check_recurrence_d,
+                F(497701734123321459, 468752030236672), (0, 0, 0, 1, 0),
+            ),
+            (
+                "d2", (1, 0), check_difference_d,
+                F(17252599084651557, 86975474360320), (1, 0, 0, 0, 0),
+            ),
+            (
+                "d2", (1, 0), check_lowering_d,
+                F(101488427868518927, 189583417700352), (1, 1, 0, 1, 1),
+            ),
+            ("d2", (1, 0), check_duality_d, F(912365773715659, 6716011760640), (0, 1, 1, 0, 0)),
+            (
+                "d2", (1, 1), check_recurrence_d,
+                F(606119242345882571, 2662083344793600), (0, 0, 0, 1, 0),
+            ),
+            (
+                "d2", (1, 1), check_difference_d,
+                F(2751276515081557, 25217000434080), (0, 1, 0, 0, 0),
+            ),
+            ("d2", (1, 1), check_lowering_d, F(7238336522575, 33757731072), (0, 2, 0, 1, 1)),
+            ("d2", (1, 1), check_duality_d, F(19080448489, 102362624), (0, 1, 0, 1, 0)),
+            ("d3", None, check_recurrence_d, F(0), None),
+            ("d3", None, check_difference_d, F(0), None),
+            ("d3", None, check_lowering_d, F(0), None),
+            ("d3", None, check_duality_d, F(0), None),
+            ("d3", (0, 0), check_recurrence_d, F(8527646375, 1378544832), (0, 0, 0, 1, 0, 0, 0)),
+            ("d3", (0, 0), check_difference_d, F(18802381429, 5303568312), (1, 0, 0, 0, 0, 0, 0)),
+            ("d3", (0, 0), check_lowering_d, F(149969144, 24553557), (1, 0, 1, 1, 0, 0, 2)),
+            ("d3", (0, 0), check_duality_d, F(322245756404, 11515618233), (1, 0, 0, 1, 0, 0, 0)),
+            ("d3", (1, 0), check_recurrence_d, F(7657, 9072), (0, 0, 0, 0, 1, 0, 0)),
+            ("d3", (1, 0), check_difference_d, F(3202492991, 2052627075), (1, 0, 0, 0, 0, 0, 0)),
+            ("d3", (1, 0), check_lowering_d, F(40692448, 27560115), (1, 0, 1, 0, 1, 0, 2)),
+            ("d3", (1, 0), check_duality_d, F(337603408, 21210525), (0, 1, 0, 1, 0, 0, 0)),
+            (
+                "d3", (2, 2), check_recurrence_d,
+                F(24012826332572543, 19608646624441875), (0, 0, 0, 0, 0, 1, 1),
+            ),
+            ("d3", (2, 2), check_difference_d, F(1454543633, 406822500), (0, 0, 1, 0, 0, 0, 0)),
+            ("d3", (2, 2), check_lowering_d, F(3208, 2625), (0, 1, 1, 0, 0, 1, 1)),
+            (
+                "d3", (2, 2), check_duality_d,
+                F(44614591981444, 5120439699375), (0, 0, 1, 0, 0, 1, 0),
+            ),
+        ],
+    )
+    def test_pinned_report(self, case, spot, checker, disc, counter):
+        seed, d, beta, max_n, max_x = self.CASES[case]
+        system = random_system(seed, d, beta)
+        if spot is not None:
+            u = [list(row) for row in system.u]
+            u[spot[0]][spot[1]] += F(1, 3)
+            system.u = tuple(map(tuple, u))
+        report = checker(system, max_n, max_x)
+        assert report.passed == (spot is None)
+        assert report.max_abs_discrepancy == disc
+        assert report.counterexample == counter
+
+
 def _expansion_values(system, points, cutoff):
     """Monic values (n, x) -> R_n(x) from the product of truncated series,
     (1 - sum z)^-(b + |x|) prod_i (1 - sum_j u[i][j] z_j)^x_i."""
@@ -485,3 +579,65 @@ class TestGfStore:
             assert code == 0
             values.append(capsys.readouterr().out.strip())
         assert values == ["-36424665866879/236196"] * 2
+
+    @pytest.mark.parametrize(
+        "seed, d, degrees, points",
+        [
+            (3, 1, [(0,), (2,), (5,)], [(0,), (4,), (7,)]),
+            (42, 2, [(0, 0), (0, 3), (0, 1)], [(2, 3), (0, 0), (4, 1)]),
+            (42, 2, [(2, 1), (1, 3), (0, 0)], [(3, 2), (1, 0)]),
+            (D3_SEED, 3, [(1, 0, 2), (0, 2, 0), (1, 1, 1)], [(1, 1, 1), (2, 0, 3)]),
+            (D3_SEED, 3, [], [(1, 2, 0), (0, 0, 0)]),
+        ],
+        ids=["d1", "d2-zero-axis", "d2", "d3", "d3-no-degrees"],
+    )
+    def test_capped_store_matches_the_system_store(self, seed, d, degrees, points):
+        # a checker's store keeps only the n <= the largest degree on each
+        # axis; the values it gives are those of the uncapped system store
+        system = random_system(seed, d, F(7, 3))
+        store = multivariate._store_of(system, degrees)
+        assert store.cap == tuple(max((n[i] for n in degrees), default=0) for i in range(d))
+        den, table = multivariate._gf_values(store, degrees, points)
+        assert len(table) == len(degrees) * len(points)
+        fresh = random_system(seed, d, F(7, 3))
+        for n in degrees:
+            for x in points:
+                assert F(table[n + x], den) == monic_eval_gf_d(fresh, n, x)
+        assert not system._gf_cache
+
+    def test_lowering_at_degree_zero_reads_no_degrees(self):
+        # the b table of the lowering checker holds every degree but the
+        # largest, none at max degrees 0
+        report = check_lowering_d(random_system(42, 2, F(7, 3)), (0, 0), (2, 3))
+        assert report.passed and report.counterexample is None
+
+    def test_cap_of_the_degree_or_more_shares_the_uncapped_layer(self):
+        system = random_system(42, 2, F(7, 3))
+        capped = multivariate._GfStore(2, system.beta, system.u, (3, 7))
+        uncapped = multivariate._GfStore(2, system.beta, system.u)
+        for t in range(4):
+            assert capped.graded[t] is uncapped.graded[t]
+        # at degree 5 the cap keeps n = (a, 5 - a) for a <= 3
+        assert capped.graded[5] is not uncapped.graded[5]
+        assert list(capped.graded[5][0]) == [(0, 5), (1, 4), (2, 3), (3, 2)]
+        assert len(uncapped.graded[5][0]) == 6
+
+    def test_capped_store_fills_what_the_uncapped_refuses(self, capsys):
+        # 101 chain points up to degree 200: a cap of (200, 0) keeps 201
+        # coefficients a point, 20,301 in all, where the uncapped store
+        # would fill C(202, 2) = 20,301 a point, 2,050,401 in all, past
+        # POINT_BUDGET
+        system = random_system(42, 2, 2)
+        store = multivariate._GfStore(2, system.beta, system.u, (200, 0))
+        layers = store.layers((0, 100), 200)
+        assert len(store) * store.cells(200) == 20301
+        t, pos, scale = store.position((200, 0))
+        value = F(layers[t][pos], scale * store.denom**100)
+        assert value == monic_eval_raising_d(system, (200, 0), (0, 100))
+        code = main(["eval", "--route", "gf", "--degrees", "200,0", "--point", "0,100"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "2050401 coefficients (101 points up to degree 200)" in err
+        assert "--route raising" in err
