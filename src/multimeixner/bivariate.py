@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
 from . import multivariate
@@ -39,9 +38,8 @@ from .lorentz import PseudoRotation, compose, identity as lorentz_identity
 from .multivariate import (
     MeixnerSystemD,
     _LogMass,
+    _RaisingTable,
     _gram_discrepancy,
-    _neighbours_below,
-    _raising_levels,
     check_difference_d,
     check_duality_d,
     check_lowering_d,
@@ -234,11 +232,12 @@ def monic_poly_coeffs(sys: MeixnerSystem, m: int, n: int) -> Dict[Tuple[int, int
 
 
 def orthonormal_eval(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> float:
-    """Orthonormal value: signed square-root normalization times the monic value."""
+    """Orthonormal value: signed square-root normalization times the monic
+    value, read from the system's raising table in log space."""
     sys.require_mode(ScalarMode.FLOAT, "orthonormal_eval")
     _check_degrees(m, n)
     _check_point(i, k)
-    return _scaled_orthonormal(sys, (m, n), (i, k), 1, 0.0, "orthonormal value")
+    return sys._raising.orthonormal((m, n), (i, k))
 
 
 def matrix_element(sys: MeixnerSystem, i: int, k: int, m: int, n: int) -> float:
@@ -246,32 +245,7 @@ def matrix_element(sys: MeixnerSystem, i: int, k: int, m: int, n: int) -> float:
     sys.require_mode(ScalarMode.FLOAT, "matrix_element")
     _check_degrees(m, n)
     _check_point(i, k)
-    column = _LogMass(sys.beta, sys.lam)
-    x = (i, k)
-    return _scaled_orthonormal(sys, (m, n), x, column.sign(x), 0.5 * column(x), "matrix element")
-
-
-def _scaled_orthonormal(sys: MeixnerSystem, n, x, sign: int, log_scale: float, what: str) -> float:
-    """sign exp(log_scale) times the orthonormal value at degrees n, point x.
-
-    The logarithms of the monic value (``log_abs``, so neither integer
-    passes through a float), half the row mass of the prefactor and
-    ``log_scale`` are summed, the signs kept apart, so only the result can
-    leave the float range: far below it reads 0.0, above it raises
-    ``PreconditionError``.
-    """
-    value = monic_eval_raising(sys, *n, *x)
-    if not value:
-        return 0.0
-    row = _LogMass(sys.beta, sys.lam, row=True)
-    sign *= (-1) ** sum(n) * row.sign(n) * (1 if value > 0 else -1)
-    log = log_abs(value) + 0.5 * row(n) + log_scale
-    try:
-        return sign * math.exp(log)
-    except OverflowError:
-        raise PreconditionError(
-            f"the {what} is about 10^{log / math.log(10):.1f}, past the float range"
-        ) from None
+    return sys._raising.matrix_element((i, k), (m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +357,11 @@ def _elliptic_me_core(cos: Fraction, sin: Fraction, i, k, m, n) -> float:
     tan = sin / cos
     poly = krawtchouk(n, k, sin * sin, N)
     rational = (-1) ** k * cos**N * tan ** (k + n) * poly
-    return float(rational) * math.sqrt(math.comb(N, k) * math.comb(N, n))
+    if not rational:
+        return 0.0
+    # in log space: the binomials pass 1e308 long before the element leaves [-1, 1]
+    log = log_abs(rational) + 0.5 * (math.log(math.comb(N, k)) + math.log(math.comb(N, n)))
+    return (1 if rational > 0 else -1) * math.exp(log)
 
 
 def elliptic_me(beta, s, i: int, k: int, m: int, n: int) -> float:
@@ -469,50 +447,6 @@ def general_sum_eval(
 # general float matrix elements and the addition formula
 
 
-class _FloatMeTable:
-    """Float matrix elements for a matrix with nonzero last column.
-
-    The degree recursion divides only by last-column entries, so matrices
-    with zeros in the last row (which break the monic normalization) are
-    still fine here.  With r_i = L[i][j]/L[i][d], j the axis that the
-    core's raising descent (``multivariate._raising_levels``) steps down,
-    the values at shift s are 1.0 at degree zero and
-
-      M[n](y) = (-r_d (|y| + b + s) M'[n - e_j](y)
-                 + sum_i r_i y_i M'[n - e_j](y - e_i)) / sqrt((b + s) n_j),
-
-    M' at shift s + 1, filled bottom up over the descent's levels.
-    """
-
-    def __init__(self, beta: Fraction, lam: PseudoRotation):
-        e, d = lam.entries, lam.d
-        if any(e[i][d] == 0 for i in range(d)):
-            raise NonGenericMatrix(
-                "matrix element recursion needs nonzero last-column entries"
-            )
-        self.beta = float(beta)
-        self.ratios = [tuple(float(e[i][j] / e[i][d]) for i in range(d + 1)) for j in range(d)]
-        self._amplitude = lru_cache(maxsize=None)(_LogMass(beta, lam).root)
-        self._m: Dict[Tuple[Tuple[int, ...], Tuple[int, ...], int], float] = {}
-
-    def me(self, i: int, k: int, m: int, n: int) -> float:
-        return self._amplitude((i, k)) * self._m_value((m, n), (i, k))
-
-    def _m_value(self, n, x) -> float:
-        cache = self._m
-        below = cache.get  # degree-zero values are 1.0 and are not stored
-        for degree, j, lower, shift, points in reversed(_raising_levels(cache, n, x)):
-            *r, rc = self.ratios[j]
-            gamma = self.beta + shift
-            norm = math.sqrt(gamma * degree[j])
-            for y in points:
-                acc = -rc * (sum(y) + gamma) * below((lower, y, shift + 1), 1.0)
-                for i, v, z in _neighbours_below(y):
-                    acc += r[i] * v * below((lower, z, shift + 1), 1.0)
-                cache[(degree, y, shift)] = acc / norm
-        return below((n, x, 0), 1.0)
-
-
 def _is_identity(lam: PseudoRotation) -> bool:
     return lam.entries == lorentz_identity(lam.d).entries
 
@@ -539,11 +473,11 @@ def me_evaluator(beta, lam: PseudoRotation) -> Callable[[int, int, int, int], fl
     """Float evaluator (i, k, m, n) -> <i,k| F(lam) |m,n> for d = 2.
 
     Dispatches on structure: identity, pure rotation, pure boosts (their
-    closed forms), otherwise the generic recursion, which needs a nonzero
-    last column.  The recursion agrees with ``matrix_element`` to rel 1e-9
-    for i + k = m + n <= 10; its float error grows fast with the degree
-    (rel 2e-6 on the canonical matrix and 3e-3 on a seeded one at
-    i + k = m + n = 20), so deep values are rough.
+    closed forms), otherwise the integer raising table of the core
+    (``multivariate._RaisingTable``), which needs a nonzero last column
+    but no nonzero last row.  Its values are exact integers until the one
+    log-space conversion, so an element is good to about rel 1e-13 even
+    on the level block i + k = m + n = 25.
     """
     if lam.d != 2:
         raise ValueError("matrix elements implemented for d = 2")
@@ -559,7 +493,8 @@ def me_evaluator(beta, lam: PseudoRotation) -> Callable[[int, int, int, int], fl
         if pair is not None:
             ch, sh, first = *pair, axis == 0
             return lambda i, k, m, n: _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first)
-    return _FloatMeTable(beta, lam).me
+    table = _RaisingTable(beta, lam)
+    return lambda i, k, m, n: table.matrix_element((i, k), (m, n))
 
 
 def check_addition(

@@ -16,15 +16,18 @@ d = 2 case, its checkers call the ones here on a ``LatticeBox``, and it
 adds what is stated for d = 2 only (the hypergeometric sum, the closed
 forms, the subgroup matrix elements and the addition formula).
 
-The raising recursion is
+The raising recursion is one table (``_RaisingTable``) of the
+unnormalised values
 
-  R[b, n + e_j](x) = ( (|x|+b) R[b+1, n](x)
-                       - sum_i u[i][j] x_i R[b+1, n](x - e_i) ) / b,
+  S[b, n + e_j](x) = -r_d (|x|+b) S[b+1, n](x)
+                     + sum_i r_i x_i S[b+1, n](x - e_i),   r_i = L[i][j]/L[i][d],
 
-derived by pushing the monic normalization through the raising relations
-(every square root cancels, the key collapse being
-b (b)_{|n|+1} = b^2 (b+1)_{|n|}); its wholesale agreement with the
-generating function is the correctness gate.
+in integers, filled level by level.  Every square root of the raising
+relations collects in S / sqrt((b)_{|n|} n!), the orthonormal value, and
+the monic value is S / ((b)_{|n|} prod_j (-r_dj)^{n_j}), so one table
+serves the monic values, the orthonormal values and the matrix elements;
+its wholesale agreement with the generating function is the correctness
+gate.
 """
 
 from __future__ import annotations
@@ -98,12 +101,12 @@ class MeixnerSystemD:
     """A (beta, Lambda) bundle in d variables with derived c and u parameters.
 
     Parameters must not change after construction: the value caches
-    (``_gf_cache``, the generating-function store, ``_raising_cache``,
-    ``_poly_cache`` and, at d = 2, the hypergeometric rows in
-    ``_hyp_cache``) hold the u of construction cleared to integers and
-    are never invalidated, so a changed parameter would meet values
-    computed from the old one.  Only the table-built exact checkers below
-    re-read the current ``u`` and ``lam`` on every call.
+    (``_gf_cache``, the generating-function store, ``_raising``, the
+    raising table, ``_poly_cache`` and, at d = 2, the hypergeometric rows
+    in ``_hyp_cache``) hold the u or the matrix of construction cleared to
+    integers and are never invalidated, so a changed parameter would meet
+    values computed from the old one.  Only the table-built exact checkers
+    below re-read the current ``u`` and ``lam`` on every call.
     """
 
     def __init__(self, beta, lam: PseudoRotation, mode=ScalarMode.EXACT):
@@ -127,7 +130,7 @@ class MeixnerSystemD:
             for i in range(self.d)
         )
         self._gf_cache = _GfStore(self.d, beta, self.u)
-        self._raising_cache: Dict[Tuple[MultiIndex, MultiIndex, int], int] = {}
+        self._raising = _RaisingTable(beta, lam)
         self._poly_cache: Dict[MultiIndex, Dict[MultiIndex, Fraction]] = {}
 
     def with_mode(self, mode) -> "MeixnerSystemD":
@@ -405,39 +408,95 @@ def _raising_levels(cache, n: MultiIndex, x: MultiIndex):
     return levels
 
 
-def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
-    """The raising recursion, filled level by level up from degree zero
-    over the descent of ``_raising_levels``.  Levels are stored cleared to
-    integers,
+class _RaisingTable(dict):
+    """The unnormalised raising recursion of one matrix, behind the monic
+    values, the orthonormal values and the matrix elements.
 
-      T[t, n](y) = (qD)^|n| (b+t)_|n| R[b+t, n](y),   b = p/q,  u = A/D,
-      T[t, n + e_j](y) = D (q (|y|+t) + p) T[t+1, n](y)
-                         - q sum_i A[i][j] y_i T[t+1, n](y - e_i),
+    With r_i = L[i][j]/L[i][d] (i = 0..d) for the axis j that a level of
+    ``_raising_levels`` steps down, the values at shift s are 1 at degree
+    zero and
 
-    so a step costs integer products only and the value at n is rebuilt
-    as one rational, T[0, n](x) / (D^|n| prod_{s<|n|} (p + s q)).  The
-    cleared u and the integer rising products are those of the system's
-    generating-function store.
+      S[n + e_j](y) = -r_d (|y| + b + s) S(y) + sum_i r_i y_i S(y - e_i),
+
+    S on the right those of degree n at shift s + 1.  It divides only by
+    last-column entries, so it also serves matrices with a zero in the
+    last row.  With b = p/q and the r's a/E over one denominator, a value
+    keyed (degree, y, shift) is kept as the integer (qE)^|n| S, so a step
+
+      S^[n + e_j](y) = -a_d (q (|y| + s) + p) S^(y) + q sum_i a_i y_i S^(y - e_i)
+
+    costs integer products only.  At shift 0, S / sqrt((b)_|n| n!) is the
+    orthonormal value and, times the signed amplitude, the matrix element:
+    both are read in log space, so only the result can leave the float
+    range.  Where the last row has no zero, S / ((b)_|n| prod_j (-r_dj)^n_j)
+    is the monic value (``monic_eval_raising_d``).
     """
+
+    def __init__(self, beta: Fraction, lam: PseudoRotation):
+        super().__init__()
+        e, d = lam.entries, lam.d
+        if any(e[i][d] == 0 for i in range(d)):
+            raise NonGenericMatrix("the raising recursion needs nonzero last-column entries")
+        self.p, self.q = beta.numerator, beta.denominator
+        denom, nums = _scaled_list([e[i][j] / e[i][d] for j in range(d) for i in range(d + 1)])
+        # per axis j: the cleared last-row step -a_d and the q a_i, i < d
+        rows = [nums[j * (d + 1) : (j + 1) * (d + 1)] for j in range(d)]
+        self.steps = [(-row[d], [self.q * a for a in row[:d]]) for row in rows]
+        b, log_qe, mass = float(beta), math.log(self.q * denom), _LogMass(beta, lam)
+        # kept per table like its values: each point's amplitude sign and
+        # log, and each degree's log of (qE)^|n| sqrt((b)_|n| n!)
+        self.amplitude = lru_cache(maxsize=None)(lambda x: (mass.sign(x), 0.5 * mass(x)))
+        self.log_norm = lru_cache(maxsize=None)(
+            lambda n: sum(n) * log_qe
+            + 0.5 * (math.lgamma(b + sum(n)) - math.lgamma(b) + sum(math.lgamma(v + 1) for v in n))
+        )
+
+    def value(self, n: MultiIndex, x: MultiIndex) -> int:
+        """(qE)^|n| S[n](x) at shift 0, filled level by level up from
+        degree zero, so the call stack stays flat at any degree."""
+        p, q = self.p, self.q
+        below = self.get  # degree-zero values are 1 at every point and are not stored
+        for degree, j, lower, shift, points in reversed(_raising_levels(self, n, x)):
+            last, col = self.steps[j]
+            # -a_d (q (|y| + s) + p) = slope |y| + offset
+            slope, offset = last * q, last * (q * shift + p)
+            for y in points:
+                acc = (slope * sum(y) + offset) * below((lower, y, shift + 1), 1)
+                for i, v, z in _neighbours_below(y):
+                    acc += col[i] * v * below((lower, z, shift + 1), 1)
+                self[(degree, y, shift)] = acc
+        return below((n, x, 0), 1)
+
+    def orthonormal(self, n: MultiIndex, x: MultiIndex, sign=1, log_scale=0.0,
+                    what="orthonormal value") -> float:
+        """sign exp(log_scale) S[n](x) / sqrt((b)_|n| n!); far below the
+        float range it reads 0.0, above it raises ``PreconditionError``."""
+        value = self.value(n, x)
+        if not value:
+            return 0.0
+        log = math.log(abs(value)) + log_scale - self.log_norm(n)
+        try:
+            return (sign if value > 0 else -sign) * math.exp(log)
+        except OverflowError:
+            raise PreconditionError(
+                f"the {what} is about 10^{log / math.log(10):.1f}, past the float range"
+            ) from None
+
+    def matrix_element(self, x: MultiIndex, n: MultiIndex) -> float:
+        """<x| F(L) |n>: the signed amplitude at x times the orthonormal value."""
+        return self.orthonormal(n, x, *self.amplitude(x), "matrix element")
+
+
+def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
+    """The raising recursion: the system's ``_RaisingTable`` value over
+    prod_{s<|n|} (p + s q) prod_j (-a_dj)^n_j, the integer rising product of
+    the system's generating-function store and the table's cleared
+    last-row steps, whose product is (qE)^|n| (b)_|n| prod_j (-r_dj)^n_j."""
     n = _as_multi_index(n, sys.d, "degrees")
     x = _as_multi_index(x, sys.d, "point")
-    total = sum(n)
-    if not total:
-        return Fraction(1)
-    d = sys.d
-    cache = sys._raising_cache
-    store = sys._gf_cache  # its u cleared to integers and its rising table
-    p, q, denom = store.p, store.q, store.denom
-    below = cache.get  # degree-zero values are 1 at every point and are not stored
-    for degree, j, lower, shift, points in reversed(_raising_levels(cache, n, x)):
-        col = [q * store.rows[i][j] for i in range(d)]
-        for y in points:
-            acc = denom * (q * (sum(y) + shift) + p) * below((lower, y, shift + 1), 1)
-            for i, v, z in _neighbours_below(y):
-                acc -= col[i] * v * below((lower, z, shift + 1), 1)
-            cache[(degree, y, shift)] = acc
-    # (qD)^|n| (b)_|n| = D^|n| prod_{s<|n|} (p + s q)
-    return Fraction(cache[(n, x, 0)], denom**total * store.rising(total))
+    table = sys._raising
+    steps = math.prod(last**v for (last, _), v in zip(table.steps, n))
+    return Fraction(table.value(n, x), sys._gf_cache.rising(sum(n)) * steps)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from multimeixner.harness import (
     random_matrix,
 )
 from multimeixner.lorentz import boost, compose, rotation
-from multimeixner.univariate import meixner
+from multimeixner.numerics import log_abs
+from multimeixner.univariate import krawtchouk, meixner
 
 
 class TestHyperbolicElements:
@@ -74,6 +75,15 @@ class TestEllipticElements:
     def test_level_blocks_orthogonal(self):
         for level in range(5):
             assert elliptic_block_deviation(2, F(1, 2), level) < 1e-10
+
+    def test_high_level_stays_in_log_space(self):
+        # the binomials C(1100, 550) pass the float range; the element does not
+        s, i, k, m, n = F(1, 2), 550, 550, 550, 550
+        N = i + k
+        cos, sin = (1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)
+        rational = (-1) ** k * cos**N * (sin / cos) ** (k + n) * krawtchouk(n, k, sin * sin, N)
+        exact = rational**2 * math.comb(N, k) * math.comb(N, n)
+        assert elliptic_me(2, s, i, k, m, n) ** 2 == pytest.approx(float(exact), rel=1e-12)
 
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(PreconditionError):
@@ -217,6 +227,38 @@ class TestEvaluatorDispatch:
                         assert ev(*point) == pytest.approx(
                             matrix_element(sys2, *point), rel=1e-9
                         )
+
+    @pytest.mark.parametrize("lam", [canonical_lambda(), random_matrix(42, 2, 4)], ids=["canonical", "seed42"])
+    def test_generic_recursion_is_accurate_on_deep_level_blocks(self, lam):
+        # reference: amplitude x orthonormal prefactor x the generating-function
+        # route, an independent exact route, combined in log space
+        ev = me_evaluator(2, lam)
+        sys2 = MeixnerSystem(2, lam)
+        column = multivariate._LogMass(sys2.beta, lam)
+        for level in (20, 25):
+            for i in range(level + 1):
+                for m in range(level + 1):
+                    x, n = (i, level - i), (m, level - m)
+                    monic = multivariate.monic_eval_gf_d(sys2, n, x)
+                    pref = multivariate._orthonormal_prefactor_d(sys2, n)
+                    log = 0.5 * column(x) + math.log(abs(pref)) + log_abs(monic)
+                    sign = column.sign(x) * math.copysign(1, pref) * (1 if monic > 0 else -1)
+                    assert ev(*x, *n) == pytest.approx(sign * math.exp(log), rel=1e-12)
+
+    def test_generic_recursion_serves_a_zero_in_the_last_row(self):
+        # last row (0, 3/4, 5/4): the rotation acts after the boost, so the
+        # element is the one-intermediate-level sum of their closed forms
+        C = compose(rotation((1, 2), F(1, 2), 2), boost((2, 3), 2, 2))
+        assert C.entries[2][0] == 0
+        ev = me_evaluator(2, C)
+        for level in range(21):
+            span = range(level + 1)
+            rot = [[elliptic_me(2, F(1, 2), i, level - i, r, level - r) for r in span] for i in span]
+            bst = [[hyperbolic_me_psi(2, 2, r, level - r, m, level - m) for m in span] for r in span]
+            for i in span:
+                for m in span:
+                    ref = math.fsum(rot[i][r] * bst[r][m] for r in span)
+                    assert ev(i, level - i, m, level - m) == pytest.approx(ref, rel=1e-12)
 
     def test_generic_recursion_reaches_deep_degrees(self):
         # the levels are filled bottom up, so no call stack grows with the degree
