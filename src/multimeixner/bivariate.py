@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
+from operator import add, mul
 from typing import Callable, Dict, List, Tuple
 
 from . import multivariate
@@ -69,8 +70,11 @@ class MeixnerSystem(MeixnerSystemD):
     """The d = 2 system.
 
     ``_hyp_cache`` maps (row, length) to a row of the hypergeometric sum
-    cleared to integers, built on first use and, like the core's caches,
-    never invalidated.
+    cleared to integers.  ``_hyp_grids`` maps a degree (m, n) to
+    (A, B, denominator, grid): the sum's integer coefficient grid for
+    exponents a <= A of (-i) and b <= B of (-k) (see ``_hyp_grid``), its caps
+    grown only as far as the points asked for reach.  Both are built on
+    first use and, like the core's caches, never invalidated.
     """
 
     def __init__(self, beta, lam: PseudoRotation, mode=ScalarMode.EXACT):
@@ -78,6 +82,7 @@ class MeixnerSystem(MeixnerSystemD):
             raise ValueError(f"MeixnerSystem needs a 3x3 matrix, got d={lam.d}")
         super().__init__(beta, lam, mode)
         self._hyp_cache: Dict[Tuple[object, int], Tuple[int, List[int]]] = {}
+        self._hyp_grids: Dict[Tuple[int, int], Tuple[int, int, int, List[List[int]]]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -138,52 +143,91 @@ def monic_eval_raising(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fr
 def monic_eval_hyp(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fraction:
     _check_degrees(m, n)
     _check_point(i, k)
-    # each row only as long as the sum reads it: negm, negn and invb are
-    # read at mu + nu, rho + sigma and their total, with mu + rho <= i and
-    # nu + sigma <= k, so never past i + k
-    negm = _rising_of_negative(m, min(m, i + k))
-    negn = _rising_of_negative(n, min(n, i + k))
+    # (-i)_a and (-k)_b vanish past i and k, and a + b never passes m + n
     negi = _rising_of_negative(i, min(i, m + n))
     negk = _rising_of_negative(k, min(k, m + n))
-    db, invb = _hyp_row(sys, "invbeta", min(m + n, i + k))
-    d11, p11 = _hyp_row(sys, (0, 0), min(m, i))
-    d21, p21 = _hyp_row(sys, (1, 0), min(m, k))
-    d12, p12 = _hyp_row(sys, (0, 1), min(n, i))
-    d22, p22 = _hyp_row(sys, (1, 1), min(n, k))
-    total = hyp_sum(m, n, i, k, negm, negn, negi, negk, invb, p11, p21, p12, p22)
-    return Fraction(total, db * d11 * d21 * d12 * d22)
+    den, grid = _system_hyp_grid(sys, m, n, len(negi) - 1, len(negk) - 1)
+    return Fraction(_hyp_contract(grid, negi, negk), den)
 
 
 def hyp_sum(m, n, i, k, negm, negn, negi, negk, invbeta, p11, p21, p12, p22):
-    """Accumulate the four-index terminating sum, in integers.
+    """The four-index terminating sum in integers, in one shot: the
+    coefficient grid of ``_hyp_grid`` at the reach of (i, k), contracted
+    with the point's rows.
 
     ``negm[t]`` holds the rising factorial of -m at length t (similarly for
     n, i, k), ``invbeta[t]`` the reciprocal rising factorial of the base
     parameter, and ``pXY[e]`` the e-th power of (1 - uXY) divided by e!,
     each of the last five as integer numerators over one denominator per
     row.  The return value is the sum over the product of those five
-    denominators.  Loop bounds come from the vanishing of the rising
-    factorials, so the sum is exact and finite.
+    denominators.
     """
-    total = 0
-    for mu in range(min(m, i) + 1):
-        for rho in range(min(n, i - mu) + 1):
-            outer = negi[mu + rho] * p11[mu] * p12[rho]
-            if not outer:
-                continue
-            for nu in range(min(m - mu, k) + 1):
-                a = outer * negm[mu + nu] * p21[nu]
-                if not a:
-                    continue
-                for sigma in range(min(n - rho, k - nu) + 1):
-                    total += (
-                        a
-                        * negn[rho + sigma]
-                        * negk[nu + sigma]
-                        * invbeta[mu + nu + rho + sigma]
-                        * p22[sigma]
-                    )
-    return total
+    grid = _hyp_grid(m, n, min(i, m + n), min(k, m + n), negm, negn, invbeta, p11, p21, p12, p22)
+    return _hyp_contract(grid, negi, negk)
+
+
+def _hyp_grid(m, n, A, B, negm, negn, invbeta, p11, p21, p12, p22):
+    """The sum grouped by the exponents a = mu + rho of (-i) and b = nu + sigma
+    of (-k): the integer grid ``C[a][b]`` for a <= A, b <= B, so that the sum
+    at a point is sum_a (-i)_a sum_b C[a][b] (-k)_b.
+
+    C[a][b] = invbeta[a + b] * sum X[mu][nu] Y[rho][sigma] over mu + rho = a,
+    nu + sigma = b, a two-dimensional convolution of the (m)-part
+    X[mu][nu] = p11[mu] p21[nu] (-m)_{mu+nu} and the (n)-part
+    Y[rho][sigma] = p12[rho] p22[sigma] (-n)_{rho+sigma}.  The rows are read
+    at mu, rho <= A, nu, sigma <= B and their sums only, and row a stops at
+    b = m + n - a, past which every term has a vanishing degree factorial.
+    """
+    X = [
+        [p11[mu] * p21[nu] * negm[mu + nu] for nu in range(min(m - mu, B) + 1)]
+        for mu in range(min(m, A) + 1)
+    ]
+    Y = [
+        [p12[rho] * p22[sg] * negn[rho + sg] for sg in range(min(n - rho, B) + 1)]
+        for rho in range(min(n, A) + 1)
+    ]
+    grid = [[0] * (min(B, m + n - a) + 1) for a in range(A + 1)]
+    for mu, xrow in enumerate(X):
+        for rho, yrow in enumerate(Y[: A - mu + 1]):
+            out = grid[mu + rho]
+            for nu, x in enumerate(xrow):
+                if x:
+                    seg = yrow[: B - nu + 1]
+                    end = nu + len(seg)
+                    out[nu:end] = map(add, out[nu:end], map(x.__mul__, seg))
+    return [list(map(mul, row, invbeta[a:])) for a, row in enumerate(grid)]
+
+
+def _hyp_contract(grid, negi, negk):
+    """sum_a negi[a] sum_b grid[a][b] negk[b], rows of the grid past the
+    point's reach left unread."""
+    return sum(ni * sum(map(mul, row, negk)) for ni, row in zip(negi, grid))
+
+
+def _system_hyp_grid(sys: MeixnerSystem, m: int, n: int, a_reach: int, b_reach: int):
+    """(denominator, grid) of degree (m, n) from the system's grids, rebuilt
+    when a point reaches past the cached caps.  A rebuild doubles each cap
+    it must raise (clipped at m + n), so a sweep rebuilds a logarithmic
+    number of times, while a one-off call reads its rows only as far as its
+    own reach."""
+    A, B, den, grid = sys._hyp_grids.get((m, n), (-1, -1, 1, None))
+    if a_reach <= A and b_reach <= B:
+        return den, grid
+    if a_reach > A:
+        A = max(a_reach, min(m + n, 2 * A))
+    if b_reach > B:
+        B = max(b_reach, min(m + n, 2 * B))
+    negm = _rising_of_negative(m, min(m, A + B))
+    negn = _rising_of_negative(n, min(n, A + B))
+    db, invb = _hyp_row(sys, "invbeta", min(m + n, A + B))
+    d11, p11 = _hyp_row(sys, (0, 0), min(m, A))
+    d21, p21 = _hyp_row(sys, (1, 0), min(m, B))
+    d12, p12 = _hyp_row(sys, (0, 1), min(n, A))
+    d22, p22 = _hyp_row(sys, (1, 1), min(n, B))
+    grid = _hyp_grid(m, n, A, B, negm, negn, invb, p11, p21, p12, p22)
+    den = db * d11 * d21 * d12 * d22
+    sys._hyp_grids[(m, n)] = (A, B, den, grid)
+    return den, grid
 
 
 def _rising_of_negative(a: int, top: int):
@@ -319,15 +363,14 @@ def _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first_axis: bool) -> float:
         deg, var = n, k
     th = sh / ch
     poly = meixner(deg, var, gamma, th * th)
+    rational = (-1) ** deg * th ** (var + deg) * poly
+    if not rational:
+        return 0.0
     scale = pochhammer(gamma, var) * pochhammer(gamma, deg)
     scale /= math.factorial(var) * math.factorial(deg)
-    return (
-        (-1) ** deg
-        * math.sqrt(float(scale))
-        * float(ch) ** float(-gamma)
-        * float(th ** (var + deg))
-        * float(poly)
-    )
+    # in log space: the monic value and the scale pass 1e308 at high levels
+    log = log_abs(rational) + 0.5 * log_abs(scale) - gamma * log_abs(ch)
+    return (1 if rational > 0 else -1) * math.exp(log)
 
 
 def _hyperbolic_me(beta, t, i: int, k: int, m: int, n: int, first_axis: bool) -> float:

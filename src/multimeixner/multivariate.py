@@ -71,8 +71,8 @@ MultiIndex = Tuple[int, ...]
 
 
 def _as_multi_index(value: Sequence[int], d: int, what: str) -> MultiIndex:
-    idx = tuple(int(v) for v in value)
-    if len(idx) != d or any(v < 0 for v in idx):
+    idx = tuple(map(int, value))
+    if len(idx) != d or min(idx, default=0) < 0:
         raise ValueError(f"{what} must be {d} non-negative integers, got {value!r}")
     return idx
 
@@ -103,10 +103,11 @@ class MeixnerSystemD:
     Parameters must not change after construction: the value caches
     (``_gf_cache``, the generating-function store, ``_raising``, the
     raising table, ``_poly_cache`` and, at d = 2, the hypergeometric rows
-    in ``_hyp_cache``) hold the u or the matrix of construction cleared to
-    integers and are never invalidated, so a changed parameter would meet
-    values computed from the old one.  Only the table-built exact checkers
-    below re-read the current ``u`` and ``lam`` on every call.
+    and grids in ``_hyp_cache`` and ``_hyp_grids``) hold the u or the
+    matrix of construction cleared to integers and are never invalidated,
+    so a changed parameter would meet values computed from the old one.
+    Only the table-built exact checkers below re-read the current ``u`` and
+    ``lam`` on every call.
     """
 
     def __init__(self, beta, lam: PseudoRotation, mode=ScalarMode.EXACT):

@@ -8,6 +8,7 @@ wrappers in place.
 """
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -33,6 +34,11 @@ def tracer():
 @pytest.fixture(scope="module")
 def workloads():
     return _load("workloads")
+
+
+@pytest.fixture(scope="module")
+def run():
+    return _load("run")
 
 
 def _bindings(tracer):
@@ -88,3 +94,20 @@ def test_smoke_pass_of_every_workload(tracer, workloads):
         "numerics.series_mul", "kernel.mul_trunc",
     ]
     assert [tr.calls[tr.names.index(name)] for name in unused] == [0, 0, 0, 0]
+
+
+def test_full_size_route_unit_matches_the_stored_digests(workloads, run):
+    # one full-size route-agreement unit: 28 degree pairs of gf, raising and
+    # hyp values at i, k < 8, each op's digest against the stored reference
+    with open(os.path.join(PERFBENCH, "workloads.json"), encoding="utf-8") as handle:
+        reference = json.load(handle)["workloads"]["route-agreement"]["reference"]["ops"]
+    inputs = workloads.build_inputs(workloads.ACCEPTANCE)
+    (unit,) = [
+        workloads._route_unit(label, beta, lam, workloads.Sizes(smoke=False))
+        for label, beta, lam in inputs["systems"]
+        if label == "seed42/beta7/3"
+    ]
+    _wall, ops = run.run_pass([unit], None)
+    checked = run.check_against_reference(ops, reference)
+    assert len(checked) == 28
+    assert [(key, error) for key, ok, _dig, _s, error in checked if not ok] == []

@@ -1,11 +1,14 @@
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from multimeixner.bivariate import (
     MeixnerSystem,
+    _hyp_row,
+    _rising_of_negative,
     amplitude_sq,
     hyp_sum,
     matrix_element,
@@ -181,6 +184,79 @@ class TestHypRows:
             )
         assert brute != 0
         assert F(total, db * d11 * d21 * d12 * d22) == brute
+
+
+class TestHypGrid:
+    """Each degree's integer coefficient grid is built once per system and
+    grown only as far as the points reach."""
+
+    CELLS = [(m, n, i, k) for m in range(4) for n in range(4 - m) for i in range(8) for k in range(8)]
+
+    @pytest.mark.parametrize("order", ["i-major", "reversed", "shuffled"])
+    def test_fill_order_does_not_change_values(self, order):
+        lam = random_matrix(42, 2, 4)
+        cells = {
+            "i-major": self.CELLS,
+            "reversed": self.CELLS[::-1],
+            "shuffled": random.Random(7).sample(self.CELLS, len(self.CELLS)),
+        }[order]
+        sys2, oracle = MeixnerSystem(F(7, 3), lam), MeixnerSystem(F(7, 3), lam)
+        for cell in cells:
+            assert monic_eval_hyp(sys2, *cell) == monic_eval_gf(oracle, *cell)
+        # every cell reaches m + n in both exponents, where the caps stop
+        assert {deg: grid[:2] for deg, grid in sys2._hyp_grids.items()} == {
+            (m, n): (m + n, m + n) for m, n, _i, _k in self.CELLS
+        }
+
+    def test_one_off_calls_read_only_their_reach(self, canonical_matrix):
+        sys2 = MeixnerSystem(2, canonical_matrix)
+        calls = [(200, 200, 2, 3), (400, 300, 1, 1)]
+        for m, n, i, k in calls:
+            assert monic_eval_hyp(sys2, m, n, i, k) == monic_eval_raising(sys2, m, n, i, k)
+        assert {deg: grid[:2] for deg, grid in sys2._hyp_grids.items()} == {
+            (200, 200): (2, 3), (400, 300): (1, 1)
+        }
+        for (m, n), (A, B, _den, grid) in sys2._hyp_grids.items():
+            assert len(grid) == A + 1 and max(map(len, grid)) == B + 1
+        # the row lengths the per-point four-index loop read before the grid
+        reach = set()
+        for m, n, i, k in calls:
+            reach |= {
+                ("invbeta", min(m + n, i + k)), ((0, 0), min(m, i)), ((1, 0), min(m, k)),
+                ((0, 1), min(n, i)), ((1, 1), min(n, k)),
+            }
+        assert set(sys2._hyp_cache) == reach
+
+    @pytest.mark.parametrize("cell", [(2, 3, 3, 2), (1, 1, 6, 0), (0, 2, 1, 5), (3, 0, 0, 4)])
+    def test_kernel_matches_fraction_sum_on_system_rows(self, seeded_systems, cell):
+        m, n, i, k = cell
+        sys2 = seeded_systems[0]
+        rows = {}
+        for row, length in [
+            ("invbeta", min(m + n, i + k)), ((0, 0), min(m, i)), ((1, 0), min(m, k)),
+            ((0, 1), min(n, i)), ((1, 1), min(n, k)),
+        ]:
+            rows[row] = _hyp_row(sys2, row, length)
+        total = hyp_sum(
+            m, n, i, k,
+            _rising_of_negative(m, min(m, i + k)), _rising_of_negative(n, min(n, i + k)),
+            _rising_of_negative(i, min(i, m + n)), _rising_of_negative(k, min(k, m + n)),
+            *(rows[row][1] for row in ("invbeta", (0, 0), (1, 0), (0, 1), (1, 1))),
+        )
+        assert isinstance(total, int)
+        brute = F(0)
+        u, beta = sys2.u, sys2.beta
+        for mu, nu, rho, sigma in itertools.product(range(max(cell) + 1), repeat=4):
+            brute += (
+                pochhammer(-m, mu + nu) * pochhammer(-n, rho + sigma)
+                * pochhammer(-i, mu + rho) * pochhammer(-k, nu + sigma)
+                / pochhammer(beta, mu + nu + rho + sigma)
+                * (1 - u[0][0]) ** mu * (1 - u[1][0]) ** nu
+                * (1 - u[0][1]) ** rho * (1 - u[1][1]) ** sigma
+                / math.prod(map(math.factorial, (mu, nu, rho, sigma)))
+            )
+        assert F(total, math.prod(rows[row][0] for row in rows)) == brute
+        assert brute == monic_eval_gf(sys2, *cell)
 
 
 class TestWeight:

@@ -179,6 +179,14 @@ class TestRaisingRoute:
         with pytest.raises(ValueError):
             monic_eval_raising_d(system_d3, (1, 0, 0), (0, -1, 0))
 
+    def test_bad_multi_index_messages(self, system_d3):
+        with pytest.raises(ValueError) as short:
+            monic_eval_gf_d(system_d3, (1, 0), (0, 0, 0))
+        assert str(short.value) == "degrees must be 3 non-negative integers, got (1, 0)"
+        with pytest.raises(ValueError) as negative:
+            monic_eval_gf_d(system_d3, (1, 0, 0), [0, -1, 0])
+        assert str(negative.value) == "point must be 3 non-negative integers, got [0, -1, 0]"
+
 
 def _first_coordinate_simplex(total, d):
     """The simplex lattice by first coordinate, then the rest recursively."""

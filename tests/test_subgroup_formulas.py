@@ -64,6 +64,13 @@ class TestHyperbolicElements:
         with pytest.raises(PreconditionError):
             hyperbolic_me_xi(2, 1, 0, 0, 0, 0)
 
+    def test_high_level_stays_in_log_space(self):
+        # the monic value at level 900 passes the float range; the element does not
+        assert hyperbolic_me_xi(2, 2, 600, 0, 600, 0) == pytest.approx(0.026352425990788256, rel=1e-12)
+        for level in (900, 1200):
+            value = hyperbolic_me_xi(2, 2, level, 0, level, 0)
+            assert math.isfinite(value) and -1 <= value <= 1
+
 
 class TestEllipticElements:
     def test_level_mismatch_vanishes(self):
