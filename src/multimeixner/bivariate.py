@@ -38,8 +38,10 @@ from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionErr
 from .lorentz import PseudoRotation, compose, identity as lorentz_identity
 from .multivariate import (
     MeixnerSystemD,
+    MultiIndex,
     _LogMass,
     _RaisingTable,
+    _as_multi_index,
     _gram_discrepancy,
     check_difference_d,
     check_duality_d,
@@ -96,7 +98,7 @@ def weight(sys: MeixnerSystem, i: int, k: int):
 
 def amplitude_sq(sys: MeixnerSystem, i: int, k: int):
     """Squared amplitude; coincides with weight() by the metric row relations."""
-    _check_point(i, k)
+    i, k = _check_point(i, k)
     b = sys.beta
     if sys.mode is ScalarMode.FLOAT:
         return _LogMass(b, sys.lam).root((i, k)) ** 2
@@ -112,14 +114,12 @@ def amplitude_sq(sys: MeixnerSystem, i: int, k: int):
     )
 
 
-def _check_point(i: int, k: int):
-    if i < 0 or k < 0:
-        raise ValueError(f"lattice point must be non-negative, got ({i}, {k})")
+def _check_point(i: int, k: int) -> MultiIndex:
+    return _as_multi_index((i, k), 2, "point")
 
 
-def _check_degrees(m: int, n: int):
-    if m < 0 or n < 0:
-        raise ValueError(f"degrees must be non-negative, got ({m}, {n})")
+def _check_degrees(m: int, n: int) -> MultiIndex:
+    return _as_multi_index((m, n), 2, "degrees")
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +141,7 @@ def monic_eval_raising(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fr
 
 
 def monic_eval_hyp(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fraction:
-    _check_degrees(m, n)
-    _check_point(i, k)
+    (m, n), (i, k) = _check_degrees(m, n), _check_point(i, k)
     # (-i)_a and (-k)_b vanish past i and k, and a + b never passes m + n
     negi = _rising_of_negative(i, min(i, m + n))
     negk = _rising_of_negative(k, min(k, m + n))
@@ -279,17 +278,13 @@ def orthonormal_eval(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> floa
     """Orthonormal value: signed square-root normalization times the monic
     value, read from the system's raising table in log space."""
     sys.require_mode(ScalarMode.FLOAT, "orthonormal_eval")
-    _check_degrees(m, n)
-    _check_point(i, k)
-    return sys._raising.orthonormal((m, n), (i, k))
+    return sys._raising.orthonormal(_check_degrees(m, n), _check_point(i, k))
 
 
 def matrix_element(sys: MeixnerSystem, i: int, k: int, m: int, n: int) -> float:
     """Representation matrix element: signed amplitude times orthonormal value."""
     sys.require_mode(ScalarMode.FLOAT, "matrix_element")
-    _check_degrees(m, n)
-    _check_point(i, k)
-    return sys._raising.matrix_element((i, k), (m, n))
+    return sys._raising.matrix_element(_check_point(i, k), _check_degrees(m, n))
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,9 @@ def _add_matrix_source(parser: argparse.ArgumentParser):
     parser.add_argument("--matrix", metavar="FILE", help="matrix JSON file")
     parser.add_argument("--seed", type=int, help="seeded random generic product")
     parser.add_argument(
-        "--factors", type=int, help="factors of a --seed or default product (default 4)"
+        "--factors",
+        type=int,
+        help=f"factors of a --seed or default product (default {harness.DEFAULT_FACTORS})",
     )
     parser.add_argument(
         "--subgroup",
@@ -163,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-matrix", help="emit a seeded generic matrix as JSON")
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--d", type=int, default=2)
-    p_gen.add_argument("--factors", type=int, default=4)
+    p_gen.add_argument("--factors", type=int, default=harness.DEFAULT_FACTORS)
     p_gen.add_argument("--out", metavar="FILE")
     p_gen.set_defaults(func=cmd_gen_matrix)
 

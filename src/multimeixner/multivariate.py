@@ -8,8 +8,8 @@ coefficients (``_GfStore``), filled point by point from neighbouring
 points, since G_{x+e_i} and G_x differ by one factor, in plain integers.
 A system keeps its own store; each exact checker fills a fresh one capped
 at the degrees it reads.  ``_gf_values`` reads a store as one integer
-table over one denominator: the checkers' residual columns and the
-coefficients (from its forward differences) are built on it.
+column per degree over one denominator: the checkers' residual columns
+and the coefficients (from its forward differences) are built on them.
 
 The bivariate module builds on this core: its ``MeixnerSystem`` is the
 d = 2 case, its checkers call the ones here on a ``LatticeBox``, and it
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, getitem, le, mul, sub
@@ -71,7 +72,10 @@ MultiIndex = Tuple[int, ...]
 
 
 def _as_multi_index(value: Sequence[int], d: int, what: str) -> MultiIndex:
-    idx = tuple(map(int, value))
+    try:
+        idx = tuple(map(operator.index, value))
+    except TypeError:  # an entry that is not an integer, or no sequence at all
+        idx = ()
     if len(idx) != d or min(idx, default=0) < 0:
         raise ValueError(f"{what} must be {d} non-negative integers, got {value!r}")
     return idx
@@ -102,8 +106,8 @@ class MeixnerSystemD:
 
     Parameters must not change after construction: the value caches
     (``_gf_cache``, the generating-function store, ``_raising``, the
-    raising table, ``_poly_cache`` and, at d = 2, the hypergeometric rows
-    and grids in ``_hyp_cache`` and ``_hyp_grids``) hold the u or the
+    raising table and, at d = 2, the hypergeometric rows and grids in
+    ``_hyp_cache`` and ``_hyp_grids``) hold the u or the
     matrix of construction cleared to integers and are never invalidated,
     so a changed parameter would meet values computed from the old one.
     Only the table-built exact checkers below re-read the current ``u`` and
@@ -132,7 +136,6 @@ class MeixnerSystemD:
         )
         self._gf_cache = _GfStore(self.d, beta, self.u)
         self._raising = _RaisingTable(beta, lam)
-        self._poly_cache: Dict[MultiIndex, Dict[MultiIndex, Fraction]] = {}
 
     def with_mode(self, mode) -> "MeixnerSystemD":
         return type(self)(self.beta, self.lam, mode)
@@ -354,23 +357,21 @@ def _store_of(sys: MeixnerSystemD, degrees) -> _GfStore:
 
 
 def _gf_values(store: _GfStore, degrees, points):
-    """The monic values R_n(x) of ``store`` for n in ``degrees`` and x in
-    ``points`` over one denominator, as (den, {n + x: V}) with
-    R_n(x) = V / den in integers.  With D the store's denominator, L the
-    lcm of the scales of ``_GfStore.position`` and X the largest |x|,
-    den = L D^X, so V = G^_x[n] (L / scale_n) D^(X - |x|)."""
-    degrees, points = set(degrees), set(points)
+    """The monic values R_n(x) = V / den of ``store`` for n in ``degrees``
+    and x in ``points``, as (den, {n: column of the integers V at
+    ``points``}), the store filled point by point in their order.  With D
+    the store's denominator, L the lcm of the scales of ``_GfStore.position``
+    and X the largest |x|, den = L D^X, so V = G^_x[n] (L / scale_n) D^(X - |x|)."""
     spots = [(n, *store.position(n)) for n in degrees]
     common = math.lcm(*(scale for *_, scale in spots))
     top_x = max(map(sum, points), default=0)
     top = max((t for _, t, _, _ in spots), default=0)
-    lifts = [(n, t, pos, common // scale) for n, t, pos, scale in spots]
-    table = {}
-    for x in points:
-        layers, power = store.layers(x, top), store.denom ** (top_x - sum(x))
-        for n, t, pos, lift in lifts:
-            table[n + x] = layers[t][pos] * (lift * power)
-    return common * store.denom**top_x, table
+    rows = [(store.layers(x, top), store.denom ** (top_x - sum(x))) for x in points]
+    columns = {}
+    for n, t, pos, scale in spots:
+        lift = common // scale
+        columns[n] = [layers[t][pos] * (lift * power) for layers, power in rows]
+    return common * store.denom**top_x, columns
 
 
 def monic_eval_gf_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
@@ -530,7 +531,7 @@ def _line_maps(top: int):
 def monic_poly_coeffs_d(sys: MeixnerSystemD, n: Sequence[int]) -> Dict[MultiIndex, Fraction]:
     """Exact monomial coefficients of the degree-|n| polynomial in x.
 
-    The forward differences Delta^k R_n(0) of one ``_gf_values`` table of
+    The forward differences Delta^k R_n(0) of one ``_gf_values`` column of
     the system's store over the simplex {x : |x| <= |n|} are the
     coefficients in the basis prod_i C(x_i, k_i); ``_line_maps`` takes
     them and turns them into monomial coefficients line by line, in
@@ -538,13 +539,10 @@ def monic_poly_coeffs_d(sys: MeixnerSystemD, n: Sequence[int]) -> Dict[MultiInde
     simplex omits entries that are zero only once all are taken.
     """
     n = _as_multi_index(n, sys.d, "degrees")
-    cached = sys._poly_cache.get(n)
-    if cached is not None:
-        return cached
     d, top = sys.d, sum(n)
     nodes = sorted(_simplex_lattice(top, d))
     den, values = _gf_values(sys._gf_cache, [n], nodes)
-    table = {x: values[n + x] for x in nodes}
+    table = dict(zip(nodes, values[n]))
     for matrix in _line_maps(top):
         for axis in range(d):
             for base in (x for x in nodes if not x[axis]):
@@ -552,9 +550,7 @@ def monic_poly_coeffs_d(sys: MeixnerSystemD, n: Sequence[int]) -> Dict[MultiInde
                 old = [table[x] for x in line]
                 table.update((x, sum(map(mul, row, old))) for x, row in zip(line, matrix))
     scale = den * math.factorial(top) ** d
-    coeffs = {x: Fraction(table[x], scale) for x in nodes if table[x]}
-    sys._poly_cache[n] = coeffs
-    return coeffs
+    return {x: Fraction(table[x], scale) for x in nodes if table[x]}
 
 
 # ---------------------------------------------------------------------------
@@ -626,16 +622,17 @@ def _three_diagonal_columns(sys: MeixnerSystemD, max_n, max_x, transposed: bool)
     difference equations in the variables (columns, total = |x| + b).
     ``_three_diagonal`` gives each row with the weight w of y_j, and the
     values it reads share the one denominator den of their ``_gf_values``
-    table, so a residual is one integer dot product over w den."""
+    columns (transposed for the difference equations), so a residual is
+    one integer dot product over w den."""
     d = sys.d
     e = list(zip(*sys.lam.entries)) if transposed else sys.lam.entries
     shifted_top, fixed = (max_x, lattice(max_n)) if transposed else (max_n, lattice(max_x))
     rows_at = _three_diagonal(e[:d], e[d], sys.beta)
     plans = {s: rows_at(s) for s in lattice(shifted_top)}
-    reached = {t for targets, _ in plans.values() for t in targets}
+    reached = dict.fromkeys(t for targets, _ in plans.values() for t in targets)
     degrees, points = (fixed, reached) if transposed else (reached, fixed)
     den, V = _gf_values(_store_of(sys, degrees), degrees, points)
-    cols = {t: [V[y + t] if transposed else V[t + y] for y in fixed] for t in reached}
+    cols = dict(zip(reached, zip(*map(V.get, fixed)))) if transposed else V
     axes = list(zip(*fixed))  # y_j over the fixed indices
 
     def columns(s):
@@ -713,8 +710,8 @@ def check_lowering_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) 
     d = sys.d
     e = sys.lam.entries
     degrees, points = lattice(max_n), lattice(max_x)
-    shifted = [[tuple(map(add, x, t)) for x in points] for t in _units(d)]
-    near = {z for line in shifted for z in line}.union(points)
+    count = len(points)  # near holds the points, then the points plus e_i for each i
+    near = points + [tuple(map(add, x, t)) for t in _units(d) for x in points]
     den, R = _gf_values(_store_of(sys, degrees[:-1]), degrees[:-1], points)  # all but max_n
     low_den, low = _gf_values(_store_of(MeixnerSystemD(b - 1, sys.lam), degrees), degrees, near)
     # the (b-1) (L[d][j]/L[d][d]) L[i][j] L[i][d] products in front of D_i
@@ -725,14 +722,13 @@ def check_lowering_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) 
     front = cden * low_den  # the denominator of the sum over D_i
 
     def columns(n):
-        here = [low[n + x] for x in points]
-        diffs = [list(map(sub, [low[n + z] for z in line], here)) for line in shifted]
+        here, *lines = (low[n][s : s + count] for s in range(0, len(near), count))
+        diffs = [list(map(sub, line, here)) for line in lines]
         out = []
         for j, row in enumerate(coeffs):
             terms = list(zip(row, diffs))
             if n[j]:
-                lower = _step_down(n, j)
-                terms.append((n[j] * front, [R[lower + x] for x in points]))
+                terms.append((n[j] * front, R[_step_down(n, j)]))
             out.append((_int_column(terms), front * den))
         return out
 
@@ -746,10 +742,11 @@ def check_duality_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -
     max_n, max_x = _checked_box(sys, "check_duality_d", max_n, max_x)
     degrees, points = lattice(max_n), lattice(max_x)
     den, R = _gf_values(_store_of(sys, points), points, degrees)  # degrees and points swapped
+    R = dict(zip(degrees, zip(*map(R.get, points))))  # transposed: one column per degree
     dual_den, dual = _gf_values(_store_of(sys.dual(), degrees), degrees, points)
 
     def columns(n):
-        pair = [(dual_den, [R[x + n] for x in points]), (-den, [dual[n + x] for x in points])]
+        pair = [(dual_den, R[n]), (-den, dual[n])]
         return [(_int_column(pair), den * dual_den)]
 
     return column_report("duality", max_n, max_x, columns)

@@ -169,18 +169,22 @@ class TestBrokenIdentity:
 
 class TestGfTable:
     def test_entries_match_gf_oracle(self):
-        # the checkers read integers V over one denominator per table: the
-        # monic value is V / den
+        # the checkers read one column of integers V per degree, over one
+        # denominator per table and in the order of the points: the monic
+        # value is V / den
         sys2 = random_system(42, 2, F(7, 3))
         degrees = [(m, n) for m in range(6) for n in range(6 - m)]
         points = [(i, k) for i in range(4) for k in range(5)]
-        den, table = multivariate._gf_values(multivariate._store_of(sys2, degrees), degrees, points)
-        assert len(table) == 21 * 4 * 5
+        store = multivariate._store_of(sys2, degrees)
+        den, columns = multivariate._gf_values(store, degrees, points)
+        assert list(columns) == degrees
         assert isinstance(den, int)
         fresh = random_system(42, 2, F(7, 3))
-        for (m, n, i, k), value in table.items():
-            assert isinstance(value, int)
-            assert F(value, den) == monic_eval_gf(fresh, m, n, i, k)
+        for (m, n), column in columns.items():
+            assert len(column) == 4 * 5
+            for (i, k), value in zip(points, column):
+                assert isinstance(value, int)
+                assert F(value, den) == monic_eval_gf(fresh, m, n, i, k)
         assert not sys2._gf_cache
 
     @pytest.mark.parametrize(
@@ -244,11 +248,13 @@ class TestOrthogonality:
         assert report.passed
 
     def test_reads_the_coefficients_of_the_float_system(self, canonical_matrix):
-        # no exact twin: the interpolated coefficients land in the float
-        # system's own cache
+        # no exact twin: the coefficients are interpolated from the float
+        # system's own generating-function store, up to degree |n| = 2 on
+        # the simplex |x| <= 2
         sysf = MeixnerSystem(2, canonical_matrix, ScalarMode.FLOAT)
         check_orthogonality(sysf, LatticeBox(0, 0, 1, 1), 1e-8)
-        assert set(sysf._poly_cache) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert set(sysf._gf_cache) == {(i, k) for i in range(3) for k in range(3 - i)}
+        assert all(layers.cutoff == 2 for layers in sysf._gf_cache.values())
 
     def test_requires_float_mode(self, canonical_beta2):
         with pytest.raises(ModeError):

@@ -58,6 +58,14 @@ class TestBasePoints:
             route(canonical_beta2, m, n, 0, 0) == 1 for m in range(4) for n in range(4)
         )
 
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("point", [(1.5, 0), (F(3, 2), 0)])
+    def test_rational_point_rejected(self, canonical_beta2, route, point):
+        # not read as the lattice point (1, 0)
+        with pytest.raises(ValueError) as bad:
+            route(canonical_beta2, 1, 0, *point)
+        assert str(bad.value) == f"point must be 2 non-negative integers, got {point!r}"
+
     def test_hyp_kills_terms_through_degree_factorials(self, canonical_beta2):
         assert monic_eval_hyp(canonical_beta2, 0, 0, 4, 2) == 1
         assert monic_eval_hyp(canonical_beta2, 3, 2, 0, 0) == 1

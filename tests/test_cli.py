@@ -153,15 +153,32 @@ class TestEval:
         assert code == 0, err
         assert math.isfinite(float(out))
 
-    def test_orthonormal_value_past_the_float_range_exits_3(self, capsys):
+    @pytest.mark.parametrize("argv, exit_code", [
         # the value is about 10^358.8
-        code, out, err = run_cli(
-            capsys, "eval", "--mode", "float", "--value", "orthonormal",
-            "--degrees", "200,0", "--point", "0,3000",
-        )
-        assert code == 3
+        pytest.param(
+            ["eval", "--mode", "float", "--value", "orthonormal",
+             "--degrees", "200,0", "--point", "0,3000"],
+            3, id="orthonormal-past-the-float-range",
+        ),
+        pytest.param(["eval", "--degrees", "1,1", "--point", "1"], 2, id="arity-mismatch"),
+        pytest.param(
+            ["eval", "--route", "tratnik", "--degrees", "1,1,1", "--point", "1,1,1",
+             "--subgroup", "boost:2,3:2"],
+            2, id="closed-form-at-d3",
+        ),
+        pytest.param(
+            ["eval", "--d", "3", "--degrees", "1,1,1", "--point", "1,1,1",
+             "--value", "orthonormal"],
+            3, id="orthonormal-at-d3",
+        ),
+        pytest.param(["verify", "--suite", "recurrence", "--box", "1,1,1"], 2, id="short-box"),
+    ])
+    def test_exits_with_one_error_line(self, capsys, argv, exit_code):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == exit_code
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("degrees, point, magnitude", [
         ("200,0", "0,3000", "10^408.9"), ("200,0,0", "0,0,3000", "10^696.2"),

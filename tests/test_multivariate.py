@@ -186,6 +186,16 @@ class TestRaisingRoute:
         with pytest.raises(ValueError) as negative:
             monic_eval_gf_d(system_d3, (1, 0, 0), [0, -1, 0])
         assert str(negative.value) == "point must be 3 non-negative integers, got [0, -1, 0]"
+        # a rational or non-numeric entry is not read as the integer below it
+        for route in (monic_eval_gf_d, monic_eval_raising_d):
+            for entry in (1.5, F(3, 2), "1"):
+                with pytest.raises(ValueError) as rational:
+                    route(system_d3, (1, 0, 0), (entry, 0, 0))
+                assert str(rational.value) == (
+                    f"point must be 3 non-negative integers, got {(entry, 0, 0)!r}"
+                )
+            with pytest.raises(ValueError, match="degrees must be 3 non-negative integers"):
+                route(system_d3, (1.0, 0, 0), (1, 0, 0))
 
 
 def _first_coordinate_simplex(total, d):
@@ -261,6 +271,10 @@ class TestOrthogonality:
     def test_requires_float_mode(self, system_d3):
         with pytest.raises(ModeError):
             check_orthogonality_d(system_d3, 1, 1e-8)
+
+    def test_negative_degree_box_rejected(self, system_d3_float):
+        with pytest.raises(ValueError, match="degree_box must be non-negative"):
+            check_orthogonality_d(system_d3_float, -1, 1e-8)
 
     def test_point_budget_ends_the_d4_sum(self):
         # the weight tail at d = 4 is too long for the point budget: the
@@ -364,11 +378,17 @@ class TestGramSum:
         assert first == ref_first
         assert max_disc == pytest.approx(ref_disc, rel=0, abs=GRAM_SUM_TOL)
 
-    def test_tampered_coefficient_fails_the_report(self):
+    def test_tampered_coefficient_fails_the_report(self, monkeypatch):
         # the constant term of R_(1,0) moved by 1/100: the family is no
         # longer orthogonal to degree zero
+        def tampered(sys, n):
+            coeffs = monic_poly_coeffs_d(sys, n)
+            if n == (1, 0):
+                coeffs[(0, 0)] += F(1, 100)
+            return coeffs
+
+        monkeypatch.setattr(multivariate, "monic_poly_coeffs_d", tampered)
         sysf = MeixnerSystem(2, harness.canonical_lambda(), ScalarMode.FLOAT)
-        monic_poly_coeffs_d(sysf, (1, 0))[(0, 0)] += F(1, 100)
         report = check_orthogonality(sysf, LatticeBox(0, 0, 1, 1), 1e-8)
         assert not report.passed
         assert report.counterexample == (0, 0, 1, 0)
@@ -605,12 +625,13 @@ class TestGfStore:
         system = random_system(seed, d, F(7, 3))
         store = multivariate._store_of(system, degrees)
         assert store.cap == tuple(max((n[i] for n in degrees), default=0) for i in range(d))
-        den, table = multivariate._gf_values(store, degrees, points)
-        assert len(table) == len(degrees) * len(points)
+        den, columns = multivariate._gf_values(store, degrees, points)
+        assert list(columns) == degrees
         fresh = random_system(seed, d, F(7, 3))
         for n in degrees:
-            for x in points:
-                assert F(table[n + x], den) == monic_eval_gf_d(fresh, n, x)
+            assert len(columns[n]) == len(points)
+            for x, value in zip(points, columns[n]):
+                assert F(value, den) == monic_eval_gf_d(fresh, n, x)
         assert not system._gf_cache
 
     def test_lowering_at_degree_zero_reads_no_degrees(self):
