@@ -122,6 +122,11 @@ def _check_degrees(m: int, n: int) -> MultiIndex:
     return _as_multi_index((m, n), 2, "degrees")
 
 
+def _check_signs(m, n, i, k):  # factorized_eval is a polynomial in (i, k): rational points pass
+    if min(m, n, i, k) < 0:
+        raise ValueError(f"degrees and point must be non-negative, got ({m}, {n}), ({i}, {k})")
+
+
 # ---------------------------------------------------------------------------
 # routes 1 and 2 of the core at d = 2
 
@@ -426,8 +431,7 @@ def factorized_eval(beta, t_xi, t_psi, m: int, n: int, i: int, k: int) -> Fracti
     t_psi = as_rational(t_psi)
     if t_xi <= 1 or t_psi <= 1:
         raise PreconditionError("factorized form needs both boost parameters > 1")
-    _check_degrees(m, n)
-    _check_point(i, k)
+    _check_signs(m, n, i, k)
     ch_xi, sh_xi = _boost_trig(t_xi)
     ch_psi, sh_psi = _boost_trig(t_psi)
     th2_xi = (sh_xi / ch_xi) ** 2
@@ -454,8 +458,7 @@ def general_sum_eval(
             raise PreconditionError(f"rotation parameters must avoid {{0, 1, -1}}, got {s}")
     if t_psi <= 0 or t_psi == 1:
         raise PreconditionError(f"boost parameter must be positive and != 1, got {t_psi}")
-    _check_degrees(m, n)
-    _check_point(i, k)
+    _check_signs(m, n, i, k)
 
     cos_chi, sin_chi = _rotation_trig(s_chi)
     cos_th, sin_th = _rotation_trig(s_theta)

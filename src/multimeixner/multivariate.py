@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, getitem, le, mul, sub
+from operator import add, getitem, index, le, mul, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
@@ -73,10 +72,10 @@ MultiIndex = Tuple[int, ...]
 
 def _as_multi_index(value: Sequence[int], d: int, what: str) -> MultiIndex:
     try:
-        idx = tuple(map(operator.index, value))
+        idx = tuple(map(index, value))
     except TypeError:  # an entry that is not an integer, or no sequence at all
         idx = ()
-    if len(idx) != d or min(idx, default=0) < 0:
+    if len(idx) != d or min(idx) < 0:  # d >= 1, so idx is not empty here
         raise ValueError(f"{what} must be {d} non-negative integers, got {value!r}")
     return idx
 
@@ -632,7 +631,7 @@ def _three_diagonal_columns(sys: MeixnerSystemD, max_n, max_x, transposed: bool)
     reached = dict.fromkeys(t for targets, _ in plans.values() for t in targets)
     degrees, points = (fixed, reached) if transposed else (reached, fixed)
     den, V = _gf_values(_store_of(sys, degrees), degrees, points)
-    cols = dict(zip(reached, zip(*map(V.get, fixed)))) if transposed else V
+    cols = dict(zip(reached, zip(*V.values()))) if transposed else V
     axes = list(zip(*fixed))  # y_j over the fixed indices
 
     def columns(s):
@@ -710,8 +709,10 @@ def check_lowering_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) 
     d = sys.d
     e = sys.lam.entries
     degrees, points = lattice(max_n), lattice(max_x)
-    count = len(points)  # near holds the points, then the points plus e_i for each i
-    near = points + [tuple(map(add, x, t)) for t in _units(d) for x in points]
+    shifted = [[tuple(map(add, x, t)) for x in points] for t in _units(d)]  # x + e_i
+    near = dict.fromkeys(itertools.chain(points, *shifted))  # distinct, the points first
+    where = {y: pos for pos, y in enumerate(near)}
+    lines = [[where[y] for y in line] for line in shifted]  # rows of x + e_i in near
     den, R = _gf_values(_store_of(sys, degrees[:-1]), degrees[:-1], points)  # all but max_n
     low_den, low = _gf_values(_store_of(MeixnerSystemD(b - 1, sys.lam), degrees), degrees, near)
     # the (b-1) (L[d][j]/L[d][d]) L[i][j] L[i][d] products in front of D_i
@@ -722,8 +723,8 @@ def check_lowering_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) 
     front = cden * low_den  # the denominator of the sum over D_i
 
     def columns(n):
-        here, *lines = (low[n][s : s + count] for s in range(0, len(near), count))
-        diffs = [list(map(sub, line, here)) for line in lines]
+        col = low[n]
+        diffs = [[col[r] - v for r, v in zip(rows, col)] for rows in lines]
         out = []
         for j, row in enumerate(coeffs):
             terms = list(zip(row, diffs))
@@ -742,7 +743,7 @@ def check_duality_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -
     max_n, max_x = _checked_box(sys, "check_duality_d", max_n, max_x)
     degrees, points = lattice(max_n), lattice(max_x)
     den, R = _gf_values(_store_of(sys, points), points, degrees)  # degrees and points swapped
-    R = dict(zip(degrees, zip(*map(R.get, points))))  # transposed: one column per degree
+    R = dict(zip(degrees, zip(*R.values())))  # transposed: one column per degree
     dual_den, dual = _gf_values(_store_of(sys.dual(), degrees), degrees, points)
 
     def columns(n):

@@ -25,7 +25,7 @@ from multimeixner.harness import (
     random_matrix,
 )
 from multimeixner.lorentz import boost, compose, rotation
-from multimeixner.numerics import log_abs
+from multimeixner.numerics import log_abs, pochhammer
 from multimeixner.univariate import krawtchouk, meixner
 
 
@@ -124,6 +124,24 @@ class TestFactorizedForm:
     def test_requires_boost_parameters_above_one(self):
         with pytest.raises(PreconditionError):
             factorized_eval(2, F(1, 2), 2, 0, 0, 0, 0)
+
+    def test_rational_point_is_the_product_of_meixner_factors(self):
+        # a polynomial in (i, k), so unlike the lattice routes it takes rational points
+        i, k = F(3, 2), F(1, 3)
+        th2_xi, th2_psi = F(4, 5) ** 2, F(3, 5) ** 2  # tanh^2 at t = 3 and t = 2
+        for m, n in [(1, 0), (2, 1), (0, 2)]:
+            expected = (
+                pochhammer(i + 2, n)
+                / pochhammer(2, n)
+                * meixner(m, i, n + 2, th2_xi)
+                * meixner(n, k, i + 2, th2_psi)
+            )
+            assert factorized_eval(2, 3, 2, m, n, i, k) == expected
+
+    @pytest.mark.parametrize("args", [(-1, 0, 0, 0), (0, 0, 0, F(-1, 2))])
+    def test_negative_degree_or_point_rejected(self, args):
+        with pytest.raises(ValueError, match="degrees and point must be non-negative"):
+            factorized_eval(2, 3, 2, *args)
 
 
 class TestGeneralClosedForm:
