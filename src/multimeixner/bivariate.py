@@ -65,7 +65,7 @@ from .numerics import (
     solve_linear_system,
 )
 from .reports import EvalReport, LatticeBox, lattice
-from .univariate import krawtchouk, meixner
+from .univariate import _hyp2f1_pair, krawtchouk, meixner
 
 
 class MeixnerSystem(MeixnerSystemD):
@@ -423,24 +423,40 @@ def elliptic_me(beta, s, i: int, k: int, m: int, n: int) -> float:
 # closed forms for product decompositions (exact)
 
 
+def _rising_pair(x: Fraction, n: int) -> Tuple[int, int]:
+    """(x)_n as an integer pair (numerator, denominator), not reduced."""
+    num = 1
+    for j in range(n):
+        num *= x.numerator + j * x.denominator
+    return num, x.denominator**n
+
+
 def factorized_eval(beta, t_xi, t_psi, m: int, n: int, i: int, k: int) -> Fraction:
     """Product of two univariate Meixner factors; the polynomial family of
-    the boost-times-boost matrix (second axis times first axis)."""
+    the boost-times-boost matrix (second axis times first axis).
+
+    The prefactor (i + beta)_n / (beta)_n and both Meixner sums are
+    integer pairs; one ``Fraction`` is built from their product.  The form
+    is a polynomial in (i, k), so rational points are accepted.
+    """
     beta = as_rational(beta)
     t_xi = as_rational(t_xi)
     t_psi = as_rational(t_psi)
     if t_xi <= 1 or t_psi <= 1:
         raise PreconditionError("factorized form needs both boost parameters > 1")
     _check_signs(m, n, i, k)
+    i, k = as_rational(i), as_rational(k)
     ch_xi, sh_xi = _boost_trig(t_xi)
     ch_psi, sh_psi = _boost_trig(t_psi)
-    th2_xi = (sh_xi / ch_xi) ** 2
-    th2_psi = (sh_psi / ch_psi) ** 2
-    prefactor = pochhammer(i + beta, n) / pochhammer(beta, n)
-    return (
-        prefactor
-        * meixner(m, i, n + beta, th2_xi)
-        * meixner(n, k, i + beta, th2_psi)
+    # Meixner at c = tanh^2 is the 2F1 at z = 1 - 1/c = -1/sh^2
+    z_xi = -1 / sh_xi**2
+    z_psi = -1 / sh_psi**2
+    rise_num, rise_den = _rising_pair(i + beta, n)
+    base_num, base_den = _rising_pair(beta, n)
+    num1, den1 = _hyp2f1_pair(m, i, n + beta, z_xi)
+    num2, den2 = _hyp2f1_pair(n, k, i + beta, z_psi)
+    return Fraction(
+        rise_num * base_den * num1 * num2, rise_den * base_num * den1 * den2
     )
 
 
@@ -448,7 +464,14 @@ def general_sum_eval(
     beta, s_chi, t_psi, s_theta, m: int, n: int, i: int, k: int
 ) -> Fraction:
     """Single-sum closed form for the rotation-boost-rotation decomposition,
-    combining Krawtchouk, Meixner, and Krawtchouk factors."""
+    combining Krawtchouk, Meixner, and Krawtchouk factors.
+
+    The sum runs over integer pairs: the mu-coefficient
+    (-(i+k))_mu (-(m+n))_mu inv^mu / (mu! (beta)_mu) is built step by step
+    and each term multiplies it with the three 2F1 pairs into one running
+    (total, denominator); one ``Fraction`` is built with the prefactor at
+    the end.  It is a function of lattice points only.
+    """
     beta = as_rational(beta)
     s_chi = as_rational(s_chi)
     s_theta = as_rational(s_theta)
@@ -458,7 +481,7 @@ def general_sum_eval(
             raise PreconditionError(f"rotation parameters must avoid {{0, 1, -1}}, got {s}")
     if t_psi <= 0 or t_psi == 1:
         raise PreconditionError(f"boost parameter must be positive and != 1, got {t_psi}")
-    _check_signs(m, n, i, k)
+    (m, n), (i, k) = _check_degrees(m, n), _check_point(i, k)
 
     cos_chi, sin_chi = _rotation_trig(s_chi)
     cos_th, sin_th = _rotation_trig(s_theta)
@@ -469,19 +492,26 @@ def general_sum_eval(
 
     inv_factor = 1 / (tan_chi * tan_th * sh_psi * th_psi)
     prefactor = (-(tan_chi**2)) ** k * (-(tan_th**2)) ** n
-    total = Fraction(0)
+    # Krawtchouk at p is the 2F1 at z = 1/p; Meixner at c = tanh^2 at -1/sh^2
+    z_chi = 1 / sin_chi**2
+    z_th = 1 / sin_th**2
+    z_psi = -1 / sh_psi**2
+    ip, iq = inv_factor.numerator, inv_factor.denominator
+    bp, bq = beta.numerator, beta.denominator
+    coef, coef_den = 1, 1
+    total, total_den = 0, 1
     for mu in range(min(i + k, m + n) + 1):
-        term = (
-            pochhammer(Fraction(-(i + k)), mu)
-            * pochhammer(Fraction(-(n + m)), mu)
-            / (math.factorial(mu) * pochhammer(beta, mu))
-            * inv_factor**mu
-        )
-        term *= krawtchouk(i + k - mu, k, sin_chi * sin_chi, i + k)
-        term *= meixner(m + n - mu, i + k - mu, mu + beta, th_psi * th_psi)
-        term *= krawtchouk(n, m + n - mu, sin_th * sin_th, m + n)
-        total += term
-    return prefactor * total
+        num1, den1 = _hyp2f1_pair(i + k - mu, k, -(i + k), z_chi)
+        num2, den2 = _hyp2f1_pair(m + n - mu, i + k - mu, mu + beta, z_psi)
+        num3, den3 = _hyp2f1_pair(n, m + n - mu, -(m + n), z_th)
+        term_den = coef_den * den1 * den2 * den3
+        total = total * term_den + coef * num1 * num2 * num3 * total_den
+        total_den *= term_den
+        coef *= (mu - (i + k)) * (mu - (m + n)) * ip * bq
+        coef_den *= (mu + 1) * iq * (bp + mu * bq)
+    return Fraction(
+        prefactor.numerator * total, prefactor.denominator * total_den
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,40 +1,54 @@
 """One-variable Meixner and Krawtchouk polynomials, evaluated exactly.
 
 These are the classical terminating Gauss hypergeometric sums; they feed
-the closed-form factorizations of the two-variable polynomials.  All
-evaluation is exact rational term accumulation with iterative term
-ratios; no gamma functions, no floats.
+the closed-form factorizations of the two-variable polynomials.  The one
+sum, ``_hyp2f1_pair``, runs its term ratios in integers: the current term,
+the running total and their common denominator are kept as three integers
+with no gcd taken, and the caller builds a single ``Fraction`` (the
+closed forms first multiply several such pairs together).  No gamma
+functions, no floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Tuple
 
 from .numerics import as_rational
 
 
-def _hyp2f1_terminating(n: int, x, denom_param, z) -> Fraction:
-    """Sum_{j=0..n} (-n)_j (-x)_j / ((denom)_j j!) z^j via term ratios.
+def _hyp2f1_pair(n: int, x, delta, z) -> Tuple[int, int]:
+    """Sum_{j=0..n} (-n)_j (-x)_j / ((delta)_j j!) z^j as an integer pair
+    (total, denominator); x, delta and z are ints or Fractions.
 
-    Stops early once a numerator factor kills all remaining terms; raises
-    if a denominator factor vanishes while terms are still alive.
+    With x = xp/xq, delta = dp/dq and z = zp/zq the term ratio is
+    (j-n)(j xq - xp) zp dq / r with r = xq zq (dp + j dq) (j+1), so the
+    term's numerator, the total and their common denominator stay
+    integers: term *= (j-n)(j xq - xp) zp dq, total = total r + term,
+    den *= r.  Stops early once a numerator factor kills all remaining
+    terms; raises if a denominator factor vanishes while terms are still
+    alive.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    total = Fraction(1)
-    term = Fraction(1)
+    xp, xq = x.numerator, x.denominator
+    dp, dq = delta.numerator, delta.denominator
+    zp, zq = z.numerator, z.denominator
+    term = total = den = 1
     for j in range(n):
-        num = (-n + j) * (-x + j) * z
+        num = (j - n) * (j * xq - xp) * zp
         if num == 0:
             break
-        den = denom_param + j
-        if den == 0:
+        d = dp + j * dq
+        if d == 0:
             raise ZeroDivisionError(
                 f"vanishing Pochhammer factor in denominator at j={j + 1}"
             )
-        term = term * num / (den * (j + 1))
-        total += term
-    return total
+        r = xq * zq * d * (j + 1)
+        term *= num * dq
+        total = total * r + term
+        den *= r
+    return total, den
 
 
 def meixner(n: int, x, delta, c) -> Fraction:
@@ -44,8 +58,7 @@ def meixner(n: int, x, delta, c) -> Fraction:
     c = as_rational(c)
     if c == 0:
         raise ZeroDivisionError("c must be nonzero")
-    z = 1 - 1 / c
-    return _hyp2f1_terminating(n, x, delta, z)
+    return Fraction(*_hyp2f1_pair(n, x, delta, 1 - 1 / c))
 
 
 def monic_meixner(n: int, x, delta, c) -> Fraction:
@@ -83,4 +96,4 @@ def krawtchouk(n: int, x, p, N: int) -> Fraction:
     p = as_rational(p)
     if p == 0:
         raise ZeroDivisionError("p must be nonzero")
-    return _hyp2f1_terminating(n, x, Fraction(-N), 1 / p)
+    return Fraction(*_hyp2f1_pair(n, x, -N, 1 / p))

@@ -111,3 +111,20 @@ def test_full_size_route_unit_matches_the_stored_digests(workloads, run):
     checked = run.check_against_reference(ops, reference)
     assert len(checked) == 28
     assert [(key, error) for key, ok, _dig, _s, error in checked if not ok] == []
+
+
+@pytest.mark.parametrize("label, count", [("factorization", 15), ("dompe3", 10)])
+def test_full_size_closed_form_unit_matches_the_stored_digests(workloads, run, label, count):
+    # each op checks a closed form against the oracle at every point of its
+    # box and stores the oracle's values, so a closed form that disagrees
+    # fails the op and an oracle that drifts fails the digest
+    with open(os.path.join(PERFBENCH, "workloads.json"), encoding="utf-8") as handle:
+        reference = json.load(handle)["workloads"]["route-agreement"]["reference"]["ops"]
+    units = workloads.route_agreement_units(
+        workloads.build_inputs(workloads.ACCEPTANCE), workloads.Sizes(smoke=False)
+    )
+    (unit,) = [unit for unit in units if unit()[0][0].startswith(f"{label}/")]
+    _wall, ops = run.run_pass([unit], None)
+    checked = run.check_against_reference(ops, reference)
+    assert len(checked) == count
+    assert [(key, error) for key, ok, _dig, _s, error in checked if not ok] == []

@@ -14,6 +14,7 @@ from multimeixner.bivariate import (
     hyperbolic_me_xi,
     me_evaluator,
     monic_eval_gf,
+    monic_eval_hyp,
     monic_eval_raising,
 )
 from multimeixner.errors import NonConvergence, NonGenericMatrix, PreconditionError
@@ -178,6 +179,46 @@ class TestGeneralClosedForm:
             general_sum_eval(2, 0, 2, F(2, 3), 0, 0, 0, 0)
         with pytest.raises(PreconditionError):
             general_sum_eval(2, F(1, 2), 1, F(2, 3), 0, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            # a function of lattice points only, unlike factorized_eval
+            ((1, 0, F(5, 2), 0), "point"),
+            ((1, 0, F(1, 2), 0), "point"),
+            ((-1, 0, 0, 0), "degrees"),
+            ((0, 0, 0, -1), "point"),
+        ],
+    )
+    def test_non_lattice_degree_or_point_rejected(self, args, what):
+        with pytest.raises(ValueError, match=f"{what} must be 2 non-negative integers"):
+            general_sum_eval(2, F(1, 2), 2, F(2, 3), *args)
+
+
+# cells past the workloads' degrees <= 4, where the closed forms' integer
+# sums, which take no gcd per term, carry their largest numbers
+HIGH_CELLS = [(12, 0, 0, 12), (5, 7, 6, 6), (0, 12, 9, 4), (8, 6, 13, 1), (10, 10, 12, 9)]
+
+
+class TestClosedFormsAtHighDegree:
+    beta = F(7, 3)
+
+    def test_factorized_form_matches_the_hyp_route(self):
+        lam = compose(boost((2, 3), 2, 2), boost((1, 3), 3, 2))
+        sys2 = MeixnerSystem(self.beta, lam)
+        for cell in HIGH_CELLS:
+            assert factorized_eval(self.beta, 3, 2, *cell) == monic_eval_hyp(sys2, *cell)
+
+    def test_general_sum_matches_the_hyp_route(self):
+        lam = compose(
+            rotation((1, 2), F(1, 2), 2),
+            compose(boost((2, 3), 2, 2), rotation((1, 2), F(2, 3), 2)),
+        )
+        sys2 = MeixnerSystem(self.beta, lam)
+        for cell in HIGH_CELLS:
+            assert general_sum_eval(self.beta, F(1, 2), 2, F(2, 3), *cell) == monic_eval_hyp(
+                sys2, *cell
+            )
 
 
 class TestAddition:
