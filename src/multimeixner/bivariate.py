@@ -9,12 +9,14 @@ Route map
 * ``monic_eval_raising``  the radical-free degree recursion obtained by
                           pushing the monic normalization through the
                           raising relations; descends in the base parameter
-* ``monic_eval_hyp``      the terminating four-index hypergeometric sum
+* ``monic_eval_hyp``      the terminating four-index hypergeometric sum,
+                          read from one integer coefficient tensor per
+                          degree (``hyp_sum`` is its one-shot form)
 * ``factorized_eval`` / ``general_sum_eval``
                           closed forms in univariate Meixner/Krawtchouk
                           factors, valid for specific product decompositions
 
-The first two routes, the weight, the polynomial coefficients, the
+The three routes, the weight, the polynomial coefficients, the
 orthogonality sum and the exact recurrence, difference, lowering and
 duality checkers are those of the d-variable core in ``multivariate``,
 called at d = 2.
@@ -30,8 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from operator import add, mul
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from . import multivariate
 from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
@@ -43,18 +44,20 @@ from .multivariate import (
     _RaisingTable,
     _as_multi_index,
     _gram_discrepancy,
+    _hyp_contract,
+    _hyp_tensor,
     check_difference_d,
     check_duality_d,
     check_lowering_d,
     check_recurrence_d,
     monic_eval_gf_d,
+    monic_eval_hyp_d,
     monic_eval_raising_d,
     monic_poly_coeffs_d,
     weight_d,
 )
 from .numerics import (
     ScalarMode,
-    _scaled_list,
     as_rational,
     log_abs,
     pochhammer,
@@ -69,22 +72,12 @@ from .univariate import _hyp2f1_pair, krawtchouk, meixner
 
 
 class MeixnerSystem(MeixnerSystemD):
-    """The d = 2 system.
-
-    ``_hyp_cache`` maps (row, length) to a row of the hypergeometric sum
-    cleared to integers.  ``_hyp_grids`` maps a degree (m, n) to
-    (A, B, denominator, grid): the sum's integer coefficient grid for
-    exponents a <= A of (-i) and b <= B of (-k) (see ``_hyp_grid``), its caps
-    grown only as far as the points asked for reach.  Both are built on
-    first use and, like the core's caches, never invalidated.
-    """
+    """The d = 2 system."""
 
     def __init__(self, beta, lam: PseudoRotation, mode=ScalarMode.EXACT):
         if lam.d != 2:
             raise ValueError(f"MeixnerSystem needs a 3x3 matrix, got d={lam.d}")
         super().__init__(beta, lam, mode)
-        self._hyp_cache: Dict[Tuple[object, int], Tuple[int, List[int]]] = {}
-        self._hyp_grids: Dict[Tuple[int, int], Tuple[int, int, int, List[List[int]]]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -142,128 +135,23 @@ def monic_eval_raising(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fr
 
 
 # ---------------------------------------------------------------------------
-# route 3: terminating hypergeometric quadruple sum
+# route 3 of the core at d = 2, and its one-shot form
 
 
 def monic_eval_hyp(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fraction:
-    (m, n), (i, k) = _check_degrees(m, n), _check_point(i, k)
-    # (-i)_a and (-k)_b vanish past i and k, and a + b never passes m + n
-    negi = _rising_of_negative(i, min(i, m + n))
-    negk = _rising_of_negative(k, min(k, m + n))
-    den, grid = _system_hyp_grid(sys, m, n, len(negi) - 1, len(negk) - 1)
-    return Fraction(_hyp_contract(grid, negi, negk), den)
+    """The terminating four-index hypergeometric sum (see ``multivariate``)."""
+    return monic_eval_hyp_d(sys, (m, n), (i, k))
 
 
 def hyp_sum(m, n, i, k, negm, negn, negi, negk, invbeta, p11, p21, p12, p22):
-    """The four-index terminating sum in integers, in one shot: the
-    coefficient grid of ``_hyp_grid`` at the reach of (i, k), contracted
-    with the point's rows.
-
-    ``negm[t]`` holds the rising factorial of -m at length t (similarly for
-    n, i, k), ``invbeta[t]`` the reciprocal rising factorial of the base
-    parameter, and ``pXY[e]`` the e-th power of (1 - uXY) divided by e!,
-    each of the last five as integer numerators over one denominator per
-    row.  The return value is the sum over the product of those five
-    denominators.
-    """
-    grid = _hyp_grid(m, n, min(i, m + n), min(k, m + n), negm, negn, invbeta, p11, p21, p12, p22)
-    return _hyp_contract(grid, negi, negk)
-
-
-def _hyp_grid(m, n, A, B, negm, negn, invbeta, p11, p21, p12, p22):
-    """The sum grouped by the exponents a = mu + rho of (-i) and b = nu + sigma
-    of (-k): the integer grid ``C[a][b]`` for a <= A, b <= B, so that the sum
-    at a point is sum_a (-i)_a sum_b C[a][b] (-k)_b.
-
-    C[a][b] = invbeta[a + b] * sum X[mu][nu] Y[rho][sigma] over mu + rho = a,
-    nu + sigma = b, a two-dimensional convolution of the (m)-part
-    X[mu][nu] = p11[mu] p21[nu] (-m)_{mu+nu} and the (n)-part
-    Y[rho][sigma] = p12[rho] p22[sigma] (-n)_{rho+sigma}.  The rows are read
-    at mu, rho <= A, nu, sigma <= B and their sums only, and row a stops at
-    b = m + n - a, past which every term has a vanishing degree factorial.
-    """
-    X = [
-        [p11[mu] * p21[nu] * negm[mu + nu] for nu in range(min(m - mu, B) + 1)]
-        for mu in range(min(m, A) + 1)
-    ]
-    Y = [
-        [p12[rho] * p22[sg] * negn[rho + sg] for sg in range(min(n - rho, B) + 1)]
-        for rho in range(min(n, A) + 1)
-    ]
-    grid = [[0] * (min(B, m + n - a) + 1) for a in range(A + 1)]
-    for mu, xrow in enumerate(X):
-        for rho, yrow in enumerate(Y[: A - mu + 1]):
-            out = grid[mu + rho]
-            for nu, x in enumerate(xrow):
-                if x:
-                    seg = yrow[: B - nu + 1]
-                    end = nu + len(seg)
-                    out[nu:end] = map(add, out[nu:end], map(x.__mul__, seg))
-    return [list(map(mul, row, invbeta[a:])) for a, row in enumerate(grid)]
-
-
-def _hyp_contract(grid, negi, negk):
-    """sum_a negi[a] sum_b grid[a][b] negk[b], rows of the grid past the
-    point's reach left unread."""
-    return sum(ni * sum(map(mul, row, negk)) for ni, row in zip(negi, grid))
-
-
-def _system_hyp_grid(sys: MeixnerSystem, m: int, n: int, a_reach: int, b_reach: int):
-    """(denominator, grid) of degree (m, n) from the system's grids, rebuilt
-    when a point reaches past the cached caps.  A rebuild doubles each cap
-    it must raise (clipped at m + n), so a sweep rebuilds a logarithmic
-    number of times, while a one-off call reads its rows only as far as its
-    own reach."""
-    A, B, den, grid = sys._hyp_grids.get((m, n), (-1, -1, 1, None))
-    if a_reach <= A and b_reach <= B:
-        return den, grid
-    if a_reach > A:
-        A = max(a_reach, min(m + n, 2 * A))
-    if b_reach > B:
-        B = max(b_reach, min(m + n, 2 * B))
-    negm = _rising_of_negative(m, min(m, A + B))
-    negn = _rising_of_negative(n, min(n, A + B))
-    db, invb = _hyp_row(sys, "invbeta", min(m + n, A + B))
-    d11, p11 = _hyp_row(sys, (0, 0), min(m, A))
-    d21, p21 = _hyp_row(sys, (1, 0), min(m, B))
-    d12, p12 = _hyp_row(sys, (0, 1), min(n, A))
-    d22, p22 = _hyp_row(sys, (1, 1), min(n, B))
-    grid = _hyp_grid(m, n, A, B, negm, negn, invb, p11, p21, p12, p22)
-    den = db * d11 * d21 * d12 * d22
-    sys._hyp_grids[(m, n)] = (A, B, den, grid)
-    return den, grid
-
-
-def _rising_of_negative(a: int, top: int):
-    """(-a)_t for t = 0..top, as integers."""
-    out = [1]
-    for s in range(top):
-        out.append(out[-1] * (s - a))
-    return out
-
-
-def _hyp_row(sys: MeixnerSystem, row, length: int):
-    """The system's row ``row`` of the hypergeometric sum up to ``length``,
-    as (denominator, integer numerators), cleared on first use.
-
-    ``"invbeta"`` is 1/(b)_t = q^t / prod_{s<t} (p + s q) for b = p/q; a
-    pair (a, c) is (1 - u[a][c])^e / e!.  Both are read from the integer
-    parameters the system's store was cleared from at construction.
-    """
-    key = (row, length)
-    cached = sys._hyp_cache.get(key)
-    if cached is None:
-        store = sys._gf_cache
-        if row == "invbeta":
-            values = [Fraction(store.q**t, store.rising(t)) for t in range(length + 1)]
-        else:
-            a, c = row
-            base = Fraction(store.denom - store.rows[a][c], store.denom)
-            values = [Fraction(1)]
-            for e in range(1, length + 1):
-                values.append(values[-1] * base / e)
-        cached = sys._hyp_cache[key] = _scaled_list(values)
-    return cached
+    """The four-index sum in one shot, in integers: the d = 2 tensor of
+    ``multivariate._hyp_tensor`` at the reach of (i, k) from the given rows
+    (each integer numerators over one denominator; pXY holds the powers of
+    1 - uXY over e!), contracted with the rows of (-i)_t and (-k)_t.  The
+    sum is the result over the product of the five row denominators."""
+    caps = (min(i, m + n), min(k, m + n))
+    tensor = _hyp_tensor((m, n), caps, [negm, negn], invbeta, [p11, p21, p12, p22])
+    return _hyp_contract(tensor, [negi, negk])
 
 
 # ---------------------------------------------------------------------------

@@ -172,11 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _route(name: str):
-    """The bivariate evaluation route raising, gf or hyp."""
-    return getattr(bivariate, f"monic_eval_{name}")
-
-
 def _monic_str(value: Fraction, mode) -> str:
     if mode != "float":
         return rational_str(value)
@@ -186,18 +181,6 @@ def _monic_str(value: Fraction, mode) -> str:
         raise PreconditionError(
             f"the monic value is about 10^{log_abs(value) / math.log(10):.1f}, past the float range"
         ) from None
-
-
-def _eval_bivariate(args, lam):
-    m, n = args.degrees
-    i, k = args.point
-    if args.value == "monic":
-        sys2 = bivariate.MeixnerSystem(args.beta, lam, ScalarMode.EXACT)
-        return _monic_str(_route(args.route)(sys2, m, n, i, k), args.mode)
-    sys2 = bivariate.MeixnerSystem(args.beta, lam, ScalarMode.FLOAT)
-    if args.value == "matrix-element":
-        return float_str(bivariate.matrix_element(sys2, i, k, m, n))
-    return float_str(bivariate.orthonormal_eval(sys2, m, n, i, k))
 
 
 def cmd_eval(args) -> int:
@@ -226,14 +209,19 @@ def cmd_eval(args) -> int:
         return EXIT_PASS
 
     lam = _matrix(args, d)
-    if d == 2:
-        print(_eval_bivariate(args, lam))
+    if args.value == "monic":
+        sysd = multivariate.MeixnerSystemD(args.beta, lam, ScalarMode.EXACT)
+        route = getattr(multivariate, f"monic_eval_{args.route}_d")
+        print(_monic_str(route(sysd, args.degrees, args.point), args.mode))
         return EXIT_PASS
-    if args.route == "hyp" or args.value != "monic":
-        raise PreconditionError("d != 2 supports routes raising|gf and monic values only")
-    sysd = multivariate.MeixnerSystemD(args.beta, lam, ScalarMode.EXACT)
-    value = getattr(multivariate, f"monic_eval_{args.route}_d")(sysd, args.degrees, args.point)
-    print(_monic_str(value, args.mode))
+    if d != 2:
+        raise PreconditionError(f"d != 2 gives monic values only, not --value {args.value}")
+    (m, n), (i, k) = args.degrees, args.point
+    sys2 = bivariate.MeixnerSystem(args.beta, lam, ScalarMode.FLOAT)
+    if args.value == "matrix-element":
+        print(float_str(bivariate.matrix_element(sys2, i, k, m, n)))
+    else:
+        print(float_str(bivariate.orthonormal_eval(sys2, m, n, i, k)))
     return EXIT_PASS
 
 
@@ -266,9 +254,9 @@ def cmd_table(args) -> int:
     if args.d != 2:
         raise ValueError(f"table runs at d = 2 only, not --d {args.d}")
     box = _box_from_arg(args.box)
-    sys2 = bivariate.MeixnerSystem(args.beta, _matrix(args, 2), ScalarMode.EXACT)
-    route = _route(args.route)
-    rows = [(*cell, rational_str(route(sys2, *cell))) for cell in box.cells()]
+    sys2 = multivariate.MeixnerSystemD(args.beta, _matrix(args, 2), ScalarMode.EXACT)
+    route = getattr(multivariate, f"monic_eval_{args.route}_d")
+    rows = [(*cell, rational_str(route(sys2, cell[:2], cell[2:]))) for cell in box.cells()]
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)

@@ -201,7 +201,11 @@ def _expect_pattern(route: str, params, pattern) -> List[SubgroupParam]:
 def closed_form(route: str, beta, subgroup) -> Callable[..., Fraction]:
     """The closed form ``route`` for these factors as a function of
     (m, n, i, k): "tratnik", the product form of boost(2,3) boost(1,3), or
-    "dompe3", the single sum of rotation boost(2,3) rotation."""
+    "dompe3", the single sum of rotation boost(2,3) rotation.  beta must be
+    positive, as for a system."""
+    beta = as_rational(beta)
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
     if route == "tratnik":
         psi, xi = _expect_pattern(route, subgroup, TRATNIK_PATTERN)
         return functools.partial(bivariate.factorized_eval, beta, xi.value, psi.value)
@@ -345,16 +349,8 @@ def suite_addition(config: SuiteConfig) -> List[EvalReport]:
             max_disc = disc
         if not rep.passed and counter is None:
             counter = (idx, i, k, m, n)
-    return [
-        EvalReport(
-            identity="addition",
-            box={"tuples": tuples, "seed": seed},
-            mode=ScalarMode.FLOAT,
-            max_abs_discrepancy=max_disc,
-            counterexample=counter,
-            tol=tol,
-        )
-    ]
+    box = {"tuples": tuples, "seed": seed}
+    return [EvalReport("addition", box, ScalarMode.FLOAT, max_disc, counter, tol)]
 
 
 def hyperbolic_column_norm(beta, t, m: int, n: int, first_axis: bool, tol: float) -> float:
@@ -403,23 +399,13 @@ def suite_subgroup_unitarity(config: SuiteConfig) -> List[EvalReport]:
             norm = hyperbolic_column_norm(beta, t, m, n, first_axis, tol_hyp)
             worst_hyp = max(worst_hyp, abs(norm - 1.0))
     worst_ell = max(elliptic_block_deviation(beta, s, level) for level in range(5))
+    hyp_box = {"t": str(t), "degrees": "(0,0),(1,0),(2,1),(0,3)"}
+    ell_box = {"s": str(s), "levels": "0..4"}
     return [
-        EvalReport(
-            identity="subgroup-unitarity-hyperbolic",
-            box={"t": str(t), "degrees": "(0,0),(1,0),(2,1),(0,3)"},
-            mode=ScalarMode.FLOAT,
-            max_abs_discrepancy=worst_hyp,
-            counterexample=None,
-            tol=tol_hyp,
-        ),
-        EvalReport(
-            identity="subgroup-unitarity-elliptic",
-            box={"s": str(s), "levels": "0..4"},
-            mode=ScalarMode.FLOAT,
-            max_abs_discrepancy=worst_ell,
-            counterexample=None,
-            tol=tol_ell,
-        ),
+        EvalReport("subgroup-unitarity-hyperbolic", hyp_box, ScalarMode.FLOAT, worst_hyp,
+                   None, tol_hyp),
+        EvalReport("subgroup-unitarity-elliptic", ell_box, ScalarMode.FLOAT, worst_ell,
+                   None, tol_ell),
     ]
 
 
@@ -454,7 +440,10 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
         {"d": d, "max_total_degree": degree_max, "coord_max": coord_max},
         itertools.product(degrees, points),
         functools.partial(multivariate.monic_eval_gf_d, sys_exact),
-        [(None, functools.partial(multivariate.monic_eval_raising_d, sys_exact))],
+        [
+            (name, functools.partial(getattr(multivariate, name), sys_exact))
+            for name in ("monic_eval_raising_d", "monic_eval_hyp_d")
+        ],
     )
     tol = config.tol if config.tol is not None else 1e-7
     sys_float = multivariate.MeixnerSystemD(config.beta, lam, ScalarMode.FLOAT)

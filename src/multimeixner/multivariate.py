@@ -1,7 +1,7 @@
 """The d-variable core: systems, the negative multinomial weight, the
-generating-function oracle, the raising recursion, polynomial
-coefficients, truncated orthogonality and the exact recurrence,
-difference, lowering and duality checkers, for any d.
+generating-function oracle, the raising recursion, the hypergeometric
+sum, polynomial coefficients, truncated orthogonality and the exact
+recurrence, difference, lowering and duality checkers, for any d.
 
 The generating-function oracle reads one graded store of the product's
 coefficients (``_GfStore``), filled point by point from neighbouring
@@ -11,10 +11,14 @@ at the degrees it reads.  ``_gf_values`` reads a store as one integer
 column per degree over one denominator: the checkers' residual columns
 and the coefficients (from its forward differences) are built on them.
 
+The hypergeometric route keeps one integer tensor per degree n, the
+convolution over the columns j of the matrix sum (``_hyp_tensor``), so a
+point costs one contraction with its rows (-x_a)_r.
+
 The bivariate module builds on this core: its ``MeixnerSystem`` is the
-d = 2 case, its checkers call the ones here on a ``LatticeBox``, and it
-adds what is stated for d = 2 only (the hypergeometric sum, the closed
-forms, the subgroup matrix elements and the addition formula).
+d = 2 case, its routes and checkers call the ones here, and it adds what
+is stated for d = 2 only (the closed forms, the subgroup matrix elements
+and the addition formula).
 
 The raising recursion is one table (``_RaisingTable``) of the
 unnormalised values
@@ -105,10 +109,11 @@ class MeixnerSystemD:
 
     Parameters must not change after construction: the value caches
     (``_gf_cache``, the generating-function store, ``_raising``, the
-    raising table and, at d = 2, the hypergeometric rows and grids in
-    ``_hyp_cache`` and ``_hyp_grids``) hold the u or the
-    matrix of construction cleared to integers and are never invalidated,
-    so a changed parameter would meet values computed from the old one.
+    raising table, ``_hyp_rows``, the hypergeometric rows by (row, length),
+    and ``_hyp_tensors``, the hypergeometric tensors by degree with their
+    caps) hold the u or the matrix of construction cleared to integers and
+    are never invalidated, so a changed parameter would meet values
+    computed from the old one.
     Only the table-built exact checkers below re-read the current ``u`` and
     ``lam`` on every call.
     """
@@ -135,6 +140,8 @@ class MeixnerSystemD:
         )
         self._gf_cache = _GfStore(self.d, beta, self.u)
         self._raising = _RaisingTable(beta, lam)
+        self._hyp_rows: Dict[Tuple[object, int], Tuple[int, List[int]]] = {}
+        self._hyp_tensors: Dict[MultiIndex, Tuple[MultiIndex, int, list]] = {}
 
     def with_mode(self, mode) -> "MeixnerSystemD":
         return type(self)(self.beta, self.lam, mode)
@@ -498,6 +505,138 @@ def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]
     table = sys._raising
     steps = math.prod(last**v for (last, _), v in zip(table.steps, n))
     return Fraction(table.value(n, x), sys._gf_cache.rising(sum(n)) * steps)
+
+
+# ---------------------------------------------------------------------------
+# route 3: terminating hypergeometric sum
+
+
+def monic_eval_hyp_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
+    """The terminating sum over d x d matrices A (Griffiths 1975),
+    prod_j (-n_j)_{col_j} prod_a (-x_a)_{row_a} prod_{a,j} (1 - u[a][j])^A_aj
+    / A_aj! / (b)_|A|, grouped by the row sums r: sum_r C[r] prod_a
+    (-x_a)_r_a / den, with the system's tensor C of degree n grown to the
+    point's reach (``_grow_hyp_tensor``)."""
+    n = _as_multi_index(n, sys.d, "degrees")
+    x = _as_multi_index(x, sys.d, "point")
+    top = sum(n)
+    reach = [v if v < top else top for v in x]  # (-x_a)_r vanishes past x_a; |r| <= |n|
+    entry = sys._hyp_tensors.get(n)
+    if entry is None or not all(map(le, reach, entry[0])):
+        entry = _grow_hyp_tensor(sys, n, reach, entry)
+    _, den, tensor = entry
+    return Fraction(_hyp_contract(tensor, list(map(_rising_of_negative, x, reach))), den)
+
+
+def _hyp_tensor(n: MultiIndex, caps, negn, invbeta, powers):
+    """The integer tensor C[r], r <= caps and |r| <= |n|, one nested list per
+    axis: (b)_|r| C[r] is the convolution over j of the columns
+    X_j[v] = (-n_j)_|v| prod_a (1 - u[a][j])^v_a / v_a!, |v| <= n_j, from the
+    rows ``negn[j]`` of (-n_j)_t, ``powers[j d + a]`` of (1 - u[a][j])^e /
+    e! and ``invbeta`` of 1/(b)_t, each cleared to integers."""
+    tensor, d = None, len(n)
+    for j, nj in enumerate(n):
+        column = _hyp_column(powers[j * d : (j + 1) * d], caps, nj, negn[j])
+        tensor = column if j == 0 else _hyp_convolve([(tensor, column)], caps, sum(n[: j + 1]))
+    return _hyp_scaled(tensor, invbeta, d - 1)
+
+
+def _hyp_column(powers, caps, room: int, neg, acc=1):
+    """X_j[v] on the axes of ``powers`` (the rows of column j), below a
+    prefix with power product acc that leaves ``room`` of n_j, ``neg`` the
+    (-n_j)_t from that prefix's sum on."""
+    row, size = powers[0], min(room, caps[0]) + 1
+    if len(powers) == 1:
+        return [acc * p * t for p, t in zip(row[:size], neg)]
+    return [_hyp_column(powers[1:], caps[1:], room - v, neg[v:], acc * row[v]) for v in range(size)]
+
+
+def _hyp_convolve(pairs, caps, top: int, axis=0, s=0):
+    """sum left * right over the tensor ``pairs`` on the axes from ``axis`` on,
+    below a prefix of sum s, cut at caps and |r| <= top; the last axis is
+    added in C-level slices."""
+    size = min(caps[axis], top - s) + 1
+    if axis == len(caps) - 1:
+        out = [0] * size
+        for left, right in pairs:
+            for nu, v in enumerate(left):
+                if v:
+                    seg = right[: size - nu]
+                    end = nu + len(seg)
+                    out[nu:end] = map(add, out[nu:end], map(v.__mul__, seg))
+        return out
+    groups = [[] for _ in range(size)]
+    for left, right in pairs:
+        for mu, lsub in enumerate(left):
+            for rho, rsub in enumerate(right[: size - mu]):
+                groups[mu + rho].append((lsub, rsub))
+    return [_hyp_convolve(group, caps, top, axis + 1, s + t) for t, group in enumerate(groups)]
+
+
+def _hyp_scaled(tensor, invbeta, depth: int, s=0):
+    """The tensor times invbeta[|r|], ``depth`` axes above the last."""
+    if not depth:
+        return list(map(mul, tensor, invbeta[s:]))
+    return [_hyp_scaled(sub, invbeta, depth - 1, s + v) for v, sub in enumerate(tensor)]
+
+
+def _hyp_contract(tensor, negs):
+    """sum_r tensor[r] prod_a negs[a][r_a], entries past the point's reach
+    left unread; the last two axes are one C-level dot product per row."""
+    if len(negs) == 2:
+        return sum(ni * sum(map(mul, row, negs[1])) for ni, row in zip(negs[0], tensor))
+    if len(negs) == 1:
+        return sum(map(mul, tensor, negs[0]))
+    return sum(ni * _hyp_contract(sub, negs[1:]) for ni, sub in zip(negs[0], tensor))
+
+
+def _grow_hyp_tensor(sys: MeixnerSystemD, n: MultiIndex, reach, entry):
+    """The system's (caps, den, tensor) of degree n, rebuilt from ``entry``
+    to cover ``reach``: each cap it must raise is doubled (clipped at |n|),
+    so a sweep rebuilds a logarithmic number of times, while a one-off call
+    reads its rows only as far as its own reach."""
+    top = sum(n)
+    caps = (-1,) * sys.d if entry is None else entry[0]
+    caps = tuple([c if r <= c else max(r, min(top, 2 * c)) for r, c in zip(reach, caps)])
+    negn = [_rising_of_negative(nj, min(nj, sum(caps))) for nj in n]
+    den, invbeta = _hyp_row(sys, "invbeta", min(top, sum(caps)))
+    dens, powers = zip(*[_hyp_row(sys, (a, j), min(nj, cap))
+                         for j, nj in enumerate(n) for a, cap in enumerate(caps)])
+    den *= math.prod(dens)
+    entry = sys._hyp_tensors[n] = (caps, den, _hyp_tensor(n, caps, negn, invbeta, powers))
+    return entry
+
+
+def _rising_of_negative(a: int, top: int):
+    """(-a)_t for t = 0..top, as integers."""
+    out = [1]
+    for s in range(top):
+        out.append(out[-1] * (s - a))
+    return out
+
+
+def _hyp_row(sys: MeixnerSystemD, row, length: int):
+    """The system's row ``row`` of the hypergeometric sum up to ``length``,
+    as (denominator, integer numerators), cleared on first use.
+
+    ``"invbeta"`` is 1/(b)_t = q^t / prod_{s<t} (p + s q) for b = p/q; a
+    pair (a, c) is (1 - u[a][c])^e / e!.  Both are read from the integer
+    parameters the system's store was cleared from at construction.
+    """
+    key = (row, length)
+    cached = sys._hyp_rows.get(key)
+    if cached is None:
+        store = sys._gf_cache
+        if row == "invbeta":
+            values = [Fraction(store.q**t, store.rising(t)) for t in range(length + 1)]
+        else:
+            a, c = row
+            base = Fraction(store.denom - store.rows[a][c], store.denom)
+            values = [Fraction(1)]
+            for e in range(1, length + 1):
+                values.append(values[-1] * base / e)
+        cached = sys._hyp_rows[key] = _scaled_list(values)
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -887,11 +1026,5 @@ def check_orthogonality_d(sys: MeixnerSystemD, degree_box: int, tol: float) -> E
         raise ValueError("degree_box must be non-negative")
     degrees = sorted(_simplex_lattice(degree_box, sys.d))
     max_disc, first = _gram_discrepancy(sys, degrees, tol, "check_orthogonality_d")
-    return EvalReport(
-        identity="orthogonality-d",
-        box={"d": sys.d, "max_total_degree": degree_box},
-        mode=ScalarMode.FLOAT,
-        max_abs_discrepancy=max_disc,
-        counterexample=first,
-        tol=tol,
-    )
+    box = {"d": sys.d, "max_total_degree": degree_box}
+    return EvalReport("orthogonality-d", box, ScalarMode.FLOAT, max_disc, first, tol)

@@ -7,8 +7,6 @@ import pytest
 
 from multimeixner.bivariate import (
     MeixnerSystem,
-    _hyp_row,
-    _rising_of_negative,
     amplitude_sq,
     hyp_sum,
     matrix_element,
@@ -21,7 +19,7 @@ from multimeixner.bivariate import (
 from multimeixner.errors import ModeError, NonGenericMatrix
 from multimeixner.harness import random_matrix
 from multimeixner.lorentz import boost, compose, identity
-from multimeixner.multivariate import _orthonormal_prefactor_d
+from multimeixner.multivariate import _hyp_row, _orthonormal_prefactor_d, _rising_of_negative
 from multimeixner.numerics import ScalarMode, pochhammer, solve_linear_system
 
 ROUTES = (monic_eval_raising, monic_eval_gf, monic_eval_hyp)
@@ -135,19 +133,19 @@ class TestHypRows:
                             (large_first, self.LARGE + self.SMALL)):
             for cell in cells:
                 assert monic_eval_hyp(sys2, *cell) == monic_eval_gf(oracle, *cell)
-            lengths = {length for row, length in sys2._hyp_cache if row == (0, 0)}
+            lengths = {length for row, length in sys2._hyp_rows if row == (0, 0)}
             assert len(lengths) > 1  # rows of several lengths side by side
-        assert small_first._hyp_cache.keys() == large_first._hyp_cache.keys()
+        assert small_first._hyp_rows.keys() == large_first._hyp_rows.keys()
 
     def test_rows_belong_to_one_system(self, canonical_matrix):
         first, second = MeixnerSystem(2, canonical_matrix), MeixnerSystem(2, canonical_matrix)
-        assert not first._hyp_cache and not second._hyp_cache
+        assert not first._hyp_rows and not second._hyp_rows
         monic_eval_hyp(first, 2, 1, 3, 2)
-        assert first._hyp_cache and not second._hyp_cache
+        assert first._hyp_rows and not second._hyp_rows
         monic_eval_hyp(second, 2, 1, 3, 2)
-        assert first._hyp_cache.keys() == second._hyp_cache.keys()
-        for key, (denom, nums) in first._hyp_cache.items():
-            assert second._hyp_cache[key][1] is not nums
+        assert first._hyp_rows.keys() == second._hyp_rows.keys()
+        for key, (denom, nums) in first._hyp_rows.items():
+            assert second._hyp_rows[key][1] is not nums
 
     def test_kernel_on_cleared_rows_matches_fraction_sum(self):
         m, n, i, k = 2, 3, 3, 2
@@ -195,7 +193,7 @@ class TestHypRows:
 
 
 class TestHypGrid:
-    """Each degree's integer coefficient grid is built once per system and
+    """Each degree's integer coefficient tensor is built once per system and
     grown only as far as the points reach."""
 
     CELLS = [(m, n, i, k) for m in range(4) for n in range(4 - m) for i in range(8) for k in range(8)]
@@ -212,19 +210,27 @@ class TestHypGrid:
         for cell in cells:
             assert monic_eval_hyp(sys2, *cell) == monic_eval_gf(oracle, *cell)
         # every cell reaches m + n in both exponents, where the caps stop
-        assert {deg: grid[:2] for deg, grid in sys2._hyp_grids.items()} == {
+        assert {deg: entry[0] for deg, entry in sys2._hyp_tensors.items()} == {
             (m, n): (m + n, m + n) for m, n, _i, _k in self.CELLS
         }
+
+    def test_caps_double_as_a_sweep_reaches_past_them(self, canonical_matrix):
+        sys2 = MeixnerSystem(2, canonical_matrix)
+        for side, caps in ((3, (2, 2)), (4, (4, 4)), (8, (6, 6))):
+            for i in range(side):
+                for k in range(side):
+                    monic_eval_hyp(sys2, 3, 3, i, k)
+            assert sys2._hyp_tensors[(3, 3)][0] == caps
 
     def test_one_off_calls_read_only_their_reach(self, canonical_matrix):
         sys2 = MeixnerSystem(2, canonical_matrix)
         calls = [(200, 200, 2, 3), (400, 300, 1, 1)]
         for m, n, i, k in calls:
             assert monic_eval_hyp(sys2, m, n, i, k) == monic_eval_raising(sys2, m, n, i, k)
-        assert {deg: grid[:2] for deg, grid in sys2._hyp_grids.items()} == {
+        assert {deg: entry[0] for deg, entry in sys2._hyp_tensors.items()} == {
             (200, 200): (2, 3), (400, 300): (1, 1)
         }
-        for (m, n), (A, B, _den, grid) in sys2._hyp_grids.items():
+        for (m, n), ((A, B), _den, grid) in sys2._hyp_tensors.items():
             assert len(grid) == A + 1 and max(map(len, grid)) == B + 1
         # the row lengths the per-point four-index loop read before the grid
         reach = set()
@@ -233,7 +239,7 @@ class TestHypGrid:
                 ("invbeta", min(m + n, i + k)), ((0, 0), min(m, i)), ((1, 0), min(m, k)),
                 ((0, 1), min(n, i)), ((1, 1), min(n, k)),
             }
-        assert set(sys2._hyp_cache) == reach
+        assert set(sys2._hyp_rows) == reach
 
     @pytest.mark.parametrize("cell", [(2, 3, 3, 2), (1, 1, 6, 0), (0, 2, 1, 5), (3, 0, 0, 4)])
     def test_kernel_matches_fraction_sum_on_system_rows(self, seeded_systems, cell):

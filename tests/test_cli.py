@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multimeixner import multivariate
 from multimeixner.cli import _parse_subgroup, main
 from multimeixner.harness import random_matrix
 from multimeixner.lorentz import matrix_to_json, product_of
@@ -228,6 +229,35 @@ class TestEval:
         )
         assert code == 0
         assert out == out2
+
+    def test_d3_hyp_eval(self, capsys):
+        # the generating-function route gives the same value
+        code, out, err = run_cli(
+            capsys, "eval", "--d", "3", "--route", "hyp", "--seed", "7",
+            "--degrees", "1,1,0", "--point", "1,0,2",
+        )
+        assert code == 0, err
+        assert out.strip() == "-12489/13850"
+
+    @pytest.mark.parametrize("value", ["orthonormal", "matrix-element"])
+    def test_d3_float_value_kinds_exit_3(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "eval", "--d", "3", "--value", value, "--degrees", "1,1,1", "--point", "1,1,1",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: d != 2 gives monic values only, not --value {value}\n"
+
+    @pytest.mark.parametrize("beta", ["-1/2", "0"])
+    @pytest.mark.parametrize("route, spec", CLOSED_FORMS)
+    def test_closed_form_rejects_nonpositive_beta(self, capsys, route, spec, beta):
+        code, out, err = run_cli(
+            capsys, "eval", "--route", route, f"--beta={beta}", "--subgroup", spec,
+            "--degrees", "1,1", "--point", "1,1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: beta must be positive, got {beta}\n"
 
     def test_factors_without_a_draw_exits_2(self, capsys, matrix_file):
         # the canonical matrix and a --matrix file draw nothing to count
@@ -518,6 +548,19 @@ class TestVerify:
             "--box", "1,1,1,1",
         )
         assert code == 0, err
+
+    def test_multivariate_names_the_failing_route(self, capsys, monkeypatch):
+        hyp = multivariate.monic_eval_hyp_d
+        monkeypatch.setattr(multivariate, "monic_eval_hyp_d", lambda *args: hyp(*args) + 1)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "multivariate", "--degree-max", "1",
+            "--coord-max", "1", "--format", "json",
+        )
+        assert code == 1, err
+        routes, gram = json.loads(out)
+        assert not routes["pass"] and routes["max_discrepancy"] == "1"
+        assert routes["counterexample"] == [[0, 0, 0], [0, 0, 0], "monic_eval_hyp_d"]
+        assert gram["pass"]
 
     def test_multivariate_gram_loop_at_d4_exits_3(self, capsys):
         # the float Gram sum does not settle within the point budget at d = 4

@@ -21,6 +21,7 @@ from multimeixner.multivariate import (
     check_orthogonality_d,
     check_recurrence_d,
     monic_eval_gf_d,
+    monic_eval_hyp_d,
     monic_eval_raising_d,
     monic_poly_coeffs_d,
     weight_d,
@@ -187,7 +188,7 @@ class TestRaisingRoute:
             monic_eval_gf_d(system_d3, (1, 0, 0), [0, -1, 0])
         assert str(negative.value) == "point must be 3 non-negative integers, got [0, -1, 0]"
         # a rational or non-numeric entry is not read as the integer below it
-        for route in (monic_eval_gf_d, monic_eval_raising_d):
+        for route in (monic_eval_gf_d, monic_eval_raising_d, monic_eval_hyp_d):
             for entry in (1.5, F(3, 2), "1"):
                 with pytest.raises(ValueError) as rational:
                     route(system_d3, (1, 0, 0), (entry, 0, 0))
@@ -196,6 +197,26 @@ class TestRaisingRoute:
                 )
             with pytest.raises(ValueError, match="degrees must be 3 non-negative integers"):
                 route(system_d3, (1.0, 0, 0), (1, 0, 0))
+
+
+class TestHypRoute:
+    """The hypergeometric route in d variables against the oracle on a
+    fresh system: every degree of total at most 3 (at d = 1, up to 7) at
+    every point of a cube."""
+
+    @pytest.mark.parametrize("lam, beta, side", [
+        pytest.param(boost((1, 2), 2, 1), F(7, 3), 9, id="d1"),
+        pytest.param(random_matrix(7, 3, 5), 2, 3, id="d3-seed7"),
+        pytest.param(random_matrix(31, 3, 5), F(7, 3), 3, id="d3-seed31"),
+        pytest.param(random_matrix(9, 4, 5), 2, 2, id="d4-seed9"),
+    ])
+    def test_agrees_with_oracle(self, lam, beta, side):
+        sysd, oracle = MeixnerSystemD(beta, lam), MeixnerSystemD(beta, lam)
+        top = 7 if lam.d == 1 else 3
+        for n in _simplex_lattice(top, lam.d):
+            for x in lattice((side,) * lam.d):
+                assert monic_eval_hyp_d(sysd, n, x) == monic_eval_gf_d(oracle, n, x)
+        assert set(sysd._hyp_tensors) == set(_simplex_lattice(top, lam.d))
 
 
 def _first_coordinate_simplex(total, d):
