@@ -65,8 +65,10 @@ from .multivariate import (
     check_lowering_d,
     check_orthogonality_d,
     check_recurrence_d,
+    matrix_element_d,
     monic_eval_gf_d,
     monic_eval_raising_d,
+    orthonormal_eval_d,
     weight_d,
 )
 from .numerics import (

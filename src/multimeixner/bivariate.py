@@ -50,10 +50,12 @@ from .multivariate import (
     check_duality_d,
     check_lowering_d,
     check_recurrence_d,
+    matrix_element_d,
     monic_eval_gf_d,
     monic_eval_hyp_d,
     monic_eval_raising_d,
     monic_poly_coeffs_d,
+    orthonormal_eval_d,
     weight_d,
 )
 from .numerics import (
@@ -168,16 +170,13 @@ def monic_poly_coeffs(sys: MeixnerSystem, m: int, n: int) -> Dict[Tuple[int, int
 
 
 def orthonormal_eval(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> float:
-    """Orthonormal value: signed square-root normalization times the monic
-    value, read from the system's raising table in log space."""
-    sys.require_mode(ScalarMode.FLOAT, "orthonormal_eval")
-    return sys._raising.orthonormal(_check_degrees(m, n), _check_point(i, k))
+    """Orthonormal value (see ``multivariate.orthonormal_eval_d``)."""
+    return orthonormal_eval_d(sys, (m, n), (i, k))
 
 
 def matrix_element(sys: MeixnerSystem, i: int, k: int, m: int, n: int) -> float:
-    """Representation matrix element: signed amplitude times orthonormal value."""
-    sys.require_mode(ScalarMode.FLOAT, "matrix_element")
-    return sys._raising.matrix_element(_check_point(i, k), _check_degrees(m, n))
+    """Representation matrix element (see ``multivariate.matrix_element_d``)."""
+    return matrix_element_d(sys, (i, k), (m, n))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import bivariate, harness, multivariate
+from . import harness, multivariate
 from .errors import (
     MatrixValidationError,
     ModeError,
@@ -208,20 +208,17 @@ def cmd_eval(args) -> int:
         print(rational_str(form(*args.degrees, *args.point)))
         return EXIT_PASS
 
-    lam = _matrix(args, d)
-    if args.value == "monic":
-        sysd = multivariate.MeixnerSystemD(args.beta, lam, ScalarMode.EXACT)
+    monic = args.value == "monic"
+    sysd = multivariate.MeixnerSystemD(
+        args.beta, _matrix(args, d), ScalarMode.EXACT if monic else ScalarMode.FLOAT
+    )
+    if monic:
         route = getattr(multivariate, f"monic_eval_{args.route}_d")
         print(_monic_str(route(sysd, args.degrees, args.point), args.mode))
-        return EXIT_PASS
-    if d != 2:
-        raise PreconditionError(f"d != 2 gives monic values only, not --value {args.value}")
-    (m, n), (i, k) = args.degrees, args.point
-    sys2 = bivariate.MeixnerSystem(args.beta, lam, ScalarMode.FLOAT)
-    if args.value == "matrix-element":
-        print(float_str(bivariate.matrix_element(sys2, i, k, m, n)))
+    elif args.value == "matrix-element":
+        print(float_str(multivariate.matrix_element_d(sysd, args.point, args.degrees)))
     else:
-        print(float_str(bivariate.orthonormal_eval(sys2, m, n, i, k)))
+        print(float_str(multivariate.orthonormal_eval_d(sysd, args.degrees, args.point)))
     return EXIT_PASS
 
 

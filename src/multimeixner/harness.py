@@ -290,6 +290,11 @@ def suite_identity(config: SuiteConfig) -> List[EvalReport]:
 def suite_orthogonality(config: SuiteConfig) -> List[EvalReport]:
     tol = config.tol if config.tol is not None else 1e-8
     box = config.box or LatticeBox(max_i=0, max_k=0, max_m=3, max_n=3)
+    if box.max_i or box.max_k:
+        raise ValueError(
+            "the orthogonality sum runs over every point and reads only m,n of --box;"
+            f" its i,k must be 0, got {box.max_i},{box.max_k}"
+        )
     sysf = _bivariate_system(config, ScalarMode.FLOAT)
     return [bivariate.check_orthogonality(sysf, box, tol)]
 

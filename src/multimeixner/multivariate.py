@@ -9,11 +9,14 @@ points, since G_{x+e_i} and G_x differ by one factor, in plain integers.
 A system keeps its own store; each exact checker fills a fresh one capped
 at the degrees it reads.  ``_gf_values`` reads a store as one integer
 column per degree over one denominator: the checkers' residual columns
-and the coefficients (from its forward differences) are built on them.
+are built on them.
 
 The hypergeometric route keeps one integer tensor per degree n, the
 convolution over the columns j of the matrix sum (``_hyp_tensor``), so a
-point costs one contraction with its rows (-x_a)_r.
+point costs one contraction with its rows (-x_a)_r.  The same tensor,
+grown to |n| on every axis, holds the polynomial's coefficients in the
+basis prod_a (-x_a)_{r_a}, from which ``monic_poly_coeffs_d`` reads the
+monomial coefficients.
 
 The bivariate module builds on this core: its ``MeixnerSystem`` is the
 d = 2 case, its routes and checkers call the ones here, and it adds what
@@ -111,9 +114,10 @@ class MeixnerSystemD:
     (``_gf_cache``, the generating-function store, ``_raising``, the
     raising table, ``_hyp_rows``, the hypergeometric rows by (row, length),
     and ``_hyp_tensors``, the hypergeometric tensors by degree with their
-    caps) hold the u or the matrix of construction cleared to integers and
-    are never invalidated, so a changed parameter would meet values
-    computed from the old one.
+    caps, which serve the hypergeometric route and the polynomial
+    coefficients) hold the u or the matrix of construction cleared to
+    integers and are never invalidated, so a changed parameter would meet
+    values computed from the old one.
     Only the table-built exact checkers below re-read the current ``u`` and
     ``lam`` on every call.
     """
@@ -521,10 +525,7 @@ def monic_eval_hyp_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) ->
     x = _as_multi_index(x, sys.d, "point")
     top = sum(n)
     reach = [v if v < top else top for v in x]  # (-x_a)_r vanishes past x_a; |r| <= |n|
-    entry = sys._hyp_tensors.get(n)
-    if entry is None or not all(map(le, reach, entry[0])):
-        entry = _grow_hyp_tensor(sys, n, reach, entry)
-    _, den, tensor = entry
+    _, den, tensor = _hyp_entry(sys, n, reach)
     return Fraction(_hyp_contract(tensor, list(map(_rising_of_negative, x, reach))), den)
 
 
@@ -590,6 +591,14 @@ def _hyp_contract(tensor, negs):
     return sum(ni * _hyp_contract(sub, negs[1:]) for ni, sub in zip(negs[0], tensor))
 
 
+def _hyp_entry(sys: MeixnerSystemD, n: MultiIndex, reach):
+    """The system's (caps, den, tensor) of degree n, grown to cover ``reach``."""
+    entry = sys._hyp_tensors.get(n)
+    if entry is None or not all(map(le, reach, entry[0])):
+        entry = _grow_hyp_tensor(sys, n, reach, entry)
+    return entry
+
+
 def _grow_hyp_tensor(sys: MeixnerSystemD, n: MultiIndex, reach, entry):
     """The system's (caps, den, tensor) of degree n, rebuilt from ``entry``
     to cover ``reach``: each cap it must raise is doubled (clipped at |n|),
@@ -650,45 +659,32 @@ def _simplex_lattice(total: int, d: int):
         yield from _exponents_of_degree(t, d)
 
 
-def _line_maps(top: int):
-    """Two integer matrices on the values f(0), ..., f(top) of a line (a
-    shorter line reads their leading block): forward differences,
-    Delta^k f(0) = sum_j (-1)^(k-j) C(k, j) f(j), and binomial to monomial
-    coefficients times top!, entry (m, k) being (top!/k!) s(k, m), s the
-    signed Stirling numbers of the first kind."""
-    falling = [[1]]  # the coefficients of y (y-1) ... (y-k+1), by power
-    for k in range(top):
-        falling.append([a - k * b for a, b in zip([0, *falling[-1]], [*falling[-1], 0])])
-    span = range(top + 1)
-    differences = [[(-1) ** (k + j) * math.comb(k, j) for j in span] for k in span]
-    scale = [math.factorial(top) // math.factorial(k) for k in span]
-    monomials = [[scale[k] * falling[k][m] if m <= k else 0 for k in span] for m in span]
-    return differences, monomials
-
-
 def monic_poly_coeffs_d(sys: MeixnerSystemD, n: Sequence[int]) -> Dict[MultiIndex, Fraction]:
     """Exact monomial coefficients of the degree-|n| polynomial in x.
 
-    The forward differences Delta^k R_n(0) of one ``_gf_values`` column of
-    the system's store over the simplex {x : |x| <= |n|} are the
-    coefficients in the basis prod_i C(x_i, k_i); ``_line_maps`` takes
-    them and turns them into monomial coefficients line by line, in
-    integers over den (|n|!)^d.  All differences come first: a line of the
-    simplex omits entries that are zero only once all are taken.
+    The system's hypergeometric tensor of degree n, grown to |n| on every
+    axis, holds the polynomial in the basis prod_a (-x_a)_{r_a}, r over the
+    simplex {|r| <= |n|} (``monic_eval_hyp_d``).  With s the signed Stirling
+    numbers of the first kind, (-y)_r = sum_m (-1)^r s(r, m) y^m turns it
+    into monomial coefficients one axis at a time, line by line, in
+    integers over the tensor's denominator.
     """
     n = _as_multi_index(n, sys.d, "degrees")
     d, top = sys.d, sum(n)
-    nodes = sorted(_simplex_lattice(top, d))
-    den, values = _gf_values(sys._gf_cache, [n], nodes)
-    table = dict(zip(nodes, values[n]))
-    for matrix in _line_maps(top):
-        for axis in range(d):
-            for base in (x for x in nodes if not x[axis]):
-                line = [base[:axis] + (j,) + base[axis + 1 :] for j in range(top - sum(base) + 1)]
-                old = [table[x] for x in line]
-                table.update((x, sum(map(mul, row, old))) for x, row in zip(line, matrix))
-    scale = den * math.factorial(top) ** d
-    return {x: Fraction(table[x], scale) for x in nodes if table[x]}
+    _, den, flat = _hyp_entry(sys, n, (top,) * d)
+    for _ in range(d - 1):  # one axis at a time, which keeps r in lexicographic order
+        flat = list(itertools.chain.from_iterable(flat))
+    table = dict(zip(sorted(_simplex_lattice(top, d)), flat))
+    rows = [[1] + [0] * top]  # rows[r][m] = (-1)^r s(r, m), by (-y)_{r+1} = (-y)_r (r - y)
+    for r in range(top):
+        rows.append([r * a - b for a, b in zip(rows[-1], [0, *rows[-1]])])
+    matrix = list(zip(*rows))  # entry (m, r) is rows[r][m], zero for r < m
+    for axis in range(d):
+        for base in [x for x in table if not x[axis]]:
+            line = [base[:axis] + (j,) + base[axis + 1 :] for j in range(top - sum(base) + 1)]
+            old = [table[x] for x in line]
+            table.update((x, sum(map(mul, row, old))) for x, row in zip(line, matrix))
+    return {x: Fraction(c, den) for x, c in table.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -893,7 +889,22 @@ def check_duality_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -
 
 
 # ---------------------------------------------------------------------------
-# orthonormal family and truncated orthogonality (float only)
+# orthonormal family, matrix elements and truncated orthogonality (float only)
+
+
+def orthonormal_eval_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> float:
+    """Orthonormal value: signed square-root normalization times the monic
+    value, read from the system's raising table in log space."""
+    sys.require_mode(ScalarMode.FLOAT, "orthonormal_eval")
+    n = _as_multi_index(n, sys.d, "degrees")
+    return sys._raising.orthonormal(n, _as_multi_index(x, sys.d, "point"))
+
+
+def matrix_element_d(sys: MeixnerSystemD, x: Sequence[int], n: Sequence[int]) -> float:
+    """Representation matrix element: signed amplitude times orthonormal value."""
+    sys.require_mode(ScalarMode.FLOAT, "matrix_element")
+    x = _as_multi_index(x, sys.d, "point")
+    return sys._raising.matrix_element(x, _as_multi_index(n, sys.d, "degrees"))
 
 
 def _orthonormal_prefactor_d(sys: MeixnerSystemD, n: MultiIndex) -> float:

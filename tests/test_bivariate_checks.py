@@ -248,13 +248,14 @@ class TestOrthogonality:
         assert report.passed
 
     def test_reads_the_coefficients_of_the_float_system(self, canonical_matrix):
-        # no exact twin: the coefficients are interpolated from the float
-        # system's own generating-function store, up to degree |n| = 2 on
-        # the simplex |x| <= 2
+        # no exact twin: the coefficients are read from the float system's
+        # own hypergeometric tensors, each grown to |n| on both axes, and
+        # its generating-function store stays empty
         sysf = MeixnerSystem(2, canonical_matrix, ScalarMode.FLOAT)
         check_orthogonality(sysf, LatticeBox(0, 0, 1, 1), 1e-8)
-        assert set(sysf._gf_cache) == {(i, k) for i in range(3) for k in range(3 - i)}
-        assert all(layers.cutoff == 2 for layers in sysf._gf_cache.values())
+        assert not sysf._gf_cache
+        caps = {n: entry[0] for n, entry in sysf._hyp_tensors.items()}
+        assert caps == {(0, 0): (0, 0), (1, 0): (1, 1), (0, 1): (1, 1), (1, 1): (2, 2)}
 
     def test_requires_float_mode(self, canonical_beta2):
         with pytest.raises(ModeError):

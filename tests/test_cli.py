@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import runpy
+import sys
 import time
 from fractions import Fraction as F
 
@@ -11,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from multimeixner import multivariate
 from multimeixner.cli import _parse_subgroup, main
-from multimeixner.harness import random_matrix
+from multimeixner.harness import random_matrix, resolve_matrix
 from multimeixner.lorentz import matrix_to_json, product_of
+from multimeixner.numerics import ScalarMode
 
 
 def run_cli(capsys, *argv):
@@ -167,12 +170,12 @@ class TestEval:
              "--subgroup", "boost:2,3:2"],
             2, id="closed-form-at-d3",
         ),
-        pytest.param(
-            ["eval", "--d", "3", "--degrees", "1,1,1", "--point", "1,1,1",
-             "--value", "orthonormal"],
-            3, id="orthonormal-at-d3",
-        ),
         pytest.param(["verify", "--suite", "recurrence", "--box", "1,1,1"], 2, id="short-box"),
+        # the sum runs over every point: an i,k half of --box is not read
+        pytest.param(
+            ["verify", "--suite", "orthogonality", "--box", "0,0,30,30"],
+            2, id="orthogonality-point-box",
+        ),
     ])
     def test_exits_with_one_error_line(self, capsys, argv, exit_code):
         code, out, err = run_cli(capsys, *argv)
@@ -239,14 +242,36 @@ class TestEval:
         assert code == 0, err
         assert out.strip() == "-12489/13850"
 
+    @pytest.mark.parametrize("seed, degrees, point", [
+        (7, (1, 0, 1), (1, 1, 0)), (None, (1, 1, 1), (1, 1, 1)),
+    ], ids=["seed-7", "default-matrix"])
     @pytest.mark.parametrize("value", ["orthonormal", "matrix-element"])
-    def test_d3_float_value_kinds_exit_3(self, capsys, value):
+    def test_d3_float_value_kinds(self, capsys, value, seed, degrees, point):
+        # reference: the orthonormal prefactor times the generating-function
+        # value, and for the matrix element the signed amplitude at the point
+        source = [] if seed is None else ["--seed", str(seed)]
         code, out, err = run_cli(
-            capsys, "eval", "--d", "3", "--value", value, "--degrees", "1,1,1", "--point", "1,1,1",
+            capsys, "eval", "--d", "3", *source, "--value", value,
+            "--degrees", ",".join(map(str, degrees)), "--point", ",".join(map(str, point)),
         )
-        assert code == 3
-        assert out == ""
-        assert err == f"error: d != 2 gives monic values only, not --value {value}\n"
+        assert code == 0, err
+        sysf = multivariate.MeixnerSystemD(2, resolve_matrix(3, seed=seed), ScalarMode.FLOAT)
+        expected = multivariate._orthonormal_prefactor_d(sysf, degrees) * float(
+            multivariate.monic_eval_gf_d(sysf, degrees, point)
+        )
+        if value == "matrix-element":
+            expected *= multivariate._LogMass(sysf.beta, sysf.lam).root(point)
+        assert float(out) == pytest.approx(expected, rel=1e-12)
+        if seed == 7 and value == "orthonormal":
+            assert float(out) == pytest.approx(-1.2264989813833411, rel=1e-12)
+
+    def test_runs_as_python_dash_m(self, capsys, monkeypatch):
+        # ``python -m multimeixner`` from a checkout, run in this process
+        monkeypatch.setattr(sys, "argv", ["multimeixner", "eval", "--degrees", "1,1", "--point", "1,1"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("multimeixner", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "11683/17496\n"
 
     @pytest.mark.parametrize("beta", ["-1/2", "0"])
     @pytest.mark.parametrize("route, spec", CLOSED_FORMS)

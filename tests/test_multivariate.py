@@ -238,11 +238,12 @@ def test_simplex_lattice_is_graded(d):
 
 
 class TestPolyCoeffs:
-    """The forward-difference coefficients against a Vandermonde solve on
-    the simplex and against the generating function off it."""
+    """The coefficients read from the hypergeometric tensor against a
+    Vandermonde solve on the simplex and against the generating function
+    off it."""
 
     @pytest.mark.parametrize("beta", [2, F(7, 3)], ids=["2", "7/3"])
-    @pytest.mark.parametrize("d, top", [(1, 6), (2, 6), (3, 3)])
+    @pytest.mark.parametrize("d, top", [(1, 6), (2, 6), (3, 3), (4, 2)])
     def test_coefficients_match_vandermonde_solve(self, d, top, beta):
         system = random_system(D3_SEED, d, beta, max(d, 4))
         nodes = sorted(_simplex_lattice(top, d))
@@ -256,6 +257,26 @@ class TestPolyCoeffs:
             for x in far:
                 value = sum(c * math.prod(map(pow, x, mono)) for mono, c in coeffs.items())
                 assert value == monic_eval_gf_d(system, n, x)
+
+    @pytest.mark.parametrize("n", [(12, 10), (3, 3, 3)], ids=["12-10", "3-3-3"])
+    def test_high_degree_matches_the_generating_function_far_out(self, n):
+        d, top = len(n), sum(n)
+        system = random_system(D3_SEED, d, F(7, 3), max(d, 4))
+        coeffs = monic_poly_coeffs_d(system, n)
+        for j in range(3):
+            x = tuple(top + 1 + 2 * i + j for i in range(d))
+            value = sum(c * math.prod(map(pow, x, mono)) for mono, c in coeffs.items())
+            assert value == monic_eval_gf_d(system, n, x)
+
+    def test_hyp_sweep_reuses_the_tensor_of_the_coefficients(self):
+        system = random_system(D3_SEED, 3, 2, 4)
+        n = (2, 1, 1)
+        monic_poly_coeffs_d(system, n)
+        assert not system._gf_cache  # no store point is filled
+        entry = system._hyp_tensors[n]
+        for x in _simplex_lattice(sum(n), 3):
+            monic_eval_hyp_d(system, n, x)
+        assert system._hyp_tensors[n] is entry
 
 
 class TestOrthogonality:
