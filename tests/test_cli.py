@@ -164,6 +164,12 @@ class TestEval:
              "--degrees", "200,0", "--point", "0,3000"],
             3, id="orthonormal-past-the-float-range",
         ),
+        # the d = 3 value is about 10^416.4
+        pytest.param(
+            ["eval", "--d", "3", "--mode", "float", "--value", "orthonormal",
+             "--degrees", "200,0,0", "--point", "0,0,3000"],
+            3, id="orthonormal-at-d3",
+        ),
         pytest.param(["eval", "--degrees", "1,1", "--point", "1"], 2, id="arity-mismatch"),
         pytest.param(
             ["eval", "--route", "tratnik", "--degrees", "1,1,1", "--point", "1,1,1",
