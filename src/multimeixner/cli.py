@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--route",
         choices=["raising", "gf", "hyp", "tratnik", "dompe3"],
-        default="gf",
+        help="default: gf for monic values; the other value kinds read the raising table",
     )
     p_eval.add_argument("--degrees", type=_int_list, required=True, metavar="m,n")
     p_eval.add_argument("--point", type=_int_list, required=True, metavar="i,k")
@@ -209,11 +209,16 @@ def cmd_eval(args) -> int:
         return EXIT_PASS
 
     monic = args.value == "monic"
+    if not monic and args.route not in (None, "raising"):
+        raise ValueError(
+            f"--value {args.value} is read from the raising table: use --route raising"
+            f" or no --route, not --route {args.route}"
+        )
     sysd = multivariate.MeixnerSystemD(
         args.beta, _matrix(args, d), ScalarMode.EXACT if monic else ScalarMode.FLOAT
     )
     if monic:
-        route = getattr(multivariate, f"monic_eval_{args.route}_d")
+        route = getattr(multivariate, f"monic_eval_{args.route or 'gf'}_d")
         print(_monic_str(route(sysd, args.degrees, args.point), args.mode))
     elif args.value == "matrix-element":
         print(float_str(multivariate.matrix_element_d(sysd, args.point, args.degrees)))

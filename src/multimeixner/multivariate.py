@@ -29,9 +29,11 @@ unnormalised values
   S[b, n + e_j](x) = -r_d (|x|+b) S[b+1, n](x)
                      + sum_i r_i x_i S[b+1, n](x - e_i),   r_i = L[i][j]/L[i][d],
 
-in integers, filled level by level.  Every square root of the raising
-relations collects in S / sqrt((b)_{|n|} n!), the orthonormal value, and
-the monic value is S / ((b)_{|n|} prod_j (-r_dj)^{n_j}), so one table
+in integers, one column per (degree, shift) over the box of the points
+asked for, filled degree by degree in C-level maps; a lone point keeps
+the band below it.  Every square root of the raising relations collects
+in S / sqrt((b)_{|n|} n!), the orthonormal value, and the monic value is
+S / ((b)_{|n|} prod_j (-r_dj)^{n_j}), so one table
 serves the monic values, the orthonormal values and the matrix elements;
 its wholesale agreement with the generating function is the correctness
 gate.
@@ -43,6 +45,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import add, getitem, index, le, mul, sub
 from typing import Dict, List, Sequence, Tuple
 
@@ -90,12 +93,6 @@ def _as_multi_index(value: Sequence[int], d: int, what: str) -> MultiIndex:
 def _step_down(idx: MultiIndex, axis: int) -> MultiIndex:
     """The multi-index with one less along ``axis``."""
     return idx[:axis] + (idx[axis] - 1,) + idx[axis + 1 :]
-
-
-@lru_cache(maxsize=4096)
-def _neighbours_below(idx: MultiIndex):
-    """(i, idx_i, idx - e_i) for every axis i with idx_i > 0."""
-    return tuple((i, v, _step_down(idx, i)) for i, v in enumerate(idx) if v)
 
 
 def _first_axis(idx: MultiIndex) -> int:
@@ -398,34 +395,21 @@ def monic_eval_gf_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> 
 # route 2: radical-free raising recursion
 
 
-def _raising_levels(cache, n: MultiIndex, x: MultiIndex):
-    """The raising recursion's descent from degree n at the point x, as
-    levels (degree, j, lower, shift, points) from the top down: level
-    ``shift`` steps ``degree`` down its first nonzero axis j to ``lower``
-    and reads the base parameter b + shift.  A level keeps the points whose
-    values, keyed (degree, y, shift) in ``cache``, are missing, and the
-    next adds their neighbours y - e_i.  Filled bottom up, the levels keep
-    the call stack flat at any degree."""
-    levels = []
-    degree, shift, points = n, 0, {x}
-    for j in range(len(n)):
-        while degree[j]:
-            points = {y for y in points if (degree, y, shift) not in cache}
-            if not points:
-                return levels
-            lower = _step_down(degree, j)
-            levels.append((degree, j, lower, shift, points))
-            points = points | {z for y in points for _, _, z in _neighbours_below(y)}
-            degree, shift = lower, shift + 1
-    return levels
+@lru_cache(maxsize=4096)
+def _raising_step(degree: MultiIndex):
+    """The raising recursion's step into ``degree``: its first nonzero axis
+    j, degree - e_j, and whether that is degree zero."""
+    j = _first_axis(degree)
+    lower = _step_down(degree, j)
+    return j, lower, not any(lower)
 
 
-class _RaisingTable(dict):
+class _RaisingTable:
     """The unnormalised raising recursion of one matrix, behind the monic
     values, the orthonormal values and the matrix elements.
 
-    With r_i = L[i][j]/L[i][d] (i = 0..d) for the axis j that a level of
-    ``_raising_levels`` steps down, the values at shift s are 1 at degree
+    With r_i = L[i][j]/L[i][d] (i = 0..d) for the first nonzero axis j of
+    a degree (``_raising_step``), the values at shift s are 1 at degree
     zero and
 
       S[n + e_j](y) = -r_d (|y| + b + s) S(y) + sum_i r_i y_i S(y - e_i),
@@ -433,19 +417,30 @@ class _RaisingTable(dict):
     S on the right those of degree n at shift s + 1.  It divides only by
     last-column entries, so it also serves matrices with a zero in the
     last row.  With b = p/q and the r's a/E over one denominator, a value
-    keyed (degree, y, shift) is kept as the integer (qE)^|n| S, so a step
+    is kept as the integer (qE)^|n| S, so a step
 
       S^[n + e_j](y) = -a_d (q (|y| + s) + p) S^(y) + q sum_i a_i y_i S^(y - e_i)
 
-    costs integer products only.  At shift 0, S / sqrt((b)_|n| n!) is the
-    orthonormal value and, times the signed amplitude, the matrix element:
-    both are read in log space, so only the result can leave the float
-    range.  Where the last row has no zero, S / ((b)_|n| prod_j (-r_dj)^n_j)
-    is the monic value (``monic_eval_raising_d``).
+    costs integer products only.  The table keeps one box [lo, hi] of the
+    points asked for and one integer column per (degree, shift) over the
+    box [max(0, lo - s), hi], so every y - e_i a step reads lies in the
+    column below; a column is filled in C-level maps over the index lists
+    of ``_plan``, and a degree's column from the highest one held on its
+    chain, so the call stack stays flat at any degree.  A lone point x
+    makes the box [x, x] and the columns the band [x - s, x].  A point
+    outside the box doubles each side it must move (hi to max(x, 2 hi + 1),
+    lo to min(x, lo // 2)), so a sweep grows it a logarithmic number of
+    times, and drops the columns to be refilled; where that box would be
+    past POINT_BUDGET cells over the chain, the box restarts at the point.
+
+    At shift 0, S / sqrt((b)_|n| n!) is the orthonormal value and, times
+    the signed amplitude, the matrix element: both are read in log space,
+    so only the result can leave the float range.  Where the last row has
+    no zero, S / ((b)_|n| prod_j (-r_dj)^n_j) is the monic value
+    (``monic_eval_raising_d``).
     """
 
     def __init__(self, beta: Fraction, lam: PseudoRotation):
-        super().__init__()
         e, d = lam.entries, lam.d
         if any(e[i][d] == 0 for i in range(d)):
             raise NonGenericMatrix("the raising recursion needs nonzero last-column entries")
@@ -454,6 +449,11 @@ class _RaisingTable(dict):
         # per axis j: the cleared last-row step -a_d and the q a_i, i < d
         rows = [nums[j * (d + 1) : (j + 1) * (d + 1)] for j in range(d)]
         self.steps = [(-row[d], [self.q * a for a in row[:d]]) for row in rows]
+        self.lo = self.hi = None  # the box, set by the first point asked for
+        self.strides, self.flat = [], 0  # the box's strides at shift 0, and max(lo)
+        self.places: Dict[MultiIndex, int] = {}  # the points asked for, by place at shift 0
+        self.columns: Dict[Tuple[MultiIndex, int], List[int]] = {}  # by (degree, shift)
+        self.plans: Dict[int, tuple] = {}  # the box's ``_plan`` by shift, up to max(lo)
         b, log_qe, mass = float(beta), math.log(self.q * denom), _LogMass(beta, lam)
         # kept per table like its values: each point's amplitude sign and
         # log, and each degree's log of (qE)^|n| sqrt((b)_|n| n!)
@@ -464,20 +464,110 @@ class _RaisingTable(dict):
         )
 
     def value(self, n: MultiIndex, x: MultiIndex) -> int:
-        """(qE)^|n| S[n](x) at shift 0, filled level by level up from
-        degree zero, so the call stack stays flat at any degree."""
+        """(qE)^|n| S[n](x) at shift 0."""
+        if not any(n):
+            return 1  # degree zero is 1 at every point and has no column
+        place = self.places.get(x)
+        if place is None:
+            place = self._place(n, x)
+        column = self.columns.get((n, 0))
+        if column is None:
+            column = self._fill(n)
+        return column[place]
+
+    def _place(self, n: MultiIndex, x: MultiIndex) -> int:
+        """The place of x in the columns at shift 0."""
+        lo, hi = self.lo, self.hi
+        if lo is None or not (all(map(le, lo, x)) and all(map(le, x, hi))):
+            self._grow(n, x)
+        place = self.places[x] = sum(map(mul, map(sub, x, self.lo), self.strides))
+        return place
+
+    def _grow(self, n: MultiIndex, x: MultiIndex):
+        """Take x into the box, doubling each side it must move, and drop
+        the columns.  Where the grown box would hold more than POINT_BUDGET
+        cells over the |n| columns of n's chain, the box restarts at [x, x]
+        instead, so a far point after a sweep keeps its band."""
+        lo = hi = x
+        if self.lo is not None:
+            wide = (
+                tuple([c if v >= c else min(v, c // 2) for v, c in zip(x, self.lo)]),
+                tuple([c if v <= c else max(v, 2 * c + 1) for v, c in zip(x, self.hi)]),
+            )
+            if math.prod(h - c + 1 for c, h in zip(*wide)) * sum(n) <= POINT_BUDGET:
+                lo, hi = wide
+        self.lo, self.hi, self.flat = lo, hi, max(lo)
+        sizes = [h - c + 1 for c, h in zip(lo, hi)]
+        self.strides = [math.prod(sizes[a + 1 :]) for a in range(len(sizes))]
+        self.places.clear()
+        self.columns.clear()
+        self.plans.clear()
+
+    def _fill(self, n: MultiIndex) -> List[int]:
+        """The column of degree n at shift 0, filled up its chain from the
+        highest column held (or degree zero)."""
+        columns, chain = self.columns, []
+        degree, shift = n, 0
+        while True:
+            j, lower, bottom = _raising_step(degree)
+            chain.append((degree, shift, j, lower, bottom))
+            shift += 1
+            if bottom or (lower, shift) in columns:
+                break
+            degree = lower
         p, q = self.p, self.q
-        below = self.get  # degree-zero values are 1 at every point and are not stored
-        for degree, j, lower, shift, points in reversed(_raising_levels(self, n, x)):
-            last, col = self.steps[j]
+        plans, flat = self.plans, self.flat
+        for degree, shift, j, lower, bottom in reversed(chain):
+            # the corner max(0, lo - s) is 0 from shift max(lo) on
+            key = shift if shift < flat else flat
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = self._plan(key)
+            same, low_size, by_axis = plan
+            slopes, terms = by_axis[j]
+            low = [1] * low_size if bottom else columns[(lower, shift + 1)]
+            fetch = low.__getitem__
             # -a_d (q (|y| + s) + p) = slope |y| + offset
-            slope, offset = last * q, last * (q * shift + p)
-            for y in points:
-                acc = (slope * sum(y) + offset) * below((lower, y, shift + 1), 1)
-                for i, v, z in _neighbours_below(y):
-                    acc += col[i] * v * below((lower, z, shift + 1), 1)
-                self[(degree, y, shift)] = acc
-        return below((n, x, 0), 1)
+            offset = self.steps[j][0] * (q * shift + p)
+            out = map(mul, map(add, slopes, repeat(offset)), map(fetch, same))
+            for weights, down in terms:
+                out = map(add, out, map(mul, weights, map(fetch, down)))
+            column = columns[(degree, shift)] = list(out)
+        return column
+
+    def _plan(self, shift: int):
+        """The index lists of the box at ``shift``, [corner, hi] with corner
+        max(0, lo - shift), inside the box below it, [max(0, corner - 1),
+        hi], both flattened with the last axis fastest: the place of each
+        cell y below and its size, and per step axis j the slopes |y| times
+        -a_d q and, per i with a_i nonzero, the weights q a_i y_i with the
+        places of y - e_i below (where y_i = 0, a negative place, counted
+        from the end, of some other cell, whose term the weight 0 cancels).
+        Each list is built a whole axis at a time."""
+        hi = self.hi
+        corner = [v - shift if v > shift else 0 for v in self.lo]
+        below = [v - 1 if v else 0 for v in corner]
+        spans = [range(c, h + 1) for c, h in zip(corner, hi)]
+        sizes, low_sizes = [len(span) for span in spans], [h - b + 1 for h, b in zip(hi, below)]
+        strides = [math.prod(low_sizes[a + 1 :]) for a in range(len(hi))]
+        sums, same = [0], [0]
+        for span, b, stride in zip(spans, below, strides):
+            sums = [t + v for t in sums for v in span]
+            offsets = [(v - b) * stride for v in span]
+            same = [k + o for k in same for o in offsets]
+        axes = []
+        for a, (span, stride) in enumerate(zip(spans, strides)):
+            inner = math.prod(sizes[a + 1 :])
+            coords = list(itertools.chain.from_iterable([v] * inner for v in span))
+            axes.append((coords * math.prod(sizes[:a]), list(map(sub, same, repeat(stride)))))
+        by_axis = [
+            (
+                list(map((last * self.q).__mul__, sums)),
+                [(list(map(c.__mul__, coords)), down) for c, (coords, down) in zip(col, axes) if c],
+            )
+            for last, col in self.steps
+        ]
+        return same, math.prod(low_sizes), by_axis
 
     def orthonormal(self, n: MultiIndex, x: MultiIndex, sign=1, log_scale=0.0,
                     what="orthonormal value") -> float:

@@ -117,7 +117,7 @@ class TestEval:
 
     def test_float_value_kinds(self, capsys, matrix_file):
         code, out, _ = run_cli(
-            capsys, "eval", "--route", "gf", "--mode", "float", "--value", "orthonormal",
+            capsys, "eval", "--route", "raising", "--mode", "float", "--value", "orthonormal",
             "--degrees", "0,0", "--point", "2,1", "--matrix", matrix_file,
         )
         assert code == 0
@@ -171,6 +171,17 @@ class TestEval:
             3, id="orthonormal-at-d3",
         ),
         pytest.param(["eval", "--degrees", "1,1", "--point", "1"], 2, id="arity-mismatch"),
+        # the float value kinds read the raising table only
+        pytest.param(
+            ["eval", "--route", "gf", "--value", "orthonormal",
+             "--degrees", "1,1", "--point", "1,1"],
+            2, id="orthonormal-by-gf",
+        ),
+        pytest.param(
+            ["eval", "--route", "hyp", "--value", "matrix-element",
+             "--degrees", "1,1", "--point", "1,1"],
+            2, id="matrix-element-by-hyp",
+        ),
         pytest.param(
             ["eval", "--route", "tratnik", "--degrees", "1,1,1", "--point", "1,1,1",
              "--subgroup", "boost:2,3:2"],
@@ -189,6 +200,20 @@ class TestEval:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["orthonormal", "matrix-element"])
+    def test_float_value_kinds_name_the_raising_route(self, capsys, value):
+        argv = ["eval", "--value", value, "--degrees", "1,1", "--point", "1,1"]
+        outputs = []
+        for route in ([], ["--route", "raising"]):
+            code, out, err = run_cli(capsys, *argv, *route)
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        for route in ("gf", "hyp"):
+            code, out, err = run_cli(capsys, *argv, "--route", route)
+            assert (code, out) == (2, "")
+            assert "--route raising" in err and f"--route {route}" in err
 
     @pytest.mark.parametrize("degrees, point, magnitude", [
         ("200,0", "0,3000", "10^408.9"), ("200,0,0", "0,0,3000", "10^696.2"),

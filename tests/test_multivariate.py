@@ -20,10 +20,12 @@ from multimeixner.multivariate import (
     check_lowering_d,
     check_orthogonality_d,
     check_recurrence_d,
+    matrix_element_d,
     monic_eval_gf_d,
     monic_eval_hyp_d,
     monic_eval_raising_d,
     monic_poly_coeffs_d,
+    orthonormal_eval_d,
     weight_d,
 )
 from multimeixner.numerics import (
@@ -197,6 +199,65 @@ class TestRaisingRoute:
                 )
             with pytest.raises(ValueError, match="degrees must be 3 non-negative integers"):
                 route(system_d3, (1.0, 0, 0), (1, 0, 0))
+
+    @pytest.mark.parametrize("d, seed", [(1, 42), (2, 7), (3, 31)])
+    def test_fill_order_does_not_change_values(self, d, seed):
+        # the table's box grows, and its columns refill, at other points in
+        # each order; every order gives the oracle's values
+        degrees = [n for n in lattice((3,) * d) if sum(n) <= 3]
+        points = lattice((3,) * d)
+        far = (0,) * (d - 1) + (12,)
+        sweep = [(n, x) for n in degrees for x in points]
+        orders = {
+            "lattice": sweep,
+            "reverse": sweep[::-1],
+            "far point first": [(degrees[-1], far), *sweep, *((n, far) for n in degrees)],
+        }
+        oracle = random_system(seed, d, F(7, 3))
+        for name, order in orders.items():
+            system = random_system(seed, d, F(7, 3))
+            for n, x in order:
+                assert monic_eval_raising_d(system, n, x) == monic_eval_gf_d(oracle, n, x), name
+
+    def test_float_values_after_a_sweep_are_single_point_values(self):
+        system = random_system(31, 3, F(7, 3), mode=ScalarMode.FLOAT)
+        cases = [(n, x) for n in _simplex_lattice(3, 3) for x in lattice((3, 2, 2))]
+        swept = [
+            (orthonormal_eval_d(system, n, x), matrix_element_d(system, x, n)) for n, x in cases
+        ]
+
+        def fresh():
+            return multivariate._RaisingTable(system.beta, system.lam)
+
+        single = [(fresh().orthonormal(n, x), fresh().matrix_element(x, n)) for n, x in cases]
+        assert swept == single
+
+    @pytest.mark.parametrize("n, x", [((40, 0, 0), (0, 0, 500)), ((6, 9), (3, 300))])
+    def test_lone_far_point_keeps_band_limited_work(self, n, x):
+        # the column at shift s spans [max(0, x - s), x]; degree zero holds
+        # no column, and a fill from the origin would hold 501 or 1204
+        # cells a shift
+        system = random_system(31, len(n))
+        monic_eval_raising_d(system, n, x)
+        held = sum(map(len, system._raising.columns.values()))
+        assert held <= sum(math.prod(min(v, s) + 1 for v in x) for s in range(sum(n)))
+
+    def test_far_point_after_a_sweep_restarts_the_box(self, monkeypatch):
+        # grown to take (0, 400) in, the box would hold 4 x 401 cells over
+        # 30 columns, past the budget: the box restarts at the point and
+        # keeps its band, as a lone point does
+        monkeypatch.setattr(multivariate, "POINT_BUDGET", 10_000)
+        system = random_system(42, 2, F(7, 3))
+        for x in lattice((3, 3)):
+            monic_eval_raising_d(system, (1, 0), x)
+        n, far = (30, 0), (0, 400)
+        value = monic_eval_raising_d(system, n, far)
+        assert (system._raising.lo, system._raising.hi) == (far, far)
+        held = sum(map(len, system._raising.columns.values()))
+        assert held <= sum(math.prod(min(v, s) + 1 for v in far) for s in range(sum(n)))
+        assert value == monic_eval_raising_d(random_system(42, 2, F(7, 3)), n, far)
+        near = ((1, 0), (3, 3))
+        assert monic_eval_raising_d(system, *near) == monic_eval_gf_d(system, *near)
 
 
 class TestHypRoute:
