@@ -32,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import Callable, Dict, Tuple
 
 from . import multivariate
@@ -153,7 +155,7 @@ def hyp_sum(m, n, i, k, negm, negn, negi, negk, invbeta, p11, p21, p12, p22):
     sum is the result over the product of the five row denominators."""
     caps = (min(i, m + n), min(k, m + n))
     tensor = _hyp_tensor((m, n), caps, [negm, negn], invbeta, [p11, p21, p12, p22])
-    return _hyp_contract(tensor, [negi, negk])
+    return sum(map(mul, _hyp_contract(tensor, [negi]), negk))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +320,19 @@ def _rising_pair(x: Fraction, n: int) -> Tuple[int, int]:
     return num, x.denominator**n
 
 
+@lru_cache(maxsize=64)
+def _factorized_constants(beta, t_xi, t_psi):
+    """beta and the 2F1 arguments z = -1/sh^2 of both boosts of
+    ``factorized_eval``, once per parameter set."""
+    beta = as_rational(beta)
+    t_xi = as_rational(t_xi)
+    t_psi = as_rational(t_psi)
+    if t_xi <= 1 or t_psi <= 1:
+        raise PreconditionError("factorized form needs both boost parameters > 1")
+    # Meixner at c = tanh^2 is the 2F1 at z = 1 - 1/c = -1/sh^2
+    return beta, -1 / _boost_trig(t_xi)[1] ** 2, -1 / _boost_trig(t_psi)[1] ** 2
+
+
 def factorized_eval(beta, t_xi, t_psi, m: int, n: int, i: int, k: int) -> Fraction:
     """Product of two univariate Meixner factors; the polynomial family of
     the boost-times-boost matrix (second axis times first axis).
@@ -326,25 +341,43 @@ def factorized_eval(beta, t_xi, t_psi, m: int, n: int, i: int, k: int) -> Fracti
     integer pairs; one ``Fraction`` is built from their product.  The form
     is a polynomial in (i, k), so rational points are accepted.
     """
-    beta = as_rational(beta)
-    t_xi = as_rational(t_xi)
-    t_psi = as_rational(t_psi)
-    if t_xi <= 1 or t_psi <= 1:
-        raise PreconditionError("factorized form needs both boost parameters > 1")
+    beta, z_xi, z_psi = _factorized_constants(beta, t_xi, t_psi)
     _check_signs(m, n, i, k)
     i, k = as_rational(i), as_rational(k)
-    ch_xi, sh_xi = _boost_trig(t_xi)
-    ch_psi, sh_psi = _boost_trig(t_psi)
-    # Meixner at c = tanh^2 is the 2F1 at z = 1 - 1/c = -1/sh^2
-    z_xi = -1 / sh_xi**2
-    z_psi = -1 / sh_psi**2
-    rise_num, rise_den = _rising_pair(i + beta, n)
+    shifted = i + beta
+    rise_num, rise_den = _rising_pair(shifted, n)
     base_num, base_den = _rising_pair(beta, n)
     num1, den1 = _hyp2f1_pair(m, i, n + beta, z_xi)
-    num2, den2 = _hyp2f1_pair(n, k, i + beta, z_psi)
+    num2, den2 = _hyp2f1_pair(n, k, shifted, z_psi)
     return Fraction(
         rise_num * base_den * num1 * num2, rise_den * base_num * den1 * den2
     )
+
+
+@lru_cache(maxsize=64)
+def _general_sum_constants(beta, s_chi, t_psi, s_theta):
+    """The parameters of ``general_sum_eval``, once per parameter set:
+    beta, -tan^2 of both rotations, the 2F1 arguments of the three
+    factors and the factor 1 / (tan_chi tan_theta sh_psi th_psi)."""
+    beta = as_rational(beta)
+    s_chi = as_rational(s_chi)
+    s_theta = as_rational(s_theta)
+    t_psi = as_rational(t_psi)
+    for s in (s_chi, s_theta):
+        if s == 0 or s * s == 1:
+            raise PreconditionError(f"rotation parameters must avoid {{0, 1, -1}}, got {s}")
+    if t_psi <= 0 or t_psi == 1:
+        raise PreconditionError(f"boost parameter must be positive and != 1, got {t_psi}")
+    cos_chi, sin_chi = _rotation_trig(s_chi)
+    cos_th, sin_th = _rotation_trig(s_theta)
+    tan_chi = sin_chi / cos_chi
+    tan_th = sin_th / cos_th
+    ch_psi, sh_psi = _boost_trig(t_psi)
+    th_psi = sh_psi / ch_psi
+    inv_factor = 1 / (tan_chi * tan_th * sh_psi * th_psi)
+    # Krawtchouk at p is the 2F1 at z = 1/p; Meixner at c = tanh^2 at -1/sh^2
+    z = (1 / sin_chi**2, -1 / sh_psi**2, 1 / sin_th**2)
+    return beta, -(tan_chi**2), -(tan_th**2), z, inv_factor
 
 
 def general_sum_eval(
@@ -359,30 +392,10 @@ def general_sum_eval(
     (total, denominator); one ``Fraction`` is built with the prefactor at
     the end.  It is a function of lattice points only.
     """
-    beta = as_rational(beta)
-    s_chi = as_rational(s_chi)
-    s_theta = as_rational(s_theta)
-    t_psi = as_rational(t_psi)
-    for s in (s_chi, s_theta):
-        if s == 0 or s * s == 1:
-            raise PreconditionError(f"rotation parameters must avoid {{0, 1, -1}}, got {s}")
-    if t_psi <= 0 or t_psi == 1:
-        raise PreconditionError(f"boost parameter must be positive and != 1, got {t_psi}")
+    beta, tan_chi2, tan_th2, (z_chi, z_psi, z_th), inv_factor = _general_sum_constants(
+        beta, s_chi, t_psi, s_theta
+    )
     (m, n), (i, k) = _check_degrees(m, n), _check_point(i, k)
-
-    cos_chi, sin_chi = _rotation_trig(s_chi)
-    cos_th, sin_th = _rotation_trig(s_theta)
-    tan_chi = sin_chi / cos_chi
-    tan_th = sin_th / cos_th
-    ch_psi, sh_psi = _boost_trig(t_psi)
-    th_psi = sh_psi / ch_psi
-
-    inv_factor = 1 / (tan_chi * tan_th * sh_psi * th_psi)
-    prefactor = (-(tan_chi**2)) ** k * (-(tan_th**2)) ** n
-    # Krawtchouk at p is the 2F1 at z = 1/p; Meixner at c = tanh^2 at -1/sh^2
-    z_chi = 1 / sin_chi**2
-    z_th = 1 / sin_th**2
-    z_psi = -1 / sh_psi**2
     ip, iq = inv_factor.numerator, inv_factor.denominator
     bp, bq = beta.numerator, beta.denominator
     coef, coef_den = 1, 1
@@ -396,8 +409,10 @@ def general_sum_eval(
         total_den *= term_den
         coef *= (mu - (i + k)) * (mu - (m + n)) * ip * bq
         coef_den *= (mu + 1) * iq * (bp + mu * bq)
+    # the prefactor (-tan_chi^2)^k (-tan_th^2)^n
     return Fraction(
-        prefactor.numerator * total, prefactor.denominator * total_den
+        tan_chi2.numerator**k * tan_th2.numerator**n * total,
+        tan_chi2.denominator**k * tan_th2.denominator**n * total_den,
     )
 
 

@@ -12,8 +12,10 @@ column per degree over one denominator: the checkers' residual columns
 are built on them.
 
 The hypergeometric route keeps one integer tensor per degree n, the
-convolution over the columns j of the matrix sum (``_hyp_tensor``), so a
-point costs one contraction with its rows (-x_a)_r.  The same tensor,
+convolution over the columns j of the matrix sum (``_hyp_tensor``), and
+its contraction over all axes but the last with the rows (-x_a)_r of each
+prefix x[:-1] asked for, so a point costs one dot product with its last
+row (-x_{d-1})_r.  The same tensor,
 grown to |n| on every axis, holds the polynomial's coefficients in the
 basis prod_a (-x_a)_{r_a}, from which ``monic_poly_coeffs_d`` reads the
 monomial coefficients.
@@ -110,9 +112,11 @@ class MeixnerSystemD:
     Parameters must not change after construction: the value caches
     (``_gf_cache``, the generating-function store, ``_raising``, the
     raising table, ``_hyp_rows``, the hypergeometric rows by (row, length),
-    and ``_hyp_tensors``, the hypergeometric tensors by degree with their
+    ``_hyp_tensors``, the hypergeometric tensors by degree with their
     caps, which serve the hypergeometric route and the polynomial
-    coefficients) hold the u or the matrix of construction cleared to
+    coefficients, ``_hyp_partials``, their prefix contractions by degree
+    and prefix, and ``_hyp_negs``, the rows (-x)_t by (x, reach)) hold the
+    u or the matrix of construction cleared to
     integers and are never invalidated, so a changed parameter would meet
     values computed from the old one.
     Only the table-built exact checkers below re-read the current ``u`` and
@@ -143,6 +147,8 @@ class MeixnerSystemD:
         self._raising = _RaisingTable(beta, lam)
         self._hyp_rows: Dict[Tuple[object, int], Tuple[int, List[int]]] = {}
         self._hyp_tensors: Dict[MultiIndex, Tuple[MultiIndex, int, list]] = {}
+        self._hyp_partials: Dict[MultiIndex, Dict[MultiIndex, List[int]]] = {}
+        self._hyp_negs: Dict[Tuple[int, int], List[int]] = {}
 
     def with_mode(self, mode) -> "MeixnerSystemD":
         return type(self)(self.beta, self.lam, mode)
@@ -291,10 +297,14 @@ class _GfStore(dict):
         self.rows = [nums[i * d : (i + 1) * d] for i in range(d)]
         self._rising = [1]  # prod_{s<t} (p + s q), by t
         self.graded = _GradedLayers(d, cap)
+        self.positions: Dict[MultiIndex, Tuple[int, int, int]] = {}  # ``position`` by degree
 
     def layers(self, x: MultiIndex, top: int) -> _Layers:
         """The layers of x up to degree ``top``, walking its chain down to
         the first point that has them."""
+        entry = self.get(x)
+        if entry is not None and len(entry) > top:
+            return entry
         chain = []
         y = x
         while True:
@@ -350,11 +360,15 @@ class _GfStore(dict):
 
     def position(self, n: MultiIndex):
         """Layer and place of n, and the scale |n|!/n! prod_{s<|n|} (p + s q):
-        G^_x[n] over the scale and D^|x| is the monic value R_n(x)."""
-        t = sum(n)
-        index, _, multinomials = self.graded[t]
-        pos = index[n]
-        return t, pos, multinomials[pos] * self.rising(t)
+        G^_x[n] over the scale and D^|x| is the monic value R_n(x); kept
+        per degree."""
+        spot = self.positions.get(n)
+        if spot is None:
+            t = sum(n)
+            index, _, multinomials = self.graded[t]
+            pos = index[n]
+            spot = self.positions[n] = (t, pos, multinomials[pos] * self.rising(t))
+        return spot
 
 
 def _store_of(sys: MeixnerSystemD, degrees) -> _GfStore:
@@ -437,7 +451,8 @@ class _RaisingTable:
     the signed amplitude, the matrix element: both are read in log space,
     so only the result can leave the float range.  Where the last row has
     no zero, S / ((b)_|n| prod_j (-r_dj)^n_j) is the monic value
-    (``monic_eval_raising_d``).
+    (``monic_eval_raising_d``); its integer denominator is kept per degree
+    in ``dens``.
     """
 
     def __init__(self, beta: Fraction, lam: PseudoRotation):
@@ -454,6 +469,7 @@ class _RaisingTable:
         self.places: Dict[MultiIndex, int] = {}  # the points asked for, by place at shift 0
         self.columns: Dict[Tuple[MultiIndex, int], List[int]] = {}  # by (degree, shift)
         self.plans: Dict[int, tuple] = {}  # the box's ``_plan`` by shift, up to max(lo)
+        self.dens: Dict[MultiIndex, int] = {}  # the monic denominators by degree
         b, log_qe, mass = float(beta), math.log(self.q * denom), _LogMass(beta, lam)
         # kept per table like its values: each point's amplitude sign and
         # log, and each degree's log of (qE)^|n| sqrt((b)_|n| n!)
@@ -593,12 +609,16 @@ def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]
     """The raising recursion: the system's ``_RaisingTable`` value over
     prod_{s<|n|} (p + s q) prod_j (-a_dj)^n_j, the integer rising product of
     the system's generating-function store and the table's cleared
-    last-row steps, whose product is (qE)^|n| (b)_|n| prod_j (-r_dj)^n_j."""
+    last-row steps, whose product is (qE)^|n| (b)_|n| prod_j (-r_dj)^n_j;
+    the table keeps it per degree."""
     n = _as_multi_index(n, sys.d, "degrees")
     x = _as_multi_index(x, sys.d, "point")
     table = sys._raising
-    steps = math.prod(last**v for (last, _), v in zip(table.steps, n))
-    return Fraction(table.value(n, x), sys._gf_cache.rising(sum(n)) * steps)
+    den = table.dens.get(n)
+    if den is None:
+        steps = math.prod(last**v for (last, _), v in zip(table.steps, n))
+        den = table.dens[n] = sys._gf_cache.rising(sum(n)) * steps
+    return Fraction(table.value(n, x), den)
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +630,21 @@ def monic_eval_hyp_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) ->
     prod_j (-n_j)_{col_j} prod_a (-x_a)_{row_a} prod_{a,j} (1 - u[a][j])^A_aj
     / A_aj! / (b)_|A|, grouped by the row sums r: sum_r C[r] prod_a
     (-x_a)_r_a / den, with the system's tensor C of degree n grown to the
-    point's reach (``_grow_hyp_tensor``)."""
+    point's reach (``_grow_hyp_tensor``).  C contracted over all axes but
+    the last with the rows of the prefix x[:-1] is kept per degree and
+    prefix (``_hyp_contract``), so a point costs one dot product with its
+    last row."""
     n = _as_multi_index(n, sys.d, "degrees")
     x = _as_multi_index(x, sys.d, "point")
     top = sum(n)
     reach = [v if v < top else top for v in x]  # (-x_a)_r vanishes past x_a; |r| <= |n|
     _, den, tensor = _hyp_entry(sys, n, reach)
-    return Fraction(_hyp_contract(tensor, list(map(_rising_of_negative, x, reach))), den)
+    partials, prefix = sys._hyp_partials[n], x[:-1]
+    partial = partials.get(prefix)
+    if partial is None:
+        negs = list(map(_hyp_neg_row, repeat(sys), prefix, reach))
+        partial = partials[prefix] = _hyp_contract(tensor, negs)
+    return Fraction(sum(map(mul, partial, _hyp_neg_row(sys, x[-1], reach[-1]))), den)
 
 
 def _hyp_tensor(n: MultiIndex, caps, negn, invbeta, powers):
@@ -672,13 +700,19 @@ def _hyp_scaled(tensor, invbeta, depth: int, s=0):
 
 
 def _hyp_contract(tensor, negs):
-    """sum_r tensor[r] prod_a negs[a][r_a], entries past the point's reach
-    left unread; the last two axes are one C-level dot product per row."""
-    if len(negs) == 2:
-        return sum(ni * sum(map(mul, row, negs[1])) for ni, row in zip(negs[0], tensor))
-    if len(negs) == 1:
-        return sum(map(mul, tensor, negs[0]))
-    return sum(ni * _hyp_contract(sub, negs[1:]) for ni, sub in zip(negs[0], tensor))
+    """The tensor contracted over its leading axes with the rows ``negs``:
+    the list over the remaining axis of sum_r' tensor[r'] prod_a
+    negs[a][r'_a], entries past a row's reach left unread.  Each row of
+    the tensor is added in one C-level slice update; the sub-tensor at
+    r'_a = 0 is the longest, and negs[a][0] = 1.  With no rows it is the
+    tensor itself."""
+    if not negs:
+        return tensor
+    out = list(_hyp_contract(tensor[0], negs[1:]))
+    for ni, sub in zip(negs[0][1:], tensor[1:]):
+        part = _hyp_contract(sub, negs[1:])
+        out[: len(part)] = map(add, out, map(ni.__mul__, part))
+    return out
 
 
 def _hyp_entry(sys: MeixnerSystemD, n: MultiIndex, reach):
@@ -693,7 +727,8 @@ def _grow_hyp_tensor(sys: MeixnerSystemD, n: MultiIndex, reach, entry):
     """The system's (caps, den, tensor) of degree n, rebuilt from ``entry``
     to cover ``reach``: each cap it must raise is doubled (clipped at |n|),
     so a sweep rebuilds a logarithmic number of times, while a one-off call
-    reads its rows only as far as its own reach."""
+    reads its rows only as far as its own reach.  The degree's partial
+    contractions of the old tensor are dropped."""
     top = sum(n)
     caps = (-1,) * sys.d if entry is None else entry[0]
     caps = tuple([c if r <= c else max(r, min(top, 2 * c)) for r, c in zip(reach, caps)])
@@ -703,6 +738,7 @@ def _grow_hyp_tensor(sys: MeixnerSystemD, n: MultiIndex, reach, entry):
                          for j, nj in enumerate(n) for a, cap in enumerate(caps)])
     den *= math.prod(dens)
     entry = sys._hyp_tensors[n] = (caps, den, _hyp_tensor(n, caps, negn, invbeta, powers))
+    sys._hyp_partials[n] = {}
     return entry
 
 
@@ -712,6 +748,14 @@ def _rising_of_negative(a: int, top: int):
     for s in range(top):
         out.append(out[-1] * (s - a))
     return out
+
+
+def _hyp_neg_row(sys: MeixnerSystemD, a: int, reach: int):
+    """The system's row (-a)_t for t = 0..reach, built on first use."""
+    row = sys._hyp_negs.get((a, reach))
+    if row is None:
+        row = sys._hyp_negs[(a, reach)] = _rising_of_negative(a, reach)
+    return row
 
 
 def _hyp_row(sys: MeixnerSystemD, row, length: int):

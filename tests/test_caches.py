@@ -22,5 +22,7 @@ def test_module_level_caches_are_bounded():
     # the scan sees the caches it guards
     assert "multimeixner.multivariate._raising_step" in caches
     assert "multimeixner.multivariate._graded_layer" in caches
+    assert "multimeixner.bivariate._factorized_constants" in caches
+    assert "multimeixner.bivariate._general_sum_constants" in caches
     unbounded = [name for name, maxsize in caches.items() if maxsize is None]
     assert not unbounded

@@ -279,6 +279,63 @@ class TestHypRoute:
                 assert monic_eval_hyp_d(sysd, n, x) == monic_eval_gf_d(oracle, n, x)
         assert set(sysd._hyp_tensors) == set(_simplex_lattice(top, lam.d))
 
+    @pytest.mark.parametrize("d, seed", [(1, 5), (2, 42), (3, 7)])
+    def test_a_partial_contraction_never_outlives_its_tensor(self, d, seed):
+        # each order grows the tensors, and so drops the kept prefix
+        # contractions, at other points; every value is the oracle's and a
+        # lone call's on a fresh system
+        degrees = [n for n in _simplex_lattice(3, d) if sum(n) == 3][:3]
+        points = lattice((3,) * d)
+        far = (1,) * (d - 1) + (9,)
+        sweep = [(n, x) for n in degrees for x in points]
+        low, high, again = (1,) * (d - 1) + (0,), (1,) * (d - 1) + (5,), (1,) * d
+        orders = {
+            "sweep": sweep,
+            "reverse": sweep[::-1],
+            "far point first": [(n, far) for n in degrees] + sweep,
+            "same prefix across a regrowth": [(n, x) for n in degrees for x in (low, high, again)],
+        }
+        template = random_system(seed, d, F(7, 3))
+        oracle = MeixnerSystemD(template.beta, template.lam)
+        lone = {}
+        for name, order in orders.items():
+            system = MeixnerSystemD(template.beta, template.lam)
+            for n, x in order:
+                value = monic_eval_hyp_d(system, n, x)
+                assert value == monic_eval_gf_d(oracle, n, x), name
+                if (n, x) not in lone:
+                    lone[n, x] = monic_eval_hyp_d(MeixnerSystemD(template.beta, template.lam), n, x)
+                assert value == lone[n, x], name
+
+    def test_cached_rows_stay_cut_at_the_reach(self, canonical_matrix):
+        # (-600)_t and (-500)_t are read only up to t = |n| = 3
+        system = MeixnerSystem(2, canonical_matrix)
+        value = monic_eval_hyp_d(system, (2, 1), (600, 500))
+        assert value == monic_eval_raising_d(system, (2, 1), (600, 500))
+        assert system._hyp_negs
+        assert max(map(len, system._hyp_negs.values())) <= min(500, 3) + 1
+
+
+class TestPerDegreeConstants:
+    """The raising table's monic denominator and the store's position are
+    kept per degree; degrees asked in any order give a fresh system's
+    values."""
+
+    @pytest.mark.parametrize("d, seed", [(2, 42), (3, 7)])
+    def test_interleaved_degrees_give_fresh_values(self, d, seed):
+        template = random_system(seed, d, F(7, 3))
+        degrees = [n for n in _simplex_lattice(3, d) if sum(n) in (1, 3)]
+        high, low = degrees[-1], degrees[0]
+        points = lattice((2,) * d)
+        order = [high, low, high, *degrees[::-1], *degrees]
+        system = MeixnerSystemD(template.beta, template.lam)
+        for n in order:
+            for x in points:
+                fresh = MeixnerSystemD(template.beta, template.lam)
+                assert monic_eval_raising_d(system, n, x) == monic_eval_raising_d(fresh, n, x)
+                assert monic_eval_gf_d(system, n, x) == monic_eval_gf_d(fresh, n, x)
+        assert set(system._raising.dens) == set(system._gf_cache.positions) == set(degrees)
+
 
 def _first_coordinate_simplex(total, d):
     """The simplex lattice by first coordinate, then the rest recursively."""

@@ -195,6 +195,30 @@ class TestGeneralClosedForm:
             general_sum_eval(2, F(1, 2), 2, F(2, 3), *args)
 
 
+class TestClosedFormConstants:
+    """Each closed form sets up its parameters once per parameter set; a
+    rejected set is rejected on every call, a set spelled another way
+    gives the same values."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: factorized_eval(2, F(1, 2), 2, 0, 0, 0, 0), "both boost parameters > 1"),
+        (lambda: general_sum_eval(2, 1, 2, F(2, 3), 0, 0, 0, 0), "must avoid"),
+        (lambda: general_sum_eval(2, F(1, 2), -2, F(2, 3), 0, 0, 0, 0), "positive and != 1"),
+    ])
+    def test_rejected_parameters_raise_on_every_call(self, call, message):
+        for _ in range(3):
+            with pytest.raises(PreconditionError, match=message):
+                call()
+
+    def test_parameter_spelling_does_not_change_values(self):
+        cells = [(1, 2, 3, 0), (2, 1, 1, 4), (0, 0, 2, 2)]
+        for cell in cells:
+            assert factorized_eval("2", "3", F(2), *cell) == factorized_eval(2, 3, 2, *cell)
+            assert general_sum_eval(F(2), "1/2", 2, "2/3", *cell) == general_sum_eval(
+                2, F(1, 2), 2, F(2, 3), *cell
+            )
+
+
 # cells past the workloads' degrees <= 4, where the closed forms' integer
 # sums, which take no gcd per term, carry their largest numbers
 HIGH_CELLS = [(12, 0, 0, 12), (5, 7, 6, 6), (0, 12, 9, 4), (8, 6, 13, 1), (10, 10, 12, 9)]
