@@ -38,7 +38,8 @@ from typing import Callable, Dict, Tuple
 
 from . import multivariate
 from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
-from .lorentz import PseudoRotation, compose, identity as lorentz_identity
+from .lorentz import PseudoRotation, boost_trig, compose, rotation_trig
+from .lorentz import identity as lorentz_identity
 from .multivariate import (
     MeixnerSystemD,
     MultiIndex,
@@ -65,7 +66,9 @@ from .numerics import (
     as_rational,
     log_abs,
     pochhammer,
+    require_beta,
     require_tol,
+    rising_row,
     # unused here: the benchmark tracer binds these three on this module
     series_geom_pow,
     series_mul,
@@ -228,17 +231,6 @@ def check_orthogonality(sys: MeixnerSystem, box: LatticeBox, tol: float) -> Eval
 # one-parameter subgroup matrix elements (closed forms, float)
 
 
-def _boost_trig(t: Fraction) -> Tuple[Fraction, Fraction]:
-    ch = (t + 1 / t) / 2
-    sh = (t - 1 / t) / 2
-    return ch, sh
-
-
-def _rotation_trig(s: Fraction) -> Tuple[Fraction, Fraction]:
-    denom = 1 + s * s
-    return (1 - s * s) / denom, 2 * s / denom
-
-
 def _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first_axis: bool) -> float:
     if first_axis:
         if k != n:
@@ -263,10 +255,10 @@ def _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first_axis: bool) -> float:
 
 
 def _hyperbolic_me(beta, t, i: int, k: int, m: int, n: int, first_axis: bool) -> float:
-    beta, t = as_rational(beta), as_rational(t)
+    beta, t = require_beta(beta), as_rational(t)
     if t <= 1:
         raise PreconditionError(f"need t > 1 so the element is nontrivial, got {t}")
-    ch, sh = _boost_trig(t)
+    ch, sh = boost_trig(t)
     return _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first_axis)
 
 
@@ -301,10 +293,11 @@ def elliptic_me(beta, s, i: int, k: int, m: int, n: int) -> float:
     Kronecker delta on i + k = m + n.  Note the last Krawtchouk slot is the
     level i + k itself, exactly as the closed form states.
     """
+    require_beta(beta)  # beta does not enter the element, but it must be a valid parameter
     s = as_rational(s)
     if s == 0 or s * s == 1:
         raise PreconditionError(f"rotation parameter must avoid {{0, 1, -1}}, got {s}")
-    cos, sin = _rotation_trig(s)
+    cos, sin = rotation_trig(s)
     return _elliptic_me_core(cos, sin, i, k, m, n)
 
 
@@ -312,45 +305,38 @@ def elliptic_me(beta, s, i: int, k: int, m: int, n: int) -> float:
 # closed forms for product decompositions (exact)
 
 
-def _rising_pair(x: Fraction, n: int) -> Tuple[int, int]:
-    """(x)_n as an integer pair (numerator, denominator), not reduced."""
-    num = 1
-    for j in range(n):
-        num *= x.numerator + j * x.denominator
-    return num, x.denominator**n
-
-
 @lru_cache(maxsize=64)
 def _factorized_constants(beta, t_xi, t_psi):
     """beta and the 2F1 arguments z = -1/sh^2 of both boosts of
     ``factorized_eval``, once per parameter set."""
-    beta = as_rational(beta)
+    beta = require_beta(beta)
     t_xi = as_rational(t_xi)
     t_psi = as_rational(t_psi)
     if t_xi <= 1 or t_psi <= 1:
         raise PreconditionError("factorized form needs both boost parameters > 1")
     # Meixner at c = tanh^2 is the 2F1 at z = 1 - 1/c = -1/sh^2
-    return beta, -1 / _boost_trig(t_xi)[1] ** 2, -1 / _boost_trig(t_psi)[1] ** 2
+    return beta, -1 / boost_trig(t_xi)[1] ** 2, -1 / boost_trig(t_psi)[1] ** 2
 
 
 def factorized_eval(beta, t_xi, t_psi, m: int, n: int, i: int, k: int) -> Fraction:
     """Product of two univariate Meixner factors; the polynomial family of
     the boost-times-boost matrix (second axis times first axis).
 
-    The prefactor (i + beta)_n / (beta)_n and both Meixner sums are
-    integer pairs; one ``Fraction`` is built from their product.  The form
+    The prefactor (i + beta)_n / (beta)_n, as integer rising products
+    over powers of the denominators, and both Meixner sums are integer
+    pairs; one ``Fraction`` is built from their product.  The form
     is a polynomial in (i, k), so rational points are accepted.
     """
     beta, z_xi, z_psi = _factorized_constants(beta, t_xi, t_psi)
     _check_signs(m, n, i, k)
     i, k = as_rational(i), as_rational(k)
     shifted = i + beta
-    rise_num, rise_den = _rising_pair(shifted, n)
-    base_num, base_den = _rising_pair(beta, n)
+    rise = rising_row(shifted.numerator, shifted.denominator, n)[-1]
+    base = rising_row(beta.numerator, beta.denominator, n)[-1]
     num1, den1 = _hyp2f1_pair(m, i, n + beta, z_xi)
     num2, den2 = _hyp2f1_pair(n, k, shifted, z_psi)
     return Fraction(
-        rise_num * base_den * num1 * num2, rise_den * base_num * den1 * den2
+        rise * beta.denominator**n * num1 * num2, shifted.denominator**n * base * den1 * den2
     )
 
 
@@ -359,7 +345,7 @@ def _general_sum_constants(beta, s_chi, t_psi, s_theta):
     """The parameters of ``general_sum_eval``, once per parameter set:
     beta, -tan^2 of both rotations, the 2F1 arguments of the three
     factors and the factor 1 / (tan_chi tan_theta sh_psi th_psi)."""
-    beta = as_rational(beta)
+    beta = require_beta(beta)
     s_chi = as_rational(s_chi)
     s_theta = as_rational(s_theta)
     t_psi = as_rational(t_psi)
@@ -368,11 +354,11 @@ def _general_sum_constants(beta, s_chi, t_psi, s_theta):
             raise PreconditionError(f"rotation parameters must avoid {{0, 1, -1}}, got {s}")
     if t_psi <= 0 or t_psi == 1:
         raise PreconditionError(f"boost parameter must be positive and != 1, got {t_psi}")
-    cos_chi, sin_chi = _rotation_trig(s_chi)
-    cos_th, sin_th = _rotation_trig(s_theta)
+    cos_chi, sin_chi = rotation_trig(s_chi)
+    cos_th, sin_th = rotation_trig(s_theta)
     tan_chi = sin_chi / cos_chi
     tan_th = sin_th / cos_th
-    ch_psi, sh_psi = _boost_trig(t_psi)
+    ch_psi, sh_psi = boost_trig(t_psi)
     th_psi = sh_psi / ch_psi
     inv_factor = 1 / (tan_chi * tan_th * sh_psi * th_psi)
     # Krawtchouk at p is the 2F1 at z = 1/p; Meixner at c = tanh^2 at -1/sh^2
@@ -454,7 +440,7 @@ def me_evaluator(beta, lam: PseudoRotation) -> Callable[[int, int, int, int], fl
     """
     if lam.d != 2:
         raise ValueError("matrix elements implemented for d = 2")
-    beta = as_rational(beta)
+    beta = require_beta(beta)
     if _is_identity(lam):
         return lambda i, k, m, n: 1.0 if (i, k) == (m, n) else 0.0
     rot = _match_rotation(lam)
@@ -483,7 +469,7 @@ def check_addition(
     """Group-product decomposition of a matrix element against the
     adaptively truncated bilinear sum over intermediate states."""
     require_tol(tol)
-    beta = as_rational(beta)
+    beta = require_beta(beta)
     C = compose(A, B)
     me_a = me_evaluator(beta, A)
     me_b = me_evaluator(beta, B)

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from . import bivariate, multivariate
 from .errors import MatrixValidationError, NonConvergence, PreconditionError
 from .lorentz import PseudoRotation, SubgroupParam, is_generic, product_of
-from .numerics import ScalarMode, as_rational, require_tol
+from .numerics import ScalarMode, as_rational, require_beta, require_tol
 from .reports import EvalReport, LatticeBox, exact_report, lattice
 
 CANONICAL_PARAMS = (
@@ -203,9 +203,7 @@ def closed_form(route: str, beta, subgroup) -> Callable[..., Fraction]:
     (m, n, i, k): "tratnik", the product form of boost(2,3) boost(1,3), or
     "dompe3", the single sum of rotation boost(2,3) rotation.  beta must be
     positive, as for a system."""
-    beta = as_rational(beta)
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    beta = require_beta(beta)
     if route == "tratnik":
         psi, xi = _expect_pattern(route, subgroup, TRATNIK_PATTERN)
         return functools.partial(bivariate.factorized_eval, beta, xi.value, psi.value)

@@ -95,6 +95,17 @@ def inverse_tilde(lam: PseudoRotation) -> PseudoRotation:
     return PseudoRotation(d=d, entries=tuple(rows))
 
 
+def boost_trig(t: Fraction) -> Tuple[Fraction, Fraction]:
+    """(cosh, sinh) = ((t + 1/t)/2, (t - 1/t)/2) of the boost parameter t."""
+    return (t + 1 / t) / 2, (t - 1 / t) / 2
+
+
+def rotation_trig(s: Fraction) -> Tuple[Fraction, Fraction]:
+    """(cos, sin) = ((1 - s^2), 2s)/(1 + s^2) of the rotation parameter s."""
+    denom = 1 + s * s
+    return (1 - s * s) / denom, 2 * s / denom
+
+
 def boost(plane: Tuple[int, int], t, d: int) -> PseudoRotation:
     """Hyperbolic element in the (i, d+1) plane with rational parameter t > 0.
 
@@ -106,8 +117,7 @@ def boost(plane: Tuple[int, int], t, d: int) -> PseudoRotation:
     t = as_rational(t)
     if t <= 0:
         raise ValueError(f"boost parameter must be positive, got {t}")
-    ch = (t + 1 / t) / 2
-    sh = (t - 1 / t) / 2
+    ch, sh = boost_trig(t)
     rows = [list(row) for row in identity(d).entries]
     a, b = i - 1, j - 1
     rows[a][a] = ch
@@ -129,10 +139,7 @@ def rotation(plane: Tuple[int, int], s, d: int) -> PseudoRotation:
         raise ValueError(
             f"rotation plane must satisfy 1 <= i < j <= d (spacelike), got {plane}"
         )
-    s = as_rational(s)
-    denom = 1 + s * s
-    cos = (1 - s * s) / denom
-    sin = 2 * s / denom
+    cos, sin = rotation_trig(as_rational(s))
     rows = [list(row) for row in identity(d).entries]
     a, b = i - 1, j - 1
     rows[a][a] = cos

@@ -11,13 +11,13 @@ at the degrees it reads.  ``_gf_values`` reads a store as one integer
 column per degree over one denominator: the checkers' residual columns
 are built on them.
 
-The hypergeometric route keeps one integer tensor per degree n, the
-convolution over the columns j of the matrix sum (``_hyp_tensor``), and
-its contraction over all axes but the last with the rows (-x_a)_r of each
-prefix x[:-1] asked for, so a point costs one dot product with its last
-row (-x_{d-1})_r.  The same tensor,
-grown to |n| on every axis, holds the polynomial's coefficients in the
-basis prod_a (-x_a)_{r_a}, from which ``monic_poly_coeffs_d`` reads the
+The hypergeometric route is one table (``_HypTable``) of one integer
+tensor per degree n, the convolution over the columns j of the matrix sum
+(``_hyp_tensor``), and its contractions over all axes but the last with
+the rows (-x_a)_r of each prefix x[:-1] asked for, so a point costs one
+dot product with its last row (-x_{d-1})_r.  The same tensor, grown to
+|n| on every axis, holds the polynomial's coefficients in the basis
+prod_a (-x_a)_{r_a}, from which ``monic_poly_coeffs_d`` reads the
 monomial coefficients.
 
 The bivariate module builds on this core: its ``MeixnerSystem`` is the
@@ -38,7 +38,8 @@ in S / sqrt((b)_{|n|} n!), the orthonormal value, and the monic value is
 S / ((b)_{|n|} prod_j (-r_dj)^{n_j}), so one table
 serves the monic values, the orthonormal values and the matrix elements;
 its wholesale agreement with the generating function is the correctness
-gate.
+gate.  Each route's table is cleared from the system's own beta and
+matrix, and no route reads another's table.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ from .numerics import (
     _exponents_of_degree,
     _int_column,
     _scaled_list,
-    as_rational,
     pochhammer,
+    require_beta,
     require_tol,
+    rising_row,
     # series_geom_pow, series_mul and solve_linear_system are unused here:
     # the benchmark tracer binds them
     series_geom_pow,
@@ -109,25 +111,19 @@ def _units(d: int) -> List[MultiIndex]:
 class MeixnerSystemD:
     """A (beta, Lambda) bundle in d variables with derived c and u parameters.
 
-    Parameters must not change after construction: the value caches
+    Parameters must not change after construction: the three route tables
     (``_gf_cache``, the generating-function store, ``_raising``, the
-    raising table, ``_hyp_rows``, the hypergeometric rows by (row, length),
-    ``_hyp_tensors``, the hypergeometric tensors by degree with their
-    caps, which serve the hypergeometric route and the polynomial
-    coefficients, ``_hyp_partials``, their prefix contractions by degree
-    and prefix, and ``_hyp_negs``, the rows (-x)_t by (x, reach)) hold the
-    u or the matrix of construction cleared to
-    integers and are never invalidated, so a changed parameter would meet
-    values computed from the old one.
+    raising table, and ``_hyp``, the hypergeometric table, which also
+    serves the polynomial coefficients) hold the beta and the u or the
+    matrix of construction cleared to integers and are never invalidated,
+    so a changed parameter would meet values computed from the old one.
     Only the table-built exact checkers below re-read the current ``u`` and
     ``lam`` on every call.
     """
 
     def __init__(self, beta, lam: PseudoRotation, mode=ScalarMode.EXACT):
         require_generic(lam)
-        beta = as_rational(beta)
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
+        beta = require_beta(beta)
         self.d = lam.d
         self.beta = beta
         self.lam = lam
@@ -145,10 +141,7 @@ class MeixnerSystemD:
         )
         self._gf_cache = _GfStore(self.d, beta, self.u)
         self._raising = _RaisingTable(beta, lam)
-        self._hyp_rows: Dict[Tuple[object, int], Tuple[int, List[int]]] = {}
-        self._hyp_tensors: Dict[MultiIndex, Tuple[MultiIndex, int, list]] = {}
-        self._hyp_partials: Dict[MultiIndex, Dict[MultiIndex, List[int]]] = {}
-        self._hyp_negs: Dict[Tuple[int, int], List[int]] = {}
+        self._hyp = _HypTable(beta, self.u)
 
     def with_mode(self, mode) -> "MeixnerSystemD":
         return type(self)(self.beta, self.lam, mode)
@@ -295,7 +288,6 @@ class _GfStore(dict):
         self.p, self.q = beta.numerator, beta.denominator
         self.denom, nums = _scaled_list([v for row in u for v in row])
         self.rows = [nums[i * d : (i + 1) * d] for i in range(d)]
-        self._rising = [1]  # prod_{s<t} (p + s q), by t
         self.graded = _GradedLayers(d, cap)
         self.positions: Dict[MultiIndex, Tuple[int, int, int]] = {}  # ``position`` by degree
 
@@ -328,8 +320,9 @@ class _GfStore(dict):
         for y in reversed(chain):
             entry = self.setdefault(y, _Layers())
             if not any(y):
+                rising = rising_row(self.p, self.q, top)
                 for t in range(len(entry), top + 1):
-                    entry.append([self.rising(t) * m for m in self.graded[t][2]])
+                    entry.append([rising[t] * m for m in self.graded[t][2]])
                 continue
             i = _first_axis(y)
             parent = self[_step_down(y, i)]
@@ -351,13 +344,6 @@ class _GfStore(dict):
             return math.comb(top + self.d, self.d)
         return sum(len(self.graded[t][2]) for t in range(top + 1))
 
-    def rising(self, t: int) -> int:
-        """prod_{s<t} (p + s q) = q^t (b)_t."""
-        rising = self._rising
-        while len(rising) <= t:
-            rising.append(rising[-1] * (self.p + (len(rising) - 1) * self.q))
-        return rising[t]
-
     def position(self, n: MultiIndex):
         """Layer and place of n, and the scale |n|!/n! prod_{s<|n|} (p + s q):
         G^_x[n] over the scale and D^|x| is the monic value R_n(x); kept
@@ -367,7 +353,8 @@ class _GfStore(dict):
             t = sum(n)
             index, _, multinomials = self.graded[t]
             pos = index[n]
-            spot = self.positions[n] = (t, pos, multinomials[pos] * self.rising(t))
+            scale = multinomials[pos] * rising_row(self.p, self.q, t)[t]
+            spot = self.positions[n] = (t, pos, scale)
         return spot
 
 
@@ -451,8 +438,7 @@ class _RaisingTable:
     the signed amplitude, the matrix element: both are read in log space,
     so only the result can leave the float range.  Where the last row has
     no zero, S / ((b)_|n| prod_j (-r_dj)^n_j) is the monic value
-    (``monic_eval_raising_d``); its integer denominator is kept per degree
-    in ``dens``.
+    (``monic``).
     """
 
     def __init__(self, beta: Fraction, lam: PseudoRotation):
@@ -585,6 +571,16 @@ class _RaisingTable:
         ]
         return same, math.prod(low_sizes), by_axis
 
+    def monic(self, n: MultiIndex, x: MultiIndex) -> Fraction:
+        """The value over prod_{s<|n|} (p + s q) prod_j (-a_dj)^n_j, the
+        cleared (qE)^|n| (b)_|n| prod_j (-r_dj)^n_j, kept per degree in
+        ``dens``."""
+        den = self.dens.get(n)
+        if den is None:
+            steps = math.prod(last**v for (last, _), v in zip(self.steps, n))
+            den = self.dens[n] = rising_row(self.p, self.q, sum(n))[-1] * steps
+        return Fraction(self.value(n, x), den)
+
     def orthonormal(self, n: MultiIndex, x: MultiIndex, sign=1, log_scale=0.0,
                     what="orthonormal value") -> float:
         """sign exp(log_scale) S[n](x) / sqrt((b)_|n| n!); far below the
@@ -606,45 +602,99 @@ class _RaisingTable:
 
 
 def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
-    """The raising recursion: the system's ``_RaisingTable`` value over
-    prod_{s<|n|} (p + s q) prod_j (-a_dj)^n_j, the integer rising product of
-    the system's generating-function store and the table's cleared
-    last-row steps, whose product is (qE)^|n| (b)_|n| prod_j (-r_dj)^n_j;
-    the table keeps it per degree."""
+    """The raising recursion: the monic value of the system's
+    ``_RaisingTable``."""
     n = _as_multi_index(n, sys.d, "degrees")
-    x = _as_multi_index(x, sys.d, "point")
-    table = sys._raising
-    den = table.dens.get(n)
-    if den is None:
-        steps = math.prod(last**v for (last, _), v in zip(table.steps, n))
-        den = table.dens[n] = sys._gf_cache.rising(sum(n)) * steps
-    return Fraction(table.value(n, x), den)
+    return sys._raising.monic(n, _as_multi_index(x, sys.d, "point"))
 
 
 # ---------------------------------------------------------------------------
 # route 3: terminating hypergeometric sum
 
 
+class _HypTable(dict):
+    """The terminating sum over d x d matrices A (Griffiths 1975) of one
+    system, degree n -> (caps, den, tensor, partials).
+
+    The sum of prod_j (-n_j)_{col_j} prod_a (-x_a)_{row_a} prod_{a,j}
+    (1 - u[a][j])^A_aj / A_aj! / (b)_|A|, grouped by the row sums r, is
+    sum_r C[r] prod_a (-x_a)_r_a / den, with C the integer tensor of
+    ``_hyp_tensor`` cut at ``caps`` and ``partials`` its contractions over
+    all axes but the last with the rows of each prefix x[:-1] asked for
+    (``_hyp_contract``), so a point costs one dot product with its last
+    row.  A point that reaches past the caps rebuilds its degree's entry
+    with each cap it must raise doubled (clipped at |n|), so a sweep
+    rebuilds a logarithmic number of times, while a one-off call reads its
+    rows only as far as its own reach; a rebuilt entry starts with no
+    partials.  The table keeps its rows too: (-a)_t by (a, reach) in
+    ``negs`` and, by (row, length) in ``rows``, cleared to integers from
+    its own beta = p/q and u, ``"invbeta"``, 1/(b)_t = q^t / prod_{s<t}
+    (p + s q), and each (a, j), (1 - u[a][j])^e / e!.
+    """
+
+    def __init__(self, beta: Fraction, u):
+        super().__init__()
+        self.p, self.q = beta.numerator, beta.denominator
+        self.bases = [[1 - v for v in row] for row in u]
+        self.rows: Dict[Tuple[object, int], Tuple[int, List[int]]] = {}
+        self.negs: Dict[Tuple[int, int], List[int]] = {}
+
+    def value(self, n: MultiIndex, x: MultiIndex) -> Fraction:
+        """The monic value R_n(x)."""
+        top = sum(n)
+        reach = [v if v < top else top for v in x]  # (-x_a)_r vanishes past x_a; |r| <= |n|
+        _, den, tensor, partials = self.entry(n, reach)
+        prefix = x[:-1]
+        partial = partials.get(prefix)
+        if partial is None:
+            partial = partials[prefix] = _hyp_contract(tensor, list(map(self.neg, prefix, reach)))
+        return Fraction(sum(map(mul, partial, self.neg(x[-1], reach[-1]))), den)
+
+    def entry(self, n: MultiIndex, reach):
+        """The entry of degree n, rebuilt if it does not cover ``reach``."""
+        entry = self.get(n)
+        if entry is not None and all(map(le, reach, entry[0])):
+            return entry
+        top = sum(n)
+        caps = (-1,) * len(n) if entry is None else entry[0]
+        caps = tuple([c if r <= c else max(r, min(top, 2 * c)) for r, c in zip(reach, caps)])
+        negn = [rising_row(-nj, 1, min(nj, sum(caps))) for nj in n]
+        den, invbeta = self.row("invbeta", min(top, sum(caps)))
+        dens, powers = zip(*[self.row((a, j), min(nj, cap))
+                             for j, nj in enumerate(n) for a, cap in enumerate(caps)])
+        tensor = _hyp_tensor(n, caps, negn, invbeta, powers)
+        entry = self[n] = (caps, den * math.prod(dens), tensor, {})
+        return entry
+
+    def neg(self, a: int, reach: int) -> List[int]:
+        """The row (-a)_t for t = 0..reach."""
+        row = self.negs.get((a, reach))
+        if row is None:
+            row = self.negs[(a, reach)] = rising_row(-a, 1, reach)
+        return row
+
+    def row(self, row, length: int) -> Tuple[int, List[int]]:
+        """The row ``row`` up to ``length`` as (denominator, integer numerators)."""
+        key = (row, length)
+        cached = self.rows.get(key)
+        if cached is None:
+            if row == "invbeta":
+                rising = rising_row(self.p, self.q, length)
+                values = [Fraction(self.q**t, r) for t, r in enumerate(rising)]
+            else:
+                a, j = row
+                values = [Fraction(1)]
+                for e in range(1, length + 1):
+                    values.append(values[-1] * self.bases[a][j] / e)
+            cached = self.rows[key] = _scaled_list(values)
+        return cached
+
+
 def monic_eval_hyp_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
-    """The terminating sum over d x d matrices A (Griffiths 1975),
-    prod_j (-n_j)_{col_j} prod_a (-x_a)_{row_a} prod_{a,j} (1 - u[a][j])^A_aj
-    / A_aj! / (b)_|A|, grouped by the row sums r: sum_r C[r] prod_a
-    (-x_a)_r_a / den, with the system's tensor C of degree n grown to the
-    point's reach (``_grow_hyp_tensor``).  C contracted over all axes but
-    the last with the rows of the prefix x[:-1] is kept per degree and
-    prefix (``_hyp_contract``), so a point costs one dot product with its
-    last row."""
+    """The terminating hypergeometric sum, read from the system's
+    ``_HypTable``."""
     n = _as_multi_index(n, sys.d, "degrees")
-    x = _as_multi_index(x, sys.d, "point")
-    top = sum(n)
-    reach = [v if v < top else top for v in x]  # (-x_a)_r vanishes past x_a; |r| <= |n|
-    _, den, tensor = _hyp_entry(sys, n, reach)
-    partials, prefix = sys._hyp_partials[n], x[:-1]
-    partial = partials.get(prefix)
-    if partial is None:
-        negs = list(map(_hyp_neg_row, repeat(sys), prefix, reach))
-        partial = partials[prefix] = _hyp_contract(tensor, negs)
-    return Fraction(sum(map(mul, partial, _hyp_neg_row(sys, x[-1], reach[-1]))), den)
+    return sys._hyp.value(n, _as_multi_index(x, sys.d, "point"))
 
 
 def _hyp_tensor(n: MultiIndex, caps, negn, invbeta, powers):
@@ -715,73 +765,6 @@ def _hyp_contract(tensor, negs):
     return out
 
 
-def _hyp_entry(sys: MeixnerSystemD, n: MultiIndex, reach):
-    """The system's (caps, den, tensor) of degree n, grown to cover ``reach``."""
-    entry = sys._hyp_tensors.get(n)
-    if entry is None or not all(map(le, reach, entry[0])):
-        entry = _grow_hyp_tensor(sys, n, reach, entry)
-    return entry
-
-
-def _grow_hyp_tensor(sys: MeixnerSystemD, n: MultiIndex, reach, entry):
-    """The system's (caps, den, tensor) of degree n, rebuilt from ``entry``
-    to cover ``reach``: each cap it must raise is doubled (clipped at |n|),
-    so a sweep rebuilds a logarithmic number of times, while a one-off call
-    reads its rows only as far as its own reach.  The degree's partial
-    contractions of the old tensor are dropped."""
-    top = sum(n)
-    caps = (-1,) * sys.d if entry is None else entry[0]
-    caps = tuple([c if r <= c else max(r, min(top, 2 * c)) for r, c in zip(reach, caps)])
-    negn = [_rising_of_negative(nj, min(nj, sum(caps))) for nj in n]
-    den, invbeta = _hyp_row(sys, "invbeta", min(top, sum(caps)))
-    dens, powers = zip(*[_hyp_row(sys, (a, j), min(nj, cap))
-                         for j, nj in enumerate(n) for a, cap in enumerate(caps)])
-    den *= math.prod(dens)
-    entry = sys._hyp_tensors[n] = (caps, den, _hyp_tensor(n, caps, negn, invbeta, powers))
-    sys._hyp_partials[n] = {}
-    return entry
-
-
-def _rising_of_negative(a: int, top: int):
-    """(-a)_t for t = 0..top, as integers."""
-    out = [1]
-    for s in range(top):
-        out.append(out[-1] * (s - a))
-    return out
-
-
-def _hyp_neg_row(sys: MeixnerSystemD, a: int, reach: int):
-    """The system's row (-a)_t for t = 0..reach, built on first use."""
-    row = sys._hyp_negs.get((a, reach))
-    if row is None:
-        row = sys._hyp_negs[(a, reach)] = _rising_of_negative(a, reach)
-    return row
-
-
-def _hyp_row(sys: MeixnerSystemD, row, length: int):
-    """The system's row ``row`` of the hypergeometric sum up to ``length``,
-    as (denominator, integer numerators), cleared on first use.
-
-    ``"invbeta"`` is 1/(b)_t = q^t / prod_{s<t} (p + s q) for b = p/q; a
-    pair (a, c) is (1 - u[a][c])^e / e!.  Both are read from the integer
-    parameters the system's store was cleared from at construction.
-    """
-    key = (row, length)
-    cached = sys._hyp_rows.get(key)
-    if cached is None:
-        store = sys._gf_cache
-        if row == "invbeta":
-            values = [Fraction(store.q**t, store.rising(t)) for t in range(length + 1)]
-        else:
-            a, c = row
-            base = Fraction(store.denom - store.rows[a][c], store.denom)
-            values = [Fraction(1)]
-            for e in range(1, length + 1):
-                values.append(values[-1] * base / e)
-        cached = sys._hyp_rows[key] = _scaled_list(values)
-    return cached
-
-
 # ---------------------------------------------------------------------------
 # exact polynomial coefficients (for fast float evaluation on big lattices)
 
@@ -805,7 +788,7 @@ def monic_poly_coeffs_d(sys: MeixnerSystemD, n: Sequence[int]) -> Dict[MultiInde
     """
     n = _as_multi_index(n, sys.d, "degrees")
     d, top = sys.d, sum(n)
-    _, den, flat = _hyp_entry(sys, n, (top,) * d)
+    _, den, flat, _ = sys._hyp.entry(n, (top,) * d)
     for _ in range(d - 1):  # one axis at a time, which keeps r in lexicographic order
         flat = list(itertools.chain.from_iterable(flat))
     table = dict(zip(sorted(_simplex_lattice(top, d)), flat))

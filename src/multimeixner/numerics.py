@@ -46,6 +46,14 @@ def require_tol(tol: float):
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
+def require_beta(beta: RationalLike) -> Fraction:
+    """The base parameter as a rational, rejected unless it is positive."""
+    beta = as_rational(beta)
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    return beta
+
+
 def rational_str(value: Fraction) -> str:
     """Canonical serialization: "p/q", or "p" alone for integers."""
     return str(value)
@@ -80,6 +88,14 @@ def pochhammer(x, n: int):
     for j in range(n):
         result *= x + j
     return result
+
+
+def rising_row(p: int, q: int, top: int) -> list:
+    """prod_{s<t} (p + s q) = q^t (p/q)_t for t = 0..top, as integers."""
+    row = [1]
+    for s in range(top):
+        row.append(row[-1] * (p + s * q))
+    return row
 
 
 def _exponents_of_degree(total: int, nvars: int) -> Iterator[tuple]:

@@ -254,7 +254,7 @@ class TestOrthogonality:
         sysf = MeixnerSystem(2, canonical_matrix, ScalarMode.FLOAT)
         check_orthogonality(sysf, LatticeBox(0, 0, 1, 1), 1e-8)
         assert not sysf._gf_cache
-        caps = {n: entry[0] for n, entry in sysf._hyp_tensors.items()}
+        caps = {n: entry[0] for n, entry in sysf._hyp.items()}
         assert caps == {(0, 0): (0, 0), (1, 0): (1, 1), (0, 1): (1, 1), (1, 1): (2, 2)}
 
     def test_requires_float_mode(self, canonical_beta2):

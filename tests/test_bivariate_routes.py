@@ -19,8 +19,8 @@ from multimeixner.bivariate import (
 from multimeixner.errors import ModeError, NonGenericMatrix
 from multimeixner.harness import random_matrix
 from multimeixner.lorentz import boost, compose, identity
-from multimeixner.multivariate import _hyp_row, _orthonormal_prefactor_d, _rising_of_negative
-from multimeixner.numerics import ScalarMode, pochhammer, solve_linear_system
+from multimeixner.multivariate import _orthonormal_prefactor_d
+from multimeixner.numerics import ScalarMode, pochhammer, rising_row, solve_linear_system
 
 ROUTES = (monic_eval_raising, monic_eval_gf, monic_eval_hyp)
 
@@ -118,7 +118,7 @@ class TestRouteEquivalence:
 
 
 class TestHypRows:
-    """The hypergeometric route reads each system's rows, cleared to
+    """The hypergeometric route reads its table's rows, cleared to
     integers once per (row, length)."""
 
     SMALL = [(m, n, i, k) for m in range(3) for n in range(3 - m) for i in range(3) for k in range(3)]
@@ -133,19 +133,19 @@ class TestHypRows:
                             (large_first, self.LARGE + self.SMALL)):
             for cell in cells:
                 assert monic_eval_hyp(sys2, *cell) == monic_eval_gf(oracle, *cell)
-            lengths = {length for row, length in sys2._hyp_rows if row == (0, 0)}
+            lengths = {length for row, length in sys2._hyp.rows if row == (0, 0)}
             assert len(lengths) > 1  # rows of several lengths side by side
-        assert small_first._hyp_rows.keys() == large_first._hyp_rows.keys()
+        assert small_first._hyp.rows.keys() == large_first._hyp.rows.keys()
 
     def test_rows_belong_to_one_system(self, canonical_matrix):
         first, second = MeixnerSystem(2, canonical_matrix), MeixnerSystem(2, canonical_matrix)
-        assert not first._hyp_rows and not second._hyp_rows
+        assert not first._hyp.rows and not second._hyp.rows
         monic_eval_hyp(first, 2, 1, 3, 2)
-        assert first._hyp_rows and not second._hyp_rows
+        assert first._hyp.rows and not second._hyp.rows
         monic_eval_hyp(second, 2, 1, 3, 2)
-        assert first._hyp_rows.keys() == second._hyp_rows.keys()
-        for key, (denom, nums) in first._hyp_rows.items():
-            assert second._hyp_rows[key][1] is not nums
+        assert first._hyp.rows.keys() == second._hyp.rows.keys()
+        for key, (denom, nums) in first._hyp.rows.items():
+            assert second._hyp.rows[key][1] is not nums
 
     def test_kernel_on_cleared_rows_matches_fraction_sum(self):
         m, n, i, k = 2, 3, 3, 2
@@ -210,7 +210,7 @@ class TestHypGrid:
         for cell in cells:
             assert monic_eval_hyp(sys2, *cell) == monic_eval_gf(oracle, *cell)
         # every cell reaches m + n in both exponents, where the caps stop
-        assert {deg: entry[0] for deg, entry in sys2._hyp_tensors.items()} == {
+        assert {deg: entry[0] for deg, entry in sys2._hyp.items()} == {
             (m, n): (m + n, m + n) for m, n, _i, _k in self.CELLS
         }
 
@@ -220,17 +220,17 @@ class TestHypGrid:
             for i in range(side):
                 for k in range(side):
                     monic_eval_hyp(sys2, 3, 3, i, k)
-            assert sys2._hyp_tensors[(3, 3)][0] == caps
+            assert sys2._hyp[(3, 3)][0] == caps
 
     def test_one_off_calls_read_only_their_reach(self, canonical_matrix):
         sys2 = MeixnerSystem(2, canonical_matrix)
         calls = [(200, 200, 2, 3), (400, 300, 1, 1)]
         for m, n, i, k in calls:
             assert monic_eval_hyp(sys2, m, n, i, k) == monic_eval_raising(sys2, m, n, i, k)
-        assert {deg: entry[0] for deg, entry in sys2._hyp_tensors.items()} == {
+        assert {deg: entry[0] for deg, entry in sys2._hyp.items()} == {
             (200, 200): (2, 3), (400, 300): (1, 1)
         }
-        for (m, n), ((A, B), _den, grid) in sys2._hyp_tensors.items():
+        for (m, n), ((A, B), _den, grid, _partials) in sys2._hyp.items():
             assert len(grid) == A + 1 and max(map(len, grid)) == B + 1
         # the row lengths the per-point four-index loop read before the grid
         reach = set()
@@ -239,7 +239,7 @@ class TestHypGrid:
                 ("invbeta", min(m + n, i + k)), ((0, 0), min(m, i)), ((1, 0), min(m, k)),
                 ((0, 1), min(n, i)), ((1, 1), min(n, k)),
             }
-        assert set(sys2._hyp_rows) == reach
+        assert set(sys2._hyp.rows) == reach
 
     @pytest.mark.parametrize("cell", [(2, 3, 3, 2), (1, 1, 6, 0), (0, 2, 1, 5), (3, 0, 0, 4)])
     def test_kernel_matches_fraction_sum_on_system_rows(self, seeded_systems, cell):
@@ -250,11 +250,11 @@ class TestHypGrid:
             ("invbeta", min(m + n, i + k)), ((0, 0), min(m, i)), ((1, 0), min(m, k)),
             ((0, 1), min(n, i)), ((1, 1), min(n, k)),
         ]:
-            rows[row] = _hyp_row(sys2, row, length)
+            rows[row] = sys2._hyp.row(row, length)
         total = hyp_sum(
             m, n, i, k,
-            _rising_of_negative(m, min(m, i + k)), _rising_of_negative(n, min(n, i + k)),
-            _rising_of_negative(i, min(i, m + n)), _rising_of_negative(k, min(k, m + n)),
+            rising_row(-m, 1, min(m, i + k)), rising_row(-n, 1, min(n, i + k)),
+            rising_row(-i, 1, min(i, m + n)), rising_row(-k, 1, min(k, m + n)),
             *(rows[row][1] for row in ("invbeta", (0, 0), (1, 0), (0, 1), (1, 1))),
         )
         assert isinstance(total, int)

@@ -630,6 +630,14 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("beta", ["-1/2", "0"])
+    @pytest.mark.parametrize("suite", ["addition", "subgroup-unitarity"])
+    def test_float_suites_reject_nonpositive_beta(self, capsys, suite, beta):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, f"--beta={beta}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: beta must be positive, got {beta}\n"
+
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])

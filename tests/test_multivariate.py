@@ -155,9 +155,10 @@ class TestRaisingRoute:
                 assert monic_eval_raising_d(sysd, n, x) == monic_eval_gf_d(sysd, n, x)
 
     @pytest.mark.parametrize("d, factors", [(2, 4), (3, 5)])
-    def test_one_normalisation_reads_the_store_rising_table(self, d, factors):
-        # beta = 7/3 puts q = 3 into the rising products the store and the
-        # raising route share
+    def test_one_normalisation_from_the_tables_own_beta(self, d, factors):
+        # beta = 7/3 puts q = 3 into the rising products of both routes'
+        # normalisations; the raising table clears its own from beta, and
+        # the store stays empty
         sysd = MeixnerSystemD(F(7, 3), random_matrix(13, d, factors))
         fresh = MeixnerSystemD(F(7, 3), random_matrix(13, d, factors))
         degrees = [n for n in sorted(lattice((3,) * d)) if sum(n) <= 4]
@@ -165,8 +166,7 @@ class TestRaisingRoute:
         for n in degrees:
             for x in points:
                 assert monic_eval_raising_d(sysd, n, x) == monic_eval_gf_d(fresh, n, x)
-        store = sysd._gf_cache
-        assert len(store._rising) == 5 and not store  # filled by the raising route alone
+        assert set(sysd._raising.dens) == set(degrees) and not sysd._gf_cache
 
     def test_d1_reduces_to_univariate_meixner(self):
         lam = boost((1, 2), 3, 1)
@@ -277,7 +277,7 @@ class TestHypRoute:
         for n in _simplex_lattice(top, lam.d):
             for x in lattice((side,) * lam.d):
                 assert monic_eval_hyp_d(sysd, n, x) == monic_eval_gf_d(oracle, n, x)
-        assert set(sysd._hyp_tensors) == set(_simplex_lattice(top, lam.d))
+        assert set(sysd._hyp) == set(_simplex_lattice(top, lam.d))
 
     @pytest.mark.parametrize("d, seed", [(1, 5), (2, 42), (3, 7)])
     def test_a_partial_contraction_never_outlives_its_tensor(self, d, seed):
@@ -312,8 +312,8 @@ class TestHypRoute:
         system = MeixnerSystem(2, canonical_matrix)
         value = monic_eval_hyp_d(system, (2, 1), (600, 500))
         assert value == monic_eval_raising_d(system, (2, 1), (600, 500))
-        assert system._hyp_negs
-        assert max(map(len, system._hyp_negs.values())) <= min(500, 3) + 1
+        assert system._hyp.negs
+        assert max(map(len, system._hyp.negs.values())) <= min(500, 3) + 1
 
 
 class TestPerDegreeConstants:
@@ -335,6 +335,31 @@ class TestPerDegreeConstants:
                 assert monic_eval_raising_d(system, n, x) == monic_eval_raising_d(fresh, n, x)
                 assert monic_eval_gf_d(system, n, x) == monic_eval_gf_d(fresh, n, x)
         assert set(system._raising.dens) == set(system._gf_cache.positions) == set(degrees)
+
+
+class _Untouchable:
+    """Stands in for a generating-function store: any attribute read fails."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a route read the generating-function store's {name!r}")
+
+
+class TestRouteIndependence:
+    """The raising and hypergeometric routes read only their own tables:
+    with the system's generating-function store replaced by one that fails
+    on any read, their values are a fresh system's."""
+
+    @pytest.mark.parametrize("d, seed", [(2, 42), (3, 7)])
+    def test_raising_and_hyp_never_read_the_store(self, d, seed):
+        template = random_system(seed, d, F(7, 3))
+        system = MeixnerSystemD(template.beta, template.lam)
+        system._gf_cache = _Untouchable()
+        fresh = MeixnerSystemD(template.beta, template.lam)
+        for n in _simplex_lattice(3, d):
+            for x in lattice((2,) * d):
+                assert monic_eval_raising_d(system, n, x) == monic_eval_raising_d(fresh, n, x)
+                assert monic_eval_hyp_d(system, n, x) == monic_eval_hyp_d(fresh, n, x)
+            assert monic_poly_coeffs_d(system, n) == monic_poly_coeffs_d(fresh, n)
 
 
 def _first_coordinate_simplex(total, d):
@@ -391,10 +416,10 @@ class TestPolyCoeffs:
         n = (2, 1, 1)
         monic_poly_coeffs_d(system, n)
         assert not system._gf_cache  # no store point is filled
-        entry = system._hyp_tensors[n]
+        entry = system._hyp[n]
         for x in _simplex_lattice(sum(n), 3):
             monic_eval_hyp_d(system, n, x)
-        assert system._hyp_tensors[n] is entry
+        assert system._hyp[n] is entry
 
 
 class TestOrthogonality:

@@ -286,6 +286,30 @@ class TestAddition:
             assert check_addition(A, B, 2, i, k, m, n, 1e-8).passed
 
 
+class TestNonpositiveBeta:
+    """Every float element, the addition check and both closed forms reject
+    beta <= 0 with the message a system gives."""
+
+    CALLS = {
+        "hyperbolic_me_xi": lambda beta: hyperbolic_me_xi(beta, 2, 1, 0, 1, 0),
+        "hyperbolic_me_psi": lambda beta: hyperbolic_me_psi(beta, 2, 0, 1, 0, 1),
+        "elliptic_me": lambda beta: elliptic_me(beta, F(1, 2), 1, 1, 1, 1),
+        "me_evaluator": lambda beta: me_evaluator(beta, random_matrix(42, 2, 4)),
+        "check_addition": lambda beta: check_addition(
+            *addition_tuples(2024, 1)[0][:2], beta, 0, 0, 0, 0, 1e-8
+        ),
+        "factorized_eval": lambda beta: factorized_eval(beta, 2, 3, 1, 1, 1, 1),
+        "general_sum_eval": lambda beta: general_sum_eval(beta, F(1, 2), 2, F(2, 3), 1, 1, 1, 1),
+        "system": lambda beta: MeixnerSystem(beta, canonical_lambda()),
+    }
+
+    @pytest.mark.parametrize("beta", [-3, F(-1, 2), 0], ids=["-3", "-1/2", "0"])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_rejected(self, name, beta):
+        with pytest.raises(ValueError, match=f"^beta must be positive, got {beta}$"):
+            self.CALLS[name](beta)
+
+
 class TestEvaluatorDispatch:
     def test_identity(self):
         from multimeixner.lorentz import identity
