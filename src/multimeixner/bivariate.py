@@ -46,6 +46,7 @@ from .multivariate import (
     _LogMass,
     _RaisingTable,
     _as_multi_index,
+    _float_beta,
     _gram_discrepancy,
     _hyp_contract,
     _hyp_tensor,
@@ -250,7 +251,7 @@ def _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first_axis: bool) -> float:
     scale = pochhammer(gamma, var) * pochhammer(gamma, deg)
     scale /= math.factorial(var) * math.factorial(deg)
     # in log space: the monic value and the scale pass 1e308 at high levels
-    log = log_abs(rational) + 0.5 * log_abs(scale) - gamma * log_abs(ch)
+    log = log_abs(rational) + 0.5 * log_abs(scale) - _float_beta(gamma) * log_abs(ch)
     return (1 if rational > 0 else -1) * math.exp(log)
 
 
@@ -312,8 +313,9 @@ def _factorized_constants(beta, t_xi, t_psi):
     beta = require_beta(beta)
     t_xi = as_rational(t_xi)
     t_psi = as_rational(t_psi)
-    if t_xi <= 1 or t_psi <= 1:
-        raise PreconditionError("factorized form needs both boost parameters > 1")
+    for t in (t_xi, t_psi):
+        if t <= 0 or t == 1:
+            raise PreconditionError(f"boost parameter must be positive and != 1, got {t}")
     # Meixner at c = tanh^2 is the 2F1 at z = 1 - 1/c = -1/sh^2
     return beta, -1 / boost_trig(t_xi)[1] ** 2, -1 / boost_trig(t_psi)[1] ** 2
 
@@ -324,20 +326,21 @@ def factorized_eval(beta, t_xi, t_psi, m: int, n: int, i: int, k: int) -> Fracti
 
     The prefactor (i + beta)_n / (beta)_n, as integer rising products
     over powers of the denominators, and both Meixner sums are integer
-    pairs; one ``Fraction`` is built from their product.  The form
-    is a polynomial in (i, k), so rational points are accepted.
+    pairs, with i + beta and n + beta as integer pairs too; one
+    ``Fraction`` is built from their product.  The form is a polynomial in
+    (i, k), so rational points are accepted.
     """
     beta, z_xi, z_psi = _factorized_constants(beta, t_xi, t_psi)
     _check_signs(m, n, i, k)
-    i, k = as_rational(i), as_rational(k)
-    shifted = i + beta
-    rise = rising_row(shifted.numerator, shifted.denominator, n)[-1]
-    base = rising_row(beta.numerator, beta.denominator, n)[-1]
-    num1, den1 = _hyp2f1_pair(m, i, n + beta, z_xi)
+    if not (isinstance(i, int) and isinstance(k, int)):  # a rational point
+        i, k = as_rational(i), as_rational(k)
+    bp, bq = beta.numerator, beta.denominator
+    shifted = (i.numerator * bq + bp * i.denominator, i.denominator * bq)  # i + beta
+    rise = rising_row(*shifted, n)[-1]
+    base = rising_row(bp, bq, n)[-1]
+    num1, den1 = _hyp2f1_pair(m, i, (n * bq + bp, bq), z_xi)
     num2, den2 = _hyp2f1_pair(n, k, shifted, z_psi)
-    return Fraction(
-        rise * beta.denominator**n * num1 * num2, shifted.denominator**n * base * den1 * den2
-    )
+    return Fraction(rise * bq**n * num1 * num2, shifted[1] ** n * base * den1 * den2)
 
 
 @lru_cache(maxsize=64)
@@ -387,9 +390,9 @@ def general_sum_eval(
     coef, coef_den = 1, 1
     total, total_den = 0, 1
     for mu in range(min(i + k, m + n) + 1):
-        num1, den1 = _hyp2f1_pair(i + k - mu, k, -(i + k), z_chi)
-        num2, den2 = _hyp2f1_pair(m + n - mu, i + k - mu, mu + beta, z_psi)
-        num3, den3 = _hyp2f1_pair(n, m + n - mu, -(m + n), z_th)
+        num1, den1 = _hyp2f1_pair(i + k - mu, k, (-(i + k), 1), z_chi)
+        num2, den2 = _hyp2f1_pair(m + n - mu, i + k - mu, (bp + mu * bq, bq), z_psi)
+        num3, den3 = _hyp2f1_pair(n, m + n - mu, (-(m + n), 1), z_th)
         term_den = coef_den * den1 * den2 * den3
         total = total * term_den + coef * num1 * num2 * num3 * total_den
         total_den *= term_den

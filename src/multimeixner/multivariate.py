@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, getitem, index, le, mul, sub
 from typing import Dict, List, Sequence, Tuple
@@ -59,6 +59,7 @@ from .numerics import (
     _exponents_of_degree,
     _int_column,
     _scaled_list,
+    log_abs,
     pochhammer,
     require_beta,
     require_tol,
@@ -85,6 +86,15 @@ MultiIndex = Tuple[int, ...]
 
 
 def _as_multi_index(value: Sequence[int], d: int, what: str) -> MultiIndex:
+    """``value`` as a tuple of d non-negative ints; a tuple of d plain
+    non-negative ints is returned as it is, anything else is converted
+    entry by entry with ``operator.index``."""
+    if type(value) is tuple and len(value) == d:
+        for v in value:
+            if type(v) is not int or v < 0:
+                break
+        else:
+            return value
     try:
         idx = tuple(map(index, value))
     except TypeError:  # an entry that is not an integer, or no sequence at all
@@ -158,6 +168,17 @@ class MeixnerSystemD:
         return f"{type(self).__name__}(beta={self.beta}, mode={self.mode.value}, lam={self.lam})"
 
 
+def _float_beta(beta: Fraction) -> float:
+    """beta as a float, for the float values; a beta past the float range is
+    refused with ``PreconditionError``."""
+    try:
+        return float(beta)
+    except OverflowError:
+        raise PreconditionError(
+            f"beta is about 10^{log_abs(beta) / math.log(10):.1f}, past the float range"
+        ) from None
+
+
 class _LogMass:
     """The float mass log((b)_t / x! prod_i r_i^(2 x_i)), t = |x|, as
     ``head(t) + sum_i axis(i, x_i)`` from ``math.lgamma``, for the ratios
@@ -171,7 +192,7 @@ class _LogMass:
     def __init__(self, beta, lam: PseudoRotation, row: bool = False):
         e, d = lam.entries, lam.d
         ratios = [(e[d][i] if row else e[i][d]) / e[d][d] for i in range(d)]
-        self.b = float(beta)
+        self.b = _float_beta(beta)
         self.offset = -math.lgamma(self.b) - (0.0 if row else 2.0 * self.b * math.log(e[d][d]))
         self.logs = [2.0 * math.log(abs(r)) for r in ratios]
         self.negative = [r < 0 for r in ratios]
@@ -456,11 +477,22 @@ class _RaisingTable:
         self.columns: Dict[Tuple[MultiIndex, int], List[int]] = {}  # by (degree, shift)
         self.plans: Dict[int, tuple] = {}  # the box's ``_plan`` by shift, up to max(lo)
         self.dens: Dict[MultiIndex, int] = {}  # the monic denominators by degree
-        b, log_qe, mass = float(beta), math.log(self.q * denom), _LogMass(beta, lam)
-        # kept per table like its values: each point's amplitude sign and
-        # log, and each degree's log of (qE)^|n| sqrt((b)_|n| n!)
-        self.amplitude = lru_cache(maxsize=None)(lambda x: (mass.sign(x), 0.5 * mass(x)))
-        self.log_norm = lru_cache(maxsize=None)(
+        self.beta, self.lam, self.scale = beta, lam, self.q * denom
+
+    # the float parts are built on first float use, so the exact values need
+    # no float beta; each is kept per table like its values
+
+    @cached_property
+    def amplitude(self):
+        """Each point's amplitude sign and log."""
+        mass = _LogMass(self.beta, self.lam)
+        return lru_cache(maxsize=None)(lambda x: (mass.sign(x), 0.5 * mass(x)))
+
+    @cached_property
+    def log_norm(self):
+        """Each degree's log of (qE)^|n| sqrt((b)_|n| n!)."""
+        b, log_qe = _float_beta(self.beta), math.log(self.scale)
+        return lru_cache(maxsize=None)(
             lambda n: sum(n) * log_qe
             + 0.5 * (math.lgamma(b + sum(n)) - math.lgamma(b) + sum(math.lgamma(v + 1) for v in n))
         )
@@ -622,10 +654,10 @@ class _HypTable(dict):
     ``_hyp_tensor`` cut at ``caps`` and ``partials`` its contractions over
     all axes but the last with the rows of each prefix x[:-1] asked for
     (``_hyp_contract``), so a point costs one dot product with its last
-    row.  A point that reaches past the caps rebuilds its degree's entry
-    with each cap it must raise doubled (clipped at |n|), so a sweep
-    rebuilds a logarithmic number of times, while a one-off call reads its
-    rows only as far as its own reach; a rebuilt entry starts with no
+    row.  A degree's first entry is cut at its first point's reach, so a
+    one-off call reads its rows only as far as that reach; the first point
+    that reaches past it rebuilds the entry once at |n| on every axis, so a
+    sweep builds each degree twice; a rebuilt entry starts with no
     partials.  The table keeps its rows too: (-a)_t by (a, reach) in
     ``negs`` and, by (row, length) in ``rows``, cleared to integers from
     its own beta = p/q and u, ``"invbeta"``, 1/(b)_t = q^t / prod_{s<t}
@@ -651,13 +683,13 @@ class _HypTable(dict):
         return Fraction(sum(map(mul, partial, self.neg(x[-1], reach[-1]))), den)
 
     def entry(self, n: MultiIndex, reach):
-        """The entry of degree n, rebuilt if it does not cover ``reach``."""
+        """The entry of degree n: built at ``reach`` the first time, rebuilt
+        at |n| on every axis when a later reach passes it."""
         entry = self.get(n)
         if entry is not None and all(map(le, reach, entry[0])):
             return entry
         top = sum(n)
-        caps = (-1,) * len(n) if entry is None else entry[0]
-        caps = tuple([c if r <= c else max(r, min(top, 2 * c)) for r, c in zip(reach, caps)])
+        caps = tuple(reach) if entry is None else (top,) * len(n)
         negn = [rising_row(-nj, 1, min(nj, sum(caps))) for nj in n]
         den, invbeta = self.row("invbeta", min(top, sum(caps)))
         dens, powers = zip(*[self.row((a, j), min(nj, cap))

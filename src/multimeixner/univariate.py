@@ -17,11 +17,12 @@ from typing import Tuple
 from .numerics import as_rational
 
 
-def _hyp2f1_pair(n: int, x, delta, z) -> Tuple[int, int]:
+def _hyp2f1_pair(n: int, x, delta: Tuple[int, int], z) -> Tuple[int, int]:
     """Sum_{j=0..n} (-n)_j (-x)_j / ((delta)_j j!) z^j as an integer pair
-    (total, denominator); x, delta and z are ints or Fractions.
+    (total, denominator); x and z are ints or Fractions, delta = dp/dq is
+    given as the integer pair (dp, dq), not necessarily in lowest terms.
 
-    With x = xp/xq, delta = dp/dq and z = zp/zq the term ratio is
+    With x = xp/xq and z = zp/zq the term ratio is
     (j-n)(j xq - xp) zp dq / r with r = xq zq (dp + j dq) (j+1), so the
     term's numerator, the total and their common denominator stay
     integers: term *= (j-n)(j xq - xp) zp dq, total = total r + term,
@@ -32,7 +33,7 @@ def _hyp2f1_pair(n: int, x, delta, z) -> Tuple[int, int]:
     if n < 0:
         raise ValueError("degree must be non-negative")
     xp, xq = x.numerator, x.denominator
-    dp, dq = delta.numerator, delta.denominator
+    dp, dq = delta
     zp, zq = z.numerator, z.denominator
     term = total = den = 1
     for j in range(n):
@@ -58,7 +59,7 @@ def meixner(n: int, x, delta, c) -> Fraction:
     c = as_rational(c)
     if c == 0:
         raise ZeroDivisionError("c must be nonzero")
-    return Fraction(*_hyp2f1_pair(n, x, delta, 1 - 1 / c))
+    return Fraction(*_hyp2f1_pair(n, x, (delta.numerator, delta.denominator), 1 - 1 / c))
 
 
 def monic_meixner(n: int, x, delta, c) -> Fraction:
@@ -96,4 +97,4 @@ def krawtchouk(n: int, x, p, N: int) -> Fraction:
     p = as_rational(p)
     if p == 0:
         raise ZeroDivisionError("p must be nonzero")
-    return Fraction(*_hyp2f1_pair(n, x, -N, 1 / p))
+    return Fraction(*_hyp2f1_pair(n, x, (-N, 1), 1 / p))

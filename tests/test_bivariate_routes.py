@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from multimeixner import multivariate
 from multimeixner.bivariate import (
     MeixnerSystem,
     amplitude_sq,
@@ -214,13 +215,22 @@ class TestHypGrid:
             (m, n): (m + n, m + n) for m, n, _i, _k in self.CELLS
         }
 
-    def test_caps_double_as_a_sweep_reaches_past_them(self, canonical_matrix):
-        sys2 = MeixnerSystem(2, canonical_matrix)
-        for side, caps in ((3, (2, 2)), (4, (4, 4)), (8, (6, 6))):
-            for i in range(side):
-                for k in range(side):
-                    monic_eval_hyp(sys2, 3, 3, i, k)
-            assert sys2._hyp[(3, 3)][0] == caps
+    def test_a_sweep_builds_each_degree_twice(self, canonical_matrix, monkeypatch):
+        # the first point's reach, then |n| on every axis at the first point past it
+        builds = []
+
+        def counted(n, caps, *rows):
+            builds.append(caps)
+            return hyp_tensor(n, caps, *rows)
+
+        hyp_tensor = multivariate._hyp_tensor
+        monkeypatch.setattr(multivariate, "_hyp_tensor", counted)
+        sys2, oracle = MeixnerSystem(2, canonical_matrix), MeixnerSystem(2, canonical_matrix)
+        for i in range(8):
+            for k in range(8):
+                assert monic_eval_hyp(sys2, 3, 3, i, k) == monic_eval_gf(oracle, 3, 3, i, k)
+        assert builds == [(0, 0), (6, 6)]
+        assert sys2._hyp[(3, 3)][0] == (6, 6)
 
     def test_one_off_calls_read_only_their_reach(self, canonical_matrix):
         sys2 = MeixnerSystem(2, canonical_matrix)

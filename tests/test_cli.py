@@ -101,6 +101,20 @@ class TestEval:
         assert code == 0
         assert out.strip() == "-25/144"
 
+    @pytest.mark.parametrize("spec", ["boost:2,3:1/2 boost:1,3:2", "boost:2,3:2 boost:1,3:1/3"])
+    def test_tratnik_route_takes_boosts_below_one(self, capsys, spec):
+        outputs = []
+        for route in ("tratnik", "gf"):
+            code, out, err = run_cli(
+                capsys, "eval", "--route", route, "--subgroup", spec,
+                "--degrees", "2,1", "--point", "1,2",
+            )
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        code, out, err = run_cli(capsys, "verify", "--suite", "factorization", "--subgroup", spec)
+        assert (code, err) == (0, "") and out.startswith("PASS factorization")
+
     def test_dompe3_route_matches_gf(self, capsys):
         spec = "rotation:1,2:1/2 boost:2,3:2 rotation:1,2:2/3"
         code, out1, _ = run_cli(
@@ -227,6 +241,36 @@ class TestEval:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert magnitude in err
+
+    def test_exact_routes_take_a_beta_past_the_float_range(self, capsys):
+        outputs = []
+        for route in ("gf", "raising", "hyp"):
+            code, out, err = run_cli(
+                capsys, "eval", "--route", route, "--beta", "1e400",
+                "--degrees", "2,1", "--point", "3,2",
+            )
+            assert (code, err) == (0, ""), route
+            outputs.append(out)
+        assert len(set(outputs)) == 1
+        for route, spec in CLOSED_FORMS:
+            outputs = []
+            for each in (route, "gf"):
+                code, out, err = run_cli(
+                    capsys, "eval", "--route", each, "--subgroup", spec, "--beta", "1e400",
+                    "--degrees", "2,1", "--point", "3,2",
+                )
+                assert (code, err) == (0, ""), each
+                outputs.append(out)
+            assert outputs[0] == outputs[1], route
+
+    @pytest.mark.parametrize("value", ["orthonormal", "matrix-element"])
+    def test_float_values_at_a_beta_past_the_float_range_exit_3(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "eval", "--value", value, "--beta", "1e400",
+            "--degrees", "1,1", "--point", "1,1",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: beta is about 10^400.0, past the float range\n"
 
     def test_far_gf_fill_is_refused_within_seconds(self, capsys):
         # about 6e7 coefficient cells: the store refuses the fill up front
@@ -638,6 +682,22 @@ class TestVerify:
         assert out == ""
         assert err == f"error: beta must be positive, got {beta}\n"
 
+    def test_routes_take_a_beta_past_the_float_range(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "routes", "--beta", "1e400")
+        assert (code, err) == (0, "")
+        assert out.startswith("PASS route-equivalence")
+
+    @pytest.mark.parametrize("suite, extra", [
+        ("orthogonality", []),
+        ("addition", ["--tuples", "1"]),
+        ("subgroup-unitarity", []),
+        ("multivariate", ["--degree-max", "0", "--coord-max", "1"]),
+    ])
+    def test_float_suites_at_a_beta_past_the_float_range_exit_3(self, capsys, suite, extra):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--beta", "1e400", *extra)
+        assert (code, out) == (3, "")
+        assert err == "error: beta is about 10^400.0, past the float range\n"
+
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
@@ -774,7 +834,7 @@ SUITE_RUN_SIZE = {
     "multivariate": ["--degree-max", "0", "--coord-max", "1"],
     "addition": ["--tuples", "1"],
 }
-NUMBERS = ["2", "7/3", "1/2", "0", "-1", "nan", "inf", "3/0", "x"]
+NUMBERS = ["2", "7/3", "1/2", "0", "-1", "1e400", "nan", "inf", "3/0", "x"]
 TOLS = ["1e-8", "0", "-1e-8", "nan", "inf", "x"]
 BOXES = ["0,0,0,0", "1,0,0,1", "1,1,1,1", "1,1", "-1,0,0,0", "a,b,c,d"]
 SUBGROUPS = [

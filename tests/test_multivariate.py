@@ -51,6 +51,60 @@ def system_d3_float():
     return MeixnerSystemD(2, random_matrix(D3_SEED, 3, 5), ScalarMode.FLOAT)
 
 
+class _Index:
+    """An integer by ``__index__`` only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Index({self.value})"
+
+
+class TestMultiIndex:
+    """A tuple of d plain non-negative ints is taken as it is; every other
+    input is converted entry by entry or refused with one message."""
+
+    @pytest.mark.parametrize("value, d", [((3, 4), 2), ((0,), 1), ((1, 2, 3), 3)])
+    def test_plain_tuple_is_returned_as_it_is(self, value, d):
+        assert multivariate._as_multi_index(value, d, "point") is value
+
+    @pytest.mark.parametrize("value, expected", [
+        ((True, 2), (1, 2)),
+        ((False, True), (0, 1)),
+        ((_Index(3), 4), (3, 4)),
+        ([3, 4], (3, 4)),
+        (range(2), (0, 1)),
+    ])
+    def test_other_integer_sequences_are_converted(self, value, expected):
+        idx = multivariate._as_multi_index(value, 2, "point")
+        assert idx == expected and type(idx) is tuple
+        assert [type(v) for v in idx] == [int, int]
+
+    @pytest.mark.parametrize("value, d, shown", [
+        ((3.0, 4), 2, "(3.0, 4)"),
+        ((F(3), 4), 2, "(Fraction(3, 1), 4)"),
+        ((3, "4"), 2, "(3, '4')"),
+        ((-1, 4), 2, "(-1, 4)"),
+        ((3, -4), 2, "(3, -4)"),
+        ((_Index(-1), 2), 2, "(_Index(-1), 2)"),
+        ((3, 4, 5), 2, "(3, 4, 5)"),
+        ((3,), 2, "(3,)"),
+        ((), 2, "()"),
+        ([], 1, "[]"),
+        (3, 2, "3"),
+        (None, 2, "None"),
+        ("34", 2, "'34'"),
+    ])
+    def test_anything_else_is_refused_with_one_message(self, value, d, shown):
+        with pytest.raises(ValueError) as info:
+            multivariate._as_multi_index(value, d, "point")
+        assert str(info.value) == f"point must be {d} non-negative integers, got {shown}"
+
+
 class TestConstruction:
     def test_rejects_non_generic(self):
         with pytest.raises(NonGenericMatrix):

@@ -122,9 +122,23 @@ class TestFactorizedForm:
                             sys2, m, n, i, k
                         )
 
-    def test_requires_boost_parameters_above_one(self):
-        with pytest.raises(PreconditionError):
-            factorized_eval(2, F(1, 2), 2, 0, 0, 0, 0)
+    @pytest.mark.parametrize("t_xi, t_psi", [(1, 2), (2, 1), (F(-1, 2), 2), (2, 0)])
+    def test_requires_boost_parameters_positive_and_not_one(self, t_xi, t_psi):
+        with pytest.raises(PreconditionError, match="positive and != 1"):
+            factorized_eval(2, t_xi, t_psi, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("t_xi, t_psi", [(F(1, 2), 2), (2, F(1, 3))])
+    def test_boost_parameters_below_one_match_oracle(self, t_xi, t_psi):
+        # a boost with 0 < t < 1 has a negative sinh and is as valid as 1/t
+        lam = compose(boost((2, 3), t_psi, 2), boost((1, 3), t_xi, 2))
+        sys2 = MeixnerSystem(2, lam)
+        for m in range(4):
+            for n in range(4 - m):
+                for i in range(5):
+                    for k in range(5):
+                        assert factorized_eval(2, t_xi, t_psi, m, n, i, k) == monic_eval_gf(
+                            sys2, m, n, i, k
+                        )
 
     def test_rational_point_is_the_product_of_meixner_factors(self):
         # a polynomial in (i, k), so unlike the lattice routes it takes rational points
@@ -201,7 +215,8 @@ class TestClosedFormConstants:
     gives the same values."""
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: factorized_eval(2, F(1, 2), 2, 0, 0, 0, 0), "both boost parameters > 1"),
+        (lambda: factorized_eval(2, 1, 2, 0, 0, 0, 0), "positive and != 1"),
+        (lambda: factorized_eval(2, 2, F(-1, 2), 0, 0, 0, 0), "positive and != 1"),
         (lambda: general_sum_eval(2, 1, 2, F(2, 3), 0, 0, 0, 0), "must avoid"),
         (lambda: general_sum_eval(2, F(1, 2), -2, F(2, 3), 0, 0, 0, 0), "positive and != 1"),
     ])
