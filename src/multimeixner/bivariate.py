@@ -256,9 +256,11 @@ def _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first_axis: bool) -> float:
 
 
 def _hyperbolic_me(beta, t, i: int, k: int, m: int, n: int, first_axis: bool) -> float:
+    """The boost element at any t > 0 but the identity t = 1; at 1/t it is
+    the transposed element at t, U(g^-1) = U(g)^T."""
     beta, t = require_beta(beta), as_rational(t)
-    if t <= 1:
-        raise PreconditionError(f"need t > 1 so the element is nontrivial, got {t}")
+    if t <= 0 or t == 1:
+        raise PreconditionError(f"boost parameter must be positive and != 1, got {t}")
     ch, sh = boost_trig(t)
     return _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first_axis)
 

@@ -48,9 +48,9 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
-from operator import add, getitem, index, le, mul, sub
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain, compress, repeat
+from operator import add, getitem, index, le, lt, mul, not_, sub
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
 from .lorentz import PseudoRotation, inverse_tilde, require_generic
@@ -79,7 +79,8 @@ SHELL_CAP = 400
 # fill of more coefficients than this is refused too.
 POINT_BUDGET = 10**6
 # the Gram loop adds its kept points' products to the Gram entries in
-# blocks of this many points, which bounds the memory of a shell's batch
+# blocks of at least this many points (a block is flushed after the run
+# that fills it), which bounds the memory of a shell's batch
 GRAM_BLOCK = 64
 
 MultiIndex = Tuple[int, ...]
@@ -1056,9 +1057,123 @@ def matrix_element_d(sys: MeixnerSystemD, x: Sequence[int], n: Sequence[int]) ->
     return sys._raising.matrix_element(x, _as_multi_index(n, sys.d, "degrees"))
 
 
-def _orthonormal_prefactor_d(sys: MeixnerSystemD, n: MultiIndex) -> float:
-    """(-1)^|n| sqrt((b)_|n| / n!) prod_i (L[d][i]/L[d][d])^n_i."""
-    return (-1) ** sum(n) * _LogMass(sys.beta, sys.lam, row=True).root(n)
+def _orthonormal_prefactor_d(
+    sys: MeixnerSystemD, n: MultiIndex, mass: Optional[_LogMass] = None
+) -> float:
+    """(-1)^|n| sqrt((b)_|n| / n!) prod_i (L[d][i]/L[d][d])^n_i, read from
+    ``mass``, the system's row mass, when one is given."""
+    if mass is None:
+        mass = _LogMass(sys.beta, sys.lam, row=True)
+    return (-1) ** sum(n) * mass.root(n)
+
+
+def _shell_runs(shell: int, d: int):
+    """Cube shell ``shell`` (the points of [0, shell]^d with largest
+    coordinate shell) as runs ``(head, ys, tail)``: the points head + (y,)
+    + tail for y in the range ys, in lexicographic order.  A prefix of the
+    first d - 2 coordinates that touches the shell gives shell + 1 lines
+    along the last axis; one that does not gives the run along axis d - 2
+    with the last coordinate at the shell, then the line through the
+    prefix and the shell along the last axis."""
+    if d == 1:
+        yield (), range(shell, shell + 1), ()
+        return
+    for outer in itertools.product(range(shell + 1), repeat=d - 2):
+        if shell in outer:
+            for p in range(shell + 1):
+                yield outer + (p,), range(shell + 1), ()
+        else:
+            yield outer, range(shell), (shell,)
+            yield outer + (shell,), range(shell + 1), ()
+
+
+class _GramFamily:
+    """The orthonormal polynomials of ``degrees`` in float, each as its
+    prefactor times the coefficients of ``monic_poly_coeffs_d``, set out
+    for evaluation along runs of points where one coordinate y varies.
+
+    On a run along ``axis`` the other coordinates are fixed, so a degree-n
+    polynomial collapses to sum_k C_k y^k with C_k = sum_r coef[r with k
+    inserted at axis] * prod_i fixed_i^r_i over the monomials r of the
+    fixed coordinates with |r| <= |n| - k, in graded order, each added left
+    to right.  Horner then runs v = C_|n|, v = v y + C_k down to k = 0 over
+    all of the run's points at once.  The degrees are held in ``order``,
+    by total degree from the highest, so that the degrees still in Horner
+    at step k are a prefix of that order, and every step is a few C-level
+    ``map`` calls over one flat list of all active degrees' values.
+    """
+
+    def __init__(self, sys: MeixnerSystemD, degrees: List[MultiIndex]):
+        d = sys.d
+        totals = list(map(sum, degrees))
+        top = max(totals)
+        mass = _LogMass(sys.beta, sys.lam, row=True)
+        coeffs = []
+        for n in degrees:
+            pref = _orthonormal_prefactor_d(sys, n, mass)
+            poly = monic_poly_coeffs_d(sys, n)
+            coeffs.append({mono: pref * float(c) for mono, c in poly.items()})
+        monos = list(_simplex_lattice(top, d))
+        self.mono_degrees = list(map(sum, monos))
+        self.abs_rows = [
+            [abs(row.get(mono, 0.0)) for mono in monos[: math.comb(t + d, d)]]
+            for t, row in zip(totals, coeffs)
+        ]
+        self.order = sorted(range(len(degrees)), key=lambda a: -totals[a])
+        # the monomials of the d - 1 fixed coordinates in graded order, each
+        # but the first an earlier one times one coordinate
+        reduced = list(_simplex_lattice(top, d - 1)) if d > 1 else [()]
+        position = {r: j for j, r in enumerate(reduced)}
+        self.steps = []
+        for r in reduced[1:]:
+            i = _first_axis(r)
+            self.steps.append((position[_step_down(r, i)], i))
+        # per run axis, Horner step by step from k = top: the coefficients
+        # of the products coef * fixed monomial, the monomials they read,
+        # each C_k's slice of the products, and how many degrees are live
+        self.tables = {}
+        for axis in {max(d - 2, 0), d - 1}:
+            coefs, gather, slices, active = [], [], [], []
+            for k in range(top, -1, -1):
+                live = [a for a in self.order if totals[a] >= k]
+                for a in live:
+                    start = len(coefs)
+                    for j, r in enumerate(reduced[: math.comb(totals[a] - k + d - 1, d - 1)]):
+                        coefs.append(coeffs[a].get(r[:axis] + (k,) + r[axis:], 0.0))
+                        gather.append(j)
+                    slices.append(slice(start, len(coefs)))
+                active.append(len(live))
+            self.tables[axis] = coefs, gather, slices, active
+
+    def bound(self, shell: int) -> float:
+        """V(S) = max_n sum |coef| S^|mono|, which bounds every polynomial
+        of the family on shell S."""
+        powers = [float(shell**t) for t in self.mono_degrees]
+        return max(sum(map(mul, row, powers)) for row in self.abs_rows)
+
+    def values(self, axis: int, fixed: MultiIndex, ys: List[int]) -> List[float]:
+        """The values at the points ``fixed`` with y inserted at ``axis``,
+        y over ``ys``: len(ys) values per degree, degrees in ``order``."""
+        monomials = [1.0]
+        for parent, i in self.steps:
+            monomials.append(monomials[parent] * fixed[i])
+        coefs, gather, slices, active = self.tables[axis]
+        products = list(map(mul, coefs, map(monomials.__getitem__, gather)))
+        collapsed = list(map(sum, map(products.__getitem__, slices)))
+        m = len(ys)
+        points = ys * len(self.order)
+        values: List[float] = []
+        start = held = 0  # held: the degrees already in Horner
+        for live in active:
+            terms = collapsed[start : start + held]
+            entering = collapsed[start + held : start + live]
+            tiled = chain.from_iterable(map(repeat, terms, repeat(m)))
+            values = [
+                *map(add, map(mul, values, points), tiled),
+                *chain.from_iterable(map(repeat, entering, repeat(m))),
+            ]
+            start, held = start + live, live
+        return values
 
 
 def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float, what: str):
@@ -1072,18 +1187,22 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
     declared non-convergent.  Every polynomial is bounded on shell S by
     V(S) = max_n sum |coef| S^|mono|, so a point whose weight times V(S)^2
     is below tol/100 * 1e-10 cannot move any Gram entry by more than that
-    and is skipped.  A point's weight is exp(heads[|x|] + sum_i
-    axes[i][x_i]), read from the ``_LogMass`` tables of heads up to d S and
-    axes up to S, which grow with the shell; no weight is kept per point.
-    The polynomial coefficients are those of ``sys`` itself.
+    and is skipped.  A point's weight is exp(heads[|x|] + (partial +
+    axes[d-1][x_d])), partial = sum_{i < d-1} axes[i][x_i], read from the
+    ``_LogMass`` tables of heads up to d S and axes up to S, which grow
+    with the shell; no weight is kept per point.  The polynomial
+    coefficients are those of ``sys`` itself.
 
-    A shell is walked as lines: each prefix of the first d - 1 coordinates
-    sums its axes once, and the last coordinate runs over [0, S] where the
-    prefix touches S, else over S alone.  The kept points' values are
-    added to the Gram entries in blocks of GRAM_BLOCK points, one C-level
-    ``sum`` per entry and block.  Up to CPython 3.11 ``sum`` adds floats
-    left to right, so every entry is the point-by-point sum bit for bit;
-    from 3.12 ``sum`` compensates its float additions, so an entry may
+    A shell is walked as runs (``_shell_runs``), stretches of points in
+    lexicographic order where one coordinate varies.  Each run takes its
+    weights in one C-level ``map`` of ``math.exp`` and its skip test in
+    another, and the values at its kept points come from one collapse onto
+    the run axis and one Horner sweep (``_GramFamily.values``), one value
+    column per degree.  The columns are added to the Gram entries in
+    blocks of at least GRAM_BLOCK points, one C-level ``sum`` per entry and
+    block, in point order.  Up to CPython 3.11 ``sum`` adds floats left to
+    right, so every entry is the point-by-point sum of these values bit for
+    bit; from 3.12 ``sum`` compensates its float additions, so an entry may
     differ from that sum in its last bits.
 
     Returns the largest deviation and the first degree pair (upper
@@ -1092,30 +1211,14 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
     sys.require_mode(ScalarMode.FLOAT, what)
     require_tol(tol)
     d = sys.d
-    top = max(map(sum, degrees))
-    # monomials in graded order: those of degree <= t come first, and each
-    # but the first is an earlier one times one variable
-    monos = list(_simplex_lattice(top, d))
-    index = {mono: pos for pos, mono in enumerate(monos)}
-    steps = []
-    for mono in monos[1:]:
-        axis = _first_axis(mono)
-        steps.append((index[_step_down(mono, axis)], axis))
-    mono_degrees = [sum(mono) for mono in monos]
-    # each polynomial as prefactor * coefficient over its first monomials
-    rows = []
-    for n in degrees:
-        row = [0.0] * math.comb(sum(n) + d, d)
-        pref = _orthonormal_prefactor_d(sys, n)
-        for mono, c in monic_poly_coeffs_d(sys, n).items():
-            row[index[mono]] = pref * float(c)
-        rows.append(row)
-
+    family = _GramFamily(sys, degrees)
     mass = _LogMass(sys.beta, sys.lam)
     heads: List[float] = []
     axes: List[List[float]] = [[] for _ in range(d)]
     count = len(degrees)
     pairs = [(a, b) for a in range(count) for b in range(a, count)]
+    column = {a: pos for pos, a in enumerate(family.order)}
+    links = [(column[a], column[b]) for a, b in pairs]  # the pairs' value columns
     gram = [0.0] * len(pairs)
     threshold = tol / 100.0
     negligible = threshold * 1e-10
@@ -1132,31 +1235,38 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
         heads += [mass.head(t) for t in range(len(heads), d * shell + 1)]
         for i, table in enumerate(axes):
             table.append(mass.axis(i, shell))
-        bound = max(sum(abs(c) * shell**t for c, t in zip(row, mono_degrees)) for row in rows)
+        bound = family.bound(shell)
         bound_sq = bound * bound
         start = gram  # gram is rebound below, never changed in place
-        kept: List[List[float]] = []  # values of the block's kept points
-        kept_weighted: List[List[float]] = []
-        for prefix in itertools.product(range(shell + 1), repeat=d - 1):
-            partial = sum(map(getitem, axes, prefix))
-            base = sum(prefix)
-            for last in range(shell + 1) if shell in prefix else (shell,):
-                wt = math.exp(heads[base + last] + (partial + axes[-1][last]))
-                if wt * bound_sq < negligible:
-                    continue
-                x = prefix + (last,)
-                monomial_values = [1.0]
-                for parent, axis in steps:
-                    monomial_values.append(monomial_values[parent] * x[axis])
-                values = [sum(map(mul, row, monomial_values)) for row in rows]
-                kept.append(values)
-                kept_weighted.append([wt * v for v in values])
-                if len(kept) == GRAM_BLOCK:
-                    gram = _gram_add(gram, pairs, kept, kept_weighted)
-                    kept, kept_weighted = [], []
-        if kept:
-            gram = _gram_add(gram, pairs, kept, kept_weighted)
-        if shell >= 1 and max(abs(new - old) for new, old in zip(gram, start)) < threshold:
+        cols: List[List[float]] = [[] for _ in range(count)]  # the block, degrees in order
+        weights: List[float] = []
+        for head, ys, tail in _shell_runs(shell, d):
+            axis = len(head)
+            partial = sum(map(getitem, axes, head))
+            run_terms = axes[axis][ys.start : ys.stop]
+            if tail:  # along axis d - 2, the last coordinate at the shell
+                partials, lasts = map(add, repeat(partial), run_terms), repeat(axes[-1][shell])
+            else:
+                partials, lasts = repeat(partial), run_terms
+            base = sum(head) + sum(tail)
+            logs = map(add, heads[base + ys.start : base + ys.stop], map(add, partials, lasts))
+            wts = list(map(math.exp, logs))
+            # kept: not wt * bound_sq < negligible
+            keep = list(map(not_, map(lt, map(mul, wts, repeat(bound_sq)), repeat(negligible))))
+            if not any(keep):
+                continue
+            kept_ys = list(compress(ys, keep))
+            values = family.values(axis, head + tail, kept_ys)
+            m = len(kept_ys)
+            for col, at in zip(cols, range(0, len(values), m)):
+                col += values[at : at + m]
+            weights += compress(wts, keep)
+            if len(weights) >= GRAM_BLOCK:
+                gram = _gram_add(gram, links, cols, weights)
+                cols, weights = [[] for _ in range(count)], []
+        if weights:
+            gram = _gram_add(gram, links, cols, weights)
+        if shell >= 1 and max(map(abs, map(sub, gram, start))) < threshold:
             break
         shell += 1
 
@@ -1171,11 +1281,12 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
     return max_disc, first
 
 
-def _gram_add(gram: List[float], pairs, kept, kept_weighted) -> List[float]:
-    """gram[a, b] + sum_p kept_weighted[p][a] kept[p][b] for every pair,
-    each entry's products added left to right in point order."""
-    cols, wcols = list(zip(*kept)), list(zip(*kept_weighted))
-    return [sum(map(mul, wcols[a], cols[b]), g) for (a, b), g in zip(pairs, gram)]
+def _gram_add(gram: List[float], links, cols, weights) -> List[float]:
+    """gram entry + sum_p weights[p] cols[a][p] cols[b][p] for every entry
+    and its pair (a, b) of value columns in ``links``, each entry's products
+    (w v_a) v_b added left to right in point order."""
+    wcols = [list(map(mul, weights, col)) for col in cols]
+    return [sum(map(mul, wcols[a], cols[b]), g) for (a, b), g in zip(links, gram)]
 
 
 def check_orthogonality_d(sys: MeixnerSystemD, degree_box: int, tol: float) -> EvalReport:

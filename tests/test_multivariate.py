@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -544,20 +545,55 @@ def _cube_surface(shell, d):
             yield prefix + (shell,)
 
 
+@functools.lru_cache(maxsize=None)
+def _collapse_terms(d, axis, k, room):
+    """The monomials r of the d - 1 coordinates other than ``axis`` with
+    |r| <= room, in graded order, each with its monomial of d coordinates
+    that has k at ``axis``."""
+    reduced = _simplex_lattice(room, d - 1) if d > 1 else [()]
+    return [(r[:axis] + (k,) + r[axis:], r) for r in reduced]
+
+
+def _collapsed_horner(rows, totals, index, x, axis):
+    """The values at x of the polynomials with coefficients ``rows``
+    (monomial positions in ``index``) and total degrees ``totals``, each
+    collapsed onto ``axis``: C_k = sum of row[r with k at axis] times the
+    value of r at the other coordinates, over their monomials r with
+    |r| <= total - k in graded order, each value an earlier one times one
+    coordinate; then Horner in x[axis] from k = total down."""
+    fixed = x[:axis] + x[axis + 1 :]
+    reduced = list(_simplex_lattice(max(totals), len(fixed))) if fixed else [()]
+    value = {reduced[0]: 1.0}
+    for r in reduced[1:]:
+        i = next(i for i, v in enumerate(r) if v)
+        value[r] = value[r[:i] + (r[i] - 1,) + r[i + 1 :]] * fixed[i]
+    results = []
+    for row, total in zip(rows, totals):
+        collapsed = [
+            sum(
+                row[index[mono]] * value[r]
+                for mono, r in _collapse_terms(len(x), axis, k, total - k)
+            )
+            for k in range(total + 1)
+        ]
+        result = collapsed[total]
+        for c in reversed(collapsed[:total]):
+            result = result * x[axis] + c
+        results.append(result)
+    return results
+
+
 def _reference_gram_discrepancy(sys_, degrees, tol):
     """The Gram sum added point by point over each cube shell in
     lexicographic order, with the skip rule and stopping rule of
-    ``multivariate._gram_discrepancy``."""
+    ``multivariate._gram_discrepancy``, each value in the collapsed Horner
+    form on the axis of the point's run."""
     d = sys_.d
     top = max(map(sum, degrees))
     monos = list(_simplex_lattice(top, d))
     index = {mono: pos for pos, mono in enumerate(monos)}
-    steps = []
-    for mono in monos[1:]:
-        axis = next(i for i, v in enumerate(mono) if v)
-        below = mono[:axis] + (mono[axis] - 1,) + mono[axis + 1 :]
-        steps.append((index[below], axis))
     mono_degrees = [sum(mono) for mono in monos]
+    totals = [sum(n) for n in degrees]
     rows = []
     for n in degrees:
         row = [0.0] * math.comb(sum(n) + d, d)
@@ -584,10 +620,8 @@ def _reference_gram_discrepancy(sys_, degrees, tol):
             wt = math.exp(heads[sum(x)] + sum(table[v] for table, v in zip(axes, x)))
             if wt * bound_sq < negligible:
                 continue
-            monomial_values = [1.0]
-            for parent, axis in steps:
-                monomial_values.append(monomial_values[parent] * x[axis])
-            values = [sum(r * m for r, m in zip(row, monomial_values)) for row in rows]
+            axis = 0 if d == 1 else d - 1 if shell in x[:-1] else d - 2
+            values = _collapsed_horner(rows, totals, index, x, axis)
             weighted = [wt * v for v in values]
             contribs = [wa * vb for a, wa in enumerate(weighted) for vb in values[a:]]
             gram = [g + c for g, c in zip(gram, contribs)]
@@ -616,6 +650,39 @@ class TestGramSum:
         ref_disc, ref_first = _reference_gram_discrepancy(sysf, degrees, tol)
         assert first == ref_first
         assert max_disc == pytest.approx(ref_disc, rel=0, abs=GRAM_SUM_TOL)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_the_run_walk_is_the_shell_walk(self, d):
+        for shell in range(6):
+            runs = multivariate._shell_runs(shell, d)
+            points = [head + (y,) + tail for head, ys, tail in runs for y in ys]
+            assert points == list(_cube_surface(shell, d))
+
+    @pytest.mark.parametrize("beta, lam, degrees", [
+        (2, random_matrix(5, 1, 3), [(n,) for n in range(8)]),
+        (2, harness.canonical_lambda(), lattice((4, 4))),
+        (F(7, 3), random_matrix(7, 3, 5), sorted(_simplex_lattice(3, 3))),
+    ], ids=["d1", "d2-canonical", "d3-seed7"])
+    def test_run_columns_match_exact_values(self, beta, lam, degrees):
+        # at shell 300 the monomials of degree 7 and up pass 2^53, so neither
+        # the collapse nor the Horner steps are exact there
+        sysf = MeixnerSystemD(beta, lam, ScalarMode.FLOAT)
+        family = multivariate._GramFamily(sysf, degrees)
+        exact = [monic_poly_coeffs_d(sysf, n) for n in degrees]
+        prefactors = [multivariate._orthonormal_prefactor_d(sysf, n) for n in degrees]
+        for shell in (0, 1, 7, 60, 150, 300):
+            runs = list(multivariate._shell_runs(shell, sysf.d))
+            bound = family.bound(shell)
+            for head, ys, tail in runs[:: max(1, len(runs) // 5)]:
+                ys = list(ys)[:: max(1, len(ys) // 4)]
+                values = family.values(len(head), head + tail, ys)
+                m = len(ys)
+                for pos, a in enumerate(family.order):
+                    column = values[pos * m : (pos + 1) * m]
+                    for y, value in zip(ys, column):
+                        x = head + (y,) + tail
+                        poly = sum(c * math.prod(map(pow, x, mono)) for mono, c in exact[a].items())
+                        assert abs(value - prefactors[a] * float(poly)) <= 1e-13 * bound
 
     def test_tampered_coefficient_fails_the_report(self, monkeypatch):
         # the constant term of R_(1,0) moved by 1/100: the family is no

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -62,8 +63,22 @@ class TestHyperbolicElements:
             hyperbolic_column_norm(2, F(2), 1, 0, True, 1e-8)
 
     def test_trivial_parameter_rejected(self):
-        with pytest.raises(PreconditionError):
-            hyperbolic_me_xi(2, 1, 0, 0, 0, 0)
+        for t in (1, 0, F(-1, 2)):
+            with pytest.raises(PreconditionError, match="positive and != 1"):
+                hyperbolic_me_xi(2, t, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("fn", [hyperbolic_me_xi, hyperbolic_me_psi])
+    @pytest.mark.parametrize("beta", [2, F(7, 3)])
+    @pytest.mark.parametrize("t", [F(2), F(3)])
+    def test_inverse_boost_is_the_transpose(self, fn, beta, t):
+        # U(g^-1) = U(g)^T: the element at 1/t is the transposed one at t
+        for i, k, m, n in itertools.product(range(6), repeat=4):
+            assert fn(beta, 1 / t, i, k, m, n) == fn(beta, t, m, n, i, k)
+
+    @pytest.mark.parametrize("first_axis", [True, False])
+    def test_column_norm_below_one(self, first_axis):
+        norm = hyperbolic_column_norm(2, F(1, 2), 2, 1, first_axis, 1e-8)
+        assert norm == pytest.approx(1.0, abs=1e-8)
 
     def test_high_level_stays_in_log_space(self):
         # the monic value at level 900 passes the float range; the element does not
