@@ -82,7 +82,7 @@ from .numerics import (
     series_mul,
 )
 from .reports import EvalReport, LatticeBox
-from .univariate import krawtchouk, meixner, monic_meixner
+from .univariate import krawtchouk, meixner
 
 __version__ = "0.1.0"
 

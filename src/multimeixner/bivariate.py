@@ -37,8 +37,15 @@ from operator import mul
 from typing import Callable, Dict, Tuple
 
 from . import multivariate
-from .errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
-from .lorentz import PseudoRotation, boost_trig, compose, rotation_trig
+from .errors import ModeError, NonConvergence, NonGenericMatrix
+from .lorentz import (
+    PseudoRotation,
+    boost_trig,
+    compose,
+    require_boost_param,
+    require_rotation_param,
+    rotation_trig,
+)
 from .lorentz import identity as lorentz_identity
 from .multivariate import (
     MeixnerSystemD,
@@ -46,7 +53,6 @@ from .multivariate import (
     _LogMass,
     _RaisingTable,
     _as_multi_index,
-    _float_beta,
     _gram_discrepancy,
     _hyp_contract,
     _hyp_tensor,
@@ -68,6 +74,7 @@ from .numerics import (
     log_abs,
     pochhammer,
     require_beta,
+    require_float,
     require_tol,
     rising_row,
     # unused here: the benchmark tracer binds these three on this module
@@ -251,17 +258,15 @@ def _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first_axis: bool) -> float:
     scale = pochhammer(gamma, var) * pochhammer(gamma, deg)
     scale /= math.factorial(var) * math.factorial(deg)
     # in log space: the monic value and the scale pass 1e308 at high levels
-    log = log_abs(rational) + 0.5 * log_abs(scale) - _float_beta(gamma) * log_abs(ch)
+    log = log_abs(rational) + 0.5 * log_abs(scale) - require_float(gamma, "beta") * log_abs(ch)
     return (1 if rational > 0 else -1) * math.exp(log)
 
 
 def _hyperbolic_me(beta, t, i: int, k: int, m: int, n: int, first_axis: bool) -> float:
     """The boost element at any t > 0 but the identity t = 1; at 1/t it is
     the transposed element at t, U(g^-1) = U(g)^T."""
-    beta, t = require_beta(beta), as_rational(t)
-    if t <= 0 or t == 1:
-        raise PreconditionError(f"boost parameter must be positive and != 1, got {t}")
-    ch, sh = boost_trig(t)
+    beta = require_beta(beta)
+    ch, sh = boost_trig(require_boost_param(t))
     return _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first_axis)
 
 
@@ -297,10 +302,7 @@ def elliptic_me(beta, s, i: int, k: int, m: int, n: int) -> float:
     level i + k itself, exactly as the closed form states.
     """
     require_beta(beta)  # beta does not enter the element, but it must be a valid parameter
-    s = as_rational(s)
-    if s == 0 or s * s == 1:
-        raise PreconditionError(f"rotation parameter must avoid {{0, 1, -1}}, got {s}")
-    cos, sin = rotation_trig(s)
+    cos, sin = rotation_trig(require_rotation_param(s))
     return _elliptic_me_core(cos, sin, i, k, m, n)
 
 
@@ -313,13 +315,9 @@ def _factorized_constants(beta, t_xi, t_psi):
     """beta and the 2F1 arguments z = -1/sh^2 of both boosts of
     ``factorized_eval``, once per parameter set."""
     beta = require_beta(beta)
-    t_xi = as_rational(t_xi)
-    t_psi = as_rational(t_psi)
-    for t in (t_xi, t_psi):
-        if t <= 0 or t == 1:
-            raise PreconditionError(f"boost parameter must be positive and != 1, got {t}")
+    sh_xi, sh_psi = (boost_trig(require_boost_param(t))[1] for t in (t_xi, t_psi))
     # Meixner at c = tanh^2 is the 2F1 at z = 1 - 1/c = -1/sh^2
-    return beta, -1 / boost_trig(t_xi)[1] ** 2, -1 / boost_trig(t_psi)[1] ** 2
+    return beta, -1 / sh_xi**2, -1 / sh_psi**2
 
 
 def factorized_eval(beta, t_xi, t_psi, m: int, n: int, i: int, k: int) -> Fraction:
@@ -351,19 +349,11 @@ def _general_sum_constants(beta, s_chi, t_psi, s_theta):
     beta, -tan^2 of both rotations, the 2F1 arguments of the three
     factors and the factor 1 / (tan_chi tan_theta sh_psi th_psi)."""
     beta = require_beta(beta)
-    s_chi = as_rational(s_chi)
-    s_theta = as_rational(s_theta)
-    t_psi = as_rational(t_psi)
-    for s in (s_chi, s_theta):
-        if s == 0 or s * s == 1:
-            raise PreconditionError(f"rotation parameters must avoid {{0, 1, -1}}, got {s}")
-    if t_psi <= 0 or t_psi == 1:
-        raise PreconditionError(f"boost parameter must be positive and != 1, got {t_psi}")
-    cos_chi, sin_chi = rotation_trig(s_chi)
-    cos_th, sin_th = rotation_trig(s_theta)
+    cos_chi, sin_chi = rotation_trig(require_rotation_param(s_chi))
+    cos_th, sin_th = rotation_trig(require_rotation_param(s_theta))
+    ch_psi, sh_psi = boost_trig(require_boost_param(t_psi))
     tan_chi = sin_chi / cos_chi
     tan_th = sin_th / cos_th
-    ch_psi, sh_psi = boost_trig(t_psi)
     th_psi = sh_psi / ch_psi
     inv_factor = 1 / (tan_chi * tan_th * sh_psi * th_psi)
     # Krawtchouk at p is the 2F1 at z = 1/p; Meixner at c = tanh^2 at -1/sh^2

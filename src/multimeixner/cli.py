@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ from .errors import (
     PreconditionError,
 )
 from .lorentz import SubgroupParam, matrix_from_json, matrix_to_json_obj
-from .numerics import ScalarMode, float_str, log_abs, rational_str
+from .numerics import ScalarMode, float_str, rational_str, require_float
 from .reports import LatticeBox
 
 EXIT_PASS = 0
@@ -75,7 +74,8 @@ def _add_matrix_source(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--factors",
         type=int,
-        help=f"factors of a --seed or default product (default {harness.DEFAULT_FACTORS})",
+        help=f"factors of a --seed product (default {harness.DEFAULT_FACTORS}, or d when d is"
+        " larger; a default product takes at least 5 and at least d)",
     )
     parser.add_argument(
         "--subgroup",
@@ -165,7 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-matrix", help="emit a seeded generic matrix as JSON")
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--d", type=int, default=2)
-    p_gen.add_argument("--factors", type=int, default=harness.DEFAULT_FACTORS)
+    p_gen.add_argument(
+        "--factors", type=int, help=f"default {harness.DEFAULT_FACTORS}, or d when d is larger"
+    )
     p_gen.add_argument("--out", metavar="FILE")
     p_gen.set_defaults(func=cmd_gen_matrix)
 
@@ -175,12 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _monic_str(value: Fraction, mode) -> str:
     if mode != "float":
         return rational_str(value)
-    try:
-        return float_str(float(value))
-    except OverflowError:
-        raise PreconditionError(
-            f"the monic value is about 10^{log_abs(value) / math.log(10):.1f}, past the float range"
-        ) from None
+    return float_str(require_float(value, "the monic value"))
 
 
 def cmd_eval(args) -> int:

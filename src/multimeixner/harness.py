@@ -20,7 +20,7 @@ from . import bivariate, multivariate
 from .errors import MatrixValidationError, NonConvergence, PreconditionError
 from .lorentz import PseudoRotation, SubgroupParam, is_generic, product_of
 from .numerics import ScalarMode, as_rational, require_beta, require_tol
-from .reports import EvalReport, LatticeBox, exact_report, lattice
+from .reports import EvalReport, LatticeBox, lattice
 
 CANONICAL_PARAMS = (
     SubgroupParam("rotation", (1, 2), Fraction(1, 2)),
@@ -94,16 +94,19 @@ def _joins_all_axes(params: Sequence[SubgroupParam], d: int) -> bool:
     return len({find(axis) for axis in range(1, d + 2)}) == 1
 
 
-# factors of a --seed product when --factors is not given
+# factors of a --seed product when --factors is not given, or d when d is larger
 DEFAULT_FACTORS = 4
 
 
 def random_matrix(
-    seed: int, d: int = 2, num_factors: int = DEFAULT_FACTORS, gentle: bool = False
+    seed: int, d: int = 2, num_factors: Optional[int] = None, gentle: bool = False
 ) -> PseudoRotation:
-    """Deterministic generic product of boosts and rotations."""
+    """Deterministic generic product of ``num_factors`` boosts and
+    rotations; None takes ``DEFAULT_FACTORS``, or d when d is larger."""
     if d < 1:
         raise ValueError(f"--d must be at least 1, got {d}")
+    if num_factors is None:
+        num_factors = max(DEFAULT_FACTORS, d)
     # a tree joining the d + 1 axes has d edges, one per factor plane
     if num_factors < d:
         raise ValueError(f"--factors must be at least d = {d}, got {num_factors}")
@@ -121,7 +124,7 @@ def random_matrix(
 
 
 def random_system(
-    seed: int, d: int = 2, beta=2, num_factors: int = DEFAULT_FACTORS, mode=ScalarMode.EXACT
+    seed: int, d: int = 2, beta=2, num_factors: Optional[int] = None, mode=ScalarMode.EXACT
 ):
     """Seeded random system; same seed always yields the same matrix."""
     lam = random_matrix(seed, d, num_factors)
@@ -149,10 +152,11 @@ def resolve_matrix(
     --subgroup.
 
     With none of them it is the canonical matrix when d = 2 and no
-    ``default_seed`` is given, else the product of at least 5 and at
-    least d factors drawn from ``default_seed`` (0 when not given).  Only a
-    drawn matrix reads ``factors`` (--factors, ``DEFAULT_FACTORS`` when not
-    given); any other rejects it.
+    ``default_seed`` is given, else a matrix drawn from ``default_seed``
+    (0 when not given).  Only a drawn matrix reads ``factors`` (--factors);
+    any other rejects it.  A --seed draw takes ``random_matrix``'s count
+    when ``factors`` is None; a default draw, and every draw of a caller
+    with a ``default_seed``, takes at least 5 and at least d factors.
     """
     if sum(source is not None for source in (matrix, seed, subgroup)) > 1:
         raise MatrixValidationError("give at most one of --matrix, --seed, --subgroup")
@@ -167,11 +171,10 @@ def resolve_matrix(
     if seed is None and default_seed is None and d == 2:
         check_reads("the canonical matrix", (), factors=factors)
         return canonical_lambda()
-    if factors is None:
-        factors = DEFAULT_FACTORS
-    if seed is not None:
+    if seed is not None and default_seed is None:
         return random_matrix(seed, d, factors)
-    return random_matrix(default_seed or 0, d, max(factors, 5, d))
+    drawn_from = seed if seed is not None else default_seed or 0
+    return random_matrix(drawn_from, d, max(factors or 0, 5, d))
 
 
 def check_reads(who: str, reads: Sequence[str], **given):
@@ -255,15 +258,19 @@ def _bivariate_system(config: SuiteConfig, mode: ScalarMode) -> bivariate.Meixne
 
 def _oracle_report(identity: str, box, cells, oracle, candidates) -> EvalReport:
     """Exact report on ``route(*cell) - oracle(*cell)`` over the cells for
-    each (name, route) candidate; a counterexample is the cell, followed by
+    each (name, route) candidate: the largest discrepancy and, as the
+    counterexample, the first nonzero one's cell in cell order, followed by
     the route's name when it has one."""
-
-    def residuals(cell):
+    max_disc, counter = Fraction(0), None
+    for cell in cells:
         ref = oracle(*cell)
         for name, route in candidates:
-            yield (cell if name is None else (*cell, name)), route(*cell) - ref
-
-    return exact_report(identity, box, cells, residuals)
+            res = route(*cell) - ref
+            if res:
+                max_disc = max(max_disc, abs(res))
+                if counter is None:
+                    counter = cell if name is None else (*cell, name)
+    return EvalReport(identity, box, ScalarMode.EXACT, max_disc, counter)
 
 
 def suite_routes(config: SuiteConfig) -> List[EvalReport]:
@@ -416,8 +423,8 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
     """Exact route agreement plus float orthogonality in d variables.
 
     d is --d, else the d of --matrix, else 3; the default matrix is seed 31,
-    and --seed draws as many factors as the default, at least 5 and at
-    least d.
+    and a --seed draw takes at least 5 and at least d factors as the
+    default does (``resolve_matrix``).
     """
     degree_max = config.degree_max if config.degree_max is not None else 3
     coord_max = config.coord_max if config.coord_max is not None else 3
@@ -430,15 +437,14 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
         d = config.d
     else:
         d = config.matrix.d if config.matrix is not None else 3
-    factors = config.factors
-    if config.seed is not None:
-        factors = max(DEFAULT_FACTORS if factors is None else factors, 5, d)
-    lam = resolve_matrix(d, config.matrix, config.seed, config.subgroup, factors, default_seed=31)
+    lam = resolve_matrix(
+        d, config.matrix, config.seed, config.subgroup, config.factors, default_seed=31
+    )
     sys_exact = multivariate.MeixnerSystemD(config.beta, lam, ScalarMode.EXACT)
 
     degrees = list(multivariate._simplex_lattice(degree_max, d))
     points = lattice((coord_max,) * d)
-    exact_report = _oracle_report(
+    route_report = _oracle_report(
         "multivariate-route-equivalence",
         {"d": d, "max_total_degree": degree_max, "coord_max": coord_max},
         itertools.product(degrees, points),
@@ -451,7 +457,7 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
     tol = config.tol if config.tol is not None else 1e-7
     sys_float = multivariate.MeixnerSystemD(config.beta, lam, ScalarMode.FLOAT)
     float_report = multivariate.check_orthogonality_d(sys_float, min(degree_max, 2), tol)
-    return [exact_report, float_report]
+    return [route_report, float_report]
 
 
 @dataclass(frozen=True)

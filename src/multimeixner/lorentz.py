@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .errors import NonGenericMatrix, NotOrthochronous, NotPseudoOrthogonal
+from .errors import NonGenericMatrix, NotOrthochronous, NotPseudoOrthogonal, PreconditionError
 from .numerics import as_rational, rational_str
 
 Row = Tuple[Fraction, ...]
@@ -104,6 +104,24 @@ def rotation_trig(s: Fraction) -> Tuple[Fraction, Fraction]:
     """(cos, sin) = ((1 - s^2), 2s)/(1 + s^2) of the rotation parameter s."""
     denom = 1 + s * s
     return (1 - s * s) / denom, 2 * s / denom
+
+
+def require_boost_param(t) -> Fraction:
+    """The boost parameter of a closed form as a rational, rejected unless
+    it is positive and not the identity t = 1."""
+    t = as_rational(t)
+    if t <= 0 or t == 1:
+        raise PreconditionError(f"boost parameter must be positive and != 1, got {t}")
+    return t
+
+
+def require_rotation_param(s) -> Fraction:
+    """The rotation parameter of a closed form as a rational, rejected at
+    s = 0 (the identity) and s = +-1 (a quarter turn, cos = 0)."""
+    s = as_rational(s)
+    if s == 0 or s * s == 1:
+        raise PreconditionError(f"rotation parameter must avoid {{0, 1, -1}}, got {s}")
+    return s
 
 
 def boost(plane: Tuple[int, int], t, d: int) -> PseudoRotation:

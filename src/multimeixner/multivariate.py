@@ -59,9 +59,10 @@ from .numerics import (
     _exponents_of_degree,
     _int_column,
     _scaled_list,
-    log_abs,
+    past_float_range,
     pochhammer,
     require_beta,
+    require_float,
     require_tol,
     rising_row,
     # series_geom_pow, series_mul and solve_linear_system are unused here:
@@ -169,17 +170,6 @@ class MeixnerSystemD:
         return f"{type(self).__name__}(beta={self.beta}, mode={self.mode.value}, lam={self.lam})"
 
 
-def _float_beta(beta: Fraction) -> float:
-    """beta as a float, for the float values; a beta past the float range is
-    refused with ``PreconditionError``."""
-    try:
-        return float(beta)
-    except OverflowError:
-        raise PreconditionError(
-            f"beta is about 10^{log_abs(beta) / math.log(10):.1f}, past the float range"
-        ) from None
-
-
 class _LogMass:
     """The float mass log((b)_t / x! prod_i r_i^(2 x_i)), t = |x|, as
     ``head(t) + sum_i axis(i, x_i)`` from ``math.lgamma``, for the ratios
@@ -193,7 +183,7 @@ class _LogMass:
     def __init__(self, beta, lam: PseudoRotation, row: bool = False):
         e, d = lam.entries, lam.d
         ratios = [(e[d][i] if row else e[i][d]) / e[d][d] for i in range(d)]
-        self.b = _float_beta(beta)
+        self.b = require_float(beta, "beta")
         self.offset = -math.lgamma(self.b) - (0.0 if row else 2.0 * self.b * math.log(e[d][d]))
         self.logs = [2.0 * math.log(abs(r)) for r in ratios]
         self.negative = [r < 0 for r in ratios]
@@ -492,7 +482,7 @@ class _RaisingTable:
     @cached_property
     def log_norm(self):
         """Each degree's log of (qE)^|n| sqrt((b)_|n| n!)."""
-        b, log_qe = _float_beta(self.beta), math.log(self.scale)
+        b, log_qe = require_float(self.beta, "beta"), math.log(self.scale)
         return lru_cache(maxsize=None)(
             lambda n: sum(n) * log_qe
             + 0.5 * (math.lgamma(b + sum(n)) - math.lgamma(b) + sum(math.lgamma(v + 1) for v in n))
@@ -625,9 +615,7 @@ class _RaisingTable:
         try:
             return (sign if value > 0 else -sign) * math.exp(log)
         except OverflowError:
-            raise PreconditionError(
-                f"the {what} is about 10^{log / math.log(10):.1f}, past the float range"
-            ) from None
+            raise past_float_range(f"the {what}", log) from None
 
     def matrix_element(self, x: MultiIndex, n: MultiIndex) -> float:
         """<x| F(L) |n>: the signed amplitude at x times the orthonormal value."""
@@ -659,18 +647,22 @@ class _HypTable(dict):
     one-off call reads its rows only as far as that reach; the first point
     that reaches past it rebuilds the entry once at |n| on every axis, so a
     sweep builds each degree twice; a rebuilt entry starts with no
-    partials.  The table keeps its rows too: (-a)_t by (a, reach) in
-    ``negs`` and, by (row, length) in ``rows``, cleared to integers from
-    its own beta = p/q and u, ``"invbeta"``, 1/(b)_t = q^t / prod_{s<t}
-    (p + s q), and each (a, j), (1 - u[a][j])^e / e!.
+    partials.  The table keeps its rows too, one row per key, the longest
+    asked for, of which a shorter request reads a prefix: (-a)_t by a in
+    ``negs`` and, by row in ``rows``, cleared to integers from its own
+    beta = p/q and u, ``"invbeta"``, 1/(b)_t = q^t / prod_{s<t} (p + s q),
+    and each (a, j), (1 - u[a][j])^e / e!.  A row comes back whole: every
+    reader stops at its own length (a slice, or the shorter operand of a
+    ``zip``/``map``), and a longer row's larger denominator leaves the
+    normalised values as they are.
     """
 
     def __init__(self, beta: Fraction, u):
         super().__init__()
         self.p, self.q = beta.numerator, beta.denominator
         self.bases = [[1 - v for v in row] for row in u]
-        self.rows: Dict[Tuple[object, int], Tuple[int, List[int]]] = {}
-        self.negs: Dict[Tuple[int, int], List[int]] = {}
+        self.rows: Dict[object, Tuple[int, List[int]]] = {}
+        self.negs: Dict[int, List[int]] = {}
 
     def value(self, n: MultiIndex, x: MultiIndex) -> Fraction:
         """The monic value R_n(x)."""
@@ -691,7 +683,7 @@ class _HypTable(dict):
             return entry
         top = sum(n)
         caps = tuple(reach) if entry is None else (top,) * len(n)
-        negn = [rising_row(-nj, 1, min(nj, sum(caps))) for nj in n]
+        negn = [self.neg(nj, min(nj, sum(caps))) for nj in n]
         den, invbeta = self.row("invbeta", min(top, sum(caps)))
         dens, powers = zip(*[self.row((a, j), min(nj, cap))
                              for j, nj in enumerate(n) for a, cap in enumerate(caps)])
@@ -700,17 +692,17 @@ class _HypTable(dict):
         return entry
 
     def neg(self, a: int, reach: int) -> List[int]:
-        """The row (-a)_t for t = 0..reach."""
-        row = self.negs.get((a, reach))
-        if row is None:
-            row = self.negs[(a, reach)] = rising_row(-a, 1, reach)
+        """The row (-a)_t for t = 0..reach at least."""
+        row = self.negs.get(a)
+        if row is None or len(row) <= reach:
+            row = self.negs[a] = rising_row(-a, 1, reach)
         return row
 
     def row(self, row, length: int) -> Tuple[int, List[int]]:
-        """The row ``row`` up to ``length`` as (denominator, integer numerators)."""
-        key = (row, length)
-        cached = self.rows.get(key)
-        if cached is None:
+        """The row ``row`` up to ``length`` at least, as (denominator,
+        integer numerators)."""
+        cached = self.rows.get(row)
+        if cached is None or len(cached[1]) <= length:
             if row == "invbeta":
                 rising = rising_row(self.p, self.q, length)
                 values = [Fraction(self.q**t, r) for t, r in enumerate(rising)]
@@ -719,7 +711,7 @@ class _HypTable(dict):
                 values = [Fraction(1)]
                 for e in range(1, length + 1):
                     values.append(values[-1] * self.bases[a][j] / e)
-            cached = self.rows[key] = _scaled_list(values)
+            cached = self.rows[row] = _scaled_list(values)
         return cached
 
 

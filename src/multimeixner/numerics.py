@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+from .errors import PreconditionError
+
 Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
@@ -71,6 +73,20 @@ def log_abs(value: Fraction) -> float:
     shift = num.bit_length() - den.bit_length()
     mantissa = num / (den << shift) if shift >= 0 else (num << -shift) / den
     return math.log(mantissa) + shift * math.log(2)
+
+
+def past_float_range(what: str, log: float) -> PreconditionError:
+    """The refusal of ``what``, of natural log ``log``, as past the float range."""
+    return PreconditionError(f"{what} is about 10^{log / math.log(10):.1f}, past the float range")
+
+
+def require_float(value: Fraction, what: str) -> float:
+    """The rational as a float; past the float range it is refused with
+    ``PreconditionError``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise past_float_range(what, log_abs(value)) from None
 
 
 # bounded: keys pile up across systems, and an entry grows with n

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .numerics import ScalarMode, float_str, rational_str
 
@@ -86,24 +86,6 @@ class EvalReport:
         if self.counterexample is not None:
             parts.append(f"counterexample={self.counterexample}")
         return "  ".join(parts)
-
-
-def exact_report(identity: str, box, cells: Iterable, residuals: Callable) -> EvalReport:
-    """Exact report over the cells: the largest discrepancy and the first
-    counterexample.
-
-    ``residuals(cell)`` yields (label, residual) pairs; the counterexample
-    is the label of the first nonzero residual in cell order, or None.
-    """
-    max_disc = Fraction(0)
-    counter = None
-    for cell in cells:
-        for label, res in residuals(cell):
-            if res:
-                max_disc = max(max_disc, abs(res))
-                if counter is None:
-                    counter = label
-    return EvalReport(identity, box, ScalarMode.EXACT, max_disc, counter)
 
 
 def column_report(identity: str, max_n, max_x, columns, transposed=False) -> EvalReport:

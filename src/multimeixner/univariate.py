@@ -62,27 +62,6 @@ def meixner(n: int, x, delta, c) -> Fraction:
     return Fraction(*_hyp2f1_pair(n, x, (delta.numerator, delta.denominator), 1 - 1 / c))
 
 
-def monic_meixner(n: int, x, delta, c) -> Fraction:
-    """Monic Meixner polynomial m_n(x) built from its three-term recurrence.
-
-    Linked to meixner() by M_n(x; delta; c) = ((c-1)/c)^n / (delta)_n * m_n(x).
-    """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    x = as_rational(x)
-    delta = as_rational(delta)
-    c = as_rational(c)
-    if c == 1:
-        raise ZeroDivisionError("recurrence coefficients are singular at c = 1")
-    prev = Fraction(0)  # m_{-1}
-    cur = Fraction(1)  # m_0
-    for j in range(n):
-        diag = (j + (j + delta) * c) / (1 - c)
-        sub = j * (j + delta - 1) * c / (1 - c) ** 2
-        cur, prev = (x - diag) * cur - sub * prev, cur
-    return cur
-
-
 def krawtchouk(n: int, x, p, N: int) -> Fraction:
     """Krawtchouk polynomial K_n(x; p; N) as a terminating 2F1 at 1/p.
 

@@ -120,7 +120,7 @@ class TestRouteEquivalence:
 
 class TestHypRows:
     """The hypergeometric route reads its table's rows, cleared to
-    integers once per (row, length)."""
+    integers and kept once per row at the longest length asked for."""
 
     SMALL = [(m, n, i, k) for m in range(3) for n in range(3 - m) for i in range(3) for k in range(3)]
     LARGE = [(m, n, i, k) for m, n in ((4, 2), (1, 5), (3, 3)) for i, k in ((5, 6), (7, 2), (2, 7))]
@@ -134,9 +134,14 @@ class TestHypRows:
                             (large_first, self.LARGE + self.SMALL)):
             for cell in cells:
                 assert monic_eval_hyp(sys2, *cell) == monic_eval_gf(oracle, *cell)
-            lengths = {length for row, length in sys2._hyp.rows if row == (0, 0)}
-            assert len(lengths) > 1  # rows of several lengths side by side
-        assert small_first._hyp.rows.keys() == large_first._hyp.rows.keys()
+            # one row per key: a shorter request read a prefix of a longer row
+            assert set(sys2._hyp.rows) <= {"invbeta", (0, 0), (0, 1), (1, 0), (1, 1)}
+        rows = [
+            {key: [F(v, den) for v in nums] for key, (den, nums) in sys2._hyp.rows.items()}
+            for sys2 in (small_first, large_first)
+        ]
+        assert rows[0] == rows[1]
+        assert small_first._hyp.negs == large_first._hyp.negs
 
     def test_rows_belong_to_one_system(self, canonical_matrix):
         first, second = MeixnerSystem(2, canonical_matrix), MeixnerSystem(2, canonical_matrix)
@@ -242,14 +247,16 @@ class TestHypGrid:
         }
         for (m, n), ((A, B), _den, grid, _partials) in sys2._hyp.items():
             assert len(grid) == A + 1 and max(map(len, grid)) == B + 1
-        # the row lengths the per-point four-index loop read before the grid
-        reach = set()
+        # each row is kept at the longest of the lengths the per-point
+        # four-index loop read before the grid
+        reach = {}
         for m, n, i, k in calls:
-            reach |= {
+            for row, length in (
                 ("invbeta", min(m + n, i + k)), ((0, 0), min(m, i)), ((1, 0), min(m, k)),
                 ((0, 1), min(n, i)), ((1, 1), min(n, k)),
-            }
-        assert set(sys2._hyp.rows) == reach
+            ):
+                reach[row] = max(reach.get(row, 0), length)
+        assert {row: len(nums) - 1 for row, (_, nums) in sys2._hyp.rows.items()} == reach
 
     @pytest.mark.parametrize("cell", [(2, 3, 3, 2), (1, 1, 6, 0), (0, 2, 1, 5), (3, 0, 0, 4)])
     def test_kernel_matches_fraction_sum_on_system_rows(self, seeded_systems, cell):

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multimeixner import multivariate
+from multimeixner import harness, multivariate
 from multimeixner.cli import _parse_subgroup, main
 from multimeixner.harness import random_matrix, resolve_matrix
 from multimeixner.lorentz import matrix_to_json, product_of
@@ -440,6 +440,17 @@ SUBGROUP_D3 = "boost:3,4:3/2 rotation:1,2:1/2 boost:1,4:4/3 rotation:2,3:1/3"
 
 
 class TestVerify:
+    def test_oracle_report_keeps_the_largest_residual_and_the_first_label(self):
+        cells = [(0,), (1,), (2,)]
+        odd = lambda x: F(x % 2, 3)
+        neg = lambda x: F(-x)
+        for candidates, counter in (([(None, odd), ("neg", neg)], (1,)),
+                                    ([("neg", neg), (None, odd)], (1, "neg"))):
+            report = harness._oracle_report("t", {}, cells, lambda x: F(0), candidates)
+            assert (report.max_abs_discrepancy, report.counterexample) == (2, counter)
+        report = harness._oracle_report("t", {}, cells, odd, [(None, odd)])
+        assert (report.max_abs_discrepancy, report.counterexample, report.passed) == (0, None, True)
+
     def test_recurrence_passes(self, capsys, matrix_file):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "recurrence", "--matrix", matrix_file,
@@ -801,13 +812,31 @@ class TestGenMatrix:
 
     def test_fewer_factors_than_d_exits_2_before_drawing(self, capsys):
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "gen-matrix", "--seed", "3", "--d", "8")
+        code, out, err = run_cli(capsys, "gen-matrix", "--seed", "3", "--d", "8", "--factors", "4")
         assert time.perf_counter() - start < 1
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "--factors" in err and "8" in err
         code, out, _ = run_cli(capsys, "gen-matrix", "--seed", "3", "--d", "4", "--factors", "4")
         assert code == 0 and json.loads(out)["d"] == 4
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_a_seed_without_factors_draws_4_up_to_d_4(self, capsys, d):
+        code, out, _ = run_cli(capsys, "gen-matrix", "--seed", "3", "--d", str(d))
+        assert code == 0 and json.loads(out) == json.loads(matrix_to_json(random_matrix(3, d, 4)))
+
+    def test_a_seed_without_factors_draws_d_factors_past_d_4(self, capsys):
+        assert random_matrix(0, 5) == random_matrix(0, 5, 5)
+        code, out, err = run_cli(capsys, "gen-matrix", "--seed", "0", "--d", "5")
+        assert code == 0 and err == ""
+        assert json.loads(out) == json.loads(matrix_to_json(random_matrix(0, 5, 5)))
+        argv = ["eval", "--seed", "0", "--degrees", "1,0,0,0,0", "--point", "0,0,0,0,1"]
+        assert run_cli(capsys, *argv) == (0, "1\n", "")
+        # seed 3 finds no generic product of 5 factors; the refusal names no
+        # count below d that the user never gave
+        code, out, err = run_cli(capsys, "gen-matrix", "--seed", "3", "--d", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "raise --factors" in err and "got" not in err
 
     def test_planes_that_leave_an_axis_apart_fail_fast(self, capsys):
         # 8 planes seldom join all 9 axes; such draws are skipped unmultiplied

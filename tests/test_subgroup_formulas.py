@@ -240,6 +240,35 @@ class TestClosedFormConstants:
             with pytest.raises(PreconditionError, match=message):
                 call()
 
+    # every closed form reads its boost and rotation parameters through the
+    # one range rule of each kind, so each refuses with the same text
+    BOOST_SITES = {
+        "hyperbolic_me_xi": lambda t: hyperbolic_me_xi(2, t, 0, 0, 0, 0),
+        "hyperbolic_me_psi": lambda t: hyperbolic_me_psi(2, t, 0, 0, 0, 0),
+        "factorized_eval t_xi": lambda t: factorized_eval(2, t, 2, 0, 0, 0, 0),
+        "factorized_eval t_psi": lambda t: factorized_eval(2, 2, t, 0, 0, 0, 0),
+        "general_sum_eval t_psi": lambda t: general_sum_eval(2, F(1, 2), t, F(2, 3), 0, 0, 0, 0),
+    }
+    ROTATION_SITES = {
+        "elliptic_me": lambda s: elliptic_me(2, s, 0, 0, 0, 0),
+        "general_sum_eval s_chi": lambda s: general_sum_eval(2, s, 2, F(2, 3), 0, 0, 0, 0),
+        "general_sum_eval s_theta": lambda s: general_sum_eval(2, F(1, 2), 2, s, 0, 0, 0, 0),
+    }
+
+    @pytest.mark.parametrize("site", sorted(BOOST_SITES))
+    @pytest.mark.parametrize("t", [0, 1, F(-1, 2)])
+    def test_every_boost_site_refuses_with_the_shared_text(self, site, t):
+        with pytest.raises(PreconditionError) as caught:
+            self.BOOST_SITES[site](t)
+        assert str(caught.value) == f"boost parameter must be positive and != 1, got {t}"
+
+    @pytest.mark.parametrize("site", sorted(ROTATION_SITES))
+    @pytest.mark.parametrize("s", [0, 1, -1])
+    def test_every_rotation_site_refuses_with_the_shared_text(self, site, s):
+        with pytest.raises(PreconditionError) as caught:
+            self.ROTATION_SITES[site](s)
+        assert str(caught.value) == f"rotation parameter must avoid {{0, 1, -1}}, got {s}"
+
     def test_parameter_spelling_does_not_change_values(self):
         cells = [(1, 2, 3, 0), (2, 1, 1, 4), (0, 0, 2, 2)]
         for cell in cells:

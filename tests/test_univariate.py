@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multimeixner.numerics import pochhammer
-from multimeixner.univariate import krawtchouk, meixner, monic_meixner
+from multimeixner.univariate import krawtchouk, meixner
 
 
 def brute_force_meixner(n, x, delta, c):
@@ -18,6 +18,21 @@ def brute_force_meixner(n, x, delta, c):
             continue
         total += num * z**j / (pochhammer(delta, j) * math.factorial(j))
     return total
+
+
+def monic_meixner(n, x, delta, c):
+    """Recurrence oracle: the monic Meixner polynomial m_n(x) from its
+    three-term recurrence, linked to meixner() by
+    M_n(x; delta; c) = ((c-1)/c)^n / (delta)_n * m_n(x)."""
+    x, delta, c = F(x), F(delta), F(c)
+    if c == 1:
+        raise ZeroDivisionError("recurrence coefficients are singular at c = 1")
+    prev, cur = F(0), F(1)  # m_{-1}, m_0
+    for j in range(n):
+        diag = (j + (j + delta) * c) / (1 - c)
+        sub = j * (j + delta - 1) * c / (1 - c) ** 2
+        cur, prev = (x - diag) * cur - sub * prev, cur
+    return cur
 
 
 class TestMeixner:
