@@ -11,7 +11,8 @@ Route map
                           raising relations; descends in the base parameter
 * ``monic_eval_hyp``      the terminating four-index hypergeometric sum,
                           read from one integer coefficient tensor per
-                          degree (``hyp_sum`` is its one-shot form)
+                          degree, a product of linear forms (``hyp_sum``
+                          is the literal four-index loop, its oracle)
 * ``factorized_eval`` / ``general_sum_eval``
                           closed forms in univariate Meixner/Krawtchouk
                           factors, valid for specific product decompositions
@@ -33,7 +34,6 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 from typing import Callable, Dict, Tuple
 
 from . import multivariate
@@ -54,8 +54,6 @@ from .multivariate import (
     _RaisingTable,
     _as_multi_index,
     _gram_discrepancy,
-    _hyp_contract,
-    _hyp_tensor,
     check_difference_d,
     check_duality_d,
     check_lowering_d,
@@ -159,14 +157,23 @@ def monic_eval_hyp(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> Fracti
 
 
 def hyp_sum(m, n, i, k, negm, negn, negi, negk, invbeta, p11, p21, p12, p22):
-    """The four-index sum in one shot, in integers: the d = 2 tensor of
-    ``multivariate._hyp_tensor`` at the reach of (i, k) from the given rows
-    (each integer numerators over one denominator; pXY holds the powers of
-    1 - uXY over e!), contracted with the rows of (-i)_t and (-k)_t.  The
-    sum is the result over the product of the five row denominators."""
-    caps = (min(i, m + n), min(k, m + n))
-    tensor = _hyp_tensor((m, n), caps, [negm, negn], invbeta, [p11, p21, p12, p22])
-    return sum(map(mul, _hyp_contract(tensor, [negi]), negk))
+    """The four-index sum in one shot, in integers: the literal loop over
+    the matrices [[mu, rho], [nu, sigma]] (rows with i and k, columns with
+    m and n) of the rows (-a)_t in negA, and the numerators of 1/(b)_t in
+    invbeta and of (1 - uXY)^e / e! in pXY, the sum over their five
+    denominators.  An oracle of the ``multivariate`` tensor."""
+    total = 0
+    for mu in range(min(m, i) + 1):
+        for rho in range(min(n, i - mu) + 1):
+            if not (head := negi[mu + rho] * p11[mu] * p12[rho]):
+                continue
+            for nu in range(min(m - mu, k) + 1):
+                if not (left := head * negm[mu + nu] * p21[nu]):
+                    continue
+                for sigma in range(min(n - rho, k - nu) + 1):
+                    total += (left * negn[rho + sigma] * negk[nu + sigma]
+                              * invbeta[mu + nu + rho + sigma] * p22[sigma])
+    return total
 
 
 # ---------------------------------------------------------------------------

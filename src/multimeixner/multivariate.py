@@ -12,13 +12,14 @@ column per degree over one denominator: the checkers' residual columns
 are built on them.
 
 The hypergeometric route is one table (``_HypTable``) of one integer
-tensor per degree n, the convolution over the columns j of the matrix sum
-(``_hyp_tensor``), and its contractions over all axes but the last with
-the rows (-x_a)_r of each prefix x[:-1] asked for, so a point costs one
-dot product with its last row (-x_{d-1})_r.  The same tensor, grown to
-|n| on every axis, holds the polynomial's coefficients in the basis
-prod_a (-x_a)_{r_a}, from which ``monic_poly_coeffs_d`` reads the
-monomial coefficients.
+tensor per degree n, the coefficients of the product of linear forms
+prod_j (1 - sum_a (1 - u[a][j]) y_a)^n_j over (b)_|r|, multiplied out
+one form per unit of degree (``_hyp_tensor``), and its contractions over
+all axes but the last with the rows (-x_a)_r of each prefix x[:-1] asked
+for, so a point costs one dot product with its last row (-x_{d-1})_r.
+The same tensor, grown to |n| on every axis, holds the polynomial's
+coefficients in the basis prod_a (-x_a)_{r_a}, from which
+``monic_poly_coeffs_d`` reads the monomial coefficients.
 
 The bivariate module builds on this core: its ``MeixnerSystem`` is the
 d = 2 case, its routes and checkers call the ones here, and it adds what
@@ -324,10 +325,9 @@ class _GfStore(dict):
         # count is needed only past the budget
         if chain and len(chain) * math.comb(top + d, d) > POINT_BUDGET:
             if (cells := len(chain) * self.cells(top)) > POINT_BUDGET:
-                raise PreconditionError(
-                    f"the generating-function route would fill {cells}"
-                    f" coefficients ({len(chain)} points up to degree {top}), more than"
-                    f" {POINT_BUDGET}; use --route raising"
+                raise _over_budget(
+                    "generating-function", f"fill {cells} coefficients",
+                    f"{len(chain)} points up to degree {top}",
                 )
         for y in reversed(chain):
             entry = self.setdefault(y, _Layers())
@@ -639,29 +639,20 @@ class _HypTable(dict):
 
     The sum of prod_j (-n_j)_{col_j} prod_a (-x_a)_{row_a} prod_{a,j}
     (1 - u[a][j])^A_aj / A_aj! / (b)_|A|, grouped by the row sums r, is
-    sum_r C[r] prod_a (-x_a)_r_a / den, with C the integer tensor of
-    ``_hyp_tensor`` cut at ``caps`` and ``partials`` its contractions over
-    all axes but the last with the rows of each prefix x[:-1] asked for
-    (``_hyp_contract``), so a point costs one dot product with its last
-    row.  A degree's first entry is cut at its first point's reach, so a
-    one-off call reads its rows only as far as that reach; the first point
-    that reaches past it rebuilds the entry once at |n| on every axis, so a
-    sweep builds each degree twice; a rebuilt entry starts with no
-    partials.  The table keeps its rows too, one row per key, the longest
-    asked for, of which a shorter request reads a prefix: (-a)_t by a in
-    ``negs`` and, by row in ``rows``, cleared to integers from its own
-    beta = p/q and u, ``"invbeta"``, 1/(b)_t = q^t / prod_{s<t} (p + s q),
-    and each (a, j), (1 - u[a][j])^e / e!.  A row comes back whole: every
-    reader stops at its own length (a slice, or the shorter operand of a
-    ``zip``/``map``), and a longer row's larger denominator leaves the
-    normalised values as they are.
-    """
+    sum_r C[r] prod_a (-x_a)_r_a / den, C the tensor of ``_hyp_tensor``
+    cut at ``caps`` (1 - u = B / E cleared once per table), and
+    ``partials`` its contractions over all axes but the last with the rows
+    of each prefix x[:-1] asked for (``_hyp_contract``).  A degree's first
+    entry is cut at its first point's reach; the first point past it
+    rebuilds the entry at |n| on every axis, with no partials.  The rows
+    (-a)_t are kept by a in ``negs``, each the longest asked for."""
 
     def __init__(self, beta: Fraction, u):
         super().__init__()
         self.p, self.q = beta.numerator, beta.denominator
-        self.bases = [[1 - v for v in row] for row in u]
-        self.rows: Dict[object, Tuple[int, List[int]]] = {}
+        d = len(u)
+        self.denom, nums = _scaled_list([1 - u[a][j] for j in range(d) for a in range(d)])
+        self.forms = [nums[j * d : (j + 1) * d] for j in range(d)]  # B[a][j] by column j
         self.negs: Dict[int, List[int]] = {}
 
     def value(self, n: MultiIndex, x: MultiIndex) -> Fraction:
@@ -681,14 +672,8 @@ class _HypTable(dict):
         entry = self.get(n)
         if entry is not None and all(map(le, reach, entry[0])):
             return entry
-        top = sum(n)
-        caps = tuple(reach) if entry is None else (top,) * len(n)
-        negn = [self.neg(nj, min(nj, sum(caps))) for nj in n]
-        den, invbeta = self.row("invbeta", min(top, sum(caps)))
-        dens, powers = zip(*[self.row((a, j), min(nj, cap))
-                             for j, nj in enumerate(n) for a, cap in enumerate(caps)])
-        tensor = _hyp_tensor(n, caps, negn, invbeta, powers)
-        entry = self[n] = (caps, den * math.prod(dens), tensor, {})
+        caps = tuple(reach) if entry is None else (sum(n),) * len(n)
+        entry = self[n] = (caps, *_hyp_tensor(n, caps, self.p, self.q, self.denom, self.forms), {})
         return entry
 
     def neg(self, a: int, reach: int) -> List[int]:
@@ -698,22 +683,6 @@ class _HypTable(dict):
             row = self.negs[a] = rising_row(-a, 1, reach)
         return row
 
-    def row(self, row, length: int) -> Tuple[int, List[int]]:
-        """The row ``row`` up to ``length`` at least, as (denominator,
-        integer numerators)."""
-        cached = self.rows.get(row)
-        if cached is None or len(cached[1]) <= length:
-            if row == "invbeta":
-                rising = rising_row(self.p, self.q, length)
-                values = [Fraction(self.q**t, r) for t, r in enumerate(rising)]
-            else:
-                a, j = row
-                values = [Fraction(1)]
-                for e in range(1, length + 1):
-                    values.append(values[-1] * self.bases[a][j] / e)
-            cached = self.rows[row] = _scaled_list(values)
-        return cached
-
 
 def monic_eval_hyp_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
     """The terminating hypergeometric sum, read from the system's
@@ -722,56 +691,76 @@ def monic_eval_hyp_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) ->
     return sys._hyp.value(n, _as_multi_index(x, sys.d, "point"))
 
 
-def _hyp_tensor(n: MultiIndex, caps, negn, invbeta, powers):
-    """The integer tensor C[r], r <= caps and |r| <= |n|, one nested list per
-    axis: (b)_|r| C[r] is the convolution over j of the columns
-    X_j[v] = (-n_j)_|v| prod_a (1 - u[a][j])^v_a / v_a!, |v| <= n_j, from the
-    rows ``negn[j]`` of (-n_j)_t, ``powers[j d + a]`` of (1 - u[a][j])^e /
-    e! and ``invbeta`` of 1/(b)_t, each cleared to integers."""
-    tensor, d = None, len(n)
-    for j, nj in enumerate(n):
-        column = _hyp_column(powers[j * d : (j + 1) * d], caps, nj, negn[j])
-        tensor = column if j == 0 else _hyp_convolve([(tensor, column)], caps, sum(n[: j + 1]))
-    return _hyp_scaled(tensor, invbeta, d - 1)
+def _over_budget(route: str, work: str, detail: str) -> PreconditionError:
+    """The refusal of a request that a route prices past POINT_BUDGET."""
+    return PreconditionError(
+        f"the {route} route would {work} ({detail}), more than {POINT_BUDGET}; use --route raising"
+    )
 
 
-def _hyp_column(powers, caps, room: int, neg, acc=1):
-    """X_j[v] on the axes of ``powers`` (the rows of column j), below a
-    prefix with power product acc that leaves ``room`` of n_j, ``neg`` the
-    (-n_j)_t from that prefix's sum on."""
-    row, size = powers[0], min(room, caps[0]) + 1
-    if len(powers) == 1:
-        return [acc * p * t for p, t in zip(row[:size], neg)]
-    return [_hyp_column(powers[1:], caps[1:], room - v, neg[v:], acc * row[v]) for v in range(size)]
+def _hyp_tensor(n: MultiIndex, caps, p: int, q: int, denom: int, forms):
+    """(den, C), C cut at ``caps`` and |r| <= |n|, one nested list per axis:
+    by the multinomial theorem (b)_|r| C[r] / den is the coefficient of y^r
+    in prod_j (1 - sum_a (1 - u[a][j]) y_a)^n_j.  With 1 - u[a][j] =
+    B[a][j] / E (``forms[j]`` the B[a][j], E = ``denom``) and y = E z,
+    P = prod_j (1 - sum_a B[a][j] z_a)^n_j has P[r] = E^|r| (b)_|r| C[r] / den.
+    From the constant 1, P is multiplied by one linear form per unit of
+    each n_j over the cells of ``_hyp_plan`` up to its degree; no cell past
+    ``caps`` or |n| feeds one inside, so the cut is exact.  With b = p/q
+    and t the largest |r|, P[r] is then scaled by q^|r| E^(t - |r|)
+    prod_{|r|<=s<t} (p + s q), over den = E^t prod_{s<t} (p + s q).  A build
+    of more than POINT_BUDGET cell products (cells times |n|) is refused."""
+    top, d = sum(n), len(caps)
+    reach = min(top, sum(caps))
+    if math.comb(reach + d, d) * top > POINT_BUDGET:  # there are at most C(reach + d, d) cells
+        # the cells r <= caps, |r| <= reach, by inclusion and exclusion over the axes r passes
+        cells = sum((-1) ** k * math.comb(reach - sum(s) - k + d, d) for k in range(d + 1)
+                    for s in itertools.combinations(caps, k) if sum(s) + k <= reach)
+        if cells * top > POINT_BUDGET:
+            raise _over_budget("hypergeometric", f"form {cells * top} cell products",
+                               f"{cells} tensor cells times {top} linear factors")
+    counts, downs, order, grades = _hyp_plan(caps, reach)
+    poly = [1] + [0] * counts[-1]  # the last place stays 0
+    degree = 0
+    for nj, form in zip(n, forms):
+        for _ in range(nj):
+            degree += 1
+            size = counts[min(degree, reach)]
+            out = poly[:size]
+            for b, down in zip(form, downs):
+                if b:
+                    out = map(sub, out, map(b.__mul__, map(poly.__getitem__, down)))
+            poly[:size] = out  # read whole before the slice is replaced
+    rising = rising_row(p, q, reach)
+    scales = [q**t * denom ** (reach - t) * (rising[reach] // r) for t, r in enumerate(rising)]
+    flat = map(mul, map(poly.__getitem__, order), map(scales.__getitem__, grades))
+    return denom**reach * rising[reach], _hyp_nested(flat, caps, reach)
 
 
-def _hyp_convolve(pairs, caps, top: int, axis=0, s=0):
-    """sum left * right over the tensor ``pairs`` on the axes from ``axis`` on,
-    below a prefix of sum s, cut at caps and |r| <= top; the last axis is
-    added in C-level slices."""
-    size = min(caps[axis], top - s) + 1
-    if axis == len(caps) - 1:
-        out = [0] * size
-        for left, right in pairs:
-            for nu, v in enumerate(left):
-                if v:
-                    seg = right[: size - nu]
-                    end = nu + len(seg)
-                    out[nu:end] = map(add, out[nu:end], map(v.__mul__, seg))
-        return out
-    groups = [[] for _ in range(size)]
-    for left, right in pairs:
-        for mu, lsub in enumerate(left):
-            for rho, rsub in enumerate(right[: size - mu]):
-                groups[mu + rho].append((lsub, rsub))
-    return [_hyp_convolve(group, caps, top, axis + 1, s + t) for t, group in enumerate(groups)]
+@lru_cache(maxsize=256)
+def _hyp_plan(caps: MultiIndex, top: int):
+    """The cells r <= caps with |r| <= top by place in graded order (by |r|,
+    lexicographic within): the number of cells of degree up to t for each
+    t, per axis a the places of r - e_a (the place past the last cell where
+    r_a = 0), and each cell's place and |r| in lexicographic order."""
+    lex = [()]
+    for cap in caps:
+        lex = [r + (v,) for r in lex for v in range(min(cap, top - sum(r)) + 1)]
+    grades, graded = list(map(sum, lex)), sorted(lex, key=sum)
+    place = {r: pos for pos, r in enumerate(graded)}
+    counts = list(itertools.accumulate(map(grades.count, range(top + 1))))
+    end = len(lex)  # the place past the last cell, which stays 0
+    downs = [[place[_step_down(r, a)] if r[a] else end for r in graded] for a in range(len(caps))]
+    return counts, downs, [place[r] for r in lex], grades
 
 
-def _hyp_scaled(tensor, invbeta, depth: int, s=0):
-    """The tensor times invbeta[|r|], ``depth`` axes above the last."""
-    if not depth:
-        return list(map(mul, tensor, invbeta[s:]))
-    return [_hyp_scaled(sub, invbeta, depth - 1, s + v) for v, sub in enumerate(tensor)]
+def _hyp_nested(flat, caps, room: int):
+    """The values of the iterator ``flat``, one per r <= caps with |r| <=
+    room in lexicographic order, as one nested list per axis."""
+    size = min(caps[0], room) + 1
+    if len(caps) == 1:
+        return list(itertools.islice(flat, size))
+    return [_hyp_nested(flat, caps[1:], room - v) for v in range(size)]
 
 
 def _hyp_contract(tensor, negs):

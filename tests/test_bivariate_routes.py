@@ -119,8 +119,8 @@ class TestRouteEquivalence:
 
 
 class TestHypRows:
-    """The hypergeometric route reads its table's rows, cleared to
-    integers and kept once per row at the longest length asked for."""
+    """The hypergeometric route reads its table's rows (-x_a)_t, kept once
+    per row at the longest length asked for."""
 
     SMALL = [(m, n, i, k) for m in range(3) for n in range(3 - m) for i in range(3) for k in range(3)]
     LARGE = [(m, n, i, k) for m, n in ((4, 2), (1, 5), (3, 3)) for i, k in ((5, 6), (7, 2), (2, 7))]
@@ -134,24 +134,17 @@ class TestHypRows:
                             (large_first, self.LARGE + self.SMALL)):
             for cell in cells:
                 assert monic_eval_hyp(sys2, *cell) == monic_eval_gf(oracle, *cell)
-            # one row per key: a shorter request read a prefix of a longer row
-            assert set(sys2._hyp.rows) <= {"invbeta", (0, 0), (0, 1), (1, 0), (1, 1)}
-        rows = [
-            {key: [F(v, den) for v in nums] for key, (den, nums) in sys2._hyp.rows.items()}
-            for sys2 in (small_first, large_first)
-        ]
-        assert rows[0] == rows[1]
         assert small_first._hyp.negs == large_first._hyp.negs
 
     def test_rows_belong_to_one_system(self, canonical_matrix):
         first, second = MeixnerSystem(2, canonical_matrix), MeixnerSystem(2, canonical_matrix)
-        assert not first._hyp.rows and not second._hyp.rows
+        assert not first._hyp.negs and not second._hyp.negs
         monic_eval_hyp(first, 2, 1, 3, 2)
-        assert first._hyp.rows and not second._hyp.rows
+        assert first._hyp.negs and not second._hyp.negs
         monic_eval_hyp(second, 2, 1, 3, 2)
-        assert first._hyp.rows.keys() == second._hyp.rows.keys()
-        for key, (denom, nums) in first._hyp.rows.items():
-            assert second._hyp.rows[key][1] is not nums
+        assert first._hyp.negs.keys() == second._hyp.negs.keys()
+        for key, row in first._hyp.negs.items():
+            assert second._hyp.negs[key] is not row
 
     def test_kernel_on_cleared_rows_matches_fraction_sum(self):
         m, n, i, k = 2, 3, 3, 2
@@ -247,27 +240,22 @@ class TestHypGrid:
         }
         for (m, n), ((A, B), _den, grid, _partials) in sys2._hyp.items():
             assert len(grid) == A + 1 and max(map(len, grid)) == B + 1
-        # each row is kept at the longest of the lengths the per-point
-        # four-index loop read before the grid
-        reach = {}
-        for m, n, i, k in calls:
-            for row, length in (
-                ("invbeta", min(m + n, i + k)), ((0, 0), min(m, i)), ((1, 0), min(m, k)),
-                ((0, 1), min(n, i)), ((1, 1), min(n, k)),
-            ):
-                reach[row] = max(reach.get(row, 0), length)
-        assert {row: len(nums) - 1 for row, (_, nums) in sys2._hyp.rows.items()} == reach
 
     @pytest.mark.parametrize("cell", [(2, 3, 3, 2), (1, 1, 6, 0), (0, 2, 1, 5), (3, 0, 0, 4)])
     def test_kernel_matches_fraction_sum_on_system_rows(self, seeded_systems, cell):
         m, n, i, k = cell
         sys2 = seeded_systems[0]
-        rows = {}
-        for row, length in [
-            ("invbeta", min(m + n, i + k)), ((0, 0), min(m, i)), ((1, 0), min(m, k)),
-            ((0, 1), min(n, i)), ((1, 1), min(n, k)),
-        ]:
-            rows[row] = sys2._hyp.row(row, length)
+        u, beta = sys2.u, sys2.beta
+
+        def cleared(values):
+            # one common (not the least) denominator per row
+            denom = math.prod(v.denominator for v in values)
+            return denom, [int(v * denom) for v in values]
+
+        rows = {"invbeta": cleared([1 / pochhammer(beta, t) for t in range(min(m + n, i + k) + 1)])}
+        for (a, j), length in [((0, 0), min(m, i)), ((1, 0), min(m, k)),
+                               ((0, 1), min(n, i)), ((1, 1), min(n, k))]:
+            rows[a, j] = cleared([(1 - u[a][j]) ** e / math.factorial(e) for e in range(length + 1)])
         total = hyp_sum(
             m, n, i, k,
             rising_row(-m, 1, min(m, i + k)), rising_row(-n, 1, min(n, i + k)),
@@ -276,7 +264,6 @@ class TestHypGrid:
         )
         assert isinstance(total, int)
         brute = F(0)
-        u, beta = sys2.u, sys2.beta
         for mu, nu, rho, sigma in itertools.product(range(max(cell) + 1), repeat=4):
             brute += (
                 pochhammer(-m, mu + nu) * pochhammer(-n, rho + sigma)

@@ -3,10 +3,13 @@ import csv
 import io
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,12 +64,31 @@ class TestEval:
 
     def test_raising_route_has_no_depth_limit(self, capsys):
         # total degree 1200 descends 1200 levels; the value is the hyp
-        # route's, which takes seconds at this degree
-        code, out, err = run_cli(
-            capsys, "eval", "--route", "raising", "--degrees", "600,600", "--point", "1,1",
+        # route's, whose tensor at the point's reach has 4 cells
+        for route in ("raising", "hyp"):
+            code, out, err = run_cli(
+                capsys, "eval", "--route", route, "--degrees", "600,600", "--point", "1,1",
+            )
+            assert code == 0, err
+            assert out.strip() == "-231841232/243"
+
+    def test_hyp_build_past_the_budget_exits_3(self):
+        # 80,601 tensor cells times 400 linear factors; in a child process,
+        # so that an unbounded build fails the test instead of hanging it
+        src = str(Path(multivariate.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-m", "multimeixner", "eval", "--route", "hyp",
+             "--degrees", "200,200", "--point", "500,500"],
+            capture_output=True, text=True, env=env, timeout=60,
         )
-        assert code == 0, err
-        assert out.strip() == "-231841232/243"
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+        assert "Traceback" not in done.stderr
+        assert "80601 tensor cells times 400 linear factors" in done.stderr
+        assert "--route raising" in done.stderr
 
     def test_non_generic_matrix_exits_3(self, capsys, tmp_path):
         path = tmp_path / "id.json"

@@ -10,7 +10,7 @@ import pytest
 from multimeixner import harness, multivariate
 from multimeixner.bivariate import MeixnerSystem, check_orthogonality, monic_eval_gf, weight
 from multimeixner.cli import main
-from multimeixner.errors import ModeError, NonConvergence, NonGenericMatrix
+from multimeixner.errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
 from multimeixner.harness import random_matrix, random_system
 from multimeixner.lorentz import boost, identity
 from multimeixner.multivariate import (
@@ -369,6 +369,28 @@ class TestHypRoute:
         assert value == monic_eval_raising_d(system, (2, 1), (600, 500))
         assert len(system._hyp.negs[600]) == len(system._hyp.negs[500]) == 3 + 1
         assert max(map(len, system._hyp.negs.values())) <= min(500, 3) + 1
+
+    def test_large_degrees_agree_with_raising(self):
+        # the second point of each degree builds the full tensor: (60, 60)
+        # caps at (40, 20), (24, 24, 24) at (8, 8, 8)
+        for n, points in [((40, 20), [(1, 2), (1, 3), (30, 25)]),
+                          ((8, 8, 8), [(1, 2, 3), (5, 4, 6)])]:
+            system = random_system(42, len(n), F(7, 3))
+            for x in points:
+                assert monic_eval_hyp_d(system, n, x) == monic_eval_raising_d(system, n, x)
+            assert system._hyp[n][0] == (sum(n),) * len(n)
+
+    def test_a_build_past_the_budget_is_refused(self):
+        # 20,301 cells (r <= (200, 200), |r| <= 200) times 200 linear factors
+        system = random_system(42, 2, 2)
+        with pytest.raises(PreconditionError) as refusal:
+            monic_eval_hyp_d(system, (100, 100), (250, 250))
+        assert "4060200 cell products (20301 tensor cells times 200 linear factors)" in str(refusal.value)
+        assert "--route raising" in str(refusal.value)
+        assert not system._hyp
+        # the full (60, 60) tensor, 7,381 cells times 120, is built
+        caps, _den, tensor, _partials = system._hyp.entry((60, 60), (120, 120))
+        assert caps == (120, 120) and sum(map(len, tensor)) == 7381
 
 
 class TestPerDegreeConstants:
