@@ -34,6 +34,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Dict, Tuple
 
 from . import multivariate
@@ -42,6 +43,7 @@ from .lorentz import (
     PseudoRotation,
     boost_trig,
     compose,
+    inverse_tilde,
     require_boost_param,
     require_rotation_param,
     rotation_trig,
@@ -430,19 +432,9 @@ def _match_boost(lam: PseudoRotation, axis: int):
     return None
 
 
-def me_evaluator(beta, lam: PseudoRotation) -> Callable[[int, int, int, int], float]:
-    """Float evaluator (i, k, m, n) -> <i,k| F(lam) |m,n> for d = 2.
-
-    Dispatches on structure: identity, pure rotation, pure boosts (their
-    closed forms), otherwise the integer raising table of the core
-    (``multivariate._RaisingTable``), which needs a nonzero last column
-    but no nonzero last row.  Its values are exact integers until the one
-    log-space conversion, so an element is good to about rel 1e-13 even
-    on the level block i + k = m + n = 25.
-    """
-    if lam.d != 2:
-        raise ValueError("matrix elements implemented for d = 2")
-    beta = require_beta(beta)
+def _closed_form(beta: Fraction, lam: PseudoRotation):
+    """The closed-form evaluator (i, k, m, n) -> <i,k| F(lam) |m,n> of the
+    identity, a pure rotation or a pure boost, or None."""
     if _is_identity(lam):
         return lambda i, k, m, n: 1.0 if (i, k) == (m, n) else 0.0
     rot = _match_rotation(lam)
@@ -454,8 +446,51 @@ def me_evaluator(beta, lam: PseudoRotation) -> Callable[[int, int, int, int], fl
         if pair is not None:
             ch, sh, first = *pair, axis == 0
             return lambda i, k, m, n: _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first)
+    return None
+
+
+def me_evaluator(beta, lam: PseudoRotation) -> Callable[[int, int, int, int], float]:
+    """Float evaluator (i, k, m, n) -> <i,k| F(lam) |m,n> for d = 2.
+
+    Dispatches on structure: identity, pure rotation, pure boosts (their
+    closed forms), otherwise a one-point level read of the integer raising
+    table of the core (``multivariate._RaisingTable.matrix_elements``),
+    which needs a nonzero last column but no nonzero last row.  Its values
+    are exact integers until the one log-space conversion, so an element
+    is good to about rel 1e-13 even on the level block i + k = m + n = 25.
+    A table past ``POINT_BUDGET`` cells is refused with exit 3.
+    """
+    if lam.d != 2:
+        raise ValueError("matrix elements implemented for d = 2")
+    beta = require_beta(beta)
+    closed = _closed_form(beta, lam)
+    if closed is not None:
+        return closed
     table = _RaisingTable(beta, lam)
     return lambda i, k, m, n: table.matrix_element((i, k), (m, n))
+
+
+def _level_rows(beta: Fraction, lam: PseudoRotation, fixed: MultiIndex, left: bool):
+    """The reader of one factor of the addition sum: the points ys of a
+    level -> the elements <fixed| F(lam) |y> (``left``) or <y| F(lam)
+    |fixed> over ys.  A closed form is read point by point; otherwise a
+    right factor is one level read of its table at degree ``fixed``, and a
+    left factor, by U(L)_{x,y} = U(L~)_{y,x} with L~ = ``inverse_tilde(L)``,
+    one level read of L~'s table at degree ``fixed``.  Where L~ has a zero
+    in its last column (L one in its last row) the left factor is read
+    from L's own table, one degree at a time."""
+    closed = _closed_form(beta, lam)
+    if closed is not None:
+        if left:
+            return lambda ys: [closed(*fixed, *y) for y in ys]
+        return lambda ys: [closed(*y, *fixed) for y in ys]
+    table = _RaisingTable(beta, lam)  # a zero in the last column raises here
+    if not left:
+        return lambda ys: table.matrix_elements(ys, fixed)
+    if all(lam.entries[-1][:-1]):
+        tilde = _RaisingTable(beta, inverse_tilde(lam))
+        return lambda ys: tilde.matrix_elements(ys, fixed)
+    return lambda ys: [table.matrix_element(fixed, y) for y in ys]
 
 
 def check_addition(
@@ -468,15 +503,24 @@ def check_addition(
     n: int,
     tol: float,
 ) -> EvalReport:
-    """Group-product decomposition of a matrix element against the
-    adaptively truncated bilinear sum over intermediate states."""
+    """Group-product decomposition <i,k| F(AB) |m,n> against the adaptively
+    truncated bilinear sum over intermediate states y, level by level:
+
+      sum_L sum_{|y| = L} <i,k| F(A) |y> <y| F(B) |m,n>.
+
+    Each level's two rows come from ``_level_rows``: the right factor is
+    one level read of B's raising table at degree (m, n), and the left one,
+    by U(A)_{x,y} = U(A~)_{y,x} (the representation is unitary with real
+    elements and A~ = ``inverse_tilde(A)`` is A's inverse), one level read
+    of A~'s table at degree (i, k).  So each table holds one degree's chain
+    of at most |n| columns over a box doubled as the levels grow, priced
+    like any raising table.  The sum stops at the first level past both
+    degrees whose contribution is below tol / 100, or past SHELL_CAP."""
     require_tol(tol)
     beta = require_beta(beta)
-    C = compose(A, B)
-    me_a = me_evaluator(beta, A)
-    me_b = me_evaluator(beta, B)
-    me_c = me_evaluator(beta, C)
-
+    me_c = me_evaluator(beta, compose(A, B))  # refuses d != 2
+    row_a = _level_rows(beta, A, (i, k), True)
+    row_b = _level_rows(beta, B, (m, n), False)
     lhs = me_c(i, k, m, n)
     total = 0.0
     threshold = tol / 100.0
@@ -486,10 +530,8 @@ def check_addition(
             raise NonConvergence(
                 f"addition sum did not settle within {multivariate.SHELL_CAP} diagonal shells"
             )
-        contrib = 0.0
-        for rho in range(level + 1):
-            sigma = level - rho
-            contrib += me_a(i, k, rho, sigma) * me_b(rho, sigma, m, n)
+        ys = [(rho, level - rho) for rho in range(level + 1)]
+        contrib = sum(map(mul, row_a(ys), row_b(ys)))
         total += contrib
         if level >= max(m + n, i + k) and abs(contrib) < threshold:
             break

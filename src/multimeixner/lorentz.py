@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Tuple
 
 from .errors import NonGenericMatrix, NotOrthochronous, NotPseudoOrthogonal, PreconditionError
-from .numerics import as_rational, rational_str
+from .numerics import _scaled_list, as_rational, rational_str
 
 Row = Tuple[Fraction, ...]
 Entries = Tuple[Row, ...]
@@ -53,20 +54,30 @@ def _coerce_entries(matrix: Sequence[Sequence]) -> Entries:
 def validate(matrix: Sequence[Sequence]) -> PseudoRotation:
     """Check both defining invariants exactly and wrap the matrix."""
     rows = _coerce_entries(matrix)
+    denom, nums = _scaled_list([x for row in rows for x in row])
+    size = len(rows)
+    return _checked(rows, [nums[r * size : (r + 1) * size] for r in range(size)], denom)
+
+
+def _checked(rows: Entries, nums, denom: int) -> PseudoRotation:
+    """Wrap ``rows``, given also as the integer rows ``nums`` over
+    ``denom``, after checking transpose(N) @ eta @ N == denom^2 eta and
+    N[d][d] >= denom in integers; a failure names the rational entry."""
     size = len(rows)
     d = size - 1
-    eta = [1] * d + [-1]
+    square = denom * denom
+    cols = list(zip(*nums))
+    signed = [col[:d] + (-col[d],) for col in cols]  # eta @ N by column
     for a in range(size):
         for b in range(a, size):
-            acc = Fraction(0)
-            for r in range(size):
-                acc += rows[r][a] * eta[r] * rows[r][b]
-            expected = eta[a] if a == b else 0
-            if acc != expected:
+            acc = sum(map(mul, signed[a], cols[b]))
+            expected = (-1 if a == d else 1) if a == b else 0
+            if acc != expected * square:
                 raise NotPseudoOrthogonal(
-                    f"metric condition fails at ({a + 1},{b + 1}): got {acc}, want {expected}"
+                    f"metric condition fails at ({a + 1},{b + 1}): "
+                    f"got {Fraction(acc, square)}, want {expected}"
                 )
-    if rows[d][d] < 1:
+    if nums[d][d] < denom:
         raise NotOrthochronous(f"bottom-right entry {rows[d][d]} is below 1")
     return PseudoRotation(d=d, entries=rows)
 
@@ -168,18 +179,18 @@ def rotation(plane: Tuple[int, int], s, d: int) -> PseudoRotation:
 
 
 def compose(a: PseudoRotation, b: PseudoRotation) -> PseudoRotation:
-    """Exact matrix product a @ b, revalidated."""
+    """Exact matrix product a @ b, revalidated; the product and its checks
+    run on the integer numerators of each factor over its one denominator."""
     if a.d != b.d:
         raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
     size = a.size
-    rows = tuple(
-        tuple(
-            sum(a.entries[r][m] * b.entries[m][c] for m in range(size))
-            for c in range(size)
-        )
-        for r in range(size)
-    )
-    return validate(rows)
+    da, na = _scaled_list([x for row in a.entries for x in row])
+    db, nb = _scaled_list([x for row in b.entries for x in row])
+    cols = [nb[c::size] for c in range(size)]
+    nums = [[sum(map(mul, na[r * size : (r + 1) * size], col)) for col in cols] for r in range(size)]
+    denom = da * db
+    rows = tuple(tuple(Fraction(v, denom) for v in row) for row in nums)
+    return _checked(rows, nums, denom)
 
 
 def is_generic(lam: PseudoRotation) -> bool:

@@ -200,7 +200,7 @@ class _LogMass:
 
     def sign(self, x: MultiIndex) -> int:
         """prod_i sgn(r_i)^x_i."""
-        return -1 if sum(v for v, neg in zip(x, self.negative) if neg) % 2 else 1
+        return -1 if sum(compress(x, self.negative)) % 2 else 1
 
     def root(self, x: MultiIndex) -> float:
         """The signed square root sign(x) exp(mass / 2)."""
@@ -417,6 +417,32 @@ def _raising_step(degree: MultiIndex):
     return j, lower, not any(lower)
 
 
+def _raising_cells(lo: MultiIndex, hi: MultiIndex, top: int) -> int:
+    """The cells of the raising columns at the shifts s < top over the box
+    [lo, hi], sum_s prod_a (hi_a - max(0, lo_a - s) + 1).  Between two
+    corners lo_a the summand is a polynomial p of degree at most d, summed
+    in closed form as sum_k (Delta^k p)(start) C(length, k + 1), so the
+    price takes no time however far the box lies."""
+    cells, start = 0, 0
+    for end in sorted({c for c in lo if start < c < top} | {top}):
+        # the axes with lo_a >= end keep a corner lo_a - s on the whole run
+        diffs = [math.prod(h - c + s + 1 if c >= end else h + 1 for c, h in zip(lo, hi))
+                 for s in range(start, start + len(lo) + 1)]
+        for k in range(len(diffs)):
+            cells += diffs[0] * math.comb(end - start, k + 1)
+            diffs = list(map(sub, diffs[1:], diffs[:-1]))
+        start = end
+    return cells
+
+
+def _signed_exp(sign: int, log: float, what: str) -> float:
+    """sign exp(log); past the float range ``PreconditionError``."""
+    try:
+        return sign * math.exp(log)
+    except OverflowError:
+        raise past_float_range(f"the {what}", log) from None
+
+
 class _RaisingTable:
     """The unnormalised raising recursion of one matrix, behind the monic
     values, the orthonormal values and the matrix elements.
@@ -443,14 +469,19 @@ class _RaisingTable:
     makes the box [x, x] and the columns the band [x - s, x].  A point
     outside the box doubles each side it must move (hi to max(x, 2 hi + 1),
     lo to min(x, lo // 2)), so a sweep grows it a logarithmic number of
-    times, and drops the columns to be refilled; where that box would be
-    past POINT_BUDGET cells over the chain, the box restarts at the point.
+    times, and drops the columns to be refilled.  A box is priced before
+    it is filled, as the cells of the chain's columns (``_raising_cells``):
+    where the grown box would be past POINT_BUDGET cells, the box restarts
+    at the point, and a chain whose columns would be past it on the box
+    it gets is refused with ``PreconditionError``.
 
     At shift 0, S / sqrt((b)_|n| n!) is the orthonormal value and, times
     the signed amplitude, the matrix element: both are read in log space,
-    so only the result can leave the float range.  Where the last row has
-    no zero, S / ((b)_|n| prod_j (-r_dj)^n_j) is the monic value
-    (``monic``).
+    so only the result can leave the float range.  The matrix elements
+    are read a level at a time (``matrix_elements``): one growth for all
+    the points, one column read, one amplitude head per |x|.  Where the
+    last row has no zero, S / ((b)_|n| prod_j (-r_dj)^n_j) is the monic
+    value (``monic``).
     """
 
     def __init__(self, beta: Fraction, lam: PseudoRotation):
@@ -464,6 +495,7 @@ class _RaisingTable:
         self.steps = [(-row[d], [self.q * a for a in row[:d]]) for row in rows]
         self.lo = self.hi = None  # the box, set by the first point asked for
         self.strides, self.flat = [], 0  # the box's strides at shift 0, and max(lo)
+        self.priced = 0  # the longest chain priced on the box
         self.places: Dict[MultiIndex, int] = {}  # the points asked for, by place at shift 0
         self.columns: Dict[Tuple[MultiIndex, int], List[int]] = {}  # by (degree, shift)
         self.plans: Dict[int, tuple] = {}  # the box's ``_plan`` by shift, up to max(lo)
@@ -474,10 +506,9 @@ class _RaisingTable:
     # no float beta; each is kept per table like its values
 
     @cached_property
-    def amplitude(self):
-        """Each point's amplitude sign and log."""
-        mass = _LogMass(self.beta, self.lam)
-        return lru_cache(maxsize=None)(lambda x: (mass.sign(x), 0.5 * mass(x)))
+    def mass(self) -> _LogMass:
+        """The column mass, whose signed root is each point's amplitude."""
+        return _LogMass(self.beta, self.lam)
 
     @cached_property
     def log_norm(self):
@@ -504,24 +535,25 @@ class _RaisingTable:
         """The place of x in the columns at shift 0."""
         lo, hi = self.lo, self.hi
         if lo is None or not (all(map(le, lo, x)) and all(map(le, x, hi))):
-            self._grow(n, x)
+            self._grow(n, x, x)
         place = self.places[x] = sum(map(mul, map(sub, x, self.lo), self.strides))
         return place
 
-    def _grow(self, n: MultiIndex, x: MultiIndex):
-        """Take x into the box, doubling each side it must move, and drop
-        the columns.  Where the grown box would hold more than POINT_BUDGET
-        cells over the |n| columns of n's chain, the box restarts at [x, x]
-        instead, so a far point after a sweep keeps its band."""
-        lo = hi = x
+    def _grow(self, n: MultiIndex, low: MultiIndex, high: MultiIndex):
+        """Take the box [low, high] in, doubling each side it must move, and
+        drop the columns.  Where the grown box would cost more than
+        POINT_BUDGET cells over the |n| columns of n's chain
+        (``_raising_cells``), the box restarts at [low, high] instead, so a
+        far point after a sweep keeps its band."""
+        lo, hi, priced = low, high, 0
         if self.lo is not None:
             wide = (
-                tuple([c if v >= c else min(v, c // 2) for v, c in zip(x, self.lo)]),
-                tuple([c if v <= c else max(v, 2 * c + 1) for v, c in zip(x, self.hi)]),
+                tuple([c if v >= c else min(v, c // 2) for v, c in zip(low, self.lo)]),
+                tuple([c if v <= c else max(v, 2 * c + 1) for v, c in zip(high, self.hi)]),
             )
-            if math.prod(h - c + 1 for c, h in zip(*wide)) * sum(n) <= POINT_BUDGET:
-                lo, hi = wide
-        self.lo, self.hi, self.flat = lo, hi, max(lo)
+            if _raising_cells(*wide, sum(n)) <= POINT_BUDGET:
+                lo, hi, priced = *wide, sum(n)
+        self.lo, self.hi, self.flat, self.priced = lo, hi, max(lo), priced
         sizes = [h - c + 1 for c, h in zip(lo, hi)]
         self.strides = [math.prod(sizes[a + 1 :]) for a in range(len(sizes))]
         self.places.clear()
@@ -530,7 +562,9 @@ class _RaisingTable:
 
     def _fill(self, n: MultiIndex) -> List[int]:
         """The column of degree n at shift 0, filled up its chain from the
-        highest column held (or degree zero)."""
+        highest column held (or degree zero).  A chain longer than any
+        priced on this box is priced first (``_raising_cells``) and refused
+        past POINT_BUDGET cells."""
         columns, chain = self.columns, []
         degree, shift = n, 0
         while True:
@@ -540,6 +574,12 @@ class _RaisingTable:
             if bottom or (lower, shift) in columns:
                 break
             degree = lower
+        if shift > self.priced:  # the chain fills the columns at shifts below ``shift``
+            cells = _raising_cells(self.lo, self.hi, shift)
+            if cells > POINT_BUDGET:
+                raise _over_budget("raising", f"fill {cells} cells",
+                                   f"{shift} columns over the box {self.lo}..{self.hi}", way_out=None)
+            self.priced = shift
         p, q = self.p, self.q
         plans, flat = self.plans, self.flat
         for degree, shift, j, lower, bottom in reversed(chain):
@@ -604,22 +644,51 @@ class _RaisingTable:
             den = self.dens[n] = rising_row(self.p, self.q, sum(n))[-1] * steps
         return Fraction(self.value(n, x), den)
 
-    def orthonormal(self, n: MultiIndex, x: MultiIndex, sign=1, log_scale=0.0,
-                    what="orthonormal value") -> float:
-        """sign exp(log_scale) S[n](x) / sqrt((b)_|n| n!); far below the
-        float range it reads 0.0, above it raises ``PreconditionError``."""
+    def orthonormal(self, n: MultiIndex, x: MultiIndex) -> float:
+        """S[n](x) / sqrt((b)_|n| n!); far below the float range it reads
+        0.0, above it raises ``PreconditionError``."""
         value = self.value(n, x)
         if not value:
             return 0.0
-        log = math.log(abs(value)) + log_scale - self.log_norm(n)
-        try:
-            return (sign if value > 0 else -sign) * math.exp(log)
-        except OverflowError:
-            raise past_float_range(f"the {what}", log) from None
+        log = math.log(abs(value)) - self.log_norm(n)
+        return _signed_exp(1 if value > 0 else -1, log, "orthonormal value")
+
+    def matrix_elements(self, points: Sequence[MultiIndex], n: MultiIndex) -> List[float]:
+        """<x| F(L) |n> at each x of ``points``: the signed amplitude at x
+        times the orthonormal value.  The box grows once to take every point
+        in, and degree n's column is read once.  The amplitude's log is one
+        ``_LogMass.head`` per |x| plus the axis terms, added as
+        ``_LogMass.__call__`` adds them, so each element is the float a
+        one-point call gives."""
+        mass, norm = self.mass, self.log_norm(n)
+        if any(n):
+            low, high = tuple(map(min, zip(*points))), tuple(map(max, zip(*points)))
+            lo, hi = self.lo, self.hi
+            if lo is None or not (all(map(le, lo, low)) and all(map(le, high, hi))):
+                self._grow(n, low, high)
+            column = self.columns.get((n, 0)) or self._fill(n)
+            lo, strides = self.lo, self.strides
+            values = [column[sum(map(mul, map(sub, x, lo), strides))] for x in points]
+        else:
+            values = [1] * len(points)  # degree zero has no column
+        # half the amplitude's log: one head per |x| plus the axis terms
+        sums = list(map(sum, points))
+        heads = {t: mass.head(t) for t in set(sums)}
+        terms = [map(mass.axis, repeat(i), coords) for i, coords in enumerate(zip(*points))]
+        halves = map((0.5).__mul__, map(add, map(heads.__getitem__, sums), map(sum, zip(*terms))))
+        out = []
+        for x, value, half in zip(points, values, halves):
+            if not value:
+                out.append(0.0)
+                continue
+            sign = mass.sign(x)
+            log = math.log(abs(value)) + half - norm
+            out.append(_signed_exp(sign if value > 0 else -sign, log, "matrix element"))
+        return out
 
     def matrix_element(self, x: MultiIndex, n: MultiIndex) -> float:
-        """<x| F(L) |n>: the signed amplitude at x times the orthonormal value."""
-        return self.orthonormal(n, x, *self.amplitude(x), "matrix element")
+        """<x| F(L) |n>, the one-point level read."""
+        return self.matrix_elements([x], n)[0]
 
 
 def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:
@@ -691,10 +760,13 @@ def monic_eval_hyp_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) ->
     return sys._hyp.value(n, _as_multi_index(x, sys.d, "point"))
 
 
-def _over_budget(route: str, work: str, detail: str) -> PreconditionError:
-    """The refusal of a request that a route prices past POINT_BUDGET."""
+def _over_budget(route: str, work: str, detail: str,
+                 way_out: Optional[str] = "use --route raising") -> PreconditionError:
+    """The refusal of a request that a route prices past POINT_BUDGET, with
+    the way out, if there is one."""
+    tail = f"; {way_out}" if way_out else ""
     return PreconditionError(
-        f"the {route} route would {work} ({detail}), more than {POINT_BUDGET}; use --route raising"
+        f"the {route} route would {work} ({detail}), more than {POINT_BUDGET}{tail}"
     )
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import runpy
 import subprocess
 import sys
@@ -72,23 +73,47 @@ class TestEval:
             assert code == 0, err
             assert out.strip() == "-231841232/243"
 
-    def test_hyp_build_past_the_budget_exits_3(self):
-        # 80,601 tensor cells times 400 linear factors; in a child process,
-        # so that an unbounded build fails the test instead of hanging it
+    @staticmethod
+    def _child(*argv, memory=None):
+        """The CLI run in a child process, under a wall deadline and, given
+        ``memory`` in bytes, an address-space limit, so that an unbounded
+        fill fails the test instead of hanging it or the machine."""
         src = str(Path(multivariate.__file__).resolve().parents[1])
         paths = [src, os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        done = subprocess.run(
-            [sys.executable, "-m", "multimeixner", "eval", "--route", "hyp",
-             "--degrees", "200,200", "--point", "500,500"],
-            capture_output=True, text=True, env=env, timeout=60,
+        def limit():
+            if memory is not None:
+                resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+        return subprocess.run(
+            [sys.executable, "-m", "multimeixner", *argv],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit,
         )
+
+    def test_hyp_build_past_the_budget_exits_3(self):
+        # 80,601 tensor cells times 400 linear factors
+        done = self._child("eval", "--route", "hyp", "--degrees", "200,200", "--point", "500,500")
         assert done.returncode == 3
         assert done.stdout == ""
         assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
         assert "Traceback" not in done.stderr
         assert "80601 tensor cells times 400 linear factors" in done.stderr
         assert "--route raising" in done.stderr
+
+    @pytest.mark.parametrize("argv, cells", [
+        (("--value", "matrix-element", "--degrees", "200,200", "--point", "500,500"), 21413400),
+        (("--route", "raising", "--degrees", "30,30,30", "--point", "200,200,200"), 16769025),
+    ])
+    def test_raising_table_past_the_budget_exits_3(self, argv, cells):
+        # the bands [x - s, x] of the chain's shifts s < |n|; under a
+        # 1.5 GB address space an unpriced fill ends in a MemoryError
+        done = self._child("eval", *argv, memory=1_536_000_000)
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+        assert "Traceback" not in done.stderr
+        assert f"would fill {cells} cells" in done.stderr
+        assert "--route raising" not in done.stderr
 
     def test_non_generic_matrix_exits_3(self, capsys, tmp_path):
         path = tmp_path / "id.json"

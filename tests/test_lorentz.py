@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from multimeixner.errors import NotOrthochronous, NotPseudoOrthogonal
 from multimeixner.harness import random_matrix
 from multimeixner.lorentz import (
+    PseudoRotation,
     SubgroupParam,
     boost,
     compose,
@@ -46,6 +47,19 @@ class TestValidate:
     def test_metric_violation(self):
         with pytest.raises(NotPseudoOrthogonal):
             validate([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+
+    @pytest.mark.parametrize("rows, text", [
+        ([[1, 0, 0], [0, 1, 1], [0, 0, 1]], "metric condition fails at (2,3): got 1, want 0"),
+        ([[F(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]], "metric condition fails at (1,1): got 1/4, want 1"),
+        ([[F(5, 4), 0, F(-3, 4)], [0, 1, 0], [F(3, 4), 0, F(5, 4)]],
+         "metric condition fails at (1,3): got -15/8, want 0"),
+        ([[F(-5, 4), 0, F(3, 4)], [0, 1, 0], [F(3, 4), 0, F(-5, 4)]],
+         "bottom-right entry -5/4 is below 1"),
+    ])
+    def test_refusal_names_the_rational_entry(self, rows, text):
+        with pytest.raises((NotPseudoOrthogonal, NotOrthochronous)) as info:
+            validate(rows)
+        assert str(info.value) == text
 
     def test_non_square_rejected(self):
         with pytest.raises(NotPseudoOrthogonal):
@@ -141,6 +155,30 @@ class TestCompose:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             compose(identity(2), identity(3))
+
+    @pytest.mark.parametrize("seeds", [(1, 2), (42, 7), (5, 99)])
+    def test_random_products_match_plain_matmul(self, seeds):
+        a, b = (random_matrix(s, 3, 4) for s in seeds)
+        product = compose(a, b)
+        assert [list(row) for row in product.entries] == matmul(a.entries, b.entries)
+        assert all(type(x) is F for row in product.entries for x in row)
+
+    @pytest.mark.parametrize("rows, error, text", [
+        ([[1, 0, 0], [0, 1, F(1, 3)], [0, 0, 1]], NotPseudoOrthogonal,
+         "metric condition fails at (1,1): got 17/16, want 1"),
+        ([[-1, 0, 0], [0, 1, 0], [0, 0, -1]], NotOrthochronous,
+         "bottom-right entry -5/4 is below 1"),
+    ])
+    def test_every_product_is_checked(self, rows, error, text):
+        # a factor built without validate: the product is checked as
+        # validate checks it, with the same texts
+        forged = PseudoRotation(2, tuple(tuple(map(F, row)) for row in rows))
+        with pytest.raises(error) as info:
+            compose(forged, boost((1, 3), 2, 2))
+        assert str(info.value) == text
+        with pytest.raises(error) as info:
+            validate(matmul(forged.entries, boost((1, 3), 2, 2).entries))
+        assert str(info.value) == text
 
     def test_associative_on_triple(self):
         a = boost((1, 3), F(3, 2), 2)

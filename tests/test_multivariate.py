@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import sys
 import time
 from fractions import Fraction as F
@@ -313,6 +314,61 @@ class TestRaisingRoute:
         assert value == monic_eval_raising_d(random_system(42, 2, F(7, 3)), n, far)
         near = ((1, 0), (3, 3))
         assert monic_eval_raising_d(system, *near) == monic_eval_gf_d(system, *near)
+
+    @pytest.mark.parametrize("d, seed", [(2, 42), (3, 31)])
+    def test_a_level_row_is_the_one_point_elements(self, d, seed):
+        # each level grows the box of the table it shares with the levels
+        # before; each element must be the float of a one-point call on a
+        # fresh table, bit for bit
+        lam = random_matrix(seed, d)
+        table = multivariate._RaisingTable(F(7, 3), lam)
+        grown = []
+        for level in range(7):
+            before = (table.lo, table.hi)
+            points = [x for x in _simplex_lattice(level, d) if sum(x) == level]
+            for n in ((1,) + (0,) * (d - 1), (0,) * (d - 1) + (2,), (0,) * d):
+                row = table.matrix_elements(points, n)
+                fresh = [multivariate._RaisingTable(F(7, 3), lam).matrix_element(x, n)
+                         for x in points]
+                assert row == fresh
+            grown.append((table.lo, table.hi) != before)
+        assert sum(grown) >= 3
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_price_counts_the_band_of_every_shift(self, d):
+        rng = random.Random(d)
+        for _ in range(300):
+            lo = tuple(rng.randint(0, 12) for _ in range(d))
+            hi = tuple(c + rng.randint(0, 5) for c in lo)
+            top = rng.randint(0, 30)
+            brute = sum(math.prod(h - max(0, c - s) + 1 for c, h in zip(lo, hi)) for s in range(top))
+            assert multivariate._raising_cells(lo, hi, top) == brute
+
+    @pytest.mark.parametrize("n, x, cells", [
+        ((20, 20), (50, 50), 22_140),
+        ((5, 5, 5), (20, 20, 20), 14_400),
+    ])
+    def test_a_fill_past_the_budget_is_refused(self, monkeypatch, n, x, cells):
+        # the bands [x - s, x] of the shifts s < |n|, sum_s (s + 1)^d; a
+        # small budget keeps a regression cheap (the CLI cases run in a
+        # child process, in test_cli)
+        monkeypatch.setattr(multivariate, "POINT_BUDGET", 10_000)
+        system = random_system(31, len(n))
+        with pytest.raises(PreconditionError, match=f"would fill {cells} cells") as refusal:
+            monic_eval_raising_d(system, n, x)
+        assert "--route raising" not in str(refusal.value)
+        assert not system._raising.columns
+
+    def test_a_longer_chain_on_a_priced_box_is_priced(self, monkeypatch):
+        # the box (50, 50) fits degree (1, 1); degree (20, 20) on the same
+        # box is priced before it fills, and the table still serves
+        monkeypatch.setattr(multivariate, "POINT_BUDGET", 10_000)
+        system = random_system(31, 2)
+        small = monic_eval_raising_d(system, (1, 1), (50, 50))
+        with pytest.raises(PreconditionError, match="would fill 22140 cells"):
+            monic_eval_raising_d(system, (20, 20), (50, 50))
+        assert small == monic_eval_raising_d(system, (1, 1), (50, 50))
+        assert small == monic_eval_hyp_d(system, (1, 1), (50, 50))
 
 
 class TestHypRoute:

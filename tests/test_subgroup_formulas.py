@@ -26,7 +26,7 @@ from multimeixner.harness import (
     hyperbolic_column_norm,
     random_matrix,
 )
-from multimeixner.lorentz import boost, compose, rotation
+from multimeixner.lorentz import boost, compose, inverse_tilde, rotation
 from multimeixner.numerics import log_abs, pochhammer
 from multimeixner.univariate import krawtchouk, meixner
 
@@ -343,6 +343,52 @@ class TestAddition:
     def test_seeded_tuples(self):
         for (A, B, i, k, m, n) in addition_tuples(99, 3):
             assert check_addition(A, B, 2, i, k, m, n, 1e-8).passed
+
+    def test_left_factor_is_the_transpose_of_the_inverse(self):
+        # U(A)_{x,y} = U(A~)_{y,x}, A~ = inverse_tilde(A): the left factor's
+        # level read against A's own elements
+        points = lambda top: [(a, t - a) for t in range(top + 1) for a in range(t + 1)]
+        for (A, *_) in addition_tuples(2024, 10):
+            own = me_evaluator(2, A)
+            tilde = multivariate._RaisingTable(F(2), inverse_tilde(A))
+            for x in points(4):
+                ys = points(10)
+                for y, element in zip(ys, tilde.matrix_elements(ys, x)):
+                    assert element == pytest.approx(own(*x, *y), rel=1e-13)
+
+    def test_a_left_factor_with_a_zero_in_its_last_column_is_refused(self):
+        # boost-then-rotation: its last column (3/4, 0, 5/4) cannot be
+        # divided by, though that of its inverse could
+        A = compose(boost((1, 3), 2, 2), rotation((1, 2), F(1, 2), 2))
+        assert A.entries[1][2] == 0 and all(A.entries[2])
+        with pytest.raises(NonGenericMatrix):
+            check_addition(A, addition_tuples(2024, 1)[0][1], 2, 1, 0, 0, 1, 1e-8)
+
+    def test_a_perturbed_right_factor_fails(self, monkeypatch):
+        # one element of one right-factor row scaled by 1 + 1e-6
+        import multimeixner.bivariate as bivariate
+
+        A, B, i, k, m, n = addition_tuples(2024, 1)[0]
+        assert check_addition(A, B, 2, i, k, m, n, 1e-8).passed
+        rows = bivariate._level_rows
+
+        def perturbed(beta, lam, fixed, left):
+            read = rows(beta, lam, fixed, left)
+            if left:
+                return read
+
+            def row(ys):
+                out = read(ys)
+                if len(ys) == m + n + 1:
+                    at = max(range(len(out)), key=lambda r: abs(out[r]))
+                    out[at] *= 1 + 1e-6
+                return out
+
+            return row
+
+        monkeypatch.setattr(bivariate, "_level_rows", perturbed)
+        report = check_addition(A, B, 2, i, k, m, n, 1e-8)
+        assert not report.passed and report.counterexample == (i, k, m, n)
 
 
 class TestNonpositiveBeta:
