@@ -30,6 +30,7 @@ roots and live in float mode only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -453,12 +454,13 @@ def me_evaluator(beta, lam: PseudoRotation) -> Callable[[int, int, int, int], fl
     """Float evaluator (i, k, m, n) -> <i,k| F(lam) |m,n> for d = 2.
 
     Dispatches on structure: identity, pure rotation, pure boosts (their
-    closed forms), otherwise a one-point level read of the integer raising
-    table of the core (``multivariate._RaisingTable.matrix_elements``),
-    which needs a nonzero last column but no nonzero last row.  Its values
-    are exact integers until the one log-space conversion, so an element
-    is good to about rel 1e-13 even on the level block i + k = m + n = 25.
-    A table past ``POINT_BUDGET`` cells is refused with exit 3.
+    closed forms), otherwise a one-point read of the integer raising table
+    of the core (``multivariate._RaisingTable.matrix_element``), which
+    keeps the band below the point and needs a nonzero last column but no
+    nonzero last row.  Its values are exact integers until the one
+    log-space conversion, so an element is good to about rel 1e-13 even on
+    the level block i + k = m + n = 25.  A table past ``POINT_BUDGET``
+    cells is refused with exit 3.
     """
     if lam.d != 2:
         raise ValueError("matrix elements implemented for d = 2")
@@ -471,26 +473,32 @@ def me_evaluator(beta, lam: PseudoRotation) -> Callable[[int, int, int, int], fl
 
 
 def _level_rows(beta: Fraction, lam: PseudoRotation, fixed: MultiIndex, left: bool):
-    """The reader of one factor of the addition sum: the points ys of a
-    level -> the elements <fixed| F(lam) |y> (``left``) or <y| F(lam)
-    |fixed> over ys.  A closed form is read point by point; otherwise a
-    right factor is one level read of its table at degree ``fixed``, and a
-    left factor, by U(L)_{x,y} = U(L~)_{y,x} with L~ = ``inverse_tilde(L)``,
-    one level read of L~'s table at degree ``fixed``.  Where L~ has a zero
-    in its last column (L one in its last row) the left factor is read
-    from L's own table, one degree at a time."""
+    """The reader of one factor of the addition sum: the points ys of the
+    next level -> <fixed| F(lam) |y> (``left``) or <y| F(lam) |fixed> over
+    ys.  A closed form is read point by point; otherwise a right factor is
+    the next level of lam's stream at degree ``fixed``
+    (``_RaisingTable.levels``), and a left factor, by U(L)_{x,y} =
+    U(L~)_{y,x} with L~ = ``inverse_tilde(L)``, that of L~'s stream; other
+    points are refused.  Where L~ has a zero in its last column (L one in
+    its last row) the left factor is read from L's table a degree at a time."""
     closed = _closed_form(beta, lam)
     if closed is not None:
         if left:
             return lambda ys: [closed(*fixed, *y) for y in ys]
         return lambda ys: [closed(*y, *fixed) for y in ys]
     table = _RaisingTable(beta, lam)  # a zero in the last column raises here
-    if not left:
-        return lambda ys: table.matrix_elements(ys, fixed)
-    if all(lam.entries[-1][:-1]):
-        tilde = _RaisingTable(beta, inverse_tilde(lam))
-        return lambda ys: tilde.matrix_elements(ys, fixed)
-    return lambda ys: [table.matrix_element(fixed, y) for y in ys]
+    if left and not all(lam.entries[-1][:-1]):
+        return lambda ys: [table.matrix_element(fixed, y) for y in ys]
+    if left:
+        table = _RaisingTable(beta, inverse_tilde(lam))
+    stream, count = table.levels(fixed), itertools.count()
+
+    def read(ys):
+        if tuple(ys) != multivariate._level(next(count), len(fixed))[0]:
+            raise ValueError("a level stream is read one level after another, from level 0")
+        return next(stream)
+
+    return read
 
 
 def check_addition(
@@ -509,13 +517,13 @@ def check_addition(
       sum_L sum_{|y| = L} <i,k| F(A) |y> <y| F(B) |m,n>.
 
     Each level's two rows come from ``_level_rows``: the right factor is
-    one level read of B's raising table at degree (m, n), and the left one,
-    by U(A)_{x,y} = U(A~)_{y,x} (the representation is unitary with real
-    elements and A~ = ``inverse_tilde(A)`` is A's inverse), one level read
-    of A~'s table at degree (i, k).  So each table holds one degree's chain
-    of at most |n| columns over a box doubled as the levels grow, priced
-    like any raising table.  The sum stops at the first level past both
-    degrees whose contribution is below tol / 100, or past SHELL_CAP."""
+    the next level of B's raising stream at degree (m, n), and the left
+    one, by U(A)_{x,y} = U(A~)_{y,x} (the representation is unitary with
+    real elements and A~ = ``inverse_tilde(A)`` is A's inverse), that of
+    A~'s stream at degree (i, k).  A stream keeps two levels of its chain
+    of |n| columns; level L costs |n| (L + 1) cells, and past POINT_BUDGET
+    cells in all it is refused.  The sum stops at the first level past
+    both degrees whose contribution is below tol / 100, or past SHELL_CAP."""
     require_tol(tol)
     beta = require_beta(beta)
     me_c = me_evaluator(beta, compose(A, B))  # refuses d != 2

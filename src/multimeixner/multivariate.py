@@ -34,7 +34,8 @@ unnormalised values
 
 in integers, one column per (degree, shift) over the box of the points
 asked for, filled degree by degree in C-level maps; a lone point keeps
-the band below it.  Every square root of the raising relations collects
+the band below it, and one degree's matrix elements also stream level by
+level |x| = t with no box.  Every square root of the raising relations collects
 in S / sqrt((b)_{|n|} n!), the orthonormal value, and the monic value is
 S / ((b)_{|n|} prod_j (-r_dj)^{n_j}), so one table
 serves the monic values, the orthonormal values and the matrix elements;
@@ -473,15 +474,15 @@ class _RaisingTable:
     it is filled, as the cells of the chain's columns (``_raising_cells``):
     where the grown box would be past POINT_BUDGET cells, the box restarts
     at the point, and a chain whose columns would be past it on the box
-    it gets is refused with ``PreconditionError``.
+    it gets is refused with ``PreconditionError``.  Before a fill that
+    would take the cells held past POINT_BUDGET the columns are dropped.
 
     At shift 0, S / sqrt((b)_|n| n!) is the orthonormal value and, times
     the signed amplitude, the matrix element: both are read in log space,
-    so only the result can leave the float range.  The matrix elements
-    are read a level at a time (``matrix_elements``): one growth for all
-    the points, one column read, one amplitude head per |x|.  Where the
-    last row has no zero, S / ((b)_|n| prod_j (-r_dj)^n_j) is the monic
-    value (``monic``).
+    so only the result can leave the float range.  ``levels`` streams one
+    degree's elements level by level |y| = t with no box: two levels per
+    column, |n| cells a point.  Where the last row has no zero,
+    S / ((b)_|n| prod_j (-r_dj)^n_j) is the monic value (``monic``).
     """
 
     def __init__(self, beta: Fraction, lam: PseudoRotation):
@@ -495,7 +496,7 @@ class _RaisingTable:
         self.steps = [(-row[d], [self.q * a for a in row[:d]]) for row in rows]
         self.lo = self.hi = None  # the box, set by the first point asked for
         self.strides, self.flat = [], 0  # the box's strides at shift 0, and max(lo)
-        self.priced = 0  # the longest chain priced on the box
+        self.priced = self.cost = self.held = 0  # longest chain priced, its cells, cells held
         self.places: Dict[MultiIndex, int] = {}  # the points asked for, by place at shift 0
         self.columns: Dict[Tuple[MultiIndex, int], List[int]] = {}  # by (degree, shift)
         self.plans: Dict[int, tuple] = {}  # the box's ``_plan`` by shift, up to max(lo)
@@ -545,15 +546,16 @@ class _RaisingTable:
         POINT_BUDGET cells over the |n| columns of n's chain
         (``_raising_cells``), the box restarts at [low, high] instead, so a
         far point after a sweep keeps its band."""
-        lo, hi, priced = low, high, 0
+        lo, hi, self.priced, self.cost, self.held = low, high, 0, 0, 0
         if self.lo is not None:
             wide = (
                 tuple([c if v >= c else min(v, c // 2) for v, c in zip(low, self.lo)]),
                 tuple([c if v <= c else max(v, 2 * c + 1) for v, c in zip(high, self.hi)]),
             )
-            if _raising_cells(*wide, sum(n)) <= POINT_BUDGET:
-                lo, hi, priced = *wide, sum(n)
-        self.lo, self.hi, self.flat, self.priced = lo, hi, max(lo), priced
+            cells = _raising_cells(*wide, sum(n))
+            if cells <= POINT_BUDGET:
+                lo, hi, self.priced, self.cost = *wide, sum(n), cells
+        self.lo, self.hi, self.flat = lo, hi, max(lo)
         sizes = [h - c + 1 for c, h in zip(lo, hi)]
         self.strides = [math.prod(sizes[a + 1 :]) for a in range(len(sizes))]
         self.places.clear()
@@ -564,7 +566,8 @@ class _RaisingTable:
         """The column of degree n at shift 0, filled up its chain from the
         highest column held (or degree zero).  A chain longer than any
         priced on this box is priced first (``_raising_cells``) and refused
-        past POINT_BUDGET cells."""
+        past POINT_BUDGET cells; where the cells held and the longest
+        chain's would pass it, the columns are dropped first."""
         columns, chain = self.columns, []
         degree, shift = n, 0
         while True:
@@ -579,7 +582,11 @@ class _RaisingTable:
             if cells > POINT_BUDGET:
                 raise _over_budget("raising", f"fill {cells} cells",
                                    f"{shift} columns over the box {self.lo}..{self.hi}", way_out=None)
-            self.priced = shift
+            self.priced, self.cost = shift, cells
+        if self.held + self.cost > POINT_BUDGET:
+            self.columns.clear()
+            self.held = 0
+            return self._fill(n)
         p, q = self.p, self.q
         plans, flat = self.plans, self.flat
         for degree, shift, j, lower, bottom in reversed(chain):
@@ -598,6 +605,7 @@ class _RaisingTable:
             for weights, down in terms:
                 out = map(add, out, map(mul, weights, map(fetch, down)))
             column = columns[(degree, shift)] = list(out)
+            self.held += len(column)
         return column
 
     def _plan(self, shift: int):
@@ -653,42 +661,64 @@ class _RaisingTable:
         log = math.log(abs(value)) - self.log_norm(n)
         return _signed_exp(1 if value > 0 else -1, log, "orthonormal value")
 
-    def matrix_elements(self, points: Sequence[MultiIndex], n: MultiIndex) -> List[float]:
-        """<x| F(L) |n> at each x of ``points``: the signed amplitude at x
-        times the orthonormal value.  The box grows once to take every point
-        in, and degree n's column is read once.  The amplitude's log is one
-        ``_LogMass.head`` per |x| plus the axis terms, added as
-        ``_LogMass.__call__`` adds them, so each element is the float a
-        one-point call gives."""
-        mass, norm = self.mass, self.log_norm(n)
-        if any(n):
-            low, high = tuple(map(min, zip(*points))), tuple(map(max, zip(*points)))
-            lo, hi = self.lo, self.hi
-            if lo is None or not (all(map(le, lo, low)) and all(map(le, high, hi))):
-                self._grow(n, low, high)
-            column = self.columns.get((n, 0)) or self._fill(n)
-            lo, strides = self.lo, self.strides
-            values = [column[sum(map(mul, map(sub, x, lo), strides))] for x in points]
-        else:
-            values = [1] * len(points)  # degree zero has no column
-        # half the amplitude's log: one head per |x| plus the axis terms
-        sums = list(map(sum, points))
-        heads = {t: mass.head(t) for t in set(sums)}
-        terms = [map(mass.axis, repeat(i), coords) for i, coords in enumerate(zip(*points))]
-        halves = map((0.5).__mul__, map(add, map(heads.__getitem__, sums), map(sum, zip(*terms))))
-        out = []
-        for x, value, half in zip(points, values, halves):
-            if not value:
-                out.append(0.0)
-                continue
-            sign = mass.sign(x)
-            log = math.log(abs(value)) + half - norm
-            out.append(_signed_exp(sign if value > 0 else -sign, log, "matrix element"))
-        return out
-
     def matrix_element(self, x: MultiIndex, n: MultiIndex) -> float:
-        """<x| F(L) |n>, the one-point level read."""
-        return self.matrix_elements([x], n)[0]
+        """<x| F(L) |n>, the signed amplitude times the orthonormal value."""
+        value = self.value(n, x)
+        if not value:
+            return 0.0
+        sign = self.mass.sign(x)
+        log = math.log(abs(value)) + 0.5 * self.mass(x) - self.log_norm(n)
+        return _signed_exp(sign if value > 0 else -sign, log, "matrix element")
+
+    def levels(self, n: MultiIndex):
+        """The elements <y| F(L) |n>, one list per level t = 0, 1, 2, ...
+        over the points of ``_level(t, d)``: n's chain of ``_fill`` steps
+        from degree zero up, each column on level t read from the lower
+        degree's on t (y) and t - 1 (y - e_i), so two levels are kept.  Once
+        the cells filled (chain length times level size, summed) would pass
+        POINT_BUDGET the stream is refused.  One ``_LogMass.head`` a level
+        and the axis terms, added as ``_LogMass.__call__`` adds them, make
+        each element the float of ``matrix_element`` bit for bit."""
+        p, q, mass, norm = self.p, self.q, self.mass, self.log_norm(n)
+        chain, degree = [], n  # (shift, -a_d, the q a_i) of each step, the top one first
+        while any(degree):
+            j, degree, _ = _raising_step(degree)
+            chain.append((len(chain), *self.steps[j]))
+        chain.reverse()
+        # level -1 of every column, degree zero first: the weights y_i = 0 of level 0 read its 0
+        rows, cells, axes = [[0]] * (len(chain) + 1), 0, [[] for _ in n]
+        for t in itertools.count():
+            points, coords, downs = _level(t, len(n))
+            cells += len(chain) * len(points)
+            if cells > POINT_BUDGET:
+                raise _over_budget("raising", f"fill {cells} cells",
+                                   f"{len(chain)} columns over {t + 1} levels", way_out=None)
+            level = [[1] * len(points)]
+            for (shift, last, weights), low in zip(chain, rows):
+                out = map((last * (q * (t + shift) + p)).__mul__, level[-1])
+                for qa, ys, down in zip(weights, coords, downs):
+                    out = map(add, out, map(mul, map(qa.__mul__, ys), map(low.__getitem__, down)))
+                level.append(list(out))
+            rows, values = level, level[-1]
+            for i, table in enumerate(axes):
+                table.append(mass.axis(i, t))
+            terms = map(sum, zip(*[map(table.__getitem__, ys) for table, ys in zip(axes, coords)]))
+            halves = map((0.5).__mul__, map(add, repeat(mass.head(t)), terms))
+            odd = map(sum, zip(*compress(coords, mass.negative), repeat(0)))
+            yield [_signed_exp((-1) ** ((v < 0) + o), math.log(abs(v)) + h - norm, "matrix element")
+                   if v else 0.0 for v, h, o in zip(values, halves, odd)]
+
+
+@lru_cache(maxsize=512)
+def _level(t: int, d: int):
+    """The points y of level |y| = t in ``_exponents_of_degree`` order, their
+    coordinates by axis, and per axis i the places of y - e_i on level t - 1
+    (0 where y_i = 0, whose weight y_i cancels the term), all tuples, as
+    they are shared."""
+    points = tuple(_exponents_of_degree(t, d))
+    below = {y: pos for pos, y in enumerate(_exponents_of_degree(t - 1, d))} if t else {}
+    downs = tuple(tuple(below.get(_step_down(y, i), 0) for y in points) for i in range(d))
+    return points, tuple(zip(*points)), downs
 
 
 def monic_eval_raising_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) -> Fraction:

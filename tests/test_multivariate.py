@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 import random
 import sys
 import time
@@ -316,23 +317,50 @@ class TestRaisingRoute:
         assert monic_eval_raising_d(system, *near) == monic_eval_gf_d(system, *near)
 
     @pytest.mark.parametrize("d, seed", [(2, 42), (3, 31)])
-    def test_a_level_row_is_the_one_point_elements(self, d, seed):
-        # each level grows the box of the table it shares with the levels
-        # before; each element must be the float of a one-point call on a
-        # fresh table, bit for bit
+    def test_a_level_row_is_the_one_point_elements(self, monkeypatch, d, seed):
+        # each element of a level must be the float of a one-point call on
+        # a table fresh for the level, bit for bit; the stream fills |n|
+        # cells a point, so a budget of exactly the cells of 30 levels at
+        # |n| = 2 lets them through and refuses the next by its count
         lam = random_matrix(seed, d)
-        table = multivariate._RaisingTable(F(7, 3), lam)
-        grown = []
-        for level in range(7):
-            before = (table.lo, table.hi)
+        degrees = [(1,) + (0,) * (d - 1), (0,) * (d - 1) + (2,), (0,) * d]
+        streams = [multivariate._RaisingTable(F(7, 3), lam).levels(n) for n in degrees]
+        monkeypatch.setattr(multivariate, "POINT_BUDGET", 2 * math.comb(29 + d, d))
+        for level in range(30):
             points = [x for x in _simplex_lattice(level, d) if sum(x) == level]
-            for n in ((1,) + (0,) * (d - 1), (0,) * (d - 1) + (2,), (0,) * d):
-                row = table.matrix_elements(points, n)
-                fresh = [multivariate._RaisingTable(F(7, 3), lam).matrix_element(x, n)
-                         for x in points]
-                assert row == fresh
-            grown.append((table.lo, table.hi) != before)
-        assert sum(grown) >= 3
+            for stream, n in zip(streams, degrees):
+                fresh = multivariate._RaisingTable(F(7, 3), lam)
+                assert next(stream) == [fresh.matrix_element(x, n) for x in points]
+        # level 30 is within the budget at degrees (1, 0..) and zero
+        assert [len(next(streams[a])) for a in (0, 2)] == [math.comb(29 + d, d - 1)] * 2
+        with pytest.raises(PreconditionError, match=f"would fill {2 * math.comb(30 + d, d)} cells"):
+            next(streams[1])
+
+    def test_a_stream_past_the_budget_is_refused(self, monkeypatch):
+        # degree (20, 20) fills 40 cells a point: levels 0..21 hold 253
+        # points, 10,120 cells, past a budget of 10,000
+        monkeypatch.setattr(multivariate, "POINT_BUDGET", 10_000)
+        stream = multivariate._RaisingTable(F(7, 3), random_matrix(31, 2)).levels((20, 20))
+        for _ in range(21):
+            next(stream)
+        with pytest.raises(PreconditionError, match="would fill 10120 cells") as refusal:
+            next(stream)
+        assert "; " not in str(refusal.value) and "--route" not in str(refusal.value)
+
+    def test_the_held_columns_stay_within_the_budget(self):
+        # degrees (k, 0), k = 1..60, at (60, 60) each fill a chain of their
+        # own, at most 73,810 cells; kept, they would hold 1,153,510
+        lam = random_matrix(31, 2)
+        system = MeixnerSystemD(F(7, 3), lam)
+        values, held = [], []
+        for k in range(1, 61):
+            values.append(monic_eval_raising_d(system, (k, 0), (60, 60)))
+            held.append(sum(map(len, system._raising.columns.values())))
+        assert max(held) <= multivariate.POINT_BUDGET
+        assert min(map(operator.sub, held[1:], held)) < 0  # the columns were dropped
+        fresh = [monic_eval_raising_d(MeixnerSystemD(F(7, 3), lam), (k, 0), (60, 60))
+                 for k in range(1, 61)]
+        assert values == fresh
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_the_price_counts_the_band_of_every_shift(self, d):

@@ -346,15 +346,46 @@ class TestAddition:
 
     def test_left_factor_is_the_transpose_of_the_inverse(self):
         # U(A)_{x,y} = U(A~)_{y,x}, A~ = inverse_tilde(A): the left factor's
-        # level read against A's own elements
+        # level stream against A's own elements
         points = lambda top: [(a, t - a) for t in range(top + 1) for a in range(t + 1)]
         for (A, *_) in addition_tuples(2024, 10):
             own = me_evaluator(2, A)
             tilde = multivariate._RaisingTable(F(2), inverse_tilde(A))
             for x in points(4):
-                ys = points(10)
-                for y, element in zip(ys, tilde.matrix_elements(ys, x)):
-                    assert element == pytest.approx(own(*x, *y), rel=1e-13)
+                stream = tilde.levels(x)
+                for level in range(11):
+                    ys = [(a, level - a) for a in range(level + 1)]
+                    for y, element in zip(ys, next(stream), strict=True):
+                        assert element == pytest.approx(own(*x, *y), rel=1e-13)
+
+    def test_discrepancies_are_those_of_one_point_reads(self):
+        # the sum of check_addition rebuilt from one-point reads of the
+        # same tables, A~'s at (i, k) and B's at (m, n): equal as floats
+        for (A, B, i, k, m, n) in addition_tuples(2024, 10):
+            left = multivariate._RaisingTable(F(2), inverse_tilde(A))
+            right = multivariate._RaisingTable(F(2), B)
+            total, level = 0.0, 0
+            while True:
+                ys = [(rho, level - rho) for rho in range(level + 1)]
+                row_a = [left.matrix_element(y, (i, k)) for y in ys]
+                row_b = [right.matrix_element(y, (m, n)) for y in ys]
+                contrib = sum(a * b for a, b in zip(row_a, row_b))
+                total += contrib
+                if level >= max(m + n, i + k) and abs(contrib) < 1e-10:
+                    break
+                level += 1
+            disc = abs(me_evaluator(2, compose(A, B))(i, k, m, n) - total)
+            assert check_addition(A, B, 2, i, k, m, n, 1e-8).max_abs_discrepancy == disc
+
+    def test_a_stream_reader_takes_the_levels_in_order(self):
+        import multimeixner.bivariate as bivariate
+
+        A, B, *_ = addition_tuples(2024, 1)[0]
+        for lam, left in ((A, True), (B, False)):
+            read = bivariate._level_rows(F(2), lam, (1, 1), left)
+            assert len(read([(0, 0)])) == 1
+            with pytest.raises(ValueError, match="one level after another"):
+                read([(0, 2), (1, 1), (2, 0)])
 
     def test_a_left_factor_with_a_zero_in_its_last_column_is_refused(self):
         # boost-then-rotation: its last column (3/4, 0, 5/4) cannot be
