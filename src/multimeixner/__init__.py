@@ -7,7 +7,6 @@ lives in :mod:`multimeixner.cli`.
 
 from .bivariate import (
     MeixnerSystem,
-    amplitude_sq,
     check_addition,
     check_difference,
     check_duality,

@@ -25,12 +25,15 @@ called at d = 2.
 All identity checkers run on the monic values, which are rational, so an
 identity either holds with discrepancy exactly zero or it is broken.  The
 orthonormal family and the representation matrix elements carry square
-roots and live in float mode only.
+roots and live in float mode only.  Every matrix element, of a subgroup
+element or not, is read from the core's raising table (``me_evaluator``,
+``check_addition``); the closed forms of the one-parameter subgroups
+(``hyperbolic_me_xi``, ``hyperbolic_me_psi``, ``elliptic_me``) are its
+oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -39,7 +42,7 @@ from operator import mul
 from typing import Callable, Dict, Tuple
 
 from . import multivariate
-from .errors import ModeError, NonConvergence, NonGenericMatrix
+from .errors import NonConvergence
 from .lorentz import (
     PseudoRotation,
     boost_trig,
@@ -53,7 +56,6 @@ from .lorentz import identity as lorentz_identity
 from .multivariate import (
     MeixnerSystemD,
     MultiIndex,
-    _LogMass,
     _RaisingTable,
     _as_multi_index,
     _gram_discrepancy,
@@ -97,30 +99,12 @@ class MeixnerSystem(MeixnerSystemD):
 
 
 # ---------------------------------------------------------------------------
-# weights and amplitudes
+# weights
 
 
 def weight(sys: MeixnerSystem, i: int, k: int):
     """Negative trinomial mass at (i, k)."""
     return weight_d(sys, (i, k))
-
-
-def amplitude_sq(sys: MeixnerSystem, i: int, k: int):
-    """Squared amplitude; coincides with weight() by the metric row relations."""
-    i, k = _check_point(i, k)
-    b = sys.beta
-    if sys.mode is ScalarMode.FLOAT:
-        return _LogMass(b, sys.lam).root((i, k)) ** 2
-    if b.denominator != 1:
-        raise ModeError(f"exact amplitude needs integer beta, got {b}; use float mode")
-    e = sys.lam.entries
-    return (
-        pochhammer(b, i + k)
-        / (math.factorial(i) * math.factorial(k))
-        * e[2][2] ** (-2 * int(b) - 2 * i - 2 * k)
-        * e[0][2] ** (2 * i)
-        * e[1][2] ** (2 * k)
-    )
 
 
 def _check_point(i: int, k: int) -> MultiIndex:
@@ -249,7 +233,11 @@ def check_orthogonality(sys: MeixnerSystem, box: LatticeBox, tol: float) -> Eval
 # one-parameter subgroup matrix elements (closed forms, float)
 
 
-def _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first_axis: bool) -> float:
+def _hyperbolic_me(beta, t, i: int, k: int, m: int, n: int, first_axis: bool) -> float:
+    """The boost element at any t > 0 but the identity t = 1; at 1/t it is
+    the transposed element at t, U(g^-1) = U(g)^T."""
+    beta = require_beta(beta)
+    ch, sh = boost_trig(require_boost_param(t))
     if first_axis:
         if k != n:
             return 0.0
@@ -272,14 +260,6 @@ def _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first_axis: bool) -> float:
     return (1 if rational > 0 else -1) * math.exp(log)
 
 
-def _hyperbolic_me(beta, t, i: int, k: int, m: int, n: int, first_axis: bool) -> float:
-    """The boost element at any t > 0 but the identity t = 1; at 1/t it is
-    the transposed element at t, U(g^-1) = U(g)^T."""
-    beta = require_beta(beta)
-    ch, sh = boost_trig(require_boost_param(t))
-    return _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first_axis)
-
-
 def hyperbolic_me_xi(beta, t, i: int, k: int, m: int, n: int) -> float:
     """Matrix element of the boost acting on the first axis pair."""
     return _hyperbolic_me(beta, t, i, k, m, n, first_axis=True)
@@ -290,12 +270,16 @@ def hyperbolic_me_psi(beta, t, i: int, k: int, m: int, n: int) -> float:
     return _hyperbolic_me(beta, t, i, k, m, n, first_axis=False)
 
 
-def _elliptic_me_core(cos: Fraction, sin: Fraction, i, k, m, n) -> float:
+def elliptic_me(beta, s, i: int, k: int, m: int, n: int) -> float:
+    """Matrix element of the spacelike rotation; level-preserving by the
+    Kronecker delta on i + k = m + n.  Note the last Krawtchouk slot is the
+    level i + k itself, exactly as the closed form states.
+    """
+    require_beta(beta)  # beta does not enter the element, but it must be a valid parameter
+    cos, sin = rotation_trig(require_rotation_param(s))  # cos != 0: s = +-1 is refused
     if i + k != m + n:
         return 0.0
     N = i + k
-    if cos == 0:
-        raise NonGenericMatrix("quarter-turn rotation: tangent factor undefined")
     tan = sin / cos
     poly = krawtchouk(n, k, sin * sin, N)
     rational = (-1) ** k * cos**N * tan ** (k + n) * poly
@@ -304,16 +288,6 @@ def _elliptic_me_core(cos: Fraction, sin: Fraction, i, k, m, n) -> float:
     # in log space: the binomials pass 1e308 long before the element leaves [-1, 1]
     log = log_abs(rational) + 0.5 * (math.log(math.comb(N, k)) + math.log(math.comb(N, n)))
     return (1 if rational > 0 else -1) * math.exp(log)
-
-
-def elliptic_me(beta, s, i: int, k: int, m: int, n: int) -> float:
-    """Matrix element of the spacelike rotation; level-preserving by the
-    Kronecker delta on i + k = m + n.  Note the last Krawtchouk slot is the
-    level i + k itself, exactly as the closed form states.
-    """
-    require_beta(beta)  # beta does not enter the element, but it must be a valid parameter
-    cos, sin = rotation_trig(require_rotation_param(s))
-    return _elliptic_me_core(cos, sin, i, k, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -411,94 +385,26 @@ def general_sum_eval(
 # general float matrix elements and the addition formula
 
 
-def _is_identity(lam: PseudoRotation) -> bool:
-    return lam.entries == lorentz_identity(lam.d).entries
-
-
-def _match_rotation(lam: PseudoRotation):
-    e = lam.entries
-    if (
-        e[2][2] == 1
-        and e[0][2] == e[1][2] == e[2][0] == e[2][1] == 0
-    ):
-        return e[0][0], e[0][1]  # cos, sin
-    return None
-
-
-def _match_boost(lam: PseudoRotation, axis: int):
-    """(cosh, sinh) of a pure boost in the plane of ``axis`` and the last axis."""
-    e, other = lam.entries, 1 - axis
-    if e[other][other] == 1 and e[axis][other] == e[other][axis] == e[other][2] == e[2][other] == 0:
-        return e[2][2], e[axis][2]
-    return None
-
-
-def _closed_form(beta: Fraction, lam: PseudoRotation):
-    """The closed-form evaluator (i, k, m, n) -> <i,k| F(lam) |m,n> of the
-    identity, a pure rotation or a pure boost, or None."""
-    if _is_identity(lam):
-        return lambda i, k, m, n: 1.0 if (i, k) == (m, n) else 0.0
-    rot = _match_rotation(lam)
-    if rot is not None:
-        cos, sin = rot
-        return lambda i, k, m, n: _elliptic_me_core(cos, sin, i, k, m, n)
-    for axis in (0, 1):
-        pair = _match_boost(lam, axis)
-        if pair is not None:
-            ch, sh, first = *pair, axis == 0
-            return lambda i, k, m, n: _hyperbolic_me_core(beta, ch, sh, i, k, m, n, first)
-    return None
-
-
 def me_evaluator(beta, lam: PseudoRotation) -> Callable[[int, int, int, int], float]:
     """Float evaluator (i, k, m, n) -> <i,k| F(lam) |m,n> for d = 2.
 
-    Dispatches on structure: identity, pure rotation, pure boosts (their
-    closed forms), otherwise a one-point read of the integer raising table
-    of the core (``multivariate._RaisingTable.matrix_element``), which
-    keeps the band below the point and needs a nonzero last column but no
-    nonzero last row.  Its values are exact integers until the one
-    log-space conversion, so an element is good to about rel 1e-13 even on
-    the level block i + k = m + n = 25.  A table past ``POINT_BUDGET``
-    cells is refused with exit 3.
+    The identity gives the Kronecker delta exactly; any other element is a
+    one-point read of the integer raising table of the core
+    (``multivariate._RaisingTable.matrix_element``), which keeps the band
+    below the point and serves every pseudo-rotation, zeros in its last
+    row or column included, so the subgroup closed forms are its oracles.
+    Its values are exact integers until the one log-space conversion, so
+    an element is good to about rel 1e-13 even on the level block
+    i + k = m + n = 25.  A table past ``POINT_BUDGET`` cells is refused
+    with exit 3.
     """
     if lam.d != 2:
         raise ValueError("matrix elements implemented for d = 2")
     beta = require_beta(beta)
-    closed = _closed_form(beta, lam)
-    if closed is not None:
-        return closed
+    if lam.entries == lorentz_identity(2).entries:
+        return lambda i, k, m, n: 1.0 if (i, k) == (m, n) else 0.0
     table = _RaisingTable(beta, lam)
     return lambda i, k, m, n: table.matrix_element((i, k), (m, n))
-
-
-def _level_rows(beta: Fraction, lam: PseudoRotation, fixed: MultiIndex, left: bool):
-    """The reader of one factor of the addition sum: the points ys of the
-    next level -> <fixed| F(lam) |y> (``left``) or <y| F(lam) |fixed> over
-    ys.  A closed form is read point by point; otherwise a right factor is
-    the next level of lam's stream at degree ``fixed``
-    (``_RaisingTable.levels``), and a left factor, by U(L)_{x,y} =
-    U(L~)_{y,x} with L~ = ``inverse_tilde(L)``, that of L~'s stream; other
-    points are refused.  Where L~ has a zero in its last column (L one in
-    its last row) the left factor is read from L's table a degree at a time."""
-    closed = _closed_form(beta, lam)
-    if closed is not None:
-        if left:
-            return lambda ys: [closed(*fixed, *y) for y in ys]
-        return lambda ys: [closed(*y, *fixed) for y in ys]
-    table = _RaisingTable(beta, lam)  # a zero in the last column raises here
-    if left and not all(lam.entries[-1][:-1]):
-        return lambda ys: [table.matrix_element(fixed, y) for y in ys]
-    if left:
-        table = _RaisingTable(beta, inverse_tilde(lam))
-    stream, count = table.levels(fixed), itertools.count()
-
-    def read(ys):
-        if tuple(ys) != multivariate._level(next(count), len(fixed))[0]:
-            raise ValueError("a level stream is read one level after another, from level 0")
-        return next(stream)
-
-    return read
 
 
 def check_addition(
@@ -516,34 +422,32 @@ def check_addition(
 
       sum_L sum_{|y| = L} <i,k| F(A) |y> <y| F(B) |m,n>.
 
-    Each level's two rows come from ``_level_rows``: the right factor is
-    the next level of B's raising stream at degree (m, n), and the left
-    one, by U(A)_{x,y} = U(A~)_{y,x} (the representation is unitary with
-    real elements and A~ = ``inverse_tilde(A)`` is A's inverse), that of
-    A~'s stream at degree (i, k).  A stream keeps two levels of its chain
-    of |n| columns; level L costs |n| (L + 1) cells, and past POINT_BUDGET
-    cells in all it is refused.  The sum stops at the first level past
-    both degrees whose contribution is below tol / 100, or past SHELL_CAP."""
+    The right row of level L is level L of B's raising stream at degree
+    (m, n) (``_RaisingTable.levels``), and the left one, by U(A)_{x,y} =
+    U(A~)_{y,x} (the representation is unitary with real elements and
+    A~ = ``inverse_tilde(A)`` is A's inverse), that of A~'s stream at
+    degree (i, k); the tables serve every pair of factors.  A stream keeps
+    two levels of its chain of |n| columns; level L costs |n| (L + 1)
+    cells, and past POINT_BUDGET cells in all it is refused.  The sum
+    stops at the first level past both degrees whose contribution is
+    below tol / 100, or past SHELL_CAP."""
     require_tol(tol)
     beta = require_beta(beta)
     me_c = me_evaluator(beta, compose(A, B))  # refuses d != 2
-    row_a = _level_rows(beta, A, (i, k), True)
-    row_b = _level_rows(beta, B, (m, n), False)
+    rows_a = _RaisingTable(beta, inverse_tilde(A)).levels((i, k))
+    rows_b = _RaisingTable(beta, B).levels((m, n))
     lhs = me_c(i, k, m, n)
     total = 0.0
     threshold = tol / 100.0
-    level = 0
-    while True:
-        if level > multivariate.SHELL_CAP:
-            raise NonConvergence(
-                f"addition sum did not settle within {multivariate.SHELL_CAP} diagonal shells"
-            )
-        ys = [(rho, level - rho) for rho in range(level + 1)]
-        contrib = sum(map(mul, row_a(ys), row_b(ys)))
+    for level, row_a, row_b in zip(range(multivariate.SHELL_CAP + 1), rows_a, rows_b):
+        contrib = sum(map(mul, row_a, row_b))
         total += contrib
         if level >= max(m + n, i + k) and abs(contrib) < threshold:
             break
-        level += 1
+    else:
+        raise NonConvergence(
+            f"addition sum did not settle within {multivariate.SHELL_CAP} diagonal shells"
+        )
 
     disc = abs(lhs - total)
     counter = (i, k, m, n) if disc > tol else None

@@ -176,15 +176,17 @@ class _LogMass:
     """The float mass log((b)_t / x! prod_i r_i^(2 x_i)), t = |x|, as
     ``head(t) + sum_i axis(i, x_i)`` from ``math.lgamma``, for the ratios
     r_i = L[i][d]/L[d][d] of the last column or, ``row``, L[d][i]/L[d][d]
-    of the last row, all nonzero.  The column mass also carries the
-    normalisation (1 - sum_i r_i^2)^b = L[d][d]^(-2b) in its head, so its
-    exponential is the negative multinomial weight.  In log space nothing
-    overflows: far out the exponential underflows to 0.0.
+    of the last row, an entry 0 read as 1 (the raising table's amplitude,
+    ``_RaisingTable``; a system's entries are all nonzero).  The column
+    mass also carries the normalisation (1 - sum_i r_i^2)^b = L[d][d]^(-2b)
+    in its head, so for a system its exponential is the negative
+    multinomial weight.  In log space nothing overflows: far out the
+    exponential underflows to 0.0.
     """
 
     def __init__(self, beta, lam: PseudoRotation, row: bool = False):
         e, d = lam.entries, lam.d
-        ratios = [(e[d][i] if row else e[i][d]) / e[d][d] for i in range(d)]
+        ratios = [((e[d][i] if row else e[i][d]) or 1) / e[d][d] for i in range(d)]
         self.b = require_float(beta, "beta")
         self.offset = -math.lgamma(self.b) - (0.0 if row else 2.0 * self.b * math.log(e[d][d]))
         self.logs = [2.0 * math.log(abs(r)) for r in ratios]
@@ -448,15 +450,20 @@ class _RaisingTable:
     """The unnormalised raising recursion of one matrix, behind the monic
     values, the orthonormal values and the matrix elements.
 
-    With r_i = L[i][j]/L[i][d] (i = 0..d) for the first nonzero axis j of
-    a degree (``_raising_step``), the values at shift s are 1 at degree
-    zero and
+    With w_i = L[i][d], or 1 where that entry is 0 (w_d = L[d][d] >= 1),
+    and r_i = L[i][j]/w_i (i = 0..d) for the first nonzero axis j of a
+    degree (``_raising_step``), the values at shift s are
 
       S[n + e_j](y) = -r_d (|y| + b + s) S(y) + sum_i r_i y_i S(y - e_i),
 
-    S on the right those of degree n at shift s + 1.  It divides only by
-    last-column entries, so it also serves matrices with a zero in the
-    last row.  With b = p/q and the r's a/E over one denominator, a value
+    S on the right those of degree n at shift s + 1, and at degree zero 1
+    where y_a = 0 on every axis a with L[a][d] = 0 (``zeros``), 0 elsewhere.
+    For any matrix, prod_i L[i][d]^y_i S solves this recursion with every
+    w_i = L[i][d] from prod_i L[i][d]^y_i at degree zero; the table divides
+    by the nonzero L[i][d]^y_i only, so it serves every pseudo-rotation,
+    the identity, rotations and boosts among them, and a generic matrix
+    keeps the values it would have with every w_i = L[i][d].  With b = p/q
+    and the r's a/E over one denominator, a value
     is kept as the integer (qE)^|n| S, so a step
 
       S^[n + e_j](y) = -a_d (q (|y| + s) + p) S^(y) + q sum_i a_i y_i S^(y - e_i)
@@ -478,19 +485,21 @@ class _RaisingTable:
     would take the cells held past POINT_BUDGET the columns are dropped.
 
     At shift 0, S / sqrt((b)_|n| n!) is the orthonormal value and, times
-    the signed amplitude, the matrix element: both are read in log space,
-    so only the result can leave the float range.  ``levels`` streams one
+    the signed amplitude sqrt((b)_t / y!) L[d][d]^-b prod_i (w_i/L[d][d])^y_i,
+    t = |y| (``mass``), the matrix element: both are read in log space, so
+    only the result can leave the float range.  ``levels`` streams one
     degree's elements level by level |y| = t with no box: two levels per
-    column, |n| cells a point.  Where the last row has no zero,
-    S / ((b)_|n| prod_j (-r_dj)^n_j) is the monic value (``monic``).
+    column, |n| cells a point.  For a system's matrix, with no zero in its
+    last row or column, S / ((b)_|n| prod_j (-r_dj)^n_j) is the monic value
+    (``monic``).
     """
 
     def __init__(self, beta: Fraction, lam: PseudoRotation):
         e, d = lam.entries, lam.d
-        if any(e[i][d] == 0 for i in range(d)):
-            raise NonGenericMatrix("the raising recursion needs nonzero last-column entries")
+        self.zeros = [a for a in range(d) if not e[a][d]]
         self.p, self.q = beta.numerator, beta.denominator
-        denom, nums = _scaled_list([e[i][j] / e[i][d] for j in range(d) for i in range(d + 1)])
+        denom, nums = _scaled_list([e[i][j] / (e[i][d] or 1)
+                                    for j in range(d) for i in range(d + 1)])
         # per axis j: the cleared last-row step -a_d and the q a_i, i < d
         rows = [nums[j * (d + 1) : (j + 1) * (d + 1)] for j in range(d)]
         self.steps = [(-row[d], [self.q * a for a in row[:d]]) for row in rows]
@@ -520,10 +529,14 @@ class _RaisingTable:
             + 0.5 * (math.lgamma(b + sum(n)) - math.lgamma(b) + sum(math.lgamma(v + 1) for v in n))
         )
 
+    def bottom(self, y: MultiIndex) -> int:
+        """Degree zero's value at y: 0 where y_a > 0 on an axis of ``zeros``."""
+        return 0 if any(y[a] for a in self.zeros) else 1
+
     def value(self, n: MultiIndex, x: MultiIndex) -> int:
         """(qE)^|n| S[n](x) at shift 0."""
-        if not any(n):
-            return 1  # degree zero is 1 at every point and has no column
+        if not any(n):  # degree zero has no column
+            return self.bottom(x)
         place = self.places.get(x)
         if place is None:
             place = self._place(n, x)
@@ -595,9 +608,9 @@ class _RaisingTable:
             plan = plans.get(key)
             if plan is None:
                 plan = plans[key] = self._plan(key)
-            same, low_size, by_axis = plan
+            same, low_size, by_axis, zero = plan
             slopes, terms = by_axis[j]
-            low = [1] * low_size if bottom else columns[(lower, shift + 1)]
+            low = (zero or [1] * low_size) if bottom else columns[(lower, shift + 1)]
             fetch = low.__getitem__
             # -a_d (q (|y| + s) + p) = slope |y| + offset
             offset = self.steps[j][0] * (q * shift + p)
@@ -615,8 +628,10 @@ class _RaisingTable:
         cell y below and its size, and per step axis j the slopes |y| times
         -a_d q and, per i with a_i nonzero, the weights q a_i y_i with the
         places of y - e_i below (where y_i = 0, a negative place, counted
-        from the end, of some other cell, whose term the weight 0 cancels).
-        Each list is built a whole axis at a time."""
+        from the end, of some other cell, whose term the weight 0 cancels),
+        and degree zero's column below where ``zeros`` has an axis (None
+        where it is all 1).  Each list but that column is built a whole
+        axis at a time."""
         hi = self.hi
         corner = [v - shift if v > shift else 0 for v in self.lo]
         below = [v - 1 if v else 0 for v in corner]
@@ -640,7 +655,11 @@ class _RaisingTable:
             )
             for last, col in self.steps
         ]
-        return same, math.prod(low_sizes), by_axis
+        zero = None
+        if self.zeros:
+            cells = itertools.product(*[range(b, h + 1) for b, h in zip(below, hi)])
+            zero = list(map(self.bottom, cells))
+        return same, math.prod(low_sizes), by_axis, zero
 
     def monic(self, n: MultiIndex, x: MultiIndex) -> Fraction:
         """The value over prod_{s<|n|} (p + s q) prod_j (-a_dj)^n_j, the
@@ -693,7 +712,7 @@ class _RaisingTable:
             if cells > POINT_BUDGET:
                 raise _over_budget("raising", f"fill {cells} cells",
                                    f"{len(chain)} columns over {t + 1} levels", way_out=None)
-            level = [[1] * len(points)]
+            level = [list(map(self.bottom, points)) if self.zeros else [1] * len(points)]
             for (shift, last, weights), low in zip(chain, rows):
                 out = map((last * (q * (t + shift) + p)).__mul__, level[-1])
                 for qa, ys, down in zip(weights, coords, downs):

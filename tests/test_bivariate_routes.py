@@ -8,7 +8,6 @@ import pytest
 from multimeixner import multivariate
 from multimeixner.bivariate import (
     MeixnerSystem,
-    amplitude_sq,
     hyp_sum,
     matrix_element,
     monic_eval_gf,
@@ -309,6 +308,22 @@ class TestWeight:
     def test_negative_point_rejected(self, canonical_beta2):
         with pytest.raises(ValueError):
             weight(canonical_beta2, -1, 0)
+
+
+def amplitude_sq(sys, i, k):
+    """The squared amplitude (b)_{i+k} / (i! k!) L22^(-2b) (L02/L22)^(2i)
+    (L12/L22)^(2k), exact at an integer beta, and in float mode the square
+    of the column mass's signed root: the oracle of the weight."""
+    b, e = sys.beta, sys.lam.entries
+    if sys.mode is ScalarMode.FLOAT:
+        return multivariate._LogMass(b, sys.lam).root((i, k)) ** 2
+    return (
+        pochhammer(b, i + k)
+        / (math.factorial(i) * math.factorial(k))
+        * e[2][2] ** (-2 * int(b) - 2 * i - 2 * k)
+        * e[0][2] ** (2 * i)
+        * e[1][2] ** (2 * k)
+    )
 
 
 class TestAmplitude:

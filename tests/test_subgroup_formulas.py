@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from multimeixner.bivariate import (
     monic_eval_hyp,
     monic_eval_raising,
 )
-from multimeixner.errors import NonConvergence, NonGenericMatrix, PreconditionError
+from multimeixner.errors import NonConvergence, PreconditionError
 from multimeixner.harness import (
     addition_tuples,
     canonical_lambda,
@@ -332,13 +333,13 @@ class TestAddition:
         )
         assert report.passed
 
-    def test_degenerate_factor_rejected(self):
-        # boost-then-rotation has a zero in the last column and matches no
-        # closed-form pattern
+    def test_a_right_factor_with_a_zero_in_its_last_column_passes(self):
+        # boost-then-rotation has a zero in the last column; the raising
+        # table serves it like any other factor
         B = compose(boost((1, 3), 2, 2), rotation((1, 2), F(1, 2), 2))
         A = compose(rotation((1, 2), F(1, 2), 2), boost((2, 3), 2, 2))
-        with pytest.raises(NonGenericMatrix):
-            check_addition(A, B, 2, 0, 0, 0, 0, 1e-8)
+        assert B.entries[1][2] == 0
+        assert check_addition(A, B, 2, 0, 0, 0, 0, 1e-8).passed
 
     def test_seeded_tuples(self):
         for (A, B, i, k, m, n) in addition_tuples(99, 3):
@@ -377,47 +378,27 @@ class TestAddition:
             disc = abs(me_evaluator(2, compose(A, B))(i, k, m, n) - total)
             assert check_addition(A, B, 2, i, k, m, n, 1e-8).max_abs_discrepancy == disc
 
-    def test_a_stream_reader_takes_the_levels_in_order(self):
-        import multimeixner.bivariate as bivariate
-
-        A, B, *_ = addition_tuples(2024, 1)[0]
-        for lam, left in ((A, True), (B, False)):
-            read = bivariate._level_rows(F(2), lam, (1, 1), left)
-            assert len(read([(0, 0)])) == 1
-            with pytest.raises(ValueError, match="one level after another"):
-                read([(0, 2), (1, 1), (2, 0)])
-
-    def test_a_left_factor_with_a_zero_in_its_last_column_is_refused(self):
-        # boost-then-rotation: its last column (3/4, 0, 5/4) cannot be
-        # divided by, though that of its inverse could
+    def test_a_left_factor_with_a_zero_in_its_last_column_passes(self):
+        # boost-then-rotation: its last column (3/4, 0, 5/4) and the last
+        # row of its inverse, whose stream the left factor reads, hold a 0
         A = compose(boost((1, 3), 2, 2), rotation((1, 2), F(1, 2), 2))
         assert A.entries[1][2] == 0 and all(A.entries[2])
-        with pytest.raises(NonGenericMatrix):
-            check_addition(A, addition_tuples(2024, 1)[0][1], 2, 1, 0, 0, 1, 1e-8)
+        assert check_addition(A, addition_tuples(2024, 1)[0][1], 2, 1, 0, 0, 1, 1e-8).passed
 
     def test_a_perturbed_right_factor_fails(self, monkeypatch):
-        # one element of one right-factor row scaled by 1 + 1e-6
-        import multimeixner.bivariate as bivariate
-
+        # the largest element of level m + n of B's stream scaled by 1 + 1e-6
         A, B, i, k, m, n = addition_tuples(2024, 1)[0]
         assert check_addition(A, B, 2, i, k, m, n, 1e-8).passed
-        rows = bivariate._level_rows
+        levels = multivariate._RaisingTable.levels
 
-        def perturbed(beta, lam, fixed, left):
-            read = rows(beta, lam, fixed, left)
-            if left:
-                return read
+        def perturbed(table, degree):
+            for t, row in enumerate(levels(table, degree)):
+                if table.lam is B and t == m + n:
+                    at = max(range(len(row)), key=lambda r: abs(row[r]))
+                    row[at] *= 1 + 1e-6
+                yield row
 
-            def row(ys):
-                out = read(ys)
-                if len(ys) == m + n + 1:
-                    at = max(range(len(out)), key=lambda r: abs(out[r]))
-                    out[at] *= 1 + 1e-6
-                return out
-
-            return row
-
-        monkeypatch.setattr(bivariate, "_level_rows", perturbed)
+        monkeypatch.setattr(multivariate._RaisingTable, "levels", perturbed)
         report = check_addition(A, B, 2, i, k, m, n, 1e-8)
         assert not report.passed and report.counterexample == (i, k, m, n)
 
@@ -516,14 +497,58 @@ class TestEvaluatorDispatch:
         assert math.isfinite(ev(0, 0, 1500, 0))
         assert math.isfinite(ev(2, 1, 400, 0))
 
-    def test_pure_boost_uses_closed_form(self):
-        lam = boost((1, 3), 2, 2)
-        ev = me_evaluator(2, lam)
-        assert ev(1, 2, 1, 1) == 0.0  # Kronecker delta on the second index
-        assert ev(0, 1, 0, 1) == pytest.approx(hyperbolic_me_xi(2, 2, 0, 1, 0, 1))
+    # the one-parameter subgroups with their closed forms, the oracles of the table
+    SUBGROUPS = {
+        "boost-13-2": (boost((1, 3), 2, 2), lambda *p: hyperbolic_me_xi(2, 2, *p)),
+        "boost-13-1/3": (boost((1, 3), F(1, 3), 2), lambda *p: hyperbolic_me_xi(2, F(1, 3), *p)),
+        "boost-23-3": (boost((2, 3), 3, 2), lambda *p: hyperbolic_me_psi(2, 3, *p)),
+        "rotation-1/2": (rotation((1, 2), F(1, 2), 2), lambda *p: elliptic_me(2, F(1, 2), *p)),
+        "rotation--7/3": (rotation((1, 2), F(-7, 3), 2), lambda *p: elliptic_me(2, F(-7, 3), *p)),
+    }
 
-    def test_pure_rotation_uses_closed_form(self):
-        lam = rotation((1, 2), F(1, 2), 2)
+    @pytest.mark.parametrize("name", list(SUBGROUPS))
+    def test_a_subgroup_element_agrees_with_its_closed_form(self, name):
+        # a boost or rotation has zeros in its last column; the table gives
+        # exactly 0.0 wherever the closed form is 0, e.g. off the delta
+        lam, closed = self.SUBGROUPS[name]
         ev = me_evaluator(2, lam)
-        assert ev(1, 1, 2, 1) == 0.0  # level mismatch
-        assert ev(1, 1, 2, 0) == pytest.approx(elliptic_me(2, F(1, 2), 1, 1, 2, 0))
+        # the level blocks 0..25, and across levels with a fixed coordinate
+        points = [(i, t - i, m, t - m) for t in range(26) for i in range(t + 1) for m in range(t + 1)]
+        points += [p for c in (0, 2) for a in range(13) for b in range(13)
+                   for p in ((a, c, b, c), (c, a, c, b))]
+        for point in points:
+            ref = closed(*point)
+            if ref == 0.0:
+                assert ev(*point) == 0.0
+            else:
+                assert ev(*point) == pytest.approx(ref, rel=1e-12)
+
+    def test_the_quarter_turn_is_the_signed_permutation(self):
+        # s = 1: (y_0, y_1) -> (y_1, -y_0), so <i,k| U |m,n> = (-1)^k delta_{(i,k),(n,m)},
+        # which the closed form, with its tangent, cannot give
+        ev = me_evaluator(2, rotation((1, 2), 1, 2))
+        for t in range(16):
+            for i in range(t + 1):
+                for m in range(t + 1):
+                    got = ev(i, t - i, m, t - m)
+                    if m == t - i:
+                        assert got == pytest.approx((-1) ** (t - i), rel=4 * sys.float_info.epsilon)
+                    else:
+                        assert got == 0.0
+        assert ev(1, 0, 0, 0) == ev(0, 0, 0, 1) == 0.0
+
+    def test_a_zero_in_the_last_column_is_served(self):
+        # last column (3/4, 0, 5/4): the boost acts after the rotation, so the
+        # element is the sum over the level |n| of their closed forms
+        C = compose(boost((1, 3), 2, 2), rotation((1, 2), F(1, 2), 2))
+        assert C.entries[1][2] == 0
+        ev = me_evaluator(2, C)
+        for level in range(21):
+            span = range(level + 1)
+            rot = [[elliptic_me(2, F(1, 2), r, level - r, m, level - m) for m in span] for r in span]
+            for top in (level, level + 3):  # the boost leaves the level
+                for i in range(top + 1):
+                    bst = [hyperbolic_me_xi(2, 2, i, top - i, r, level - r) for r in span]
+                    for m in span:
+                        ref = math.fsum(bst[r] * rot[r][m] for r in span)
+                        assert ev(i, top - i, m, level - m) == pytest.approx(ref, rel=1e-12, abs=1e-300)
