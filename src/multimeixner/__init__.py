@@ -18,14 +18,11 @@ from .bivariate import (
     general_sum_eval,
     hyperbolic_me_psi,
     hyperbolic_me_xi,
-    matrix_element,
-    me_evaluator,
     monic_eval_gf,
     monic_eval_hyp,
     monic_eval_raising,
     monic_poly_coeffs,
     orthonormal_eval,
-    weight,
 )
 from .errors import (
     MatrixValidationError,
@@ -59,12 +56,13 @@ from .lorentz import (
 )
 from .multivariate import (
     MeixnerSystemD,
+    check_addition_d,
     check_difference_d,
     check_duality_d,
     check_lowering_d,
     check_orthogonality_d,
     check_recurrence_d,
-    matrix_element_d,
+    element_reader,
     monic_eval_gf_d,
     monic_eval_raising_d,
     orthonormal_eval_d,

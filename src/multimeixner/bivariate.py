@@ -1,5 +1,5 @@
 """The d = 2 case: the named system and the routes, closed forms and
-matrix elements stated for two variables.
+subgroup matrix elements stated for two variables.
 
 Route map
 ---------
@@ -17,19 +17,18 @@ Route map
                           closed forms in univariate Meixner/Krawtchouk
                           factors, valid for specific product decompositions
 
-The three routes, the weight, the polynomial coefficients, the
-orthogonality sum and the exact recurrence, difference, lowering and
+The three routes, the polynomial coefficients, the orthogonality sum,
+the addition check and the exact recurrence, difference, lowering and
 duality checkers are those of the d-variable core in ``multivariate``,
-called at d = 2.
+called at d = 2; the weight and the matrix elements are read from the
+core itself (``weight_d``, ``element_reader``).
 
 All identity checkers run on the monic values, which are rational, so an
 identity either holds with discrepancy exactly zero or it is broken.  The
-orthonormal family and the representation matrix elements carry square
-roots and live in float mode only.  Every matrix element, of a subgroup
-element or not, is read from the core's raising table (``me_evaluator``,
-``check_addition``); the closed forms of the one-parameter subgroups
-(``hyperbolic_me_xi``, ``hyperbolic_me_psi``, ``elliptic_me``) are its
-oracles.
+orthonormal family carries square roots and lives in float mode only.
+The closed forms of the one-parameter subgroups (``hyperbolic_me_xi``,
+``hyperbolic_me_psi``, ``elliptic_me``) are the oracles of the core's
+matrix elements, which one raising table gives for every pseudo-rotation.
 """
 
 from __future__ import annotations
@@ -38,38 +37,30 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
-from . import multivariate
-from .errors import NonConvergence
 from .lorentz import (
     PseudoRotation,
     boost_trig,
-    compose,
-    inverse_tilde,
     require_boost_param,
     require_rotation_param,
     rotation_trig,
 )
-from .lorentz import identity as lorentz_identity
 from .multivariate import (
     MeixnerSystemD,
     MultiIndex,
-    _RaisingTable,
     _as_multi_index,
     _gram_discrepancy,
+    check_addition_d,
     check_difference_d,
     check_duality_d,
     check_lowering_d,
     check_recurrence_d,
-    matrix_element_d,
     monic_eval_gf_d,
     monic_eval_hyp_d,
     monic_eval_raising_d,
     monic_poly_coeffs_d,
     orthonormal_eval_d,
-    weight_d,
 )
 from .numerics import (
     ScalarMode,
@@ -78,7 +69,6 @@ from .numerics import (
     pochhammer,
     require_beta,
     require_float,
-    require_tol,
     rising_row,
     # unused here: the benchmark tracer binds these three on this module
     series_geom_pow,
@@ -96,15 +86,6 @@ class MeixnerSystem(MeixnerSystemD):
         if lam.d != 2:
             raise ValueError(f"MeixnerSystem needs a 3x3 matrix, got d={lam.d}")
         super().__init__(beta, lam, mode)
-
-
-# ---------------------------------------------------------------------------
-# weights
-
-
-def weight(sys: MeixnerSystem, i: int, k: int):
-    """Negative trinomial mass at (i, k)."""
-    return weight_d(sys, (i, k))
 
 
 def _check_point(i: int, k: int) -> MultiIndex:
@@ -173,17 +154,12 @@ def monic_poly_coeffs(sys: MeixnerSystem, m: int, n: int) -> Dict[Tuple[int, int
 
 
 # ---------------------------------------------------------------------------
-# orthonormal family and representation matrix elements (float only)
+# orthonormal family (float only)
 
 
 def orthonormal_eval(sys: MeixnerSystem, m: int, n: int, i: int, k: int) -> float:
     """Orthonormal value (see ``multivariate.orthonormal_eval_d``)."""
     return orthonormal_eval_d(sys, (m, n), (i, k))
-
-
-def matrix_element(sys: MeixnerSystem, i: int, k: int, m: int, n: int) -> float:
-    """Representation matrix element (see ``multivariate.matrix_element_d``)."""
-    return matrix_element_d(sys, (i, k), (m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -382,29 +358,7 @@ def general_sum_eval(
 
 
 # ---------------------------------------------------------------------------
-# general float matrix elements and the addition formula
-
-
-def me_evaluator(beta, lam: PseudoRotation) -> Callable[[int, int, int, int], float]:
-    """Float evaluator (i, k, m, n) -> <i,k| F(lam) |m,n> for d = 2.
-
-    The identity gives the Kronecker delta exactly; any other element is a
-    one-point read of the integer raising table of the core
-    (``multivariate._RaisingTable.matrix_element``), which keeps the band
-    below the point and serves every pseudo-rotation, zeros in its last
-    row or column included, so the subgroup closed forms are its oracles.
-    Its values are exact integers until the one log-space conversion, so
-    an element is good to about rel 1e-13 even on the level block
-    i + k = m + n = 25.  A table past ``POINT_BUDGET`` cells is refused
-    with exit 3.
-    """
-    if lam.d != 2:
-        raise ValueError("matrix elements implemented for d = 2")
-    beta = require_beta(beta)
-    if lam.entries == lorentz_identity(2).entries:
-        return lambda i, k, m, n: 1.0 if (i, k) == (m, n) else 0.0
-    table = _RaisingTable(beta, lam)
-    return lambda i, k, m, n: table.matrix_element((i, k), (m, n))
+# the addition formula
 
 
 def check_addition(
@@ -417,39 +371,7 @@ def check_addition(
     n: int,
     tol: float,
 ) -> EvalReport:
-    """Group-product decomposition <i,k| F(AB) |m,n> against the adaptively
-    truncated bilinear sum over intermediate states y, level by level:
-
-      sum_L sum_{|y| = L} <i,k| F(A) |y> <y| F(B) |m,n>.
-
-    The right row of level L is level L of B's raising stream at degree
-    (m, n) (``_RaisingTable.levels``), and the left one, by U(A)_{x,y} =
-    U(A~)_{y,x} (the representation is unitary with real elements and
-    A~ = ``inverse_tilde(A)`` is A's inverse), that of A~'s stream at
-    degree (i, k); the tables serve every pair of factors.  A stream keeps
-    two levels of its chain of |n| columns; level L costs |n| (L + 1)
-    cells, and past POINT_BUDGET cells in all it is refused.  The sum
-    stops at the first level past both degrees whose contribution is
-    below tol / 100, or past SHELL_CAP."""
-    require_tol(tol)
-    beta = require_beta(beta)
-    me_c = me_evaluator(beta, compose(A, B))  # refuses d != 2
-    rows_a = _RaisingTable(beta, inverse_tilde(A)).levels((i, k))
-    rows_b = _RaisingTable(beta, B).levels((m, n))
-    lhs = me_c(i, k, m, n)
-    total = 0.0
-    threshold = tol / 100.0
-    for level, row_a, row_b in zip(range(multivariate.SHELL_CAP + 1), rows_a, rows_b):
-        contrib = sum(map(mul, row_a, row_b))
-        total += contrib
-        if level >= max(m + n, i + k) and abs(contrib) < threshold:
-            break
-    else:
-        raise NonConvergence(
-            f"addition sum did not settle within {multivariate.SHELL_CAP} diagonal shells"
-        )
-
-    disc = abs(lhs - total)
-    counter = (i, k, m, n) if disc > tol else None
-    box = {"i": i, "k": k, "m": m, "n": n}
-    return EvalReport("addition", box, ScalarMode.FLOAT, disc, counter, tol)
+    """<i,k| F(AB) |m,n> against the sum over the intermediate states
+    (``multivariate.check_addition_d`` at d = 2), reported on its cell."""
+    report = check_addition_d(A, B, beta, (i, k), (m, n), tol)
+    return replace(report, box={"i": i, "k": k, "m": m, "n": n})

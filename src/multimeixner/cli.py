@@ -211,14 +211,16 @@ def cmd_eval(args) -> int:
             f"--value {args.value} is read from the raising table: use --route raising"
             f" or no --route, not --route {args.route}"
         )
+    lam = _matrix(args, d)
+    if args.value == "matrix-element":  # any pseudo-rotation: no system is built
+        print(float_str(multivariate.element_reader(args.beta, lam)(args.point, args.degrees)))
+        return EXIT_PASS
     sysd = multivariate.MeixnerSystemD(
-        args.beta, _matrix(args, d), ScalarMode.EXACT if monic else ScalarMode.FLOAT
+        args.beta, lam, ScalarMode.EXACT if monic else ScalarMode.FLOAT
     )
     if monic:
         route = getattr(multivariate, f"monic_eval_{args.route or 'gf'}_d")
         print(_monic_str(route(sysd, args.degrees, args.point), args.mode))
-    elif args.value == "matrix-element":
-        print(float_str(multivariate.matrix_element_d(sysd, args.point, args.degrees)))
     else:
         print(float_str(multivariate.orthonormal_eval_d(sysd, args.degrees, args.point)))
     return EXIT_PASS

@@ -330,16 +330,18 @@ def suite_closed_form(config: SuiteConfig) -> List[EvalReport]:
     return [_oracle_report(identity, box, box.cells(), oracle, [(None, form)])]
 
 
-def addition_tuples(seed: int, count: int = 10):
-    """Deterministic (A, B, i, k, m, n) samples for the addition suite."""
+def addition_tuples(seed: int, count: int = 10, d: int = 2):
+    """Deterministic (A, B, *x, *n) samples for the addition suite: two
+    products of max(3, d) gentle factors, a point x and a degree n in
+    [0, 2]^d; at d = 2, (A, B, i, k, m, n)."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         a_seed = rng.randint(0, 2**31)
         b_seed = rng.randint(0, 2**31)
-        A = random_matrix(a_seed, 2, 3, gentle=True)
-        B = random_matrix(b_seed, 2, 3, gentle=True)
-        point = tuple(rng.randint(0, 2) for _ in range(4))
+        A = random_matrix(a_seed, d, max(3, d), gentle=True)
+        B = random_matrix(b_seed, d, max(3, d), gentle=True)
+        point = tuple(rng.randint(0, 2) for _ in range(2 * d))
         out.append((A, B) + point)
     return out
 
@@ -350,15 +352,16 @@ def suite_addition(config: SuiteConfig) -> List[EvalReport]:
         raise ValueError(f"--tuples must be at least 1, got {tuples}")
     tol = config.tol if config.tol is not None else 1e-8
     seed = config.seed if config.seed is not None else 2024
+    d = config.d if config.d is not None else 2
     max_disc = 0.0
     counter = None
-    for idx, (A, B, i, k, m, n) in enumerate(addition_tuples(seed, tuples)):
-        rep = bivariate.check_addition(A, B, config.beta, i, k, m, n, tol)
+    for idx, (A, B, *cell) in enumerate(addition_tuples(seed, tuples, d)):
+        rep = multivariate.check_addition_d(A, B, config.beta, cell[:d], cell[d:], tol)
         disc = float(rep.max_abs_discrepancy)
         if disc > max_disc:
             max_disc = disc
         if not rep.passed and counter is None:
-            counter = (idx, i, k, m, n)
+            counter = (idx, *cell)
     box = {"tuples": tuples, "seed": seed}
     return [EvalReport("addition", box, ScalarMode.FLOAT, max_disc, counter, tol)]
 
@@ -487,7 +490,7 @@ SUITES = {
     "routes": Suite(suite_routes, ScalarMode.EXACT, MATRIX_AND_BOX),
     "factorization": Suite(suite_closed_form, ScalarMode.EXACT, ("subgroup", "box")),
     "dompe3": Suite(suite_closed_form, ScalarMode.EXACT, ("subgroup", "box")),
-    "addition": Suite(suite_addition, ScalarMode.FLOAT, ("seed", "tol", "tuples")),
+    "addition": Suite(suite_addition, ScalarMode.FLOAT, ("seed", "tol", "tuples"), d=None),
     "subgroup-unitarity": Suite(suite_subgroup_unitarity, ScalarMode.FLOAT, ("tol",)),
     "multivariate": Suite(
         suite_multivariate, None, (*MATRIX_FLAGS, "tol", "degree_max", "coord_max"), d=None

@@ -9,17 +9,15 @@ from multimeixner import multivariate
 from multimeixner.bivariate import (
     MeixnerSystem,
     hyp_sum,
-    matrix_element,
     monic_eval_gf,
     monic_eval_hyp,
     monic_eval_raising,
     orthonormal_eval,
-    weight,
 )
 from multimeixner.errors import ModeError, NonGenericMatrix
 from multimeixner.harness import random_matrix
 from multimeixner.lorentz import boost, compose, identity
-from multimeixner.multivariate import _orthonormal_prefactor_d
+from multimeixner.multivariate import _orthonormal_prefactor_d, element_reader, weight_d
 from multimeixner.numerics import ScalarMode, pochhammer, rising_row, solve_linear_system
 
 ROUTES = (monic_eval_raising, monic_eval_gf, monic_eval_hyp)
@@ -279,35 +277,35 @@ class TestHypGrid:
 class TestWeight:
     def test_base_point(self, canonical_beta2):
         s = canonical_beta2
-        assert weight(s, 0, 0) == (1 - s.c[0] - s.c[1]) ** 2
+        assert weight_d(s, (0, 0)) == (1 - s.c[0] - s.c[1]) ** 2
 
     def test_first_step(self, canonical_beta2):
         s = canonical_beta2
-        assert weight(s, 1, 0) == 2 * s.c[0] * (1 - s.c[0] - s.c[1]) ** 2
+        assert weight_d(s, (1, 0)) == 2 * s.c[0] * (1 - s.c[0] - s.c[1]) ** 2
 
     def test_exact_needs_integer_beta(self, canonical_matrix):
         s = MeixnerSystem(F(5, 2), canonical_matrix)
         with pytest.raises(ModeError):
-            weight(s, 0, 0)
-        assert weight(s.with_mode(ScalarMode.FLOAT), 0, 0) > 0
+            weight_d(s, (0, 0))
+        assert weight_d(s.with_mode(ScalarMode.FLOAT), (0, 0)) > 0
 
     def test_partial_sums_reach_one(self, canonical_beta2_float):
         s = canonical_beta2_float
-        total = sum(weight(s, i, k) for i in range(61) for k in range(61 - i))
+        total = sum(weight_d(s, (i, k)) for i in range(61) for k in range(61 - i))
         assert abs(total - 1.0) < 1e-10
 
     def test_float_matches_exact_at_a_moderate_point(self, canonical_beta2, canonical_beta2_float):
-        assert weight(canonical_beta2_float, 40, 30) == pytest.approx(
-            float(weight(canonical_beta2, 40, 30)), rel=1e-12
+        assert weight_d(canonical_beta2_float, (40, 30)) == pytest.approx(
+            float(weight_d(canonical_beta2, (40, 30))), rel=1e-12
         )
 
     def test_float_far_point_underflows(self, canonical_beta2_float):
         # the mass is about 1e-553, below the smallest float
-        assert weight(canonical_beta2_float, 600, 600) == 0.0
+        assert weight_d(canonical_beta2_float, (600, 600)) == 0.0
 
     def test_negative_point_rejected(self, canonical_beta2):
         with pytest.raises(ValueError):
-            weight(canonical_beta2, -1, 0)
+            weight_d(canonical_beta2, (-1, 0))
 
 
 def amplitude_sq(sys, i, k):
@@ -335,7 +333,7 @@ class TestAmplitude:
         s = canonical_beta2
         for i in range(7):
             for k in range(7):
-                assert amplitude_sq(s, i, k) == weight(s, i, k)
+                assert amplitude_sq(s, i, k) == weight_d(s, (i, k))
 
     def test_float_base_amplitude(self, canonical_beta2_float):
         s = canonical_beta2_float
@@ -349,13 +347,15 @@ class TestAmplitude:
         # at degree zero the matrix element is the signed amplitude
         e = canonical_beta2.lam.entries
         sign = (-1) ** ((e[0][2] < 0) * 40 + (e[1][2] < 0) * 30)
-        assert matrix_element(canonical_beta2_float, 40, 30, 0, 0) == pytest.approx(
+        read = element_reader(canonical_beta2_float.beta, canonical_beta2_float.lam)
+        assert read((40, 30), (0, 0)) == pytest.approx(
             sign * math.sqrt(float(exact)), rel=1e-12
         )
 
     def test_float_far_point_has_no_overflow(self, canonical_beta2_float):
         assert amplitude_sq(canonical_beta2_float, 600, 600) == 0.0
-        assert 0 < abs(matrix_element(canonical_beta2_float, 600, 600, 0, 0)) < 1e-250
+        read = element_reader(canonical_beta2_float.beta, canonical_beta2_float.lam)
+        assert 0 < abs(read((600, 600), (0, 0))) < 1e-250
 
 
 class TestOrthonormalAndMatrixElements:
@@ -372,8 +372,6 @@ class TestOrthonormalAndMatrixElements:
     def test_requires_float_mode(self, canonical_beta2):
         with pytest.raises(ModeError):
             orthonormal_eval(canonical_beta2, 0, 0, 0, 0)
-        with pytest.raises(ModeError):
-            matrix_element(canonical_beta2, 0, 0, 0, 0)
 
     def test_prefactor_matches_exact_square(self, canonical_beta2_float):
         # (-1)^|n| sqrt((b)_|n| / n!) prod_i (L[2][i]/L[2][2])^n_i at n = (12, 9)
@@ -388,23 +386,19 @@ class TestOrthonormalAndMatrixElements:
 
     def test_matrix_element_base_point(self, canonical_beta2_float):
         s = canonical_beta2_float
-        assert matrix_element(s, 0, 0, 0, 0) == pytest.approx(
+        assert element_reader(s.beta, s.lam)((0, 0), (0, 0)) == pytest.approx(
             float(s.lam.entry(3, 3)) ** -2.0, abs=1e-15
         )
 
     def test_column_norm_is_one(self, canonical_beta2_float):
-        s = canonical_beta2_float
-        total = sum(
-            matrix_element(s, i, k, 1, 1) ** 2 for i in range(45) for k in range(45)
-        )
+        read = element_reader(canonical_beta2_float.beta, canonical_beta2_float.lam)
+        total = sum(read((i, k), (1, 1)) ** 2 for i in range(45) for k in range(45))
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_distinct_columns_orthogonal(self, canonical_beta2_float):
-        s = canonical_beta2_float
+        read = element_reader(canonical_beta2_float.beta, canonical_beta2_float.lam)
         total = sum(
-            matrix_element(s, i, k, 1, 1) * matrix_element(s, i, k, 0, 2)
-            for i in range(45)
-            for k in range(45)
+            read((i, k), (1, 1)) * read((i, k), (0, 2)) for i in range(45) for k in range(45)
         )
         assert total == pytest.approx(0.0, abs=1e-8)
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from multimeixner import harness, multivariate
 from multimeixner.cli import _parse_subgroup, main
 from multimeixner.harness import random_matrix, resolve_matrix
-from multimeixner.lorentz import matrix_to_json, product_of
+from multimeixner.lorentz import identity, matrix_to_json, product_of
 from multimeixner.numerics import ScalarMode
 
 
@@ -189,6 +189,27 @@ class TestEval:
         )
         assert code == 0
         assert abs(float(out)) <= 1.0
+
+    @pytest.mark.parametrize("degrees, point", [("1,0", "0,1"), ("1,0,0", "0,1,0")], ids=["d2", "d3"])
+    def test_a_rotation_element_is_read_without_a_system(self, capsys, degrees, point):
+        # no system is built, so a matrix with zeros in its last row and
+        # column is served: elliptic_me(2, 1/2, 0, 1, 1, 0) = -4/5
+        code, out, err = run_cli(
+            capsys, "eval", "--mode", "float", "--value", "matrix-element",
+            "--subgroup", "rotation:1,2:1/2", "--degrees", degrees, "--point", point,
+        )
+        assert (code, err) == (0, "")
+        assert out == "-0.80000000000000004\n"
+
+    def test_the_identity_element_is_the_delta(self, capsys, tmp_path):
+        path = tmp_path / "id.json"
+        path.write_text(matrix_to_json(identity(2)))
+        for point, value in (("1,2", "1.0"), ("2,1", "0.0")):
+            code, out, err = run_cli(
+                capsys, "eval", "--value", "matrix-element", "--matrix", str(path),
+                "--degrees", "1,2", "--point", point,
+            )
+            assert (code, err) == (0, "") and float(out) == float(value)
 
     @pytest.mark.parametrize("value", ["orthonormal", "matrix-element"])
     def test_exact_mode_gives_no_float_value_kind(self, capsys, value):
@@ -662,7 +683,7 @@ class TestVerify:
             assert out == "" and err.startswith("error:") and "--factors" in err
             assert "got 5" not in err
 
-    @pytest.mark.parametrize("suite", sorted(set(SUITE_SOURCES) - {"multivariate"}))
+    @pytest.mark.parametrize("suite", sorted(set(SUITE_SOURCES) - {"multivariate", "addition"}))
     def test_d_other_than_2_exits_2(self, capsys, suite):
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--d", "3")
         assert code == 2
@@ -731,6 +752,19 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("d", ["1", "3"])
+    def test_addition_runs_at_any_d(self, capsys, d):
+        code, out, err = run_cli(capsys, "verify", "--suite", "addition", "--d", d, "--tuples", "2")
+        assert (code, err) == (0, "")
+        assert out.startswith("PASS addition")
+
+    def test_addition_at_d4_ends_with_one_error_line(self, capsys):
+        # no gentle product of 4 factors joins the 5 axes for the first
+        # draw, or a stream passes the point budget
+        code, out, err = run_cli(capsys, "verify", "--suite", "addition", "--d", "4")
+        assert code in (2, 3) and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("beta", ["-1/2", "0"])
     @pytest.mark.parametrize("suite", ["addition", "subgroup-unitarity"])
@@ -991,7 +1025,7 @@ def _draw_argv(data, matrix_files):
     argv += _optional(data, "--mode", ["exact", "float"])
     argv += _optional(data, "--tol", TOLS)
     argv += _optional(data, "--format", ["text", "json"])
-    d_ok = d is None or (d >= 1 if suite == "multivariate" else d == 2)
+    d_ok = d is None or (d >= 1 if suite in ("multivariate", "addition") else d == 2)
     return argv, SUITE_SOURCES[suite] | SUITE_FLAGS[suite], d_ok
 
 

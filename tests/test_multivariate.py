@@ -10,20 +10,21 @@ from fractions import Fraction as F
 import pytest
 
 from multimeixner import harness, multivariate
-from multimeixner.bivariate import MeixnerSystem, check_orthogonality, monic_eval_gf, weight
+from multimeixner.bivariate import MeixnerSystem, check_orthogonality, elliptic_me, monic_eval_gf
 from multimeixner.cli import main
 from multimeixner.errors import ModeError, NonConvergence, NonGenericMatrix, PreconditionError
 from multimeixner.harness import random_matrix, random_system
-from multimeixner.lorentz import boost, identity
+from multimeixner.lorentz import boost, identity, rotation
 from multimeixner.multivariate import (
     MeixnerSystemD,
     _simplex_lattice,
     check_difference_d,
     check_duality_d,
     check_lowering_d,
+    check_addition_d,
     check_orthogonality_d,
     check_recurrence_d,
-    matrix_element_d,
+    element_reader,
     monic_eval_gf_d,
     monic_eval_hyp_d,
     monic_eval_raising_d,
@@ -128,7 +129,7 @@ class TestWeight:
         sys2 = MeixnerSystem(2, lam)
         for i in range(5):
             for k in range(5):
-                assert weight_d(sysd, (i, k)) == weight(sys2, i, k)
+                assert weight_d(sysd, (i, k)) == weight_d(sys2, (i, k))
 
     def test_partial_sums_reach_one(self, system_d3_float):
         total = sum(
@@ -277,11 +278,11 @@ class TestRaisingRoute:
                 assert monic_eval_raising_d(system, n, x) == monic_eval_gf_d(oracle, n, x), name
 
     def test_float_values_after_a_sweep_are_single_point_values(self):
+        # the system's table and the element reader's own one, each swept
         system = random_system(31, 3, F(7, 3), mode=ScalarMode.FLOAT)
+        read = element_reader(system.beta, system.lam)
         cases = [(n, x) for n in _simplex_lattice(3, 3) for x in lattice((3, 2, 2))]
-        swept = [
-            (orthonormal_eval_d(system, n, x), matrix_element_d(system, x, n)) for n, x in cases
-        ]
+        swept = [(orthonormal_eval_d(system, n, x), read(x, n)) for n, x in cases]
 
         def fresh():
             return multivariate._RaisingTable(system.beta, system.lam)
@@ -630,6 +631,55 @@ class TestOrthogonality:
         with pytest.raises(NonConvergence, match="lattice points"):
             check_orthogonality_d(sysf, 1, 1e-7)
         assert time.perf_counter() - start < 10
+
+
+class TestElementReader:
+    @pytest.mark.parametrize("beta", [2, F(7, 3)], ids=["2", "7/3"])
+    @pytest.mark.parametrize("s", [F(1, 2), F(-7, 3)], ids=["1/2", "-7/3"])
+    def test_a_d3_rotation_is_the_elliptic_element(self, beta, s):
+        # rotation:1,2:s leaves the third coordinate alone: its element at
+        # ((i, k, l), (m, n, l)) is the d = 2 closed form, and exactly 0.0
+        # where the third coordinates differ
+        read = element_reader(beta, rotation((1, 2), s, 3))
+        for i, k, m, n in itertools.product(range(4), repeat=4):
+            ref = elliptic_me(beta, s, i, k, m, n)
+            for l in range(3):
+                got = read((i, k, l), (m, n, l))
+                assert got == 0.0 if ref == 0.0 else got == pytest.approx(ref, rel=1e-13)
+                assert read((i, k, l), (m, n, (l + 1) % 3)) == 0.0
+
+    def test_rejects_a_point_of_another_arity(self):
+        read = element_reader(2, random_matrix(31, 3))
+        with pytest.raises(ValueError, match="point must be 3 non-negative integers"):
+            read((1, 0), (0, 0, 0))
+
+
+class TestAdditionD:
+    """The addition formula at d = 1 and d = 3 on seed 2024's draws, and
+    two tampered sums that each draw must fail."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_seeded_draws_pass(self, d):
+        report, = harness.run_suite(harness.SuiteConfig("addition", d=d))
+        assert report.passed and float(report.max_abs_discrepancy) < 1e-10
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("tamper", ["beta", "tilde"])
+    def test_a_tampered_sum_fails(self, monkeypatch, d, tamper):
+        for A, B, *cell in harness.addition_tuples(2024, 10, d):
+            if tamper == "beta":  # B's stream read at beta + 1/100
+                table = multivariate._RaisingTable
+
+                class Shifted(table):
+                    def __init__(self, beta, lam, B=B):
+                        super().__init__(beta + F(1, 100) if lam is B else beta, lam)
+
+                monkeypatch.setattr(multivariate, "_RaisingTable", Shifted)
+            else:  # A's own stream in place of A~'s
+                monkeypatch.setattr(multivariate, "inverse_tilde", lambda lam: lam)
+            report = check_addition_d(A, B, 2, cell[:d], cell[d:], 1e-8)
+            monkeypatch.undo()
+            assert not report.passed and report.counterexample == tuple(cell)
 
 
 # Up to CPython 3.11 ``sum`` adds floats left to right, so the blocked Gram

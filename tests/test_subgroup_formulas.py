@@ -14,7 +14,6 @@ from multimeixner.bivariate import (
     general_sum_eval,
     hyperbolic_me_psi,
     hyperbolic_me_xi,
-    me_evaluator,
     monic_eval_gf,
     monic_eval_hyp,
     monic_eval_raising,
@@ -28,6 +27,7 @@ from multimeixner.harness import (
     random_matrix,
 )
 from multimeixner.lorentz import boost, compose, inverse_tilde, rotation
+from multimeixner.multivariate import element_reader
 from multimeixner.numerics import log_abs, pochhammer
 from multimeixner.univariate import krawtchouk, meixner
 
@@ -318,7 +318,7 @@ class TestAddition:
         report = check_addition(A, B, 2, 0, 0, 0, 0, 1e-8)
         assert report.passed
         C = compose(A, B)
-        lhs = me_evaluator(F(2), C)(0, 0, 0, 0)
+        lhs = element_reader(F(2), C)((0, 0), (0, 0))
         assert lhs == pytest.approx(float(C.entry(3, 3)) ** -2.0, abs=1e-12)
 
     def test_generic_times_generic(self, seeded_systems):
@@ -350,14 +350,14 @@ class TestAddition:
         # level stream against A's own elements
         points = lambda top: [(a, t - a) for t in range(top + 1) for a in range(t + 1)]
         for (A, *_) in addition_tuples(2024, 10):
-            own = me_evaluator(2, A)
+            own = element_reader(2, A)
             tilde = multivariate._RaisingTable(F(2), inverse_tilde(A))
             for x in points(4):
                 stream = tilde.levels(x)
                 for level in range(11):
                     ys = [(a, level - a) for a in range(level + 1)]
                     for y, element in zip(ys, next(stream), strict=True):
-                        assert element == pytest.approx(own(*x, *y), rel=1e-13)
+                        assert element == pytest.approx(own(x, y), rel=1e-13)
 
     def test_discrepancies_are_those_of_one_point_reads(self):
         # the sum of check_addition rebuilt from one-point reads of the
@@ -375,7 +375,7 @@ class TestAddition:
                 if level >= max(m + n, i + k) and abs(contrib) < 1e-10:
                     break
                 level += 1
-            disc = abs(me_evaluator(2, compose(A, B))(i, k, m, n) - total)
+            disc = abs(element_reader(2, compose(A, B))((i, k), (m, n)) - total)
             assert check_addition(A, B, 2, i, k, m, n, 1e-8).max_abs_discrepancy == disc
 
     def test_a_left_factor_with_a_zero_in_its_last_column_passes(self):
@@ -411,7 +411,7 @@ class TestNonpositiveBeta:
         "hyperbolic_me_xi": lambda beta: hyperbolic_me_xi(beta, 2, 1, 0, 1, 0),
         "hyperbolic_me_psi": lambda beta: hyperbolic_me_psi(beta, 2, 0, 1, 0, 1),
         "elliptic_me": lambda beta: elliptic_me(beta, F(1, 2), 1, 1, 1, 1),
-        "me_evaluator": lambda beta: me_evaluator(beta, random_matrix(42, 2, 4)),
+        "element_reader": lambda beta: element_reader(beta, random_matrix(42, 2, 4)),
         "check_addition": lambda beta: check_addition(
             *addition_tuples(2024, 1)[0][:2], beta, 0, 0, 0, 0, 1e-8
         ),
@@ -431,39 +431,32 @@ class TestEvaluatorDispatch:
     def test_identity(self):
         from multimeixner.lorentz import identity
 
-        ev = me_evaluator(2, identity(2))
-        assert ev(1, 2, 1, 2) == 1.0
-        assert ev(1, 2, 2, 1) == 0.0
+        for d in (1, 2, 3):
+            ev = element_reader(2, identity(d))
+            assert ev((1,) * d, (1,) * d) == 1.0
+            assert ev((1,) * d, (2,) + (1,) * (d - 1)) == 0.0
 
-    def test_pattern_matches_generic_recursion(self):
-        # a dense matrix close to a pure boost: both paths must agree
-        lam = compose(boost((2, 3), 2, 2), boost((1, 3), 3, 2))
-        ev = me_evaluator(2, lam)
-        sys2 = MeixnerSystem(2, lam, "float")
-        from multimeixner.bivariate import matrix_element
-
-        for (i, k, m, n) in ((0, 0, 0, 0), (1, 2, 1, 0), (2, 1, 0, 2), (3, 0, 2, 2)):
-            assert ev(i, k, m, n) == pytest.approx(
-                matrix_element(sys2, i, k, m, n), rel=1e-10, abs=1e-12
-            )
-        # the recursion's float error grows with the degree; on the level
-        # blocks i + k = m + n <= 10 it stays below 1e-9
-        for lam in (canonical_lambda(), random_matrix(42, 2, 4)):
-            ev = me_evaluator(2, lam)
-            sys2 = MeixnerSystem(2, lam, "float")
+    def test_reader_is_a_one_point_table_read(self):
+        # after a sweep of the level blocks |x| = |n| <= 10 the reader's one
+        # table gives, bit for bit, what a fresh table gives for each point
+        for lam in (
+            compose(boost((2, 3), 2, 2), boost((1, 3), 3, 2)),
+            canonical_lambda(),
+            random_matrix(42, 2, 4),
+        ):
+            ev = element_reader(2, lam)
             for level in range(11):
                 for i in range(level + 1):
                     for m in range(level + 1):
-                        point = (i, level - i, m, level - m)
-                        assert ev(*point) == pytest.approx(
-                            matrix_element(sys2, *point), rel=1e-9
-                        )
+                        x, n = (i, level - i), (m, level - m)
+                        fresh = multivariate._RaisingTable(F(2), lam)
+                        assert ev(x, n) == fresh.matrix_element(x, n)
 
     @pytest.mark.parametrize("lam", [canonical_lambda(), random_matrix(42, 2, 4)], ids=["canonical", "seed42"])
     def test_generic_recursion_is_accurate_on_deep_level_blocks(self, lam):
         # reference: amplitude x orthonormal prefactor x the generating-function
         # route, an independent exact route, combined in log space
-        ev = me_evaluator(2, lam)
+        ev = element_reader(2, lam)
         sys2 = MeixnerSystem(2, lam)
         column = multivariate._LogMass(sys2.beta, lam)
         for level in (20, 25):
@@ -474,14 +467,14 @@ class TestEvaluatorDispatch:
                     pref = multivariate._orthonormal_prefactor_d(sys2, n)
                     log = 0.5 * column(x) + math.log(abs(pref)) + log_abs(monic)
                     sign = column.sign(x) * math.copysign(1, pref) * (1 if monic > 0 else -1)
-                    assert ev(*x, *n) == pytest.approx(sign * math.exp(log), rel=1e-12)
+                    assert ev(x, n) == pytest.approx(sign * math.exp(log), rel=1e-12)
 
     def test_generic_recursion_serves_a_zero_in_the_last_row(self):
         # last row (0, 3/4, 5/4): the rotation acts after the boost, so the
         # element is the one-intermediate-level sum of their closed forms
         C = compose(rotation((1, 2), F(1, 2), 2), boost((2, 3), 2, 2))
         assert C.entries[2][0] == 0
-        ev = me_evaluator(2, C)
+        ev = element_reader(2, C)
         for level in range(21):
             span = range(level + 1)
             rot = [[elliptic_me(2, F(1, 2), i, level - i, r, level - r) for r in span] for i in span]
@@ -489,13 +482,13 @@ class TestEvaluatorDispatch:
             for i in span:
                 for m in span:
                     ref = math.fsum(rot[i][r] * bst[r][m] for r in span)
-                    assert ev(i, level - i, m, level - m) == pytest.approx(ref, rel=1e-12)
+                    assert ev((i, level - i), (m, level - m)) == pytest.approx(ref, rel=1e-12)
 
     def test_generic_recursion_reaches_deep_degrees(self):
         # the levels are filled bottom up, so no call stack grows with the degree
-        ev = me_evaluator(2, canonical_lambda())
-        assert math.isfinite(ev(0, 0, 1500, 0))
-        assert math.isfinite(ev(2, 1, 400, 0))
+        ev = element_reader(2, canonical_lambda())
+        assert math.isfinite(ev((0, 0), (1500, 0)))
+        assert math.isfinite(ev((2, 1), (400, 0)))
 
     # the one-parameter subgroups with their closed forms, the oracles of the table
     SUBGROUPS = {
@@ -511,7 +504,7 @@ class TestEvaluatorDispatch:
         # a boost or rotation has zeros in its last column; the table gives
         # exactly 0.0 wherever the closed form is 0, e.g. off the delta
         lam, closed = self.SUBGROUPS[name]
-        ev = me_evaluator(2, lam)
+        ev = element_reader(2, lam)
         # the level blocks 0..25, and across levels with a fixed coordinate
         points = [(i, t - i, m, t - m) for t in range(26) for i in range(t + 1) for m in range(t + 1)]
         points += [p for c in (0, 2) for a in range(13) for b in range(13)
@@ -519,30 +512,30 @@ class TestEvaluatorDispatch:
         for point in points:
             ref = closed(*point)
             if ref == 0.0:
-                assert ev(*point) == 0.0
+                assert ev(point[:2], point[2:]) == 0.0
             else:
-                assert ev(*point) == pytest.approx(ref, rel=1e-12)
+                assert ev(point[:2], point[2:]) == pytest.approx(ref, rel=1e-12)
 
     def test_the_quarter_turn_is_the_signed_permutation(self):
         # s = 1: (y_0, y_1) -> (y_1, -y_0), so <i,k| U |m,n> = (-1)^k delta_{(i,k),(n,m)},
         # which the closed form, with its tangent, cannot give
-        ev = me_evaluator(2, rotation((1, 2), 1, 2))
+        ev = element_reader(2, rotation((1, 2), 1, 2))
         for t in range(16):
             for i in range(t + 1):
                 for m in range(t + 1):
-                    got = ev(i, t - i, m, t - m)
+                    got = ev((i, t - i), (m, t - m))
                     if m == t - i:
                         assert got == pytest.approx((-1) ** (t - i), rel=4 * sys.float_info.epsilon)
                     else:
                         assert got == 0.0
-        assert ev(1, 0, 0, 0) == ev(0, 0, 0, 1) == 0.0
+        assert ev((1, 0), (0, 0)) == ev((0, 0), (0, 1)) == 0.0
 
     def test_a_zero_in_the_last_column_is_served(self):
         # last column (3/4, 0, 5/4): the boost acts after the rotation, so the
         # element is the sum over the level |n| of their closed forms
         C = compose(boost((1, 3), 2, 2), rotation((1, 2), F(1, 2), 2))
         assert C.entries[1][2] == 0
-        ev = me_evaluator(2, C)
+        ev = element_reader(2, C)
         for level in range(21):
             span = range(level + 1)
             rot = [[elliptic_me(2, F(1, 2), r, level - r, m, level - m) for m in span] for r in span]
@@ -551,4 +544,4 @@ class TestEvaluatorDispatch:
                     bst = [hyperbolic_me_xi(2, 2, i, top - i, r, level - r) for r in span]
                     for m in span:
                         ref = math.fsum(bst[r] * rot[r][m] for r in span)
-                        assert ev(i, top - i, m, level - m) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+                        assert ev((i, top - i), (m, level - m)) == pytest.approx(ref, rel=1e-12, abs=1e-300)
