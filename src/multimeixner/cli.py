@@ -257,7 +257,8 @@ def cmd_table(args) -> int:
     box = _box_from_arg(args.box)
     sys2 = multivariate.MeixnerSystemD(args.beta, _matrix(args, 2), ScalarMode.EXACT)
     route = getattr(multivariate, f"monic_eval_{args.route}_d")
-    rows = [(*cell, rational_str(route(sys2, cell[:2], cell[2:]))) for cell in box.cells()]
+    cells = harness.box_cells("table", box)
+    rows = [(*cell, rational_str(route(sys2, cell[:2], cell[2:]))) for cell in cells]
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -256,6 +257,14 @@ def _bivariate_system(config: SuiteConfig, mode: ScalarMode) -> bivariate.Meixne
     return bivariate.MeixnerSystem(config.beta, lam, mode)
 
 
+def box_cells(who: str, box: LatticeBox) -> list:
+    """The cells of ``box``, listed once the scan is priced
+    (``multivariate.price_scan``)."""
+    degrees = (box.max_m + 1) * (box.max_n + 1)
+    multivariate.price_scan(who, degrees, (box.max_i + 1) * (box.max_k + 1))
+    return box.cells()
+
+
 def _oracle_report(identity: str, box, cells, oracle, candidates) -> EvalReport:
     """Exact report on ``route(*cell) - oracle(*cell)`` over the cells for
     each (name, route) candidate: the largest discrepancy and, as the
@@ -283,7 +292,8 @@ def suite_routes(config: SuiteConfig) -> List[EvalReport]:
         for route in (bivariate.monic_eval_raising, bivariate.monic_eval_hyp)
     ]
     oracle = functools.partial(bivariate.monic_eval_gf, sys2)
-    return [_oracle_report("route-equivalence", box, box.cells(), oracle, candidates)]
+    cells = box_cells("suite routes", box)
+    return [_oracle_report("route-equivalence", box, cells, oracle, candidates)]
 
 
 def suite_identity(config: SuiteConfig) -> List[EvalReport]:
@@ -327,7 +337,8 @@ def suite_closed_form(config: SuiteConfig) -> List[EvalReport]:
         bivariate.monic_eval_gf, bivariate.MeixnerSystem(config.beta, lam, ScalarMode.EXACT)
     )
     box = config.box or box
-    return [_oracle_report(identity, box, box.cells(), oracle, [(None, form)])]
+    cells = box_cells(f"suite {config.suite}", box)
+    return [_oracle_report(identity, box, cells, oracle, [(None, form)])]
 
 
 def addition_tuples(seed: int, count: int = 10, d: int = 2):
@@ -339,8 +350,14 @@ def addition_tuples(seed: int, count: int = 10, d: int = 2):
     for _ in range(count):
         a_seed = rng.randint(0, 2**31)
         b_seed = rng.randint(0, 2**31)
-        A = random_matrix(a_seed, d, max(3, d), gentle=True)
-        B = random_matrix(b_seed, d, max(3, d), gentle=True)
+        try:
+            A = random_matrix(a_seed, d, max(3, d), gentle=True)
+            B = random_matrix(b_seed, d, max(3, d), gentle=True)
+        except ValueError:
+            raise ValueError(
+                f"the addition suite draws gentle products of max(3, d) = {max(3, d)} factors,"
+                f" and none joined the {d + 1} axes for tuple {len(out)} of seed {seed}"
+            ) from None
         point = tuple(rng.randint(0, 2) for _ in range(2 * d))
         out.append((A, B) + point)
     return out
@@ -445,6 +462,8 @@ def suite_multivariate(config: SuiteConfig) -> List[EvalReport]:
     )
     sys_exact = multivariate.MeixnerSystemD(config.beta, lam, ScalarMode.EXACT)
 
+    multivariate.price_scan("suite multivariate", math.comb(degree_max + d, d),
+                            (coord_max + 1) ** d, way_out="lower --degree-max or --coord-max")
     degrees = list(multivariate._simplex_lattice(degree_max, d))
     points = lattice((coord_max,) * d)
     route_report = _oracle_report(

@@ -53,7 +53,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import add, getitem, index, le, lt, mul, not_, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -64,6 +64,7 @@ from .numerics import (
     _exponents_of_degree,
     _int_column,
     _scaled_list,
+    log_abs,
     past_float_range,
     pochhammer,
     require_beta,
@@ -175,6 +176,15 @@ class MeixnerSystemD:
         return f"{type(self).__name__}(beta={self.beta}, mode={self.mode.value}, lam={self.lam})"
 
 
+def _float_beta(beta) -> float:
+    """beta as the float ``math.lgamma`` reads; a positive beta that rounds
+    to 0.0 is refused as past the float range, as one past the top is."""
+    b = require_float(beta, "beta")
+    if b == 0.0:
+        raise past_float_range("beta", log_abs(beta))
+    return b
+
+
 class _LogMass:
     """The float mass log((b)_t / x! prod_i r_i^(2 x_i)), t = |x|, as
     ``head(t) + sum_i axis(i, x_i)`` from ``math.lgamma``, for the ratios
@@ -190,7 +200,7 @@ class _LogMass:
     def __init__(self, beta, lam: PseudoRotation, row: bool = False):
         e, d = lam.entries, lam.d
         ratios = [((e[d][i] if row else e[i][d]) or 1) / e[d][d] for i in range(d)]
-        self.b = require_float(beta, "beta")
+        self.b = _float_beta(beta)
         self.offset = -math.lgamma(self.b) - (0.0 if row else 2.0 * self.b * math.log(e[d][d]))
         self.logs = [2.0 * math.log(abs(r)) for r in ratios]
         self.negative = [r < 0 for r in ratios]
@@ -332,7 +342,7 @@ class _GfStore(dict):
         if chain and len(chain) * math.comb(top + d, d) > POINT_BUDGET:
             if (cells := len(chain) * self.cells(top)) > POINT_BUDGET:
                 raise _over_budget(
-                    "generating-function", f"fill {cells} coefficients",
+                    "the generating-function route", f"fill {cells} coefficients",
                     f"{len(chain)} points up to degree {top}",
                 )
         for y in reversed(chain):
@@ -526,7 +536,7 @@ class _RaisingTable:
     @cached_property
     def log_norm(self):
         """Each degree's log of (qE)^|n| sqrt((b)_|n| n!)."""
-        b, log_qe = require_float(self.beta, "beta"), math.log(self.scale)
+        b, log_qe = _float_beta(self.beta), math.log(self.scale)
         return lru_cache(maxsize=None)(
             lambda n: sum(n) * log_qe
             + 0.5 * (math.lgamma(b + sum(n)) - math.lgamma(b) + sum(math.lgamma(v + 1) for v in n))
@@ -596,7 +606,7 @@ class _RaisingTable:
         if shift > self.priced:  # the chain fills the columns at shifts below ``shift``
             cells = _raising_cells(self.lo, self.hi, shift)
             if cells > POINT_BUDGET:
-                raise _over_budget("raising", f"fill {cells} cells",
+                raise _over_budget("the raising route", f"fill {cells} cells",
                                    f"{shift} columns over the box {self.lo}..{self.hi}", way_out=None)
             self.priced, self.cost = shift, cells
         if self.held + self.cost > POINT_BUDGET:
@@ -713,7 +723,7 @@ class _RaisingTable:
             points, coords, downs = _level(t, len(n))
             cells += len(chain) * len(points)
             if cells > POINT_BUDGET:
-                raise _over_budget("raising", f"fill {cells} cells",
+                raise _over_budget("the raising route", f"fill {cells} cells",
                                    f"{len(chain)} columns over {t + 1} levels", way_out=None)
             level = [list(map(self.bottom, points)) if self.zeros else [1] * len(points)]
             for (shift, last, weights), low in zip(chain, rows):
@@ -812,14 +822,21 @@ def monic_eval_hyp_d(sys: MeixnerSystemD, n: Sequence[int], x: Sequence[int]) ->
     return sys._hyp.value(n, _as_multi_index(x, sys.d, "point"))
 
 
-def _over_budget(route: str, work: str, detail: str,
+def _over_budget(who: str, work: str, detail: str,
                  way_out: Optional[str] = "use --route raising") -> PreconditionError:
-    """The refusal of a request that a route prices past POINT_BUDGET, with
-    the way out, if there is one."""
+    """The refusal of a request that ``who`` (a route, a check) prices past
+    POINT_BUDGET, with the way out, if there is one."""
     tail = f"; {way_out}" if way_out else ""
-    return PreconditionError(
-        f"the {route} route would {work} ({detail}), more than {POINT_BUDGET}{tail}"
-    )
+    return PreconditionError(f"{who} would {work} ({detail}), more than {POINT_BUDGET}{tail}")
+
+
+def price_scan(who: str, degrees: int, points: int, way_out: str = "shrink the box"):
+    """Refuse, before it starts, a scan by ``who`` of every degree of
+    ``degrees`` at every point of ``points`` (the counts) past POINT_BUDGET
+    cells."""
+    if degrees * points > POINT_BUDGET:
+        raise _over_budget(who, f"scan {degrees * points} cells",
+                           f"{degrees} degrees times {points} points", way_out)
 
 
 def _hyp_tensor(n: MultiIndex, caps, p: int, q: int, denom: int, forms):
@@ -841,7 +858,7 @@ def _hyp_tensor(n: MultiIndex, caps, p: int, q: int, denom: int, forms):
         cells = sum((-1) ** k * math.comb(reach - sum(s) - k + d, d) for k in range(d + 1)
                     for s in itertools.combinations(caps, k) if sum(s) + k <= reach)
         if cells * top > POINT_BUDGET:
-            raise _over_budget("hypergeometric", f"form {cells * top} cell products",
+            raise _over_budget("the hypergeometric route", f"form {cells * top} cell products",
                                f"{cells} tensor cells times {top} linear factors")
     counts, downs, order, grades = _hyp_plan(caps, reach)
     poly = [1] + [0] * counts[-1]  # the last place stays 0
@@ -1036,8 +1053,13 @@ def _three_diagonal_columns(sys: MeixnerSystemD, max_n, max_x, transposed: bool)
 
 
 def _checked_box(sys: MeixnerSystemD, what: str, max_n, max_x):
+    """The box's corners, once the mode holds and the box is priced
+    (``price_scan``)."""
     sys.require_mode(ScalarMode.EXACT, what)
-    return _as_multi_index(max_n, sys.d, "max degrees"), _as_multi_index(max_x, sys.d, "max point")
+    max_n = _as_multi_index(max_n, sys.d, "max degrees")
+    max_x = _as_multi_index(max_x, sys.d, "max point")
+    price_scan(what, math.prod(v + 1 for v in max_n), math.prod(v + 1 for v in max_x))
+    return max_n, max_x
 
 
 def check_recurrence_d(sys: MeixnerSystemD, max_n: MultiIndex, max_x: MultiIndex) -> EvalReport:
@@ -1261,10 +1283,8 @@ class _GramFamily:
     inserted at axis] * prod_i fixed_i^r_i over the monomials r of the
     fixed coordinates with |r| <= |n| - k, in graded order, each added left
     to right.  Horner then runs v = C_|n|, v = v y + C_k down to k = 0 over
-    all of the run's points at once.  The degrees are held in ``order``,
-    by total degree from the highest, so that the degrees still in Horner
-    at step k are a prefix of that order, and every step is a few C-level
-    ``map`` calls over one flat list of all active degrees' values.
+    all of the run's points at once, one sweep per degree, each step one
+    C-level ``map`` over the run.
     """
 
     def __init__(self, sys: MeixnerSystemD, degrees: List[MultiIndex]):
@@ -1283,7 +1303,6 @@ class _GramFamily:
             [abs(row.get(mono, 0.0)) for mono in monos[: math.comb(t + d, d)]]
             for t, row in zip(totals, coeffs)
         ]
-        self.order = sorted(range(len(degrees)), key=lambda a: -totals[a])
         # the monomials of the d - 1 fixed coordinates in graded order, each
         # but the first an earlier one times one coordinate
         reduced = list(_simplex_lattice(top, d - 1)) if d > 1 else [()]
@@ -1292,22 +1311,23 @@ class _GramFamily:
         for r in reduced[1:]:
             i = _first_axis(r)
             self.steps.append((position[_step_down(r, i)], i))
-        # per run axis, Horner step by step from k = top: the coefficients
-        # of the products coef * fixed monomial, the monomials they read,
-        # each C_k's slice of the products, and how many degrees are live
+        # per run axis, degree by degree in list order: the coefficients of
+        # the products coef * fixed monomial, the monomials they read, each
+        # C_k's slice of the products from k = |n| down, and the degree's
+        # (first, last) bounds in those slices
         self.tables = {}
         for axis in {max(d - 2, 0), d - 1}:
-            coefs, gather, slices, active = [], [], [], []
-            for k in range(top, -1, -1):
-                live = [a for a in self.order if totals[a] >= k]
-                for a in live:
+            coefs, gather, slices, bounds = [], [], [], []
+            for t, row in zip(totals, coeffs):
+                first = len(slices)
+                for k in range(t, -1, -1):
                     start = len(coefs)
-                    for j, r in enumerate(reduced[: math.comb(totals[a] - k + d - 1, d - 1)]):
-                        coefs.append(coeffs[a].get(r[:axis] + (k,) + r[axis:], 0.0))
+                    for j, r in enumerate(reduced[: math.comb(t - k + d - 1, d - 1)]):
+                        coefs.append(row.get(r[:axis] + (k,) + r[axis:], 0.0))
                         gather.append(j)
                     slices.append(slice(start, len(coefs)))
-                active.append(len(live))
-            self.tables[axis] = coefs, gather, slices, active
+                bounds.append((first, len(slices)))
+            self.tables[axis] = coefs, gather, slices, bounds
 
     def bound(self, shell: int) -> float:
         """V(S) = max_n sum |coef| S^|mono|, which bounds every polynomial
@@ -1315,29 +1335,22 @@ class _GramFamily:
         powers = [float(shell**t) for t in self.mono_degrees]
         return max(sum(map(mul, row, powers)) for row in self.abs_rows)
 
-    def values(self, axis: int, fixed: MultiIndex, ys: List[int]) -> List[float]:
+    def values(self, axis: int, fixed: MultiIndex, ys: List[int]) -> List[List[float]]:
         """The values at the points ``fixed`` with y inserted at ``axis``,
-        y over ``ys``: len(ys) values per degree, degrees in ``order``."""
+        y over ``ys``: one list of len(ys) values per degree, in list order."""
         monomials = [1.0]
         for parent, i in self.steps:
             monomials.append(monomials[parent] * fixed[i])
-        coefs, gather, slices, active = self.tables[axis]
+        coefs, gather, slices, bounds = self.tables[axis]
         products = list(map(mul, coefs, map(monomials.__getitem__, gather)))
         collapsed = list(map(sum, map(products.__getitem__, slices)))
-        m = len(ys)
-        points = ys * len(self.order)
-        values: List[float] = []
-        start = held = 0  # held: the degrees already in Horner
-        for live in active:
-            terms = collapsed[start : start + held]
-            entering = collapsed[start + held : start + live]
-            tiled = chain.from_iterable(map(repeat, terms, repeat(m)))
-            values = [
-                *map(add, map(mul, values, points), tiled),
-                *chain.from_iterable(map(repeat, entering, repeat(m))),
-            ]
-            start, held = start + live, live
-        return values
+        out = []
+        for first, last in bounds:
+            v = [collapsed[first]] * len(ys)
+            for c in collapsed[first + 1 : last]:
+                v = list(map(add, map(mul, v, ys), repeat(c)))
+            out.append(v)
+        return out
 
 
 def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float, what: str):
@@ -1361,8 +1374,8 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
     lexicographic order where one coordinate varies.  Each run takes its
     weights in one C-level ``map`` of ``math.exp`` and its skip test in
     another, and the values at its kept points come from one collapse onto
-    the run axis and one Horner sweep (``_GramFamily.values``), one value
-    column per degree.  The columns are added to the Gram entries in
+    the run axis and one Horner sweep per degree (``_GramFamily.values``),
+    one value column per degree.  The columns are added to the Gram entries in
     blocks of at least GRAM_BLOCK points, one C-level ``sum`` per entry and
     block, in point order.  Up to CPython 3.11 ``sum`` adds floats left to
     right, so every entry is the point-by-point sum of these values bit for
@@ -1381,8 +1394,6 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
     axes: List[List[float]] = [[] for _ in range(d)]
     count = len(degrees)
     pairs = [(a, b) for a in range(count) for b in range(a, count)]
-    column = {a: pos for pos, a in enumerate(family.order)}
-    links = [(column[a], column[b]) for a, b in pairs]  # the pairs' value columns
     gram = [0.0] * len(pairs)
     threshold = tol / 100.0
     negligible = threshold * 1e-10
@@ -1420,16 +1431,14 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
             if not any(keep):
                 continue
             kept_ys = list(compress(ys, keep))
-            values = family.values(axis, head + tail, kept_ys)
-            m = len(kept_ys)
-            for col, at in zip(cols, range(0, len(values), m)):
-                col += values[at : at + m]
+            for col, values in zip(cols, family.values(axis, head + tail, kept_ys)):
+                col += values
             weights += compress(wts, keep)
             if len(weights) >= GRAM_BLOCK:
-                gram = _gram_add(gram, links, cols, weights)
+                gram = _gram_add(gram, pairs, cols, weights)
                 cols, weights = [[] for _ in range(count)], []
         if weights:
-            gram = _gram_add(gram, links, cols, weights)
+            gram = _gram_add(gram, pairs, cols, weights)
         if shell >= 1 and max(map(abs, map(sub, gram, start))) < threshold:
             break
         shell += 1
@@ -1445,12 +1454,12 @@ def _gram_discrepancy(sys: MeixnerSystemD, degrees: List[MultiIndex], tol: float
     return max_disc, first
 
 
-def _gram_add(gram: List[float], links, cols, weights) -> List[float]:
+def _gram_add(gram: List[float], pairs, cols, weights) -> List[float]:
     """gram entry + sum_p weights[p] cols[a][p] cols[b][p] for every entry
-    and its pair (a, b) of value columns in ``links``, each entry's products
+    and its pair (a, b) of value columns in ``pairs``, each entry's products
     (w v_a) v_b added left to right in point order."""
     wcols = [list(map(mul, weights, col)) for col in cols]
-    return [sum(map(mul, wcols[a], cols[b]), g) for (a, b), g in zip(links, gram)]
+    return [sum(map(mul, wcols[a], cols[b]), g) for (a, b), g in zip(pairs, gram)]
 
 
 def check_orthogonality_d(sys: MeixnerSystemD, degree_box: int, tol: float) -> EvalReport:

@@ -20,12 +20,30 @@ from multimeixner.cli import _parse_subgroup, main
 from multimeixner.harness import random_matrix, resolve_matrix
 from multimeixner.lorentz import identity, matrix_to_json, product_of
 from multimeixner.numerics import ScalarMode
+from multimeixner.reports import LatticeBox
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_refused_unscanned(capsys, monkeypatch, *argv):
+    """The run exits 3 with one error line naming the point budget, within
+    a second and without listing a box."""
+    def unlisted(*_):
+        raise AssertionError("the box was listed")
+
+    monkeypatch.setattr(LatticeBox, "cells", unlisted)
+    for module in (harness, multivariate):
+        monkeypatch.setattr(module, "lattice", unlisted)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "scan" in err and f"more than {multivariate.POINT_BUDGET}" in err
 
 
 @pytest.fixture()
@@ -331,14 +349,18 @@ class TestEval:
                 outputs.append(out)
             assert outputs[0] == outputs[1], route
 
+    # 1e-400 rounds to 0.0, where math.lgamma has a pole
+    @pytest.mark.parametrize("beta, power", [("1e400", "400.0"), ("1e-400", "-400.0")])
     @pytest.mark.parametrize("value", ["orthonormal", "matrix-element"])
-    def test_float_values_at_a_beta_past_the_float_range_exit_3(self, capsys, value):
+    def test_float_values_at_a_beta_past_the_float_range_exit_3(self, capsys, value, beta, power):
+        start = time.perf_counter()
         code, out, err = run_cli(
-            capsys, "eval", "--value", value, "--beta", "1e400",
-            "--degrees", "1,1", "--point", "1,1",
+            capsys, "eval", "--mode", "float", "--value", value, "--beta", beta,
+            "--degrees", "1,0", "--point", "0,1",
         )
+        assert time.perf_counter() - start < 1
         assert (code, out) == (3, "")
-        assert err == "error: beta is about 10^400.0, past the float range\n"
+        assert err == f"error: beta is about 10^{power}, past the float range\n"
 
     def test_far_gf_fill_is_refused_within_seconds(self, capsys):
         # about 6e7 coefficient cells: the store refuses the fill up front
@@ -759,12 +781,13 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert out.startswith("PASS addition")
 
-    def test_addition_at_d4_ends_with_one_error_line(self, capsys):
-        # no gentle product of 4 factors joins the 5 axes for the first
-        # draw, or a stream passes the point budget
+    def test_addition_at_d4_names_the_suite_draw(self, capsys):
+        # no gentle product of 4 factors joins the 5 axes for one tuple's
+        # draw; the suite does not read --factors, so the line names its own
         code, out, err = run_cli(capsys, "verify", "--suite", "addition", "--d", "4")
-        assert code in (2, 3) and out == ""
+        assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "max(3, d) = 4 factors" in err and "--factors" not in err
 
     @pytest.mark.parametrize("beta", ["-1/2", "0"])
     @pytest.mark.parametrize("suite", ["addition", "subgroup-unitarity"])
@@ -789,6 +812,34 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--beta", "1e400", *extra)
         assert (code, out) == (3, "")
         assert err == "error: beta is about 10^400.0, past the float range\n"
+
+    @pytest.mark.parametrize("suite, extra", [
+        ("orthogonality", []),
+        ("addition", ["--tuples", "1"]),
+        ("multivariate", ["--degree-max", "0", "--coord-max", "1"]),
+    ])
+    def test_float_suites_at_a_beta_below_the_float_range_exit_3(self, capsys, suite, extra):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--beta", "1e-400", *extra)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == "error: beta is about 10^-400.0, past the float range\n"
+
+    def test_closed_forms_take_a_beta_below_the_float_range(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "subgroup-unitarity",
+                                 "--beta", "1e-400")
+        assert (code, err) == (0, "")
+        assert out.startswith("PASS subgroup-unitarity-hyperbolic")
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "routes", "--box", "60,60,60,60"],
+        ["--suite", "recurrence", "--box", "200,200,200,200"],
+        ["--suite", "duality", "--box", "100,100,100,100"],
+        ["--suite", "factorization", "--box", "100,100,100,100"],
+        ["--suite", "multivariate", "--degree-max", "40", "--coord-max", "40"],
+    ], ids=["routes", "recurrence", "duality", "factorization", "multivariate"])
+    def test_a_box_scan_past_the_point_budget_exits_3(self, capsys, monkeypatch, argv):
+        assert_refused_unscanned(capsys, monkeypatch, "verify", *argv)
 
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -864,6 +915,9 @@ class TestTable:
         code, out, err = run_cli(capsys, "table", "--box", "1,1,1,1", "--d", "3")
         assert code == 2
         assert out == "" and err.startswith("error:") and "--d" in err
+
+    def test_a_box_past_the_point_budget_exits_3(self, capsys, monkeypatch):
+        assert_refused_unscanned(capsys, monkeypatch, "table", "--box", "80,80,80,80")
 
 
 class TestGenMatrix:

@@ -831,10 +831,9 @@ class TestGramSum:
             bound = family.bound(shell)
             for head, ys, tail in runs[:: max(1, len(runs) // 5)]:
                 ys = list(ys)[:: max(1, len(ys) // 4)]
-                values = family.values(len(head), head + tail, ys)
-                m = len(ys)
-                for pos, a in enumerate(family.order):
-                    column = values[pos * m : (pos + 1) * m]
+                columns = family.values(len(head), head + tail, ys)
+                assert len(columns) == len(degrees)
+                for a, column in enumerate(columns):
                     for y, value in zip(ys, column):
                         x = head + (y,) + tail
                         poly = sum(c * math.prod(map(pow, x, mono)) for mono, c in exact[a].items())
